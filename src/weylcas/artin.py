@@ -219,10 +219,6 @@ class LocalFactor:
     def residue_dim(self) -> int:
         return self.dim - len(self.radical_basis_factor())
 
-    def maximal_ideal_ambient(self) -> list[list[Fraction]]:
-        """Ambient coordinates of a basis of the factor's maximal ideal."""
-        return [self.to_ambient(v) for v in self.radical_basis_factor()]
-
     def __repr__(self):
         return f"LocalFactor(dim={self.dim})"
 

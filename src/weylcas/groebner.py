@@ -349,10 +349,6 @@ def standard_monomials(I: Ideal, order: TermOrder = GREVLEX) -> list[tuple[int, 
     return out
 
 
-def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    return Ideal(I.vars, [a * b for a in I.generators for b in J.generators])
-
-
 def ideal_power(I: Ideal, k: int) -> Ideal:
     if k == 0:
         return Ideal(I.vars, [SparsePoly.one(I.vars)])

@@ -461,9 +461,6 @@ class ArtinModule:
             out = linalg.mat_add(out, linalg.mat_scale(self.monomial_action(e), c))
         return out
 
-    def action_of_poly(self, p: SparsePoly):
-        return self.action_of_vector(self.algebra.to_vector(p))
-
     def socle(self) -> list:
         """Basis of the annihilator of the radical (the largest semisimple
         submodule)."""

@@ -33,7 +33,7 @@ class SearchExhaustedError(RuntimeError):
 
 
 class WindowMarginError(ValueError):
-    """Requested window cannot accommodate the needed degree shifts."""
+    """A degree window is empty or too small for the needed degree shifts."""
 
 
 class NotFiniteDimensionalError(ValueError):

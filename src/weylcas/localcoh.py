@@ -32,11 +32,8 @@ from itertools import combinations, product
 
 from . import linalg
 from .groebner import Ideal, saturation
+from .koszul import WindowMarginError
 from .poly import SparsePoly
-
-
-class WindowMarginError(ValueError):
-    """The window is too small for the derivative-shifted squares."""
 
 
 def _monomial_exponent(p: SparsePoly) -> tuple[int, ...]:

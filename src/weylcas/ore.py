@@ -2,14 +2,17 @@
 
 Elements are kept in left normal form (polynomial coefficients to the left
 of the operator monomials) or right normal form (coefficients to the
-right); each abstract element has exactly one of each.  All products and
-conversions are driven by one rewrite rule applied through a worklist:
+right); each abstract element has exactly one of each.  Products and
+conversions all go through one closed formula, the Leibniz rule
 
-    (op_k) * a  ->  a * (op_k) + delta_k(a)
+    op^alpha * psi  =  sum_{beta <= alpha} C(alpha, beta) delta^(alpha-beta)(psi) op^beta
+    psi * op^alpha  =  sum_{beta <= alpha} (-1)^|alpha-beta| C(alpha, beta) op^beta delta^(alpha-beta)(psi)
 
 where delta_k is the partial derivative for a Weyl generator and the
-attached derivation for the Ore variable.  Closed commutation formulas are
-then testable against this loop instead of being trusted.
+attached derivation for the Ore variable.  The formula is exact because
+the Weyl derivations commute and an Ore ring has a single operator.  The
+acceptance battery checks it against the bare rewrite rule
+op_k * a -> a * op_k + delta_k(a).
 """
 
 from __future__ import annotations
@@ -182,8 +185,8 @@ class DiffOp:
             return self
         out: dict = {}
         for alpha, psi in self.terms.items():
-            _worklist_left(self.ring, SparsePoly.one(self.ring.vars), alpha, psi,
-                           self.ring.zero_alpha(), out)
+            for beta, c in _leibniz(self.ring, alpha, psi, 1).items():
+                _add_term(out, beta, c)
         return DiffOp(self.ring, out, "left")
 
     def to_right(self) -> "DiffOp":
@@ -192,7 +195,8 @@ class DiffOp:
             return self
         out: dict = {}
         for alpha, phi in self.terms.items():
-            _worklist_right(self.ring, self.ring.zero_alpha(), phi, alpha, out)
+            for beta, c in _leibniz(self.ring, alpha, phi, -1).items():
+                _add_term(out, beta, c)
         return DiffOp(self.ring, out, "right")
 
     # ---------- arithmetic ----------
@@ -225,7 +229,9 @@ class DiffOp:
         out: dict = {}
         for alpha, phi in a.terms.items():
             for beta, psi in b.terms.items():
-                _worklist_left(self.ring, phi, alpha, psi, beta, out)
+                # phi * op^alpha * psi * op^beta = sum phi * c * op^(gamma + beta)
+                for gamma, c in _leibniz(self.ring, alpha, psi, 1).items():
+                    _add_term(out, tuple(g + e for g, e in zip(gamma, beta)), phi * c)
         return DiffOp(self.ring, out, "left")
 
     def __rmul__(self, other):
@@ -303,47 +309,25 @@ class DiffOp:
         return f"DiffOp({self.to_str()}, form={self.form})"
 
 
-def _worklist_left(ring: OreRing, phi: SparsePoly, alpha: tuple, psi: SparsePoly,
-                   beta: tuple, out: dict):
-    """Accumulate the left normal form of phi * op^alpha * psi * op^beta."""
-    stack = [(phi, alpha, psi, beta)]
-    while stack:
-        phi, alpha, psi, beta = stack.pop()
-        if phi.is_zero() or psi.is_zero():
-            continue
-        if all(a == 0 for a in alpha):
-            _add_term(out, beta, phi * psi)
-            continue
-        k = next(i for i in range(len(alpha) - 1, -1, -1) if alpha[i] > 0)
-        a2 = list(alpha)
-        a2[k] -= 1
-        a2 = tuple(a2)
-        b2 = list(beta)
-        b2[k] += 1
-        # op_k * psi = psi * op_k + delta_k(psi)
-        stack.append((phi, a2, psi, tuple(b2)))
-        stack.append((phi, a2, ring.delta(k, psi), beta))
+def _leibniz(ring: OreRing, alpha: tuple, psi: SparsePoly, sign: int) -> dict:
+    """The Leibniz expansion of op^alpha past psi, as {beta: coeff}.
 
-
-def _worklist_right(ring: OreRing, gamma: tuple, phi: SparsePoly, alpha: tuple, out: dict):
-    """Accumulate the right normal form of op^gamma * phi * op^alpha."""
-    stack = [(gamma, phi, alpha)]
-    while stack:
-        gamma, phi, alpha = stack.pop()
-        if phi.is_zero():
-            continue
-        if all(a == 0 for a in alpha):
-            _add_term(out, gamma, phi)
-            continue
-        k = next(i for i in range(len(alpha)) if alpha[i] > 0)
-        a2 = list(alpha)
-        a2[k] -= 1
-        a2 = tuple(a2)
-        g2 = list(gamma)
-        g2[k] += 1
-        # phi * op_k = op_k * phi - delta_k(phi)
-        stack.append((tuple(g2), phi, a2))
-        stack.append((gamma, -ring.delta(k, phi), a2))
+    With sign +1 this is the left normal form of op^alpha * psi; with sign
+    -1 it is the right normal form of psi * op^alpha.  One operator at a
+    time, each coefficient c becomes sum_i C(a_k, i) sign^i delta_k^i(c)
+    at beta_k = a_k - i, with the powers delta_k^i(c) built iteratively.
+    """
+    partial = {(): psi}
+    for k, a in enumerate(alpha):
+        nxt = {}
+        for head, c in partial.items():
+            for i in range(a + 1):
+                if c.is_zero():
+                    break
+                nxt[head + (a - i,)] = c * (sign ** i * comb(a, i))
+                c = ring.delta(k, c)
+        partial = nxt
+    return partial
 
 
 class LocalizedFraction:
@@ -541,45 +525,3 @@ def verify_star(I: Ideal, s: DiffOp, r_max: int) -> int:
     raise StarBoundNotFoundError(
         f"no exponent r <= {r_max} works; the theoretical bound is operator order + 1"
     )
-
-
-# ---------- closed commutation formulas (testable against the worklist) ----------
-
-def weyl_commutation_rhs(ring: OreRing, k: int, m: int, a: SparsePoly) -> DiffOp:
-    """sum_{i=0..m} C(m,i) * (d_k^(m-i) a) * d_k^i, assembled directly."""
-    terms = {}
-    v = a
-    coeffs = []
-    for i in range(m + 1):
-        coeffs.append(v)
-        v = ring.delta(k, v)
-    # coeffs[j] = delta^j(a); term i uses delta^(m-i)
-    for i in range(m + 1):
-        alpha = [0] * ring.n_ops
-        alpha[k] = i
-        _add_term(terms, tuple(alpha), coeffs[m - i] * comb(m, i))
-    return DiffOp(ring, terms, "left")
-
-
-def ore_power_rhs(ring: OreRing, n: int, a: SparsePoly) -> DiffOp:
-    """sum_{i=0..n} C(n,i) * delta^i(a) * X^(n-i), assembled directly."""
-    if ring.kind != "ore":
-        raise ValueError("needs a differential polynomial ring")
-    terms = {}
-    v = a
-    for i in range(n + 1):
-        _add_term(terms, (n - i,), v * comb(n, i))
-        v = ring.delta(0, v)
-    return DiffOp(ring, terms, "left")
-
-
-def ore_right_rhs(ring: OreRing, n: int, b: SparsePoly) -> DiffOp:
-    """sum_{i=0..n} (-1)^i C(n,i) X^(n-i) delta^i(b), in right normal form."""
-    if ring.kind != "ore":
-        raise ValueError("needs a differential polynomial ring")
-    terms = {}
-    v = b
-    for i in range(n + 1):
-        _add_term(terms, (n - i,), v * ((-1) ** i * comb(n, i)))
-        v = ring.delta(0, v)
-    return DiffOp(ring, terms, "right")

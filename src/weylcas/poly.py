@@ -131,9 +131,6 @@ class SparsePoly:
     def is_constant(self) -> bool:
         return all(all(x == 0 for x in e) for e in self.terms)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def constant_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
@@ -277,13 +274,6 @@ class SparsePoly:
             rest[index] = 0
             out = out + SparsePoly.monomial(self.vars, rest, c) * power(k)
         return out
-
-    def rename(self, variables) -> "SparsePoly":
-        """Same terms over a new variable list of equal length."""
-        vs = tuple(variables)
-        if len(vs) != len(self.vars):
-            raise ValueError("variable count mismatch")
-        return SparsePoly(vs, self.terms)
 
     def extend(self, variables) -> "SparsePoly":
         """Embed into a larger ring; self.vars must be a subset of variables."""

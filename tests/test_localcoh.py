@@ -146,10 +146,14 @@ def test_mv_connecting_full_report(f, g):
 
 
 def test_mv_connecting_degenerate_window_rejected():
+    from weylcas.koszul import GradedModuleModel, ext1_koszul
     from weylcas.localcoh import WindowMarginError
 
     with pytest.raises(WindowMarginError):
         mv_connecting_biprincipal((1, 0), (0, 1), [(0, 0), (-3, 3)])
+    # Koszul Ext^1 raises the same class on an empty window
+    with pytest.raises(WindowMarginError):
+        ext1_koszul([x], GradedModuleModel.polynomial(XY), (1, 0))
 
 
 def test_gamma_cyclic_example():

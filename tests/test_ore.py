@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
+from weylcas.acceptance import _rewrite_normal_form
 from weylcas.groebner import Ideal
 from weylcas.ore import (
     DiffOp,
@@ -10,10 +12,7 @@ from weylcas.ore import (
     OreRing,
     StarBoundNotFoundError,
     in_left_ideal_si,
-    ore_power_rhs,
-    ore_right_rhs,
     verify_star,
-    weyl_commutation_rhs,
 )
 from weylcas.poly import SparsePoly
 
@@ -25,6 +24,12 @@ X = DiffOp.from_poly(W1, x)
 
 def op(ring, terms):
     return DiffOp(ring, terms, "left")
+
+
+def assert_same_form(s, t):
+    # == compares left forms, so it cannot see a wrong right normal form
+    assert s.form == t.form
+    assert s.terms == t.terms
 
 
 def test_defining_relation():
@@ -112,9 +117,32 @@ def test_associativity_random():
 def test_weyl_commutation_closed_form():
     rng = random.Random(3)
     for m in range(1, 7):
-        a = random_poly(rng, ("x",), 4, 3)
-        lhs = (d ** m) * DiffOp.from_poly(W1, a)
-        assert lhs == weyl_commutation_rhs(W1, 0, m, a)
+        a = DiffOp.from_poly(W1, random_poly(rng, ("x",), 4, 3))
+        lhs = (d ** m) * a
+        assert_same_form(lhs, _rewrite_normal_form([DiffOp.operator(W1, 0, m), a]))
+
+
+def test_high_order_product_closed_form():
+    # d^22 x^22 = sum_i C(22,i)^2 i! x^(22-i) d^(22-i); the worklist took minutes
+    n = 22
+    expected = {(n - i,): SparsePoly.monomial(("x",), (n - i,), comb(n, i) ** 2 * factorial(i))
+                for i in range(n + 1)}
+    prod = DiffOp.operator(W1, 0, n) * DiffOp.from_poly(W1, x ** n)
+    assert prod.form == "left"
+    assert prod.terms == expected
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_products_and_right_forms_match_rewrite_rule(nvars):
+    rng = random.Random(29 + nvars)
+    ring = OreRing.weyl(tuple(f"x{i + 1}" for i in range(nvars)))
+    for _ in range(12):
+        a = random_diffop(rng, ring, 3, 3, 2)
+        b = random_diffop(rng, ring, 3, 3, 2)
+        assert_same_form(a * b, _rewrite_normal_form([a, b]))
+        assert_same_form(a.to_right(), _rewrite_normal_form([a], "right"))
+        r = a.to_right()
+        assert_same_form(r.to_left(), _rewrite_normal_form([r]))
 
 
 def ore_ring_ddx():
@@ -134,9 +162,9 @@ def test_ore_power_formula(ring_maker):
     rng = random.Random(5)
     Xop = DiffOp.operator(ring, 0)
     for n in range(1, 6):
-        a = random_poly(rng, ("x",), 4, 3)
-        lhs = (Xop ** n) * DiffOp.from_poly(ring, a)
-        assert lhs == ore_power_rhs(ring, n, a)
+        a = DiffOp.from_poly(ring, random_poly(rng, ("x",), 4, 3))
+        lhs = (Xop ** n) * a
+        assert_same_form(lhs, _rewrite_normal_form([DiffOp.operator(ring, 0, n), a]))
 
 
 @pytest.mark.parametrize("ring_maker", [ore_ring_ddx, ore_ring_x2ddx])
@@ -146,9 +174,9 @@ def test_ore_right_formula(ring_maker):
     rng = random.Random(9)
     Xop = DiffOp.operator(ring, 0)
     for n in range(1, 6):
-        b = random_poly(rng, ("x",), 4, 3)
-        lhs = (DiffOp.from_poly(ring, b) * Xop ** n).to_right()
-        assert lhs == ore_right_rhs(ring, n, b)
+        b = DiffOp.from_poly(ring, random_poly(rng, ("x",), 4, 3))
+        lhs = (b * Xop ** n).to_right()
+        assert_same_form(lhs, _rewrite_normal_form([b, DiffOp.operator(ring, 0, n)], "right"))
 
 
 def test_ore_single_step():
