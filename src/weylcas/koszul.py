@@ -15,7 +15,6 @@ membership of f in an ideal L "locally at P" is the colon statement
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
@@ -408,100 +407,56 @@ def ext1_koszul(a: list[SparsePoly], model: GradedModuleModel,
     by exact rank arithmetic.  Region pieces are enumerated exactly, so the
     shifted pieces carry no boundary error for any window.
     """
-    lo, hi = window
-    if hi < lo:
-        raise WindowMarginError("empty window")
-    for f in a:
-        if f.vars != model.vars:
-            raise ValueError("sequence over the wrong ring")
-        if f.is_zero() or not f.is_homogeneous():
-            raise ValueError("sequence entries must be nonzero homogeneous")
-    degs = [f.total_degree() for f in a]
-    g = len(a)
-    out = {}
-    for d in range(lo, hi + 1):
-        dim_c1 = [len(model.basis_of_total_degree(d + degs[i])) for i in range(g)]
-        # d0: v |-> (a_i v)
-        blocks0 = [model.mult_matrix(a[i], d) for i in range(g)]
-        d0 = []
-        for b in blocks0:
-            d0.extend(b)
-        rank0 = linalg.rank(d0) if d0 else 0
-        # d1: (w_i) |-> (a_i w_j - a_j w_i) over i<j
-        pairs = list(combinations(range(g), 2))
-        offsets = [0]
-        for k in dim_c1:
-            offsets.append(offsets[-1] + k)
-        total_c1 = offsets[-1]
-        rows = []
-        for (i, j) in pairs:
-            tgt_dim = len(model.basis_of_total_degree(d + degs[i] + degs[j]))
-            mi = model.mult_matrix(a[i], d + degs[j])  # acts on w_j
-            mj = model.mult_matrix(a[j], d + degs[i])  # acts on w_i
-            for r in range(tgt_dim):
-                row = [Fraction(0)] * total_c1
-                for c in range(dim_c1[j]):
-                    row[offsets[j] + c] += mi[r][c]
-                for c in range(dim_c1[i]):
-                    row[offsets[i] + c] -= mj[r][c]
-                rows.append(row)
-        if total_c1 == 0:
-            out[d] = 0
-            continue
-        rank1 = linalg.rank(rows) if rows else 0
-        kernel1 = total_c1 - rank1
-        out[d] = kernel1 - rank0
-    return out
+    _check_sequence(a, window)
+    if a[0].vars != model.vars:
+        raise ValueError("sequence over the wrong ring")
+    return _level_one_window(a, model, window, "right")
 
 
 def koszul_h1_window(a: list[SparsePoly], window: tuple[int, int]) -> dict[int, int]:
     """Graded pieces of the first Koszul homology H_1(K(a; R)) for a
     homogeneous sequence, as exact dimensions per total degree."""
+    _check_sequence(a, window)
+    return _level_one_window(a, GradedModuleModel.polynomial(a[0].vars), window, "left")
+
+
+def _check_sequence(a: list[SparsePoly], window: tuple[int, int]) -> None:
     lo, hi = window
-    vars_ = a[0].vars
-    model = GradedModuleModel.polynomial(vars_)
+    if hi < lo:
+        raise WindowMarginError("empty window")
+    if not a:
+        raise ValueError("need a nonempty sequence")
     for f in a:
+        if f.vars != a[0].vars:
+            raise ValueError("sequence entries over different rings")
         if f.is_zero() or not f.is_homogeneous():
             raise ValueError("sequence entries must be nonzero homogeneous")
+
+
+def _level_one_window(a, model, window, convention):
+    """Level-1 cohomology, degree by degree, of the Koszul complex on a
+    expanded through the model's graded pieces.
+
+    "right" gives the Hom-Koszul cochain complex, whose level-k piece at d
+    is (+)_T E_{d + deg a_T} over k-subsets T; "left" gives K(a; R), whose
+    piece is (+)_T R_{d - deg a_T}.  Each polynomial entry p of the Koszul
+    matrix becomes multiplication by p out of the piece of its column
+    subset.  A one-element sequence has no level 2.
+    """
+    sign = 1 if convention == "right" else -1
     degs = [f.total_degree() for f in a]
-    g = len(a)
-    pairs = list(combinations(range(g), 2))
+    levels = range(min(len(a), 2) + 1)
+    subsets = [_subsets(len(a), k) for k in levels]
+    mats = [koszul_matrix(a, k, convention) for k in levels[1:]]
     out = {}
-    for d in range(lo, hi + 1):
-        dims1 = [len(model.basis_of_total_degree(d - degs[i])) for i in range(g)]
-        offsets = [0]
-        for k in dims1:
-            offsets.append(offsets[-1] + k)
-        total1 = offsets[-1]
-        if total1 == 0:
-            out[d] = 0
-            continue
-        # d1: (u_i) -> sum a_i u_i  into degree d
-        tgt_dim = len(model.basis_of_total_degree(d))
-        d1_rows = [[Fraction(0)] * total1 for _ in range(tgt_dim)]
-        for i in range(g):
-            m = model.mult_matrix(a[i], d - degs[i])
-            for r in range(tgt_dim):
-                for c in range(dims1[i]):
-                    d1_rows[r][offsets[i] + c] += m[r][c]
-        rank_d1 = linalg.rank(d1_rows) if tgt_dim else 0
-        ker_d1 = total1 - rank_d1
-        # d2: e_i ^ e_j piece at degree d - deg a_i - deg a_j
-        cols2 = []
-        for (i, j) in pairs:
-            src = model.basis_of_total_degree(d - degs[i] - degs[j])
-            if not src:
-                continue
-            mi = model.mult_matrix(a[i], d - degs[i] - degs[j])
-            mj = model.mult_matrix(a[j], d - degs[i] - degs[j])
-            for c in range(len(src)):
-                col = [Fraction(0)] * total1
-                # d(e_i ^ e_j) = a_i e_j - a_j e_i
-                for r in range(dims1[j]):
-                    col[offsets[j] + r] += mi[r][c]
-                for r in range(dims1[i]):
-                    col[offsets[i] + r] -= mj[r][c]
-                cols2.append(col)
-        rank_d2 = linalg.rank(linalg.from_columns(cols2)) if cols2 else 0
-        out[d] = ker_d1 - rank_d2
+    for d in range(window[0], window[1] + 1):
+        piece = {T: d + sign * sum(degs[i] for i in T) for subs in subsets for T in subs}
+        dims = [[len(model.basis_of_total_degree(piece[T])) for T in subs] for subs in subsets]
+        diffs = []
+        for k, mat in enumerate(mats, start=1):
+            tgt, src = (k, k - 1) if convention == "right" else (k - 1, k)
+            blocks = [[None if p.is_zero() else model.mult_matrix(p, piece[subsets[src][j]])
+                       for j, p in enumerate(row)] for row in mat]
+            diffs.append(linalg.block_matrix(blocks, dims[tgt], dims[src]))
+        out[d] = linalg.cohomology_dim([sum(ds) for ds in dims], diffs, 1)
     return out

@@ -1,4 +1,5 @@
-"""Exact linear algebra over Q: row reduction, ranks, kernels, solving.
+"""Exact linear algebra over Q: row reduction, ranks, kernels, solving,
+block assembly and the cohomology of finite complexes.
 
 Matrices are lists of rows of Fractions and act on column vectors.
 """
@@ -12,7 +13,8 @@ Vector = list  # list[Fraction]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+    zero = Fraction(0)
+    return [[zero] * cols for _ in range(rows)]
 
 
 def identity(n: int) -> Matrix:
@@ -34,6 +36,31 @@ def transpose(a: Matrix) -> Matrix:
     if not a:
         return []
     return [list(col) for col in zip(*a)]
+
+
+def block_matrix(blocks: list[list[Matrix | None]], row_dims: list[int],
+                 col_dims: list[int]) -> Matrix:
+    """The matrix with blocks[i][j] at block row i and block column j.
+
+    None stands for a zero block.  Every other block must be
+    row_dims[i] x col_dims[j]; a block with no rows is [] whatever its width.
+    A grid or block of the wrong shape raises ValueError.
+    """
+    out = zeros(sum(row_dims), sum(col_dims))
+    r0 = 0
+    for block_row, rows in zip(blocks, row_dims, strict=True):
+        c0 = 0
+        for b, cols in zip(block_row, col_dims, strict=True):
+            if b is not None:
+                if len(b) != rows:
+                    raise ValueError(f"block with {len(b)} rows, expected {rows}x{cols}")
+                for i, row in enumerate(b, r0):
+                    if len(row) != cols:
+                        raise ValueError(f"block row of length {len(row)}, expected {rows}x{cols}")
+                    out[i][c0:c0 + cols] = row
+            c0 += cols
+        r0 += rows
+    return out
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -110,6 +137,21 @@ def rank(a: Matrix) -> int:
     if not a or not a[0]:
         return 0
     return len(rref(a)[1])
+
+
+def cohomology_dim(dims: list[int], diffs: list[Matrix], t: int) -> int:
+    """Dimension of the homology at level t of a finite complex.
+
+    dims[t] is the dimension of level t and diffs[t] the map between levels
+    t and t + 1, in either direction (only its rank counts), so chain and
+    cochain complexes both fit.  A level past the last map is an end of the
+    complex.
+    """
+    if not dims[t]:
+        return 0
+    out_rank = rank(diffs[t]) if t < len(diffs) else 0
+    in_rank = rank(diffs[t - 1]) if t >= 1 else 0
+    return dims[t] - out_rank - in_rank
 
 
 def nullspace(a: Matrix) -> list[Vector]:
@@ -245,9 +287,6 @@ class ColumnSolver:
         for i, p in enumerate(self.pivots):
             c[p] = ew[i]
         return c
-
-    def contains(self, w: Vector) -> bool:
-        return self.solve(w) is not None
 
 
 class KrylovReducer:

@@ -125,13 +125,7 @@ class CechComplex:
         if not 0 <= i <= self.r:
             raise ValueError(f"cohomological degree {i} out of range")
         dims, diffs = self.complex_at(d)
-        return _cohomology_dim_at(dims, diffs, i)
-
-
-def _cohomology_dim_at(dims, diffs, t):
-    out_rank = linalg.rank(diffs[t]) if t < len(diffs) and dims[t] else 0
-    in_rank = linalg.rank(diffs[t - 1]) if t >= 1 and dims[t] else 0
-    return dims[t] - out_rank - in_rank
+        return linalg.cohomology_dim(dims, diffs, i)
 
 
 def cech_cohomology_piece(generators: list[tuple[int, ...]] | list[SparsePoly],
@@ -195,9 +189,6 @@ class CohPiece:
             return
         if t < len(diffs) and len(diffs[t]) > 0:
             self.z_cols = linalg.nullspace(diffs[t])
-        elif t < len(diffs):
-            self.z_cols = [linalg.unit_vector(self.ambient_dim, i)
-                           for i in range(self.ambient_dim)]
         else:
             self.z_cols = [linalg.unit_vector(self.ambient_dim, i)
                            for i in range(self.ambient_dim)]
@@ -289,54 +280,34 @@ class BiPrincipalMV:
 
     def middle_at(self, d):
         """C(f) (+) C(g) at degree d: dims and differentials."""
-        dims = []
-        diffs = []
-        for t in range(2):
-            dims.append(self.cf.level_dim(t, d) + self.cg.level_dim(t, d))
-        for t in range(1):
-            df = self.cf.differential(t, d)
-            dg = self.cg.differential(t, d)
-            diffs.append(_block_diag2(df, dg,
-                                      self.cf.level_dim(t, d), self.cg.level_dim(t, d),
-                                      self.cf.level_dim(t + 1, d), self.cg.level_dim(t + 1, d)))
-        return dims, diffs
+        f_dims = [self.cf.level_dim(t, d) for t in range(2)]
+        g_dims = [self.cg.level_dim(t, d) for t in range(2)]
+        dims = [f_dims[t] + g_dims[t] for t in range(2)]
+        diff = linalg.block_matrix(
+            [[self.cf.differential(0, d), None], [None, self.cg.differential(0, d)]],
+            [f_dims[1], g_dims[1]], [f_dims[0], g_dims[0]])
+        return dims, [diff]
 
     def u_at(self, t: int, d):
         """Difference of restrictions on level t at degree d."""
         uf = self._restriction(self.cf, t, d)
-        ug = self._restriction(self.cg, t, d)
-        rows = self.ch.level_dim(t, d)
-        cols_f = self.cf.level_dim(t, d)
-        cols_g = self.cg.level_dim(t, d)
-        mat = linalg.zeros(rows, cols_f + cols_g)
-        for i in range(rows):
-            for j in range(cols_f):
-                mat[i][j] = uf[i][j]
-            for j in range(cols_g):
-                mat[i][cols_f + j] = -ug[i][j]
-        return mat
+        ug = _negated(self._restriction(self.cg, t, d))
+        return linalg.block_matrix([[uf, ug]], [self.ch.level_dim(t, d)],
+                                   [self.cf.level_dim(t, d), self.cg.level_dim(t, d)])
 
     def fibre_at(self, d):
         """The homotopy fibre F of u at degree d: F^t = M^t (+) C(h)^(t-1),
         d(m, c) = (d m, u(m) - d c)."""
         m_dims, m_diffs = self.middle_at(d)
         h_dims = [self.ch.level_dim(t, d) for t in range(2)]
-        h_diff = self.ch.differential(0, d)
         dims = [m_dims[0], m_dims[1] + h_dims[0], h_dims[1]]
         # d0: m |-> (d_M m, u0 m)
-        d0 = []
-        for row in m_diffs[0]:
-            d0.append(row[:])
-        for row in self.u_at(0, d):
-            d0.append(row[:])
+        d0 = linalg.block_matrix([[m_diffs[0]], [self.u_at(0, d)]],
+                                 [m_dims[1], h_dims[0]], [m_dims[0]])
         # d1: (m1, c0) |-> u1 m1 - d_C c0
-        u1 = self.u_at(1, d)
-        d1 = linalg.zeros(dims[2], dims[1])
-        for i in range(dims[2]):
-            for j in range(m_dims[1]):
-                d1[i][j] = u1[i][j]
-            for j in range(h_dims[0]):
-                d1[i][m_dims[1] + j] = -h_diff[i][j]
+        minus_dc = _negated(self.ch.differential(0, d))
+        d1 = linalg.block_matrix([[self.u_at(1, d), minus_dc]],
+                                 [h_dims[1]], [m_dims[1], h_dims[0]])
         return dims, [d0, d1]
 
     # -- the long exact sequence with explicit maps --
@@ -376,7 +347,7 @@ class BiPrincipalMV:
         (f, g) at d, for every t."""
         f_dims, f_diffs = self.fibre_at(d)
         for t in range(3):
-            hf = _cohomology_dim_at(f_dims, f_diffs, t)
+            hf = linalg.cohomology_dim(f_dims, f_diffs, t)
             expected = self.cfg.cohomology_dim(t, d) if t <= self.cfg.r else 0
             if hf != expected:
                 return False
@@ -422,24 +393,15 @@ class BiPrincipalMV:
         return mat
 
     def _partial_on_fibre(self, t, d, k):
+        """d_k on F^t = C^t(f) (+) C^t(g) (+) C^(t-1)(h), block by block."""
         d2 = tuple(x - (1 if j == k else 0) for j, x in enumerate(d))
-        blocks = []
-        if t <= 1:
-            blocks.append(self._partial_on_cech(self.cf, t, d, k))
-            blocks.append(self._partial_on_cech(self.cg, t, d, k))
+        parts = [(c, t) for c in (self.cf, self.cg) if t <= 1]
         if t >= 1:
-            blocks.append(self._partial_on_cech(self.ch, t - 1, d, k))
-        rows = sum(len(b) for b in blocks)
-        cols = sum(len(b[0]) if b else 0 for b in blocks)
-        out = linalg.zeros(rows, cols)
-        ro = co = 0
-        for b in blocks:
-            for i in range(len(b)):
-                for j in range(len(b[0]) if b else 0):
-                    out[ro + i][co + j] = b[i][j]
-            ro += len(b)
-            co += len(b[0]) if b else 0
-        return out
+            parts.append((self.ch, t - 1))
+        blocks = [[self._partial_on_cech(c, s, d, k) if i == j else None
+                   for j, (c, s) in enumerate(parts)] for i in range(len(parts))]
+        return linalg.block_matrix(blocks, [c.level_dim(s, d2) for c, s in parts],
+                                   [c.level_dim(s, d) for c, s in parts])
 
     def delta_commutes_with_partials(self, d) -> bool:
         """delta o d_k = d_k o delta on the materialized cohomology square
@@ -465,23 +427,16 @@ class BiPrincipalMV:
         return True
 
 
+def _negated(m):
+    return [[-x for x in row] for row in m]
+
+
 def _pad(m, rows, cols):
     """Re-inflate a matrix whose zero blocks collapsed the empty shape."""
     out = linalg.zeros(rows, cols)
     for i, row in enumerate(m):
         for j, x in enumerate(row):
             out[i][j] = x
-    return out
-
-
-def _block_diag2(a, b, a_cols, b_cols, a_rows, b_rows):
-    out = linalg.zeros(a_rows + b_rows, a_cols + b_cols)
-    for i in range(len(a)):
-        for j in range(len(a[0]) if a else 0):
-            out[i][j] = a[i][j]
-    for i in range(len(b)):
-        for j in range(len(b[0]) if b else 0):
-            out[a_rows + i][a_cols + j] = b[i][j]
     return out
 
 

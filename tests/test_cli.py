@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import weylcas
 from weylcas.cli import main
 
 
@@ -166,3 +171,20 @@ def test_determinism_byte_identical(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader of standard output is gone before anything is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(weylcas.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylcas", "weyl-mul", "d1^3", "x1^3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -78,8 +80,6 @@ def test_d_compose_d_zero(g):
 
 
 def test_matrix_sizes_binomial():
-    from math import comb
-
     a = random_polys(7, 4)
     c = KoszulComplex(a, "right")
     for k in range(1, 5):
@@ -303,3 +303,86 @@ def test_h1_cross_validation_sample():
         top = sum(f.total_degree() for f in seq) + 2
         h1 = koszul_h1_window(seq, (0, top))
         assert ok == all(v == 0 for v in h1.values()), seq
+
+
+# ---------- seeded non-monomial sequences, against independent counts ----------
+
+def random_homogeneous(rng, vars_, count):
+    """count homogeneous polynomials of degree 1-3 with at least two terms."""
+    n = len(vars_)
+    out = []
+    while len(out) < count:
+        deg = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(2, 3)):
+            e = [0] * n
+            for _ in range(deg):
+                e[rng.randrange(n)] += 1
+            terms[tuple(e)] = terms.get(tuple(e), 0) + Fraction(rng.choice([-2, -1, 1, 3]))
+        p = SparsePoly(vars_, terms)
+        if len(p.terms) >= 2:
+            out.append(p)
+    return out
+
+
+def seeded_sequences(seed, cases, lengths):
+    rng = random.Random(seed)
+    for case in range(cases):
+        vars_ = ("x", "y", "z")[: 2 + case % 2]
+        yield random_homogeneous(rng, vars_, rng.choice(lengths))
+
+
+def monomials_of_degree(n, d):
+    out = []
+    for picks in combinations_with_replacement(range(n), d):
+        e = [0] * n
+        for i in picks:
+            e[i] += 1
+        out.append(tuple(e))
+    return out
+
+
+def test_matlis_duality_ext1_vs_h1():
+    # Hom(-, E) is exact for the injective E = H^n_m(R), and E_d is dual to
+    # R_(-d-n), so Ext^1(R/(a), E)_d has the dimension of H_1(a; R)_(-d-n)
+    for a in seeded_sequences(31, 24, (1, 2, 3)):
+        n = len(a[0].vars)
+        top = sum(f.total_degree() for f in a) + 1
+        h1 = koszul_h1_window(a, (0, top))
+        E = GradedModuleModel.top_local_cohomology(a[0].vars)
+        ext1 = ext1_koszul(a, E, (-top - n, -n))
+        assert all(ext1[d] == h1[-d - n] for d in ext1), a
+
+
+def test_h1_of_pair_is_h0_minus_euler_characteristic():
+    # K_2 -> K_1 -> K_0 with K_2 -> K_1 injective: H_1 = H_0 - chi, where H_0
+    # counts the standard monomials of (a_1, a_2) and chi comes from the
+    # binomial dimensions of the graded pieces of R
+    for a in seeded_sequences(47, 20, (2,)):
+        n = len(a[0].vars)
+        lead = [g.leading_term()[0] for g in Ideal(a[0].vars, a).groebner_basis()]
+        d1, d2 = (f.total_degree() for f in a)
+
+        def piece(e):
+            return comb(e + n - 1, n - 1) if e >= 0 else 0
+
+        h1 = koszul_h1_window(a, (0, d1 + d2 + 1))
+        for d, got in h1.items():
+            h0 = sum(1 for m in monomials_of_degree(n, d)
+                     if not any(all(x <= y for x, y in zip(lm, m)) for lm in lead))
+            chi = piece(d) - piece(d - d1) - piece(d - d2) + piece(d - d1 - d2)
+            assert got == h0 - chi, (a, d)
+
+
+def test_h1_vanishes_exactly_on_regular_triples():
+    # the colon-ideal regularity test is an independent oracle for H_1 = 0;
+    # the seeded triples mix regular and non-regular sequences
+    rng = random.Random(59)
+    seen = set()
+    for _ in range(8):
+        a = random_homogeneous(rng, XYZ, 3)
+        ok, _ = is_regular_sequence(a)
+        h1 = koszul_h1_window(a, (0, sum(f.total_degree() for f in a)))
+        assert ok == all(v == 0 for v in h1.values()), a
+        seen.add(ok)
+    assert seen == {True, False}

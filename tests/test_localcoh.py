@@ -146,14 +146,21 @@ def test_mv_connecting_full_report(f, g):
 
 
 def test_mv_connecting_degenerate_window_rejected():
-    from weylcas.koszul import GradedModuleModel, ext1_koszul
+    from weylcas.koszul import GradedModuleModel, ext1_koszul, koszul_h1_window
     from weylcas.localcoh import WindowMarginError
 
     with pytest.raises(WindowMarginError):
         mv_connecting_biprincipal((1, 0), (0, 1), [(0, 0), (-3, 3)])
-    # Koszul Ext^1 raises the same class on an empty window
+    # Koszul Ext^1 and H_1 raise the same class on an empty window
     with pytest.raises(WindowMarginError):
         ext1_koszul([x], GradedModuleModel.polynomial(XY), (1, 0))
+    with pytest.raises(WindowMarginError):
+        koszul_h1_window([x, y], (3, 1))
+    # an empty sequence is refused with a message, not an IndexError
+    with pytest.raises(ValueError, match="nonempty sequence"):
+        koszul_h1_window([], (0, 3))
+    with pytest.raises(ValueError, match="nonempty sequence"):
+        ext1_koszul([], GradedModuleModel.polynomial(XY), (0, 3))
 
 
 def test_gamma_cyclic_example():
