@@ -1,15 +1,20 @@
 """Buchberger's algorithm and the ideal operations built on it.
 
 Membership, colon ideals, intersections, saturation, and standard
-monomials of zero-dimensional ideals.  The pair-selection loop uses the
-coprime-head and chain criteria; reduced bases are computed so that a
-given ideal and order determine the basis uniquely.
+monomials of zero-dimensional ideals.  S-pairs wait in a heap keyed by the
+order key of their lcm, computed once when the pair is made; each new basis
+element goes through the Gebauer-Moeller update, which drops the pairs its
+criteria make redundant.  Reductions keep their working terms in a heap
+front, so every term's order key is computed once.  Reduced bases are
+computed so that a given ideal and order determine the basis uniquely.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
+from operator import add, le, sub
 
 from .poly import GREVLEX, SparsePoly, TermOrder
 
@@ -23,42 +28,76 @@ class SaturationDivergedError(RuntimeError):
 
 
 def _divides(e1: tuple[int, ...], e2: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def _exp_sub(e1, e2):
-    return tuple(a - b for a, b in zip(e1, e2))
+    return tuple(map(sub, e1, e2))
 
 
 def _exp_lcm(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
+    return tuple(map(max, e1, e2))
+
+
+def _coprime(e1, e2) -> bool:
+    return not any(map(min, e1, e2))
+
+
+def _front(terms, key):
+    """The working terms of a reduction and their front: a heap of
+    (negated order key, exponent), so the largest term pops first."""
+    front = [(tuple([-k for k in key(e)]), e) for e in terms]
+    heapify(front)
+    return dict(terms), front
+
+
+def _pop_head(work, front):
+    """Remove and return the largest working term.  Heap entries whose term
+    has cancelled are skipped."""
+    while True:
+        e = heappop(front)[1]
+        c = work.pop(e, None)
+        if c is not None:
+            return e, c
+
+
+def _subtract(work, front, key, fac, shift, tail):
+    """work -= fac * x^shift * tail.  Every new term lies below the head just
+    popped, so the front only moves down."""
+    for ge, gc in tail:
+        te = tuple(map(add, ge, shift))
+        old = work.get(te)
+        if old is None:
+            work[te] = -fac * gc
+            heappush(front, (tuple([-k for k in key(te)]), te))
+        else:
+            acc = old - fac * gc
+            if acc:
+                work[te] = acc
+            else:
+                del work[te]
+
+
+def _head_and_tail(g: SparsePoly, order: TermOrder):
+    he, hc = g.leading_term(order)
+    return he, hc, [(ge, gc) for ge, gc in g.terms.items() if ge != he]
 
 
 def reduce_poly(f: SparsePoly, basis: list[SparsePoly], order: TermOrder) -> SparsePoly:
     """Full normal form of f modulo basis: no remaining term is divisible
-    by any basis head term."""
+    by any basis head term.  Each term is divided by the first basis
+    element whose head divides it."""
     if not basis:
         return f
-    heads = [g.leading_term(order) for g in basis]
+    key = order.key
+    divisors = [_head_and_tail(g, order) for g in basis]
     remainder: dict[tuple[int, ...], Fraction] = {}
-    work = dict(f.terms)
+    work, front = _front(f.terms, key)
     while work:
-        e = max(work, key=order.key)
-        c = work.pop(e)
-        for g, (he, hc) in zip(basis, heads):
+        e, c = _pop_head(work, front)
+        for he, hc, tail in divisors:
             if _divides(he, e):
-                # cancel (c/hc) * x^(e-he) * g from the working sum
-                shift = _exp_sub(e, he)
-                fac = c / hc
-                for ge, gc in g.terms.items():
-                    if ge == he:
-                        continue
-                    te = tuple(a + b for a, b in zip(ge, shift))
-                    acc = work.get(te, Fraction(0)) - fac * gc
-                    if acc == 0:
-                        work.pop(te, None)
-                    else:
-                        work[te] = acc
+                _subtract(work, front, key, c / hc, _exp_sub(e, he), tail)
                 break
         else:
             remainder[e] = c
@@ -77,10 +116,8 @@ def s_polynomial(f: SparsePoly, g: SparsePoly, order: TermOrder) -> SparsePoly:
 def buchberger(generators: list[SparsePoly], order: TermOrder) -> list[SparsePoly]:
     """Reduced Groebner basis of the ideal generated by `generators`."""
     basis = [g for g in generators if not g.is_zero()]
-    if not basis:
-        return []
     # interreduce the input to cut pair churn; one element at a time so the
-    # span is preserved at every step
+    # span is preserved at every step.  Afterwards no head divides another.
     changed = True
     while changed:
         changed = False
@@ -94,61 +131,57 @@ def buchberger(generators: list[SparsePoly], order: TermOrder) -> list[SparsePol
                 else:
                     basis[i] = r
                 break
-    if not basis:
-        return []
 
-    heads = [g.leading_term(order)[0] for g in basis]
-    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    key = order.key
+    heads: list[tuple[int, ...]] = []
+    active: list[int] = []  # basis indices whose head no later head divides
+    pairs: list = []  # heap of (key(lcm), i, j, lcm) with i < j
 
-    def lcm_of(i, j):
-        return _exp_lcm(heads[i], heads[j])
+    def update(new: int):
+        """Gebauer-Moeller: add the pairs of `new` that criteria M and F keep,
+        drop old pairs by criterion B, retire elements `new` makes redundant."""
+        h = heads[new]
+        cands = [(_exp_lcm(heads[g], h), g) for g in active]
+        kept = []
+        for n, (l, g) in enumerate(cands):
+            if _coprime(heads[g], h) or not (
+                any(_divides(l2, l) for l2, _ in cands[n + 1:])
+                or any(_divides(l2, l) for l2, _ in kept)
+            ):
+                kept.append((l, g))
+        pairs[:] = [
+            p for p in pairs
+            if not _divides(h, p[3])
+            or _exp_lcm(heads[p[1]], h) == p[3]
+            or _exp_lcm(heads[p[2]], h) == p[3]
+        ]
+        pairs.extend((key(l), g, new, l) for l, g in kept if not _coprime(heads[g], h))
+        heapify(pairs)
+        active[:] = [g for g in active if not _divides(h, heads[g])]
+        active.append(new)
 
-    while pending:
-        i, j = min(pending, key=lambda p: order.key(lcm_of(*p)))
-        pending.discard((i, j))
-        l = lcm_of(i, j)
-        # coprime criterion
-        if l == tuple(a + b for a, b in zip(heads[i], heads[j])):
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(heads[k], l):
-                continue
-            p1 = (min(i, k), max(i, k))
-            p2 = (min(j, k), max(j, k))
-            if p1 not in pending and p2 not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        r = reduce_poly(s_polynomial(basis[i], basis[j], order), basis, order)
+    for i, g in enumerate(basis):
+        heads.append(g.leading_term(order)[0])
+        update(i)
+    while pairs:
+        _, i, j, _ = heappop(pairs)
+        r = reduce_poly(
+            s_polynomial(basis[i], basis[j], order), [basis[k] for k in active], order
+        )
         if r.is_zero():
             continue
         basis.append(r)
         heads.append(r.leading_term(order)[0])
-        new = len(basis) - 1
-        for k in range(new):
-            pending.add((k, new))
+        update(len(basis) - 1)
 
-    # minimalize: drop members whose head is divisible by another head
-    keep = []
-    for i, g in enumerate(basis):
-        hi = heads[i]
-        if any(
-            k != i and _divides(heads[k], hi) and (heads[k] != hi or k < i)
-            for k in range(len(basis))
-        ):
-            continue
-        keep.append(g)
-    # tail-reduce and normalize
+    # the active elements form a minimal basis; tail-reduce and normalize
+    keep = [basis[k] for k in active]
     reduced = []
     for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = reduce_poly(g, others, order)
+        r = reduce_poly(g, keep[:i] + keep[i + 1:], order)
         _, lc = r.leading_term(order)
         reduced.append(r * (1 / lc))
-    reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]))
+    reduced.sort(key=lambda g: key(g.leading_term(order)[0]))
     return reduced
 
 
@@ -217,10 +250,8 @@ class _BlockElimOrder(TermOrder):
         front = exponents[: self.n_front]
         back = exponents[self.n_front:]
         return (
-            sum(front),
-            tuple(-x for x in reversed(front)),
-            sum(back),
-            tuple(-x for x in reversed(back)),
+            (sum(front),) + tuple([-x for x in reversed(front)])
+            + (sum(back),) + tuple([-x for x in reversed(back)])
         )
 
     def __eq__(self, other):
@@ -228,6 +259,9 @@ class _BlockElimOrder(TermOrder):
 
     def __hash__(self):
         return hash(("elim", self.n_front))
+
+    def __repr__(self):
+        return f"_BlockElimOrder({self.n_front})"
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -258,23 +292,17 @@ def divide_exact(f: SparsePoly, g: SparsePoly, order: TermOrder = GREVLEX) -> Sp
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
         return SparsePoly.zero(f.vars)
+    key = order.key
+    he, hc, tail = _head_and_tail(g, order)
     quotient: dict[tuple[int, ...], Fraction] = {}
-    work = dict(f.terms)
-    he, hc = g.leading_term(order)
+    work, front = _front(f.terms, key)
     while work:
-        e = max(work, key=order.key)
+        e, c = _pop_head(work, front)
         if not _divides(he, e):
             return None
         shift = _exp_sub(e, he)
-        fac = work[e] / hc
-        quotient[shift] = fac
-        for ge, gc in g.terms.items():
-            te = tuple(a + b for a, b in zip(ge, shift))
-            acc = work.get(te, Fraction(0)) - fac * gc
-            if acc == 0:
-                work.pop(te, None)
-            else:
-                work[te] = acc
+        fac = quotient[shift] = c / hc
+        _subtract(work, front, key, fac, shift, tail)
     return SparsePoly(f.vars, quotient)
 
 

@@ -265,6 +265,10 @@ class BiPrincipalMV:
         self.cg = CechComplex(nvars, [self.g])
         self.ch = CechComplex(nvars, [self.h])
         self.cfg = CechComplex(nvars, minimalize_monomials([self.f, self.g]))
+        # per-degree memos: the oracle, exactness and derivative checks all
+        # revisit the same degrees
+        self._fibres: dict[tuple[int, ...], tuple] = {}
+        self._sequences: dict[tuple[int, ...], dict] = {}
 
     # -- complexes at a fixed multidegree --
 
@@ -297,7 +301,13 @@ class BiPrincipalMV:
 
     def fibre_at(self, d):
         """The homotopy fibre F of u at degree d: F^t = M^t (+) C(h)^(t-1),
-        d(m, c) = (d m, u(m) - d c)."""
+        d(m, c) = (d m, u(m) - d c).  Built once per degree."""
+        d = tuple(d)
+        if d not in self._fibres:
+            self._fibres[d] = self._build_fibre(d)
+        return self._fibres[d]
+
+    def _build_fibre(self, d):
         m_dims, m_diffs = self.middle_at(d)
         h_dims = [self.ch.level_dim(t, d) for t in range(2)]
         dims = [m_dims[0], m_dims[1] + h_dims[0], h_dims[1]]
@@ -317,7 +327,13 @@ class BiPrincipalMV:
 
         Returns a dict with H(F), H(M), H(C) per level and matrices for
         rho (projection), pi (difference of restrictions), delta
-        (inclusion of the shifted h-complex)."""
+        (inclusion of the shifted h-complex).  Built once per degree."""
+        d = tuple(d)
+        if d not in self._sequences:
+            self._sequences[d] = self._build_sequence(d)
+        return self._sequences[d]
+
+    def _build_sequence(self, d):
         f_dims, f_diffs = self.fibre_at(d)
         m_dims, m_diffs = self.middle_at(d)
         h_dims = [self.ch.level_dim(t, d) for t in range(2)]
@@ -406,9 +422,9 @@ class BiPrincipalMV:
     def delta_commutes_with_partials(self, d) -> bool:
         """delta o d_k = d_k o delta on the materialized cohomology square
         at degrees d and d - e_k, for every variable k and both levels."""
+        seq_d = self.sequence_at(d)
         for k in range(self.nvars):
             d2 = tuple(x - (1 if j == k else 0) for j, x in enumerate(d))
-            seq_d = self.sequence_at(d)
             seq_d2 = self.sequence_at(d2)
             for t in range(2):
                 # H^t(C)_d --delta--> H^(t+1)(F)_d

@@ -22,27 +22,31 @@ class TermOrder:
     def __init__(self, kind: str = "grevlex", priority: tuple[int, ...] | None = None):
         if kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown term order kind {kind!r}")
+        if priority is not None:
+            priority = tuple(priority)
+            if sorted(priority) != list(range(len(priority))):
+                raise ValueError("priority is not a permutation of the variables")
         self.kind = kind
-        self.priority = tuple(priority) if priority is not None else None
+        self.priority = priority
 
-    def _perm(self, n: int) -> tuple[int, ...]:
-        if self.priority is None:
-            return tuple(range(n))
-        if sorted(self.priority) != list(range(n)):
-            raise ValueError("priority is not a permutation of the variables")
-        return self.priority
+    def key(self, exponents: tuple[int, ...]) -> tuple[int, ...]:
+        """Sort key, a flat int tuple: larger key means larger monomial.
 
-    def key(self, exponents: tuple[int, ...]):
-        """Sort key: larger key means larger monomial."""
-        p = self._perm(len(exponents))
+        Lex gives the exponents in priority order; grevlex gives the total
+        degree, then the negated exponents from the least significant
+        variable up."""
+        p = self.priority
+        if p is not None and len(p) != len(exponents):
+            raise ValueError(f"priority {p} does not fit {len(exponents)} variables")
         if self.kind == "lex":
-            return tuple(exponents[i] for i in p)
-        # grevlex: total degree first, ties by smallest trailing exponent
-        return (sum(exponents), tuple(-exponents[i] for i in reversed(p)))
+            return exponents if p is None else tuple([exponents[i] for i in p])
+        if p is None:
+            return (sum(exponents),) + tuple([-x for x in reversed(exponents)])
+        return (sum(exponents),) + tuple([-exponents[i] for i in reversed(p)])
 
     def __eq__(self, other):
         return (
-            isinstance(other, TermOrder)
+            type(other) is type(self)
             and self.kind == other.kind
             and self.priority == other.priority
         )

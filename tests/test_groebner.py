@@ -1,17 +1,22 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from weylcas.groebner import (
     Ideal,
     NotZeroDimensionalError,
+    _BlockElimOrder,
     buchberger,
     divide_exact,
     ideal_power,
     intersect,
     quotient_by_element,
+    reduce_poly,
     saturation,
     standard_monomials,
 )
-from weylcas.poly import GREVLEX, SparsePoly, TermOrder
+from weylcas.poly import GREVLEX, LEX, SparsePoly, TermOrder
 
 XY = ("x", "y")
 x = SparsePoly.variable(XY, 0)
@@ -148,3 +153,260 @@ def test_cached_basis_generates_same_ideal():
         assert all(I.contains(g) for g in gens)
         J = Ideal(XY, basis)
         assert J.equals(I)
+
+
+def test_block_elim_order_repr():
+    assert repr(_BlockElimOrder(2)) == "_BlockElimOrder(2)"
+    assert _BlockElimOrder(1) != GREVLEX and GREVLEX != _BlockElimOrder(1)
+
+
+# ---------- reference implementations ----------
+# The straightforward algorithms the production code replaced: the largest
+# working term found by a max-scan, and the next S-pair by a min-scan over a
+# pending set with the coprime and chain criteria.  They are slow and kept
+# only as oracles.
+
+def _ref_divides(e1, e2):
+    return all(a <= b for a, b in zip(e1, e2))
+
+
+def _ref_sub(e1, e2):
+    return tuple(a - b for a, b in zip(e1, e2))
+
+
+def _ref_lcm(e1, e2):
+    return tuple(max(a, b) for a, b in zip(e1, e2))
+
+
+def ref_reduce_poly(f, basis, order):
+    if not basis:
+        return f
+    heads = [g.leading_term(order) for g in basis]
+    remainder = {}
+    work = dict(f.terms)
+    while work:
+        e = max(work, key=order.key)
+        c = work.pop(e)
+        for g, (he, hc) in zip(basis, heads):
+            if _ref_divides(he, e):
+                shift = _ref_sub(e, he)
+                fac = c / hc
+                for ge, gc in g.terms.items():
+                    if ge == he:
+                        continue
+                    te = tuple(a + b for a, b in zip(ge, shift))
+                    acc = work.get(te, Fraction(0)) - fac * gc
+                    if acc == 0:
+                        work.pop(te, None)
+                    else:
+                        work[te] = acc
+                break
+        else:
+            remainder[e] = c
+    return SparsePoly(f.vars, remainder)
+
+
+def ref_divide_exact(f, g, order=GREVLEX):
+    quotient = {}
+    work = dict(f.terms)
+    he, hc = g.leading_term(order)
+    while work:
+        e = max(work, key=order.key)
+        if not _ref_divides(he, e):
+            return None
+        shift = _ref_sub(e, he)
+        fac = work[e] / hc
+        quotient[shift] = fac
+        for ge, gc in g.terms.items():
+            te = tuple(a + b for a, b in zip(ge, shift))
+            acc = work.get(te, Fraction(0)) - fac * gc
+            if acc == 0:
+                work.pop(te, None)
+            else:
+                work[te] = acc
+    return SparsePoly(f.vars, quotient)
+
+
+def _ref_s_polynomial(f, g, order):
+    ef, cf = f.leading_term(order)
+    eg, cg = g.leading_term(order)
+    l = _ref_lcm(ef, eg)
+    mf = SparsePoly.monomial(f.vars, _ref_sub(l, ef), 1 / cf)
+    mg = SparsePoly.monomial(f.vars, _ref_sub(l, eg), 1 / cg)
+    return mf * f - mg * g
+
+
+def ref_buchberger(generators, order):
+    basis = [g for g in generators if not g.is_zero()]
+    if not basis:
+        return []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(basis)):
+            others = basis[:i] + basis[i + 1:]
+            r = ref_reduce_poly(basis[i], others, order)
+            if r.terms != basis[i].terms:
+                changed = True
+                if r.is_zero():
+                    basis.pop(i)
+                else:
+                    basis[i] = r
+                break
+    if not basis:
+        return []
+    heads = [g.leading_term(order)[0] for g in basis]
+    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+
+    def lcm_of(i, j):
+        return _ref_lcm(heads[i], heads[j])
+
+    while pending:
+        i, j = min(pending, key=lambda p: order.key(lcm_of(*p)))
+        pending.discard((i, j))
+        l = lcm_of(i, j)
+        if l == tuple(a + b for a, b in zip(heads[i], heads[j])):
+            continue
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j) or not _ref_divides(heads[k], l):
+                continue
+            p1 = (min(i, k), max(i, k))
+            p2 = (min(j, k), max(j, k))
+            if p1 not in pending and p2 not in pending:
+                skip = True
+                break
+        if skip:
+            continue
+        r = ref_reduce_poly(_ref_s_polynomial(basis[i], basis[j], order), basis, order)
+        if r.is_zero():
+            continue
+        basis.append(r)
+        heads.append(r.leading_term(order)[0])
+        new = len(basis) - 1
+        for k in range(new):
+            pending.add((k, new))
+    keep = []
+    for i, g in enumerate(basis):
+        hi = heads[i]
+        if any(
+            k != i and _ref_divides(heads[k], hi) and (heads[k] != hi or k < i)
+            for k in range(len(basis))
+        ):
+            continue
+        keep.append(g)
+    reduced = []
+    for i, g in enumerate(keep):
+        r = ref_reduce_poly(g, keep[:i] + keep[i + 1:], order)
+        _, lc = r.leading_term(order)
+        reduced.append(r * (1 / lc))
+    reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]))
+    return reduced
+
+
+# ---------- cross-checks against the references ----------
+
+def _names(n):
+    return tuple(f"x{i + 1}" for i in range(n))
+
+
+def _random_poly(rng, n, max_deg, n_terms, min_deg=0):
+    terms = {}
+    for _ in range(n_terms):
+        e = [0] * n
+        for _ in range(rng.randint(min_deg, max_deg)):
+            e[rng.randrange(n)] += 1
+        terms[tuple(e)] = rng.choice([-3, -2, -1, 1, 2, 3, Fraction(1, 2)])
+    return SparsePoly(_names(n), terms)
+
+
+def _same_basis(a, b):
+    return [g.terms for g in a] == [g.terms for g in b]
+
+
+ORACLE_ORDERS = {
+    "grevlex": (GREVLEX, (2, 3, 4)),
+    "lex": (LEX, (2, 3)),
+    "lex-priority": (TermOrder("lex", priority=(1, 0, 2)), (3,)),
+    "elim": (_BlockElimOrder(1), (2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ORDERS))
+def test_buchberger_matches_reference(name):
+    order, sizes = ORACLE_ORDERS[name]
+    rng = random.Random(f"buchberger {name}")
+    for n in sizes:
+        for trial in range(12):
+            # without constant terms the ideal is rarely the unit ideal
+            gens = [_random_poly(rng, n, 3 if n < 4 else 2, rng.randint(2, 4), min_deg=trial % 2)
+                    for _ in range(rng.randint(2, n + 1))]
+            got = buchberger(gens, order)
+            assert _same_basis(got, ref_buchberger(gens, order)), (n, gens)
+
+
+def _cyclic(n):
+    vs = _names(n)
+    xs = [SparsePoly.variable(vs, i) for i in range(n)]
+    gens = []
+    for k in range(1, n):
+        s = SparsePoly.zero(vs)
+        for i in range(n):
+            m = SparsePoly.one(vs)
+            for j in range(k):
+                m = m * xs[(i + j) % n]
+            s = s + m
+        gens.append(s)
+    prod = SparsePoly.one(vs)
+    for v in xs:
+        prod = prod * v
+    return gens + [prod - 1]
+
+
+def _katsura(n):
+    vs = _names(n + 1)
+
+    def u(i):
+        i = abs(i)
+        return SparsePoly.variable(vs, i) if i <= n else SparsePoly.zero(vs)
+
+    gens = []
+    for k in range(n):
+        s = SparsePoly.zero(vs)
+        for l in range(-n, n + 1):
+            s = s + u(l) * u(k - l)
+        gens.append(s - u(k))
+    s = SparsePoly.zero(vs)
+    for l in range(-n, n + 1):
+        s = s + u(l)
+    return gens + [s - 1]
+
+
+@pytest.mark.parametrize("system", ["cyclic-4", "katsura-3"])
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_named_systems_match_reference(system, order):
+    gens = _cyclic(4) if system == "cyclic-4" else _katsura(3)
+    got = buchberger(gens, order)
+    assert _same_basis(got, ref_buchberger(gens, order))
+    assert Ideal(gens[0].vars, got).equals(Ideal(gens[0].vars, gens))
+
+
+def test_reduce_poly_and_divide_exact_match_reference():
+    rng = random.Random("reduce")
+    orders = [GREVLEX, LEX, _BlockElimOrder(1)]
+    for trial in range(60):
+        n = 2 + trial % 3
+        order = orders[trial % len(orders)]
+        basis = [_random_poly(rng, n, 2, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        basis = [g for g in basis if not g.is_zero()]
+        f = _random_poly(rng, n, 4, 6)
+        assert reduce_poly(f, basis, order).terms == ref_reduce_poly(f, basis, order).terms
+        g = basis[0]
+        q = _random_poly(rng, n, 2, 3)
+        for prod in (q * g, q * g + _random_poly(rng, n, 3, 2)):
+            if prod.is_zero():
+                continue
+            got, want = divide_exact(prod, g, order), ref_divide_exact(prod, g, order)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.terms == want.terms

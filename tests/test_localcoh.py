@@ -220,3 +220,68 @@ def test_gamma_dstable_mixed_monomial():
     report = gamma_dstable_check((1, 1), [(1, 1)], [(-4, 4), (-4, 4)], mod_r=True)
     assert report["stable"]
     assert report["torsion_count"] > 0
+
+
+# (f, g, window) -> report of mv_connecting_biprincipal before fibre_at and
+# sequence_at were memoised per degree
+MV_REPORTS = [
+    ((1, 0), (1, 2), 9, (1, 2)),
+    ((1, 2), (0, 2), 9, (1, 2)),
+    ((2, 1), (0, 2), 9, (2, 2)),
+    ((2, 0), (2, 2), 9, (2, 2)),
+    ((1, 0, 0), (0, 2, 0), 61, (1, 2, 0)),
+]
+
+
+def _seeded_monomial_pairs():
+    import random
+
+    rng = random.Random(7)
+    pairs = []
+    for n in (2, 2, 2, 2, 3):
+        f = g = (0,) * n
+        while not any(f) or not any(g):
+            f = tuple(rng.randint(0, 2) for _ in range(n))
+            g = tuple(rng.randint(0, 2) for _ in range(n))
+        pairs.append((f, g))
+    return pairs
+
+
+def test_mv_connecting_reports_unchanged_by_memo(monkeypatch):
+    built = []
+    build = BiPrincipalMV._build_sequence
+
+    def counted(self, d):
+        built.append((self, d))  # holds the instance, so ids stay distinct
+        return build(self, d)
+
+    monkeypatch.setattr(BiPrincipalMV, "_build_sequence", counted)
+    pairs = _seeded_monomial_pairs()
+    assert pairs == [(f, g) for f, g, _, _ in MV_REPORTS]
+    for f, g, skipped, lcm in MV_REPORTS:
+        report = mv_connecting_biprincipal(f, g, [(-2, 2)] * len(f))
+        assert report == {
+            "h_oracle_matches": True,
+            "long_sequence_exact": True,
+            "delta_d_linear": True,
+            "boundary_degrees_skipped": skipped,
+            "lcm": lcm,
+        }
+    # one build per distinct degree of each instance
+    keys = [(id(mv), d) for mv, d in built]
+    assert len(keys) == len(set(keys))
+
+
+def test_memoised_sequence_matches_fresh_build():
+    mv = BiPrincipalMV((2, 1), (0, 2), 2)
+    for d in product(range(-2, 3), repeat=2):
+        assert mv.delta_commutes_with_partials(d)
+    for d in product(range(-3, 3), repeat=2):
+        cached = mv.sequence_at(d)
+        assert mv.sequence_at(list(d)) is cached
+        assert mv.fibre_at(d) is mv.fibre_at(list(d))
+        fresh = BiPrincipalMV((2, 1), (0, 2), 2).sequence_at(d)
+        for name in ("HF", "HM", "HC"):
+            assert [p.h_dim for p in cached[name]] == [p.h_dim for p in fresh[name]]
+        for name in ("rho", "pi", "delta"):
+            assert cached[name] == fresh[name]

@@ -79,6 +79,67 @@ def test_lex_priority_permutation():
     assert p.leading_term(order)[0] == (0, 1)
 
 
+def test_priority_not_a_permutation_rejected_at_construction():
+    for bad in [(0, 0), (1, 2), (0, 2, 2), (-1, 0)]:
+        with pytest.raises(ValueError, match="permutation"):
+            TermOrder("lex", priority=bad)
+        with pytest.raises(ValueError, match="permutation"):
+            TermOrder("grevlex", priority=bad)
+
+
+def test_priority_length_mismatch_raises_from_key():
+    for kind in ("lex", "grevlex"):
+        order = TermOrder(kind, priority=(1, 0))
+        with pytest.raises(ValueError):
+            order.key((1, 2, 3))
+        with pytest.raises(ValueError):
+            order.key((1,))
+
+
+def _nested_key(order, e):
+    """The nested sort key TermOrder used before its keys were flattened."""
+    p = order.priority if order.priority is not None else tuple(range(len(e)))
+    if order.kind == "lex":
+        return tuple(e[i] for i in p)
+    return (sum(e), tuple(-e[i] for i in reversed(p)))
+
+
+def _nested_elim_key(n_front, e):
+    front, back = e[:n_front], e[n_front:]
+    return (sum(front), tuple(-x for x in reversed(front)),
+            sum(back), tuple(-x for x in reversed(back)))
+
+
+def test_flat_keys_sort_like_nested_keys():
+    from itertools import product
+
+    from weylcas.groebner import _BlockElimOrder
+
+    exps = [e for e in product(range(5), repeat=3) if sum(e) <= 4]
+    orders = [
+        (GREVLEX, lambda e: _nested_key(GREVLEX, e)),
+        (LEX, lambda e: _nested_key(LEX, e)),
+    ]
+    for kind in ("lex", "grevlex"):
+        for perm in [(1, 0, 2), (2, 0, 1), (2, 1, 0)]:
+            order = TermOrder(kind, priority=perm)
+            orders.append((order, lambda e, order=order: _nested_key(order, e)))
+    for n_front in (1, 2):
+        orders.append((_BlockElimOrder(n_front), lambda e, k=n_front: _nested_elim_key(k, e)))
+    for order, nested in orders:
+        flat = [order.key(e) for e in exps]
+        assert all(type(k) is tuple and all(type(x) is int for x in k) for k in flat)
+        assert sorted(exps, key=order.key) == sorted(exps, key=nested), order
+        # no two monomials share a key: the order is total
+        assert len(set(flat)) == len(exps)
+
+
+def test_flat_key_shapes():
+    assert GREVLEX.key((1, 2, 3)) == (6, -3, -2, -1)
+    assert LEX.key((1, 2, 3)) == (1, 2, 3)
+    assert TermOrder("lex", priority=(2, 0, 1)).key((1, 2, 3)) == (3, 1, 2)
+
+
 def test_to_str_round_shape():
     p = 2 * x ** 2 - y + SparsePoly.constant(XY, Fraction(1, 2))
     assert p.to_str() == "2*x^2 - y + 1/2"
