@@ -2,13 +2,17 @@
 
 An ArtinAlgebra is a quotient Q[vars]/I for a zero-dimensional ideal I,
 presented by its standard-monomial basis and multiplication data.  The
-decomposition into local factors splits along kernel-power (generalized
-eigenspace) decompositions of multiplication operators: first the images
-of the ring variables, then seeded random combinations of them, until no
-element's minimal polynomial separates into coprime parts.  In a local
-algebra every element has a primary minimal polynomial, so nothing splits
-once the factors are local; over an infinite field a generic combination
-splits anything that is not.
+decomposition into local factors tries candidate elements a of each factor:
+first the images of the ring variables, then seeded random combinations of
+them.  The minimal polynomial mu of a factors completely over Q (see
+univar); if mu = prod q_i^m_i has two or more distinct prime factors, the
+CRT idempotents e_i(t) (e_i = 1 mod q_i^m_i, 0 mod the other prime powers)
+evaluated at a split the factor into the images of the e_i(a).  If mu is a
+power of one irreducible q of degree equal to the residue dimension, the
+semisimple quotient is the field Q[t]/(q) and the factor is certified
+local.  Over an infinite field a generic combination does one or the
+other; a factor where every candidate fails both raises RuntimeError
+rather than being returned as local.
 
 The Jacobson radical is computed from the trace form, which in
 characteristic zero has the radical as its kernel; residue-field
@@ -17,6 +21,7 @@ dimensions follow without any factorization.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -78,10 +83,6 @@ class ArtinAlgebra:
 
     def one(self) -> list[Fraction]:
         return self.to_vector(SparsePoly.one(self.vars))
-
-    def monomial_action(self, exponents) -> list[list[Fraction]]:
-        """Multiplication matrix of a basis monomial."""
-        return self.mult_matrix(self.to_vector(SparsePoly.monomial(self.vars, exponents)))
 
     def mult(self, u, v):
         out = [Fraction(0)] * self.dim
@@ -163,7 +164,12 @@ class LocalFactor:
         self._is_full = self.dim == algebra.dim and all(
             v == linalg.unit_vector(algebra.dim, i) for i, v in enumerate(basis_vectors)
         )
-        self._solver = None if self._is_full else linalg.ColumnSolver(basis_vectors)
+        self._solver = None  # built on the first solve; a full factor needs none
+
+    def _coords(self, ambient_vector):
+        if self._solver is None:
+            self._solver = linalg.ColumnSolver(self.basis_vectors)
+        return self._solver.solve(ambient_vector)
 
     def restrict(self, ambient_matrix) -> list[list[Fraction]]:
         """Restriction of an ambient multiplication operator to the factor,
@@ -172,8 +178,7 @@ class LocalFactor:
             return [row[:] for row in ambient_matrix]
         cols = []
         for v in self.basis_vectors:
-            w = linalg.mat_vec(ambient_matrix, v)
-            c = self._solver.solve(w)
+            c = self._coords(linalg.mat_vec(ambient_matrix, v))
             if c is None:
                 raise RuntimeError("factor subspace is not invariant")
             cols.append(c)
@@ -182,7 +187,7 @@ class LocalFactor:
     def to_factor_coords(self, ambient_vector):
         if self._is_full:
             return ambient_vector[:]
-        c = self._solver.solve(ambient_vector)
+        c = self._coords(ambient_vector)
         if c is None:
             raise ValueError("vector outside the factor")
         return c
@@ -223,19 +228,14 @@ class LocalFactor:
         return f"LocalFactor(dim={self.dim})"
 
 
-def _candidate_elements(algebra: ArtinAlgebra, seed: int, extra: int):
-    """Variable images first, then seeded random small combinations."""
-    gens = [algebra.to_vector(SparsePoly.variable(algebra.vars, i))
-            for i in range(len(algebra.vars))]
-    for g in gens:
-        yield g
+def _candidate_combinations(nvars: int, seed: int, extra: int):
+    """Coefficients of candidate elements over the ring variables: each
+    variable alone, then seeded random small combinations."""
+    for i in range(nvars):
+        yield [int(i == j) for j in range(nvars)]
     rng = random.Random(seed)
     for _ in range(extra):
-        v = [Fraction(0)] * algebra.dim
-        for g in gens:
-            c = rng.randint(-3, 3)
-            v = [a + c * b for a, b in zip(v, g)]
-        yield v
+        yield [rng.randint(-3, 3) for _ in range(nvars)]
 
 
 def decompose_local(algebra: ArtinAlgebra, seed: int = 0,
@@ -264,89 +264,57 @@ def decompose_local(algebra: ArtinAlgebra, seed: int = 0,
     return finished
 
 
-def _quotient_projection(rad_vectors: list, dim: int):
-    """Projection data for V -> V/span(rad): echelonized radical rows plus
-    the complement coordinates that survive."""
-    ech, pivots = linalg.rref(rad_vectors) if rad_vectors else ([], [])
-    complement = [i for i in range(dim) if i not in pivots]
-
-    def project(v):
-        v = v[:]
-        for row, p in zip(ech, pivots):
-            c = v[p]
-            if c != 0:
-                for i in range(dim):
-                    v[i] -= c * row[i]
-        return [v[i] for i in complement]
-
-    return project, complement
-
-
 def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
+    """Split the factor along the CRT idempotents of the first candidate
+    whose minimal polynomial has two coprime prime-power parts; None when
+    the factor is certified local.  Raises RuntimeError when the candidates
+    run out without either."""
     k = factor.dim
     if k == 1:
         return None
-    rad = factor.radical_basis_factor()
-    r = k - len(rad)
+    r = k - len(factor.radical_basis_factor())
     if r == 1:
         return None  # residue field Q: already local
-    project, complement = _quotient_projection(rad, k)
     one_factor = factor.to_factor_coords(factor.idempotent)
-    mult_idem = algebra.mult_matrix(factor.idempotent)
-    stubborn_full_degree = 0
-    for cand in _candidate_elements(algebra, seed, extra_trials):
-        local_elt = linalg.mat_vec(mult_idem, cand)
-        m = factor.restrict(algebra.mult_matrix(local_elt))
-        # the induced action on the (etale) quotient has squarefree min poly
-        m_ss = linalg.from_columns(
-            [project([m[rr][c] for rr in range(k)]) for c in complement]
-        )
-        minpoly_ss = linalg.minimal_polynomial(m_ss)
-        parts = univar.coprime_factorization(minpoly_ss)
-        if len(parts) < 2:
-            if univar.deg(minpoly_ss) == r:
-                if r <= 4:
-                    # the quotient is Q[t]/(irreducible) of full degree: a field
-                    return None
-                # monogenic but beyond the certified factorization range;
-                # a few more generic elements, then accept as unsplittable
-                stubborn_full_degree += 1
-                if stubborn_full_degree >= 3:
-                    return None
+    # on the factor, multiplication by a candidate c agrees with
+    # multiplication by its component e*c
+    var_actions = [factor.restrict(x) for x in algebra.var_matrices]
+    basis = linalg.from_columns(factor.basis_vectors)
+    for coeffs in _candidate_combinations(len(algebra.vars), seed, extra_trials):
+        m = linalg.zeros(k, k)
+        for c, x in zip(coeffs, var_actions):
+            if c:
+                m = linalg.mat_add(m, linalg.mat_scale(x, c))
+        # in a commutative algebra the minimal polynomial of multiplication
+        # by a is the annihilator of 1 under it
+        mu = linalg.minimal_polynomial_of_vector(m, one_factor)
+        parts = univar.coprime_factorization(mu)
+        if len(parts) == 1:
+            if univar.deg(parts[0][0]) == r:
+                # the semisimple quotient is Q[t]/(q) of full degree: a field
+                return None
             continue
-        # stable kernels of each coprime block give the ideal decomposition
-        power = 1
-        while (1 << power) < k:
-            power += 1
-        blocks = []
-        for q, _ in parts:
-            n_mat = linalg.poly_of_matrix(q, m)
-            for _ in range(power):
-                n_mat = linalg.mat_mul(n_mat, n_mat)
-            blocks.append(linalg.nullspace(n_mat))
-        if sum(len(b) for b in blocks) != k:
-            raise RuntimeError("kernel-power split lost dimensions")
-        # idempotents: the block components of the factor identity
-        all_cols = [v for b in blocks for v in b]
-        coords = linalg.ColumnSolver(all_cols).solve(one_factor)
-        if coords is None:
-            raise RuntimeError("identity not in the span of the split blocks")
+        moduli = [functools.reduce(univar.mul, [q] * mult) for q, mult in parts]
         pieces = []
-        offset = 0
-        for b in blocks:
+        for e in univar.crt_idempotents(moduli):
+            # e(a) * 1 by Horner on vectors; the block is the kernel of
+            # multiplication by 1 - e(a), the image of the idempotent
             e_factor = [Fraction(0)] * k
-            for j, v in enumerate(b):
-                c = coords[offset + j]
-                if c != 0:
-                    for i in range(k):
-                        e_factor[i] += c * v[i]
-            offset += len(b)
-            pieces.append((
-                [factor.to_ambient(v) for v in b],
-                factor.to_ambient(e_factor),
-            ))
+            for c in reversed(e):
+                e_factor = linalg.mat_vec(m, e_factor)
+                e_factor = [x + c * y for x, y in zip(e_factor, one_factor)]
+            e_ambient = factor.to_ambient(e_factor)
+            complement = [a - b for a, b in zip(factor.idempotent, e_ambient)]
+            block = linalg.nullspace(factor.restrict(algebra.mult_matrix(complement)))
+            # ambient coordinates of the block basis: basis * block
+            ambient = linalg.mat_mul(basis, linalg.from_columns(block))
+            pieces.append((linalg.columns(ambient), e_ambient))
+        if sum(len(b) for b, _ in pieces) != k:
+            raise RuntimeError("idempotent split lost dimensions")
         return pieces
-    return None
+    raise RuntimeError(
+        f"no split certified for a factor of dimension {k} with residue dimension {r} "
+        f"after {len(algebra.vars) + extra_trials} candidates")
 
 
 def _assert_idempotent_system(algebra, factors):

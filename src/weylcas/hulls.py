@@ -443,12 +443,16 @@ class ArtinModule:
         )
 
     def monomial_action(self, exponents):
+        """Action of x^e, built as x_i times the cached action of x^(e - e_i)
+        for the last variable x_i in e: one product per new monomial."""
         e = tuple(exponents)
         if e not in self._monomial_cache:
-            m = linalg.identity(self.dim)
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    m = linalg.mat_mul(self.var_actions[i], m)
+            i = max((j for j, k in enumerate(e) if k), default=None)
+            if i is None:
+                m = linalg.identity(self.dim)
+            else:
+                prefix = e[:i] + (e[i] - 1,) + e[i + 1:]
+                m = linalg.mat_mul(self.var_actions[i], self.monomial_action(prefix))
             self._monomial_cache[e] = m
         return self._monomial_cache[e]
 

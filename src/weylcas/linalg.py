@@ -73,8 +73,19 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         return zeros(ra, cb)
     if ca != rb:
         raise ValueError(f"shape mismatch {ra}x{ca} * {rb}x{cb}")
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+    # each row of the product combines the rows of b that its nonzero
+    # entries pick, and only nonzero entries of those rows are multiplied
+    zero = Fraction(0)
+    b_support = [[(k, y) for k, y in enumerate(row) if y != 0] for row in b]
+    out = []
+    for row in a:
+        acc = [zero] * cb
+        for j, x in enumerate(row):
+            if x != 0:
+                for k, y in b_support[j]:
+                    acc[k] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:

@@ -2,16 +2,19 @@
 
 A polynomial is a list of Fractions indexed by degree with no trailing
 zeros; [] is the zero polynomial.  These routines back minimal-polynomial
-work and the idempotent splitting: Euclidean arithmetic, Yun squarefree
-decomposition, and enough factorization (rational roots, quadratics,
-quartic resolvent) to separate the local factors that occur at desk scale.
-Squarefree remainders of degree >= 5 with no linear factor are kept whole;
-the algebra-level splitting retries with random elements in that case.
+work and the idempotent splitting: Euclidean arithmetic, CRT idempotents,
+Yun squarefree decomposition, and complete factorization over Q by
+Zassenhaus's method (factor modulo a small prime, Hensel-lift, recombine).
+The factorization uses finite fields internally only; its input and
+output are rational, and its one random choice is seeded, so every call
+replays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 from .poly import SparsePoly
@@ -142,159 +145,304 @@ def squarefree_decomposition(a: Dense) -> list[tuple[Dense, int]]:
     return out
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
+def xgcd(a: Dense, b: Dense) -> tuple[Dense, Dense, Dense]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), g monic (or zero)."""
+    r0, r1, s0, s1, t0, t1 = a, b, constant(1), [], [], constant(1)
+    while r1:
+        q, r = divmod_poly(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub(s0, mul(q, s1))
+        t0, t1 = t1, sub(t0, mul(q, t1))
+    if not r0:
+        return [], s0, t0
+    inv = 1 / r0[-1]
+    return scale(r0, inv), scale(s0, inv), scale(t0, inv)
+
+
+def crt_idempotents(moduli: list[Dense]) -> list[Dense]:
+    """For pairwise coprime P_1..P_r with product P, the e_i of degree
+    < deg P with e_i = 1 mod P_i and e_i = 0 mod P_j for j != i."""
+    total = constant(1)
+    for p in moduli:
+        total = mul(total, p)
+    out = []
+    for p in moduli:
+        rest = divmod_poly(total, p)[0]
+        # t = rest^-1 mod p, so t*rest = 1 mod p; deg t < deg p
+        _, _, t = xgcd(p, divmod_poly(rest, p)[1])
+        out.append(mul(t, rest))
+    return out
+
+
+# ---------- complete factorization over Q ----------
+#
+# Zassenhaus: a squarefree primitive integer polynomial f is factored modulo
+# a small prime p (distinct-degree, then Cantor-Zassenhaus equal-degree
+# splitting), the factors are Hensel-lifted modulo p^k past twice the
+# Mignotte bound, and true factors are recombined from subsets of the lifted
+# ones by trial division, smallest subsets first.  Polynomials in this
+# section are lists of ints, lowest degree first, with no trailing zeros.
+
+def _itrim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _imod(a: list, m: int) -> list:
+    return _itrim([c % m for c in a])
+
+
+def _iadd(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _itrim(out)
+
+
+def _isub(a: list, b: list) -> list:
+    return _iadd(a, [-c for c in b])
+
+
+def _imul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _itrim(out)
+
+
+def _idivmod(a: list, b: list, m: int) -> tuple[list, list]:
+    """Quotient and remainder modulo m; lc(b) must be a unit mod m."""
+    inv = pow(b[-1], -1, m)
+    r = _imod(a, m)
+    db = len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    while len(r) > db:
+        k = len(r) - 1 - db
+        c = r[-1] * inv % m
+        q[k] = c
+        for i, y in enumerate(b):
+            r[i + k] = (r[i + k] - c * y) % m
+        _itrim(r)
+    return _itrim(q), r
+
+
+def _imonic(a: list, p: int) -> list:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _igcd(a: list, b: list, p: int) -> list:
+    while b:
+        a, b = b, _idivmod(a, b, p)[1]
+    return _imonic(a, p)
+
+
+def _ixgcd(a: list, b: list, p: int) -> tuple[list, list]:
+    """s, t with s*a + t*b = 1 mod p, deg s < deg b, deg t < deg a, for
+    a, b coprime mod p."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _idivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _imod(_isub(s0, _imul(q, s1)), p)
+        t0, t1 = t1, _imod(_isub(t0, _imul(q, t1)), p)
+    inv = pow(r0[0], -1, p)  # r0 is a nonzero constant
+    return _imod([c * inv for c in s0], p), _imod([c * inv for c in t0], p)
+
+
+def _ipowmod(a: list, e: int, f: list, p: int) -> list:
+    """a^e mod (f, p), f monic."""
+    out, a = [1], _idivmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _idivmod(_imul(out, a), f, p)[1]
+        e >>= 1
+        if e:
+            a = _idivmod(_imul(a, a), f, p)[1]
+    return out
+
+
+def _distinct_degree(f: list, p: int) -> list[tuple[list, int]]:
+    """(g, d) with g the product of the irreducible factors of degree d of
+    the monic squarefree f mod p."""
+    out, h, d = [], [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
         d += 1
-    return sorted(out)
+        h = _ipowmod(h, p, f, p)
+        g = _igcd(f, _imod(_isub(h, [0, 1]), p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _idivmod(f, g, p)[0]
+            h = _idivmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
 
 
-def rational_roots(a: Dense) -> list[Fraction]:
-    """Distinct rational roots of a (a nonzero)."""
-    if not a:
-        raise ValueError("zero polynomial")
-    roots = []
-    # strip powers of x
-    k = 0
-    while k < len(a) and a[k] == 0:
-        k += 1
-    if k > 0:
-        roots.append(Fraction(0))
-        a = a[k:]
-    if deg(a) <= 0:
-        return roots
-    # clear denominators
-    denom_lcm = 1
-    for c in a:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in a]
-    a0, an = ints[0], ints[-1]
-    for p in _int_divisors(a0):
-        for q in _int_divisors(an):
-            for sgn in (1, -1):
-                cand = Fraction(sgn * p, q)
-                if cand not in roots and eval_at(a, cand) == 0:
-                    roots.append(cand)
-    return roots
-
-
-def _sqrt_fraction(c: Fraction) -> Fraction | None:
-    if c < 0:
-        return None
-    n, d = c.numerator, c.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def split_quadratic(a: Dense) -> list[Dense] | None:
-    """Split a monic quadratic into two monic linears, or None if irreducible."""
-    if deg(a) != 2:
-        raise ValueError("not a quadratic")
-    a = monic(a)
-    p, q = a[1], a[0]
-    disc = p * p - 4 * q
-    r = _sqrt_fraction(disc)
-    if r is None:
-        return None
-    x1 = (-p + r) / 2
-    x2 = (-p - r) / 2
-    return [[-x1, Fraction(1)], [-x2, Fraction(1)]]
-
-
-def split_quartic(a: Dense) -> list[Dense] | None:
-    """Split a monic quartic with no rational root into two monic quadratics
-    via the resolvent cubic, or None if no rational split exists."""
-    if deg(a) != 4:
-        raise ValueError("not a quartic")
-    a = monic(a)
-    s, r, q, p = a[0], a[1], a[2], a[3]
-    # resolvent cubic for x^4 + p x^3 + q x^2 + r x + s, roots u = b + d
-    resolvent = trim([
-        -(p * p * s - 4 * q * s + r * r),
-        p * r - 4 * s,
-        -q,
-        Fraction(1),
-    ])
-    for u in rational_roots(resolvent):
-        # b + d = u, b*d = s, a1 + c1 = p, a1*c1 = q - u, a1*d + b*c1 = r
-        # solve a1, c1 from t^2 - p t + (q - u) = 0
-        disc = p * p - 4 * (q - u)
-        root = _sqrt_fraction(disc)
-        if root is None:
+def _equal_degree(g: list, d: int, p: int, rng: random.Random) -> list[list]:
+    """Cantor-Zassenhaus: the monic irreducible factors, all of degree d,
+    of the monic squarefree g mod the odd prime p."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    half = (p ** d - 1) // 2
+    while True:
+        a = _itrim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
             continue
-        for a1 in ((p + root) / 2, (p - root) / 2):
-            c1 = p - a1
-            # b + d = u and a1*d + b*c1 = r
-            if a1 != c1:
-                d_val = (r - u * c1) / (a1 - c1)
-                b_val = u - d_val
-            else:
-                bd = _sqrt_fraction(u * u - 4 * s)
-                if bd is None:
-                    continue
-                b_val = (u + bd) / 2
-                d_val = (u - bd) / 2
-            f1 = [b_val, a1, Fraction(1)]
-            f2 = [d_val, c1, Fraction(1)]
-            if mul(f1, f2) == a:
-                return [trim(f1), trim(f2)]
-    return None
+        w = _igcd(g, _imod(_isub(_ipowmod(a, half, g, p), [1]), p), p)
+        if 1 < len(w) < len(g):
+            return (_equal_degree(w, d, p, rng)
+                    + _equal_degree(_idivmod(g, w, p)[0], d, p, rng))
 
 
-def _split_squarefree(a: Dense) -> list[Dense]:
-    """Split a monic squarefree polynomial into coprime monic factors,
-    irreducible whenever the degree-by-degree strategies apply."""
+def _hensel_step(f, g, h, s, t, m):
+    """One quadratic Hensel step (von zur Gathen-Gerhard, Alg. 15.10):
+    from f = g*h and s*g + t*h = 1 mod m, h monic, the same mod m^2."""
+    mm = m * m
+    e = _imod(_isub(f, _imul(g, h)), mm)
+    q, r = _idivmod(_imul(s, e), h, mm)
+    g = _imod(_iadd(g, _iadd(_imul(t, e), _imul(q, g))), mm)
+    h = _imod(_iadd(h, r), mm)
+    b = _imod(_isub(_iadd(_imul(s, g), _imul(t, h)), [1]), mm)
+    c, d = _idivmod(_imul(s, b), h, mm)
+    s = _imod(_isub(s, d), mm)
+    t = _imod(_isub(t, _iadd(_imul(t, b), _imul(c, g))), mm)
+    return g, h, s, t
+
+
+def _hensel_lift(f: list, factors: list[list], p: int, pk: int) -> list[list]:
+    """Monic u_i with f = lc(f) * prod u_i mod pk, from the monic pairwise
+    coprime factors of f mod p (pk a power of p), by a balanced factor tree."""
+    if len(factors) == 1:
+        return [_imonic(_imod(f, pk), pk)]
+    half = len(factors) // 2
+    g = [f[-1] % p]
+    for u in factors[:half]:
+        g = _imod(_imul(g, u), p)
+    h = [1]
+    for u in factors[half:]:
+        h = _imod(_imul(h, u), p)
+    s, t = _ixgcd(g, h, p)
+    m = p
+    while m < pk:
+        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+        m *= m
+    return (_hensel_lift(_imod(g, pk), factors[:half], p, pk)
+            + _hensel_lift(_imod(h, pk), factors[half:], p, pk))
+
+
+def _symmetric(a: list, m: int) -> list:
+    return [c - m if 2 * c > m else c for c in a]
+
+
+def _primitive(a: list) -> list:
+    g = 0
+    for c in a:
+        g = math.gcd(g, c)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+def _exact_quotient(f: list, g: list) -> list | None:
+    """f / g over Z, or None if g does not divide f."""
+    r = list(f)
+    dg, lg = len(g) - 1, g[-1]
+    q = [0] * max(len(f) - dg, 0)
+    while len(r) > dg:
+        c, rem = divmod(r[-1], lg)
+        if rem:
+            return None
+        k = len(r) - 1 - dg
+        q[k] = c
+        for i, y in enumerate(g):
+            r[i + k] -= c * y
+        _itrim(r)
+    return _itrim(q) if not r else None
+
+
+def _odd_primes():
+    p = 3
+    while True:
+        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _zassenhaus(f: list) -> list[list]:
+    """Irreducible factors over Z of a primitive squarefree f of degree >= 2
+    with positive leading coefficient."""
+    b = f[-1]
+    df = _itrim([c * i for i, c in enumerate(f)][1:])
+    for p in _odd_primes():
+        if b % p and len(_igcd(_imod(f, p), _imod(df, p), p)) == 1:
+            break
+    rng = random.Random(0)
+    modp = []
+    for g, d in _distinct_degree(_imonic(_imod(f, p), p), p):
+        modp += _equal_degree(g, d, p, rng)
+    if len(modp) == 1:
+        return [f]
+    n = len(f) - 1
+    bound = 2 * (math.isqrt(n + 1) + 1) * 2 ** n * max(abs(c) for c in f) * b
+    pk = p
+    while pk <= bound:
+        pk *= p
+    lifted = _hensel_lift(f, sorted(modp), p, pk)
+    found, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            g = [b]
+            for i in subset:
+                g = _imod(_imul(g, lifted[i]), pk)
+            g = _primitive(_symmetric(g, pk))
+            q = _exact_quotient(f, g)
+            if q is not None:
+                found.append(g)
+                f, b = q, q[-1]
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return found + [f]
+
+
+def irreducible_factors(a: Dense) -> list[Dense]:
+    """Monic irreducible factors over Q of a squarefree a of degree >= 1,
+    sorted by degree, then by coefficients."""
     a = monic(a)
     if deg(a) <= 1:
         return [a]
-    factors = []
-    rest = a
-    for root in rational_roots(a):
-        lin = [-root, Fraction(1)]
-        factors.append(lin)
-        rest = divmod_poly(rest, lin)[0]
-    d = deg(rest)
-    if d <= 1:
-        if d == 1:
-            factors.append(monic(rest))
-        return factors
-    if d == 2:
-        split = split_quadratic(rest)
-        factors.extend(split if split else [rest])
-        return factors
-    if d == 3:
-        # a cubic with no rational root is irreducible over Q
-        factors.append(rest)
-        return factors
-    if d == 4:
-        split = split_quartic(rest)
-        if split:
-            for f in split:
-                sub_split = split_quadratic(f)
-                factors.extend(sub_split if sub_split else [f])
-        else:
-            factors.append(rest)
-        return factors
-    # degree >= 5 with no linear factor: keep whole
-    factors.append(rest)
-    return factors
+    denom = math.lcm(*(c.denominator for c in a))
+    ints = _primitive([int(c * denom) for c in a])
+    return sorted(
+        (monic([Fraction(c) for c in g]) for g in _zassenhaus(ints)),
+        key=lambda q: (len(q), q),
+    )
 
 
 def coprime_factorization(a: Dense) -> list[tuple[Dense, int]]:
-    """Factor a into pairwise coprime monic prime powers (q, m), complete
-    up to the degree->=5 limitation noted in the module docstring."""
-    out = []
-    for q, m in squarefree_decomposition(a):
-        for piece in _split_squarefree(q):
-            out.append((piece, m))
-    return out
+    """Factor a into its monic irreducible factors q with multiplicities m:
+    a = lead * prod q^m.  Yun's multiplicity order, then irreducible_factors
+    order within one multiplicity."""
+    return [(q, m) for s, m in squarefree_decomposition(a) for q in irreducible_factors(s)]
+
+
+def rational_roots(a: Dense) -> list[Fraction]:
+    """Distinct rational roots of a (a nonzero): the roots of its linear
+    factors, ordered by |numerator|, then denominator, positive first."""
+    if not a:
+        raise ValueError("zero polynomial")
+    roots = [-q[0] for q, _ in coprime_factorization(a) if deg(q) == 1]
+    return sorted(roots, key=lambda x: (abs(x.numerator), x.denominator, x < 0))
 
 
 # ---------- conversions to/from SparsePoly ----------

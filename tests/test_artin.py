@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import old_decompose_local
 from weylcas.artin import ArtinAlgebra, decompose_local
 from weylcas.groebner import Ideal, NotZeroDimensionalError
 from weylcas.poly import SparsePoly
 
+X = ("x",)
 Y = ("y",)
 XY = ("x", "y")
+xv = SparsePoly.variable(X, 0)
 yv = SparsePoly.variable(Y, 0)
 x2 = SparsePoly.variable(XY, 0)
 y2 = SparsePoly.variable(XY, 1)
@@ -121,3 +124,106 @@ def test_decompose_soundness_random():
         factors = decompose_local(A)  # internal asserts check idempotents
         assert sum(f.dim for f in factors) == A.dim
         assert sum(f.residue_dim for f in factors) <= A.dim
+
+
+# ---------- complete factorization and CRT idempotents ----------
+
+
+@pytest.mark.parametrize("poly,dims,residues", [
+    ((xv ** 2 + 1) * (xv ** 3 - 2), [3, 2], [3, 2]),
+    ((xv ** 3 - 2) * (xv ** 3 - 3), [3, 3], [3, 3]),
+    ((xv ** 2 + 1) ** 2 * (xv ** 3 - 2), [4, 3], [2, 3]),
+])
+def test_degree_five_and_six_products_split(poly, dims, residues):
+    # the kernel-power path with trial division kept these whole
+    A = ArtinAlgebra.from_presentation(X, [poly])
+    factors = decompose_local(A)
+    assert [f.dim for f in factors] == dims
+    assert [f.residue_dim for f in factors] == residues
+
+
+@pytest.mark.parametrize("degree", [5, 6, 7])
+def test_full_degree_irreducible_certifies_a_field(degree):
+    A = ArtinAlgebra.from_presentation(X, [xv ** degree - 2])
+    assert [f.dim for f in decompose_local(A)] == [degree]
+    assert A.is_field()
+
+
+def test_no_certified_split_raises():
+    # Q(sqrt2) x Q(sqrt2): the variables have irreducible minimal
+    # polynomials of degree 2 < 4, and without random combinations nothing
+    # splits or certifies the algebra as local
+    A = ArtinAlgebra.from_presentation(XY, [x2 ** 2 - 2, y2 ** 2 - 2])
+    with pytest.raises(RuntimeError, match="no split certified"):
+        decompose_local(A, extra_trials=0)
+
+
+def eisenstein_monic(rng, degree):
+    p = rng.choice((2, 3, 5))
+    coeffs = [p * rng.randint(-2, 2) for _ in range(degree)]
+    c0 = 0
+    while c0 % p == 0:
+        c0 = rng.randint(-4, 4)
+    coeffs[0] = p * c0
+    return sum((c * xv ** i for i, c in enumerate(coeffs)), xv ** degree)
+
+
+def point_ideal(rng, mx, my):
+    rs = rng.sample(range(-4, 5), len(mx))
+    ss = rng.sample(range(-4, 5), len(my))
+    c = rng.choice((-2, -1, 1, 2))
+    f, g = SparsePoly.one(XY), SparsePoly.one(XY)
+    for r, m in zip(rs, mx):
+        f = f * (x2 - r) ** m
+    for s, m in zip(ss, my):
+        g = g * (y2 - c * x2 - s) ** m
+    return Ideal(XY, [f, g]), sorted((a * b for a in mx for b in my), reverse=True)
+
+
+def known_corpus():
+    """(algebra, factor dimensions) with the answer fixed by construction."""
+    rng = random.Random(5)
+    out = []
+    for pattern in ([1, 1, 2], [2, 1], [2, 2], [3, 1, 1], [4, 1], [2, 3], [3, 3], [5, 1]):
+        gens, dims = SparsePoly.one(X), []
+        used = set()
+        for d in pattern:
+            while True:
+                q = xv - rng.randint(-9, 9) if d == 1 else eisenstein_monic(rng, d)
+                if q.to_str() not in used:
+                    break
+            used.add(q.to_str())
+            m = rng.randint(1, 2)
+            gens = gens * q ** m
+            dims.append(d * m)
+        out.append((ArtinAlgebra(Ideal(X, [gens])), sorted(dims, reverse=True)))
+    for mx, my in (([2], [1, 1]), ([2, 1], [2]), ([1, 1], [2, 1]), ([3], [1, 2]), ([1, 1, 1], [1, 1])):
+        ideal, dims = point_ideal(rng, mx, my)
+        out.append((ArtinAlgebra(ideal), dims))
+    return out
+
+
+def snapshot(factors):
+    return [(f.dim, f.idempotent, f.basis_vectors) for f in factors]
+
+
+def test_same_factors_as_kernel_powers_where_those_are_right():
+    checked = 0
+    for A, dims in known_corpus():
+        new = decompose_local(A)
+        assert [f.dim for f in new] == dims
+        old = old_decompose_local(A)
+        if [f.dim for f in old] == dims:
+            assert snapshot(new) == snapshot(old)
+            checked += 1
+    rng = random.Random(42)
+    for _ in range(25):
+        A = ArtinAlgebra(random_zero_dim_ideal(rng))
+        if A.dim == 0:
+            continue
+        new, old = decompose_local(A), old_decompose_local(A)
+        # the new factors are local, so the old ones were iff there are as many
+        if len(old) == len(new):
+            assert snapshot(new) == snapshot(old)
+            checked += 1
+    assert checked >= 25

@@ -188,3 +188,20 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 0
     assert b"Traceback" not in proc.stderr
+
+
+def test_artin_decompose_huge_constant(capsys):
+    # trial division over the divisors of 10^20 + 1 took about 20 minutes
+    code, out, _ = run(capsys, "artin-decompose", "--ideal", "x1^2+100000000000000000001")
+    assert code == 0
+    assert "dim = 2, factors = 1" in out
+    assert "factor 1: dim 2, residue degree 2" in out
+
+
+def test_artin_decompose_degree_five_product_json(capsys):
+    code, out, _ = run(capsys, "artin-decompose", "--ideal", "(x1^2+1)*(x1^3-2)", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dim"] == 5
+    assert sorted(f["residue_degree"] for f in payload["factors"]) == [2, 3]
+    assert sorted(f["dim"] for f in payload["factors"]) == [2, 3]

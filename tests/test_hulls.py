@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from weylcas import linalg
 from weylcas.artin import ArtinAlgebra, decompose_local
 from weylcas.hulls import (
     ArtinModule,
@@ -176,6 +177,27 @@ def test_ass_finite_mixed_torsion():
     })
 
 
+def companion(coeffs):
+    """Companion matrix of the monic polynomial with the given low-to-high
+    coefficients (leading 1 omitted): the action of x on Q[x]/(f)."""
+    n = len(coeffs)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(1, n):
+        m[i][i - 1] = Fraction(1)
+    for i, c in enumerate(coeffs):
+        m[i][n - 1] = Fraction(-c)
+    return m
+
+
+def test_ass_finite_degree_five_product():
+    # (x^2 + 1)(x^3 - 2) = x^5 + x^3 - 2x^2 - 2: two primes, not one
+    primes = ass_finite_x_module(companion([-2, 0, -2, 1, 0]))
+    assert primes == frozenset({
+        (Fraction(1), Fraction(0), Fraction(1)),
+        (Fraction(-2), Fraction(0), Fraction(0), Fraction(1)),
+    })
+
+
 # ---------- hulls over Artinian algebras ----------
 
 def dual_numbers():
@@ -282,3 +304,16 @@ def test_quotient_module_construction():
     assert Q.dim == 2
     hull = essential_hull(A, Q)
     assert all(hull.certificates.values())
+
+
+def test_monomial_action_prefix_cache_matches_products_from_identity():
+    XY = ("x", "y")
+    xx, yy = SparsePoly.variable(XY, 0), SparsePoly.variable(XY, 1)
+    A = ArtinAlgebra.from_presentation(XY, [xx ** 3 - yy, yy ** 2])
+    for M in (ArtinModule.regular(A), ArtinModule.regular(A).dual()):
+        for e in [(0, 0), (2, 1), (1, 0), (0, 2), (3, 1), (2, 2)]:
+            m = linalg.identity(M.dim)
+            for i, k in enumerate(e):
+                for _ in range(k):
+                    m = linalg.mat_mul(M.var_actions[i], m)
+            assert M.monomial_action(e) == m

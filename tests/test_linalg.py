@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -56,3 +57,32 @@ def test_cohomology_dim_zero_dimensional_level():
     assert [linalg.cohomology_dim(dims, diffs, t) for t in range(3)] == [1, 0, 1]
     # a complex with a single level and no maps
     assert linalg.cohomology_dim([3], [], 0) == 3
+
+
+def dense_mat_mul(a, b):
+    """Every entry as a full dot product: the reference for mat_mul."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def test_mat_mul_matches_dense_products():
+    rng = random.Random(3)
+    for _ in range(60):
+        n, m, p = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.choice((0.0, 0.2, 0.6, 1.0))
+
+        def entry():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else Fraction(0)
+
+        a = [[entry() for _ in range(m)] for _ in range(n)]
+        b = [[entry() for _ in range(p)] for _ in range(m)]
+        out = linalg.mat_mul(a, b)
+        assert out == dense_mat_mul(a, b)
+        assert all(isinstance(x, Fraction) for row in out for x in row)
+
+
+def test_mat_mul_shapes():
+    assert linalg.mat_mul([], F([[1]])) == []
+    assert linalg.mat_mul(F([[1, 2]]), [[], []]) == [[]]
+    assert linalg.mat_mul([[], []], []) == [[], []]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        linalg.mat_mul(F([[1, 2]]), F([[1, 2]]))
