@@ -19,6 +19,7 @@ from .groebner import Ideal
 from .hulls import CurveExtension, socle_growth_oracle, hull_multiplicity
 from .koszul import (
     GradedModuleModel,
+    WindowMarginError,
     build_psi_inductive,
     ext1_koszul,
     is_regular_sequence,
@@ -90,6 +91,13 @@ def _monomial_exponents(polys):
             raise UsageError(f"{p.to_str()} is not a monomial")
         out.append(next(iter(p.terms)))
     return out
+
+
+def _monomial_generators(text: str, variables):
+    exps = _monomial_exponents(_parse_poly_list(text, variables))
+    if not exps or not all(any(e) for e in exps):
+        raise UsageError(f"need nonconstant monomial generators, got {text!r}")
+    return exps
 
 
 def _emit(args, human_lines, payload):
@@ -281,10 +289,15 @@ def cmd_hull_oracle(args):
 def cmd_lc_piece(args):
     n = args.vars if args.vars else _infer_nvars([args.ideal])
     vars_ = tuple(f"x{i+1}" for i in range(n))
-    gens = _monomial_exponents(_parse_poly_list(args.ideal, vars_))
-    degree = tuple(int(t) for t in args.degree.split(","))
+    gens = _monomial_generators(args.ideal, vars_)
+    try:
+        degree = tuple(int(t) for t in args.degree.split(","))
+    except ValueError as exc:
+        raise UsageError(f"bad degree {args.degree!r}") from exc
     if len(degree) != n:
         raise UsageError(f"degree has {len(degree)} components, expected {n}")
+    if not 0 <= args.i <= len(gens):
+        raise UsageError(f"cohomological degree {args.i} out of range 0..{len(gens)}")
     dim = CechComplex(n, gens).cohomology_dim(args.i, degree)
     _emit(args, [str(dim)], {"command": "lc-piece", "dimension": dim})
     return 0
@@ -293,8 +306,8 @@ def cmd_lc_piece(args):
 def cmd_lc_mv(args):
     n = args.vars if args.vars else _infer_nvars([args.i_gens, args.j_gens])
     vars_ = tuple(f"x{i+1}" for i in range(n))
-    i_gens = _monomial_exponents(_parse_poly_list(args.i_gens, vars_))
-    j_gens = _monomial_exponents(_parse_poly_list(args.j_gens, vars_))
+    i_gens = _monomial_generators(args.i_gens, vars_)
+    j_gens = _monomial_generators(args.j_gens, vars_)
     window = _parse_window(args.window, n)
     report = mv_dimension_check(i_gens, j_gens, window, nvars=n)
     ok = report["all_alternating_sums_zero"]
@@ -528,7 +541,7 @@ def main(argv=None) -> int:
         # flush at shutdown does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ParseError, UsageError) as exc:
+    except (ParseError, UsageError, WindowMarginError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, RuntimeError) as exc:

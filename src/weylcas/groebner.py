@@ -199,13 +199,6 @@ class Ideal:
         self.generators = gens
         self._gb_cache: dict[TermOrder, list[SparsePoly]] = {}
 
-    @classmethod
-    def from_strings(cls, variables, texts):  # convenience for tests/CLI glue
-        from .parser import parse_polynomial
-
-        vs = tuple(variables)
-        return cls(vs, [parse_polynomial(t, vs) for t in texts])
-
     def groebner_basis(self, order: TermOrder = GREVLEX) -> list[SparsePoly]:
         if order not in self._gb_cache:
             self._gb_cache[order] = buchberger(self.generators, order)

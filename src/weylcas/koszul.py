@@ -296,11 +296,19 @@ def prime_avoidance_sequence(P: Ideal, g: int, seed: int = 0,
 
 # ---------- graded module models and Ext^1 ----------
 
+def negative_support(d) -> frozenset[int]:
+    """N(d) = {j : d_j < 0}.  Whether a monomial module is nonzero at d is
+    a condition on this set, so there are at most 2^n cases."""
+    return frozenset(j for j, x in enumerate(d) if x < 0)
+
+
 class GradedModuleModel:
     """A Z^n-graded module whose multidegree-d pieces have dimension 0 or 1,
-    cut out by a per-variable sign pattern: '+' requires the coordinate to
-    be >= 0, '-' requires it to be <= -1.  Multiplication by a variable
-    shifts the multidegree and truncates outside the region.
+    cut out by a per-variable sign pattern: the piece at d is nonzero iff
+    the '-' positions of the pattern are exactly N(d) = negative_support(d)
+    ('+' means the coordinate is >= 0, '-' that it is <= -1).
+    Multiplication by a variable shifts the multidegree and truncates
+    outside the region.
 
     The all-'+' pattern is the polynomial ring; the all-'-' pattern is the
     top local cohomology of the maximal monomial ideal, which for one
@@ -312,6 +320,7 @@ class GradedModuleModel:
         if len(pattern) != len(self.vars) or any(c not in "+-" for c in pattern):
             raise ValueError("pattern must be one '+'/'-' per variable")
         self.pattern = pattern
+        self._negative = frozenset(j for j, c in enumerate(pattern) if c == "-")
 
     @classmethod
     def polynomial(cls, variables) -> "GradedModuleModel":
@@ -322,9 +331,7 @@ class GradedModuleModel:
         return cls(variables, "-" * len(tuple(variables)))
 
     def contains(self, d: tuple[int, ...]) -> bool:
-        return all(
-            (x >= 0) if s == "+" else (x <= -1) for x, s in zip(d, self.pattern)
-        )
+        return negative_support(d) == self._negative
 
     def basis_of_total_degree(self, t: int) -> list[tuple[int, ...]]:
         """Multidegrees in the region with coordinate sum t (finite for

@@ -1,9 +1,13 @@
-"""Graded local cohomology of monomial ideals through Cech complexes.
+"""Graded local cohomology of monomial ideals through Cech complexes,
+computed once per sign pattern.
 
-Every localization R_{f_T} has multidegree pieces of dimension 0 or 1
-(the piece at d is spanned by x^d when each variable outside f_T has a
-non-negative exponent), so all cohomology is rank arithmetic over Q on
-very small matrices, one multidegree at a time.
+The localization R_m at a monomial m has pieces of dimension 0 or 1: the
+piece at d is spanned by x^d iff the sign pattern N(d) = {j : d_j < 0}
+(`koszul.negative_support`) lies inside supp(m).  So every Cech complex,
+its cohomology and the Mayer-Vietoris fibres below depend on d only
+through N(d) (Mustata, "Local cohomology at monomial ideals", JSC 29,
+2000), and a window of degrees has at most 2^n distinct answers: each is
+built once per pattern, by rank arithmetic over Q on tiny matrices.
 
 The Mayer-Vietoris connecting map for a pair of principal ideals is
 materialized on the homotopy-fibre complex of the difference-of-
@@ -14,15 +18,16 @@ exact long sequence
   ... -> H^t(F) -> H^t_I (+) H^t_J -> H^t_{I cap J} -> H^(t+1)(F) -> ...
 
 with the connecting map induced by the chain inclusion c |-> (0, c); the
-identification of H(F) with H_{I+J} is verified per degree against the
+identification of H(F) with H_{I+J} is verified per pattern against the
 two-generator Cech complex as an independent oracle.  (A literal kernel
 complex of u cannot carry this sequence: it lives in cohomological
 degrees <= 1 while H^2_{I+J} is nonzero, and u is not piecewise
 surjective, e.g. at degree (-1,-1) for f = x, g = y.)
 
 Partial derivatives act on a localization piece by d_k . x^d =
-d_k-coefficient * x^(d - e_k); the connecting map's compatibility with
-these actions is checked square by square.
+d_k-coefficient * x^(d - e_k); the scalar d_k is the one thing a pattern
+does not fix, so the connecting map's compatibility with these actions
+is checked square by square at every degree.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from itertools import combinations, product
 
 from . import linalg
 from .groebner import Ideal, saturation
-from .koszul import WindowMarginError
+from .koszul import WindowMarginError, negative_support
 from .poly import SparsePoly
 
 
@@ -40,6 +45,20 @@ def _monomial_exponent(p: SparsePoly) -> tuple[int, ...]:
     if len(p.terms) != 1:
         raise ValueError(f"{p.to_str()} is not a monomial")
     return next(iter(p.terms))
+
+
+def _pattern(d, nvars: int) -> frozenset[int]:
+    """N(d) for a multidegree of a ring in nvars variables.  A vector of
+    another length would alias a real pattern, so it is refused here, on
+    the one path every degree and exponent takes to its pattern."""
+    if len(d) != nvars:
+        raise ValueError(f"got {len(d)} coordinates for a ring in {nvars} variables")
+    return negative_support(d)
+
+
+def _support(e, nvars: int) -> frozenset[int]:
+    """supp(e) = {j : e_j > 0}, which is N(-e)."""
+    return _pattern([-x for x in e], nvars)
 
 
 def minimalize_monomials(exps: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -56,8 +75,9 @@ def monomial_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class CechComplex:
-    """The Cech complex on monomial generators, evaluated one multidegree
-    at a time."""
+    """The Cech complex on monomial generators.  Its piece at a multidegree
+    d depends only on N(d), so active subsets, differentials and
+    cohomology are built once per pattern."""
 
     def __init__(self, nvars: int, generators: list[tuple[int, ...]]):
         if not generators:
@@ -68,70 +88,59 @@ class CechComplex:
         self.nvars = nvars
         self.generators = [tuple(e) for e in generators]
         self.r = len(self.generators)
-        self._subsets = {t: list(combinations(range(self.r), t))
-                         for t in range(self.r + 1)}
-        self._support = {}
-        for t, subs in self._subsets.items():
-            for T in subs:
-                sup = set()
-                for i in T:
-                    sup.update(j for j, x in enumerate(self.generators[i]) if x > 0)
-                self._support[T] = frozenset(sup)
+        self._subsets = [list(combinations(range(self.r), t)) for t in range(self.r + 1)]
+        gen_supports = [_support(e, nvars) for e in self.generators]
+        self._supports = {T: frozenset().union(*(gen_supports[i] for i in T))
+                          for subs in self._subsets for T in subs}
+        # pattern -> active subsets per level, differentials, cohomology dims
+        self._patterns: dict[frozenset[int], dict] = {}
 
-    @classmethod
-    def from_polys(cls, gens: list[SparsePoly]) -> "CechComplex":
-        exps = [_monomial_exponent(g) for g in gens]
-        return cls(len(gens[0].vars), exps)
+    def piece_nonzero(self, T: tuple[int, ...], N: frozenset[int]) -> bool:
+        """The localization at the generators in T is nonzero at pattern N."""
+        return N <= self._supports[T]
 
-    def levels(self) -> int:
-        return self.r + 1
-
-    def piece_nonzero(self, T: tuple[int, ...], d: tuple[int, ...]) -> bool:
-        sup = self._support[T]
-        return all(x >= 0 for j, x in enumerate(d) if j not in sup)
-
-    def piece_dims(self, t: int, d: tuple[int, ...]) -> list[int]:
-        return [1 if self.piece_nonzero(T, d) else 0 for T in self._subsets[t]]
-
-    def level_dim(self, t: int, d: tuple[int, ...]) -> int:
-        return sum(self.piece_dims(t, d))
-
-    def active_subsets(self, t: int, d: tuple[int, ...]):
-        return [T for T in self._subsets[t] if self.piece_nonzero(T, d)]
+    def active_subsets(self, t: int, N: frozenset[int]) -> list[tuple[int, ...]]:
+        return self._at(N)["active"][t]
 
     def differential(self, t: int, d: tuple[int, ...]):
         """Matrix of C^t_d -> C^(t+1)_d in the active-subset bases."""
-        src = self.active_subsets(t, d)
-        tgt = self.active_subsets(t + 1, d)
-        tgt_pos = {T: i for i, T in enumerate(tgt)}
-        mat = linalg.zeros(len(tgt), len(src))
-        for j, T in enumerate(src):
-            remaining = [i for i in range(self.r) if i not in T]
-            for new in remaining:
-                T2 = tuple(sorted(T + (new,)))
-                i = tgt_pos.get(T2)
-                if i is None:
-                    continue
-                sign = (-1) ** T2.index(new)
-                mat[i][j] += sign
-        return mat
-
-    def complex_at(self, d: tuple[int, ...]):
-        dims = [self.level_dim(t, d) for t in range(self.levels())]
-        diffs = [self.differential(t, d) for t in range(self.levels() - 1)]
-        return dims, diffs
+        return linalg.copy(self._at(_pattern(d, self.nvars))["diffs"][t])
 
     def cohomology_dim(self, i: int, d: tuple[int, ...]) -> int:
         if not 0 <= i <= self.r:
             raise ValueError(f"cohomological degree {i} out of range")
-        dims, diffs = self.complex_at(d)
-        return linalg.cohomology_dim(dims, diffs, i)
+        return self._at(_pattern(d, self.nvars))["h"][i]
+
+    def _at(self, N: frozenset[int]) -> dict:
+        if N not in self._patterns:
+            self._patterns[N] = self._build(N)
+        return self._patterns[N]
+
+    def _build(self, N: frozenset[int]) -> dict:
+        active = [[T for T in subs if self.piece_nonzero(T, N)] for subs in self._subsets]
+        diffs = [self._coboundary(active[t], active[t + 1]) for t in range(self.r)]
+        dims = [len(a) for a in active]
+        h = [linalg.cohomology_dim(dims, diffs, i) for i in range(self.r + 1)]
+        return {"active": active, "diffs": diffs, "h": h}
+
+    def _coboundary(self, src, tgt):
+        tgt_pos = {T: i for i, T in enumerate(tgt)}
+        mat = linalg.zeros(len(tgt), len(src))
+        for j, T in enumerate(src):
+            for new in range(self.r):
+                if new in T:
+                    continue
+                T2 = tuple(sorted(T + (new,)))
+                i = tgt_pos.get(T2)
+                if i is not None:
+                    mat[i][j] += (-1) ** T2.index(new)
+        return mat
 
 
 def cech_cohomology_piece(generators: list[tuple[int, ...]] | list[SparsePoly],
                           i: int, d: tuple[int, ...], nvars: int | None = None) -> int:
     if generators and isinstance(generators[0], SparsePoly):
-        cech = CechComplex.from_polys(generators)
+        cech = CechComplex(len(generators[0].vars), [_monomial_exponent(g) for g in generators])
     else:
         cech = CechComplex(nvars if nvars is not None else len(d), list(generators))
     return cech.cohomology_dim(i, d)
@@ -157,22 +166,20 @@ def mv_dimension_check(i_gens: list[tuple[int, ...]], j_gens: list[tuple[int, ..
         "cap": CechComplex(n, cap_gens),
     }
     top = max(c.r for c in complexes.values())
+    columns = {}
     per_degree = {}
-    all_zero = True
     for d in window_degrees(window):
-        entry = {}
-        for name, cech in complexes.items():
-            entry[name] = [cech.cohomology_dim(i, d) for i in range(top + 1)
-                           if i <= cech.r] + [0] * (top - cech.r)
-        alt = 0
-        for i in range(top + 1):
-            alt += (-1) ** i * (entry["sum"][i] - entry["I"][i]
-                                - entry["J"][i] + entry["cap"][i])
-        entry["alternating_sum"] = alt
-        if alt != 0:
-            all_zero = False
-        per_degree[d] = entry
-    return {"degrees": per_degree, "all_alternating_sums_zero": all_zero}
+        N = _pattern(d, n)
+        if N not in columns:
+            cols = {name: cech._at(N)["h"] + [0] * (top - cech.r)
+                    for name, cech in complexes.items()}
+            alt = sum((-1) ** i * (s - a - b + c)
+                      for i, (s, a, b, c) in enumerate(zip(*cols.values())))
+            columns[N] = cols, alt
+        cols, alt = columns[N]
+        per_degree[d] = {**{name: h[:] for name, h in cols.items()}, "alternating_sum": alt}
+    return {"degrees": per_degree,
+            "all_alternating_sums_zero": all(alt == 0 for _, alt in columns.values())}
 
 
 # ---------- cohomology pieces with induced maps ----------
@@ -254,7 +261,8 @@ def _h_basis_lifts(piece: CohPiece):
 # ---------- the bi-principal Mayer-Vietoris connecting map ----------
 
 class BiPrincipalMV:
-    """The full connecting-map apparatus for I = (f), J = (g)."""
+    """The full connecting-map apparatus for I = (f), J = (g).  Fibres and
+    sequences are built once per sign pattern."""
 
     def __init__(self, f: tuple[int, ...], g: tuple[int, ...], nvars: int):
         self.nvars = nvars
@@ -265,60 +273,49 @@ class BiPrincipalMV:
         self.cg = CechComplex(nvars, [self.g])
         self.ch = CechComplex(nvars, [self.h])
         self.cfg = CechComplex(nvars, minimalize_monomials([self.f, self.g]))
-        # per-degree memos: the oracle, exactness and derivative checks all
-        # revisit the same degrees
-        self._fibres: dict[tuple[int, ...], tuple] = {}
-        self._sequences: dict[tuple[int, ...], dict] = {}
+        self._fibres: dict[frozenset[int], tuple] = {}
+        self._sequences: dict[frozenset[int], dict] = {}
 
-    # -- complexes at a fixed multidegree --
+    # -- complexes at a fixed pattern --
 
-    def _restriction(self, src: CechComplex, t: int, d):
-        """Natural map C^t(src) -> C^t(C(h)) on pieces (subset patterns of a
-        principal complex match up: both have one subset per level)."""
-        src_dims = src.piece_dims(t, d)
-        tgt_dims = self.ch.piece_dims(t, d)
-        mat = linalg.zeros(sum(tgt_dims), sum(src_dims))
-        if sum(src_dims) and sum(tgt_dims):
-            mat[0][0] = Fraction(1)
-        return mat
-
-    def middle_at(self, d):
-        """C(f) (+) C(g) at degree d: dims and differentials."""
-        f_dims = [self.cf.level_dim(t, d) for t in range(2)]
-        g_dims = [self.cg.level_dim(t, d) for t in range(2)]
+    def _middle(self, N):
+        """C(f) (+) C(g) at pattern N: dims and differentials."""
+        f_dims = [len(self.cf.active_subsets(t, N)) for t in range(2)]
+        g_dims = [len(self.cg.active_subsets(t, N)) for t in range(2)]
         dims = [f_dims[t] + g_dims[t] for t in range(2)]
         diff = linalg.block_matrix(
-            [[self.cf.differential(0, d), None], [None, self.cg.differential(0, d)]],
+            [[self.cf._at(N)["diffs"][0], None], [None, self.cg._at(N)["diffs"][0]]],
             [f_dims[1], g_dims[1]], [f_dims[0], g_dims[0]])
         return dims, [diff]
 
-    def u_at(self, t: int, d):
-        """Difference of restrictions on level t at degree d."""
-        uf = self._restriction(self.cf, t, d)
-        ug = _negated(self._restriction(self.cg, t, d))
-        return linalg.block_matrix([[uf, ug]], [self.ch.level_dim(t, d)],
-                                   [self.cf.level_dim(t, d), self.cg.level_dim(t, d)])
+    def _u(self, t: int, N):
+        """Difference of restrictions C^t(f) (+) C^t(g) -> C^t(h) at pattern
+        N.  Each principal complex has at most one active subset per level,
+        and an active piece of C(f) or C(g) lies in an active one of C(h)."""
+        if not self.ch.active_subsets(t, N):
+            return []
+        return [[Fraction(sign) for c, sign in ((self.cf, 1), (self.cg, -1))
+                 if c.active_subsets(t, N)]]
 
     def fibre_at(self, d):
         """The homotopy fibre F of u at degree d: F^t = M^t (+) C(h)^(t-1),
-        d(m, c) = (d m, u(m) - d c).  Built once per degree."""
-        d = tuple(d)
-        if d not in self._fibres:
-            self._fibres[d] = self._build_fibre(d)
-        return self._fibres[d]
+        d(m, c) = (d m, u(m) - d c).  Built once per pattern N(d)."""
+        return self._fibre(_pattern(d, self.nvars))
 
-    def _build_fibre(self, d):
-        m_dims, m_diffs = self.middle_at(d)
-        h_dims = [self.ch.level_dim(t, d) for t in range(2)]
-        dims = [m_dims[0], m_dims[1] + h_dims[0], h_dims[1]]
-        # d0: m |-> (d_M m, u0 m)
-        d0 = linalg.block_matrix([[m_diffs[0]], [self.u_at(0, d)]],
-                                 [m_dims[1], h_dims[0]], [m_dims[0]])
-        # d1: (m1, c0) |-> u1 m1 - d_C c0
-        minus_dc = _negated(self.ch.differential(0, d))
-        d1 = linalg.block_matrix([[self.u_at(1, d), minus_dc]],
-                                 [h_dims[1]], [m_dims[1], h_dims[0]])
-        return dims, [d0, d1]
+    def _fibre(self, N):
+        if N not in self._fibres:
+            m_dims, m_diffs = self._middle(N)
+            h_dims = [len(self.ch.active_subsets(t, N)) for t in range(2)]
+            dims = [m_dims[0], m_dims[1] + h_dims[0], h_dims[1]]
+            # d0: m |-> (d_M m, u0 m)
+            d0 = linalg.block_matrix([[m_diffs[0]], [self._u(0, N)]],
+                                     [m_dims[1], h_dims[0]], [m_dims[0]])
+            # d1: (m1, c0) |-> u1 m1 - d_C c0
+            minus_dc = [[-x for x in row] for row in self.ch._at(N)["diffs"][0]]
+            d1 = linalg.block_matrix([[self._u(1, N), minus_dc]],
+                                     [h_dims[1]], [m_dims[1], h_dims[0]])
+            self._fibres[N] = dims, [d0, d1]
+        return self._fibres[N]
 
     # -- the long exact sequence with explicit maps --
 
@@ -327,17 +324,17 @@ class BiPrincipalMV:
 
         Returns a dict with H(F), H(M), H(C) per level and matrices for
         rho (projection), pi (difference of restrictions), delta
-        (inclusion of the shifted h-complex).  Built once per degree."""
-        d = tuple(d)
-        if d not in self._sequences:
-            self._sequences[d] = self._build_sequence(d)
-        return self._sequences[d]
+        (inclusion of the shifted h-complex).  Built once per pattern N(d)."""
+        N = _pattern(d, self.nvars)
+        if N not in self._sequences:
+            self._sequences[N] = self._build_sequence(N)
+        return self._sequences[N]
 
-    def _build_sequence(self, d):
-        f_dims, f_diffs = self.fibre_at(d)
-        m_dims, m_diffs = self.middle_at(d)
-        h_dims = [self.ch.level_dim(t, d) for t in range(2)]
-        h_diffs = [self.ch.differential(0, d)]
+    def _build_sequence(self, N):
+        f_dims, f_diffs = self._fibre(N)
+        m_dims, m_diffs = self._middle(N)
+        h_dims = [len(self.ch.active_subsets(t, N)) for t in range(2)]
+        h_diffs = self.ch._at(N)["diffs"]
         HF = [CohPiece(f_dims, f_diffs, t) for t in range(3)]
         HM = [CohPiece(m_dims, m_diffs, t) for t in range(2)]
         HC = [CohPiece(h_dims, h_diffs, t) for t in range(2)]
@@ -349,7 +346,7 @@ class BiPrincipalMV:
                 proj[i][i] = Fraction(1)
             rho[t] = induced_map(HF[t], HM[t], proj)
             # pi^t: M^t -> C^t
-            pi[t] = induced_map(HM[t], HC[t], self.u_at(t, d))
+            pi[t] = induced_map(HM[t], HC[t], self._u(t, N))
             # delta^t: C^t -> F^(t+1), c |-> (0, c)
             incl = linalg.zeros(f_dims[t + 1], h_dims[t])
             offset = f_dims[t + 1] - h_dims[t]
@@ -394,46 +391,47 @@ class BiPrincipalMV:
 
     # -- derivative actions --
 
-    def _partial_on_cech(self, cech: CechComplex, t: int, d, k: int):
-        """d_k: C^t(cech)_d -> C^t(cech)_(d - e_k), the scalar d_k on each
-        matching active subset."""
-        d2 = tuple(x - (1 if j == k else 0) for j, x in enumerate(d))
-        src = cech.active_subsets(t, d)
-        tgt = cech.active_subsets(t, d2)
-        tgt_pos = {T: i for i, T in enumerate(tgt)}
-        mat = linalg.zeros(len(tgt), len(src))
+    @staticmethod
+    def _partial_on_cech(cech: CechComplex, t: int, N, N2, scalar):
+        """d_k: C^t(cech) at pattern N -> at pattern N2 = N(d - e_k), the
+        scalar d_k on each matching active subset."""
+        src = cech.active_subsets(t, N)
+        tgt_pos = {T: i for i, T in enumerate(cech.active_subsets(t, N2))}
+        mat = linalg.zeros(len(tgt_pos), len(src))
         for j, T in enumerate(src):
             i = tgt_pos.get(T)
             if i is not None:
-                mat[i][j] = Fraction(d[k])
+                mat[i][j] = scalar
         return mat
 
-    def _partial_on_fibre(self, t, d, k):
+    def _partial_on_fibre(self, t, N, N2, scalar):
         """d_k on F^t = C^t(f) (+) C^t(g) (+) C^(t-1)(h), block by block."""
-        d2 = tuple(x - (1 if j == k else 0) for j, x in enumerate(d))
         parts = [(c, t) for c in (self.cf, self.cg) if t <= 1]
         if t >= 1:
             parts.append((self.ch, t - 1))
-        blocks = [[self._partial_on_cech(c, s, d, k) if i == j else None
+        blocks = [[self._partial_on_cech(c, s, N, N2, scalar) if i == j else None
                    for j, (c, s) in enumerate(parts)] for i in range(len(parts))]
-        return linalg.block_matrix(blocks, [c.level_dim(s, d2) for c, s in parts],
-                                   [c.level_dim(s, d) for c, s in parts])
+        return linalg.block_matrix(blocks, [len(c.active_subsets(s, N2)) for c, s in parts],
+                                   [len(c.active_subsets(s, N)) for c, s in parts])
 
     def delta_commutes_with_partials(self, d) -> bool:
         """delta o d_k = d_k o delta on the materialized cohomology square
         at degrees d and d - e_k, for every variable k and both levels."""
+        N = _pattern(d, self.nvars)
         seq_d = self.sequence_at(d)
         for k in range(self.nvars):
             d2 = tuple(x - (1 if j == k else 0) for j, x in enumerate(d))
+            N2 = negative_support(d2)
             seq_d2 = self.sequence_at(d2)
+            scalar = Fraction(d[k])
             for t in range(2):
                 # H^t(C)_d --delta--> H^(t+1)(F)_d
                 #    |d_k                  |d_k
                 # H^t(C)_d2 --delta--> H^(t+1)(F)_d2
                 pk_c = induced_map(seq_d["HC"][t], seq_d2["HC"][t],
-                                   self._partial_on_cech(self.ch, t, d, k))
+                                   self._partial_on_cech(self.ch, t, N, N2, scalar))
                 pk_f = induced_map(seq_d["HF"][t + 1], seq_d2["HF"][t + 1],
-                                   self._partial_on_fibre(t + 1, d, k))
+                                   self._partial_on_fibre(t + 1, N, N2, scalar))
                 lhs = linalg.mat_mul(seq_d2["delta"][t], pk_c)
                 rhs = linalg.mat_mul(pk_f, seq_d["delta"][t])
                 rows = seq_d2["HF"][t + 1].h_dim
@@ -441,10 +439,6 @@ class BiPrincipalMV:
                 if _pad(lhs, rows, cols) != _pad(rhs, rows, cols):
                     return False
         return True
-
-
-def _negated(m):
-    return [[-x for x in row] for row in m]
 
 
 def _pad(m, rows, cols):
@@ -459,10 +453,11 @@ def _pad(m, rows, cols):
 def mv_connecting_biprincipal(f: tuple[int, ...], g: tuple[int, ...],
                               window: list[tuple[int, int]],
                               nvars: int | None = None) -> dict:
-    """Build the fibre complex for I = (f), J = (g) and verify, per degree:
-    the fibre-vs-Cech oracle, exactness of the long sequence, and the
-    commutation of the connecting map with every partial derivative
-    (inner degrees only; the boundary shell is reported as skipped)."""
+    """Build the fibre complex for I = (f), J = (g) and verify the
+    fibre-vs-Cech oracle and exactness of the long sequence once per sign
+    pattern, and the commutation of the connecting map with every partial
+    derivative per degree (inner degrees only; the boundary shell is
+    reported as skipped)."""
     n = nvars if nvars is not None else len(window)
     if any(hi < lo + 1 for lo, hi in window):
         raise WindowMarginError(
@@ -473,27 +468,26 @@ def mv_connecting_biprincipal(f: tuple[int, ...], g: tuple[int, ...],
     oracle_ok = True
     exact_ok = True
     dlin_ok = True
-    skipped = []
-    degrees = list(window_degrees(window))
-    inner = set()
-    for d in degrees:
+    skipped = 0
+    patterns = set()
+    for d in window_degrees(window):
+        N = _pattern(d, n)
+        if N not in patterns:
+            patterns.add(N)
+            if not mv.fibre_matches_sum_cech(d):
+                oracle_ok = False
+            if not mv.exact_at(d):
+                exact_ok = False
         if all(lo < x <= hi for x, (lo, hi) in zip(d, window)):
-            inner.add(d)
-    for d in degrees:
-        if not mv.fibre_matches_sum_cech(d):
-            oracle_ok = False
-        if not mv.exact_at(d):
-            exact_ok = False
-        if d in inner:
             if not mv.delta_commutes_with_partials(d):
                 dlin_ok = False
         else:
-            skipped.append(d)
+            skipped += 1
     return {
         "h_oracle_matches": oracle_ok,
         "long_sequence_exact": exact_ok,
         "delta_d_linear": dlin_ok,
-        "boundary_degrees_skipped": len(skipped),
+        "boundary_degrees_skipped": skipped,
         "lcm": mv.h,
     }
 
@@ -506,38 +500,27 @@ def gamma_torsion_cyclic(J: Ideal, I: Ideal) -> Ideal:
     return saturation(J, I)
 
 
-def localization_piece_nonzero(f: tuple[int, ...], d: tuple[int, ...],
-                               mod_r: bool = False) -> bool:
-    sup = {j for j, x in enumerate(f) if x > 0}
-    if not all(x >= 0 for j, x in enumerate(d) if j not in sup):
-        return False
-    if mod_r and all(x >= 0 for x in d):
-        return False
-    return True
-
-
 def gamma_torsion_localization(f: tuple[int, ...], i_gens: list[tuple[int, ...]],
                                window: list[tuple[int, int]],
                                mod_r: bool = False) -> dict:
     """Per-degree torsion indicator of Gamma_I on R_f (or R_f/R).
 
-    A basis class x^d is torsion iff some power of every generator pushes
-    it to zero; in R_f itself no nonzero class is torsion (the ring is a
-    domain), while in R_f/R the criterion is that every variable with a
-    negative exponent divides every generator."""
+    The piece of R_f at d is nonzero iff N(d) lies in supp f; that of R_f/R
+    iff moreover N(d) is nonempty.  A basis class x^d is torsion iff some
+    power of every generator pushes it to zero; in R_f itself no nonzero
+    class is torsion (the ring is a domain), while in R_f/R the criterion
+    is that every variable with a negative exponent divides every
+    generator: N(d) lies in supp g for each generator g."""
     if not i_gens:
         raise ValueError("need generators")
-    common = [min(g[j] for g in i_gens) for j in range(len(f))]
+    n = len(f)
+    # x^d is a torsion class of R_f/R iff N(d) is nonempty and lies in the
+    # support of f and of every generator
+    torsion_support = _support(f, n).intersection(*(_support(g, n) for g in i_gens))
     out = {}
     for d in window_degrees(window):
-        if not localization_piece_nonzero(f, d, mod_r):
-            out[d] = 0
-            continue
-        if not mod_r:
-            out[d] = 0  # a domain has no torsion
-            continue
-        negative = [j for j, x in enumerate(d) if x < 0]
-        out[d] = 1 if all(common[j] > 0 for j in negative) else 0
+        N = _pattern(d, n)
+        out[d] = int(mod_r and bool(N) and N <= torsion_support)
     return out
 
 
@@ -548,6 +531,7 @@ def gamma_dstable_check(f: tuple[int, ...], i_gens: list[tuple[int, ...]],
     (or leaves the window, which is flagged, not failed)."""
     torsion = gamma_torsion_localization(f, i_gens, window, mod_r)
     n = len(f)
+    supp_f = _support(f, n)
     flagged = 0
     for d, is_torsion in torsion.items():
         if not is_torsion:
@@ -560,7 +544,8 @@ def gamma_dstable_check(f: tuple[int, ...], i_gens: list[tuple[int, ...]],
             if any(not (lo <= x <= hi) for x, (lo, hi) in zip(d2, window)):
                 flagged += 1
                 continue
-            if not localization_piece_nonzero(f, d2, mod_r):
+            N2 = _pattern(d2, n)
+            if not N2 <= supp_f or (mod_r and not N2):
                 continue  # the image is zero in the module
             if not torsion[d2]:
                 return {"stable": False, "failure": (d, k), "flagged": flagged,

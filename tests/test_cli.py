@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import weylcas
 from weylcas.cli import main
 
@@ -145,6 +147,20 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "weyl-lnf", "x1^-1")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lc-piece", "--ideal", "x1,x2", "--i", "5", "--degree", "-1,-1"],
+    ["lc-piece", "--ideal", "x1,x2", "--i", "-1", "--degree", "-1,-1"],
+    ["lc-piece", "--ideal", "x1,x2", "--i", "2", "--degree", "-1,x"],
+    ["lc-piece", "--ideal", "1", "--i", "0", "--degree", "-1"],
+    ["lc-mv", "--i-gens", "x1", "--j-gens", "x2", "--window", "0..0"],
+], ids=["i-above", "i-below", "degree-parse", "unit-ideal", "window-margin"])
+def test_lc_input_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_unknown_flag_rejected(capsys):
