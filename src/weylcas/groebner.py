@@ -5,8 +5,12 @@ monomials of zero-dimensional ideals.  S-pairs wait in a heap keyed by the
 order key of their lcm, computed once when the pair is made; each new basis
 element goes through the Gebauer-Moeller update, which drops the pairs its
 criteria make redundant.  Reductions keep their working terms in a heap
-front, so every term's order key is computed once.  Reduced bases are
-computed so that a given ideal and order determine the basis uniquely.
+front, so every term's order key is computed once.
+
+Reduction runs on primitive integer polynomials: basis elements are split
+into head and tail once, and a head c*x^e divided by a head h*x^f first
+scales the working terms by h/gcd(c, h) (pseudo-division).  Only the final
+reduced basis, unique for the ideal and order, is made monic over Q.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 from operator import add, le, sub
 
 from .poly import GREVLEX, SparsePoly, TermOrder
@@ -78,30 +83,66 @@ def _subtract(work, front, key, fac, shift, tail):
                 del work[te]
 
 
-def _head_and_tail(g: SparsePoly, order: TermOrder):
-    he, hc = g.leading_term(order)
-    return he, hc, [(ge, gc) for ge, gc in g.terms.items() if ge != he]
+def _primitive(terms):
+    """(p, den, num): the integer term map p = (den / num) * terms whose
+    coefficients have gcd 1, with den, num > 0 ints."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    num = gcd(*[c.numerator for c in terms.values()]) or 1
+    return {e: c.numerator * (den // c.denominator) // num for e, c in terms.items()}, den, num
+
+
+def _record(ints, key):
+    """A divisor of the integer reduction: (head exponent, head coefficient,
+    tail), split once."""
+    he = max(ints, key=key)
+    return he, ints[he], [(e, c) for e, c in ints.items() if e != he]
+
+
+def _reduce(work, front, key, divisors):
+    """Pseudo-reduce the integer working terms by the divisor records: each
+    term is divided by the first divisor whose head divides it, after the
+    working terms and the remainder are scaled so that the division is exact
+    on integers.  Returns the primitive remainder r and the positive ints
+    lam, content with content * r = lam * (the normal form of the input)."""
+    remainder = {}
+    lam = 1
+    while work:
+        e, c = _pop_head(work, front)
+        for he, hc, tail in divisors:
+            if _divides(he, e):
+                g = gcd(c, hc)
+                m, q = hc // g, c // g
+                if m < 0:
+                    m, q = -m, -q
+                if m != 1:
+                    work = {t: v * m for t, v in work.items()}
+                    remainder = {t: v * m for t, v in remainder.items()}
+                    lam *= m
+                _subtract(work, front, key, q, _exp_sub(e, he), tail)
+                break
+        else:
+            remainder[e] = c
+    r, _, content = _primitive(remainder)
+    return r, lam, content
 
 
 def reduce_poly(f: SparsePoly, basis: list[SparsePoly], order: TermOrder) -> SparsePoly:
     """Full normal form of f modulo basis: no remaining term is divisible
     by any basis head term.  Each term is divided by the first basis
-    element whose head divides it."""
-    if not basis:
-        return f
+    element whose head divides it; zero elements divide nothing."""
+    for g in basis:
+        f._check_same_ring(g)
     key = order.key
-    divisors = [_head_and_tail(g, order) for g in basis]
-    remainder: dict[tuple[int, ...], Fraction] = {}
-    work, front = _front(f.terms, key)
-    while work:
-        e, c = _pop_head(work, front)
-        for he, hc, tail in divisors:
-            if _divides(he, e):
-                _subtract(work, front, key, c / hc, _exp_sub(e, he), tail)
-                break
-        else:
-            remainder[e] = c
-    return SparsePoly(f.vars, remainder)
+    divisors = [_record(_primitive(g.terms)[0], key) for g in basis if g.terms]
+    if not divisors or not f.terms:
+        return f
+    ints, den, num = _primitive(f.terms)
+    r, lam, content = _reduce(*_front(ints, key), key, divisors)
+    if r == ints:  # no term was divisible
+        return f
+    # content * num * r = lam * den * (normal form of f)
+    a, b = content * num, lam * den
+    return SparsePoly(f.vars, {e: Fraction(c * a, b) for e, c in r.items()})
 
 
 def s_polynomial(f: SparsePoly, g: SparsePoly, order: TermOrder) -> SparsePoly:
@@ -115,24 +156,31 @@ def s_polynomial(f: SparsePoly, g: SparsePoly, order: TermOrder) -> SparsePoly:
 
 def buchberger(generators: list[SparsePoly], order: TermOrder) -> list[SparsePoly]:
     """Reduced Groebner basis of the ideal generated by `generators`."""
-    basis = [g for g in generators if not g.is_zero()]
+    for g in generators[1:]:
+        generators[0]._check_same_ring(g)
+    key = order.key
+    basis = [_record(_primitive(g.terms)[0], key) for g in generators if g.terms]
+    if not basis:
+        return []
+
+    def reduced(rec, divisors):
+        return _reduce(*_front(dict([rec[:2]] + rec[2]), key), key, divisors)[0]
+
     # interreduce the input to cut pair churn; one element at a time so the
     # span is preserved at every step.  Afterwards no head divides another.
     changed = True
     while changed:
         changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1:]
-            r = reduce_poly(basis[i], others, order)
-            if r.terms != basis[i].terms:
+        for i, rec in enumerate(basis):
+            r = reduced(rec, basis[:i] + basis[i + 1:])
+            if r != dict([rec[:2]] + rec[2]):
                 changed = True
-                if r.is_zero():
-                    basis.pop(i)
+                if r:
+                    basis[i] = _record(r, key)
                 else:
-                    basis[i] = r
+                    basis.pop(i)
                 break
 
-    key = order.key
     heads: list[tuple[int, ...]] = []
     active: list[int] = []  # basis indices whose head no later head divides
     pairs: list = []  # heap of (key(lcm), i, j, lcm) with i < j
@@ -160,29 +208,36 @@ def buchberger(generators: list[SparsePoly], order: TermOrder) -> list[SparsePol
         active[:] = [g for g in active if not _divides(h, heads[g])]
         active.append(new)
 
-    for i, g in enumerate(basis):
-        heads.append(g.leading_term(order)[0])
+    for i, rec in enumerate(basis):
+        heads.append(rec[0])
         update(i)
     while pairs:
-        _, i, j, _ = heappop(pairs)
-        r = reduce_poly(
-            s_polynomial(basis[i], basis[j], order), [basis[k] for k in active], order
-        )
-        if r.is_zero():
+        _, i, j, l = heappop(pairs)
+        # the S-polynomial (c_j/gamma) x^(l-h_i) b_i - (c_i/gamma) x^(l-h_j) b_j,
+        # whose heads cancel, built from the two tails
+        hi, ci, ti = basis[i]
+        hj, cj, tj = basis[j]
+        gamma = gcd(ci, cj)
+        work, front = {}, []
+        _subtract(work, front, key, -(cj // gamma), _exp_sub(l, hi), ti)
+        _subtract(work, front, key, ci // gamma, _exp_sub(l, hj), tj)
+        r = _reduce(work, front, key, [basis[k] for k in active])[0]
+        if not r:
             continue
-        basis.append(r)
-        heads.append(r.leading_term(order)[0])
+        basis.append(_record(r, key))
+        heads.append(basis[-1][0])
         update(len(basis) - 1)
 
-    # the active elements form a minimal basis; tail-reduce and normalize
-    keep = [basis[k] for k in active]
-    reduced = []
-    for i, g in enumerate(keep):
-        r = reduce_poly(g, keep[:i] + keep[i + 1:], order)
-        _, lc = r.leading_term(order)
-        reduced.append(r * (1 / lc))
-    reduced.sort(key=lambda g: key(g.leading_term(order)[0]))
-    return reduced
+    # the active elements form a minimal basis; tail-reduce and make monic.
+    # Each result is the unique reduced element with its head, whatever the
+    # order of the divisors, so they can be sorted first.
+    keep = sorted((basis[k] for k in active), key=lambda rec: key(rec[0]))
+    out = []
+    for i, rec in enumerate(keep):
+        r = reduced(rec, keep[:i] + keep[i + 1:])
+        hc = r[rec[0]]
+        out.append(SparsePoly(generators[0].vars, {e: Fraction(c, hc) for e, c in r.items()}))
+    return out
 
 
 class Ideal:
@@ -281,12 +336,14 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 
 def divide_exact(f: SparsePoly, g: SparsePoly, order: TermOrder = GREVLEX) -> SparsePoly | None:
     """f / g when g divides f exactly, else None."""
+    f._check_same_ring(g)
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
         return SparsePoly.zero(f.vars)
     key = order.key
-    he, hc, tail = _head_and_tail(g, order)
+    he, hc = g.leading_term(order)
+    tail = [(ge, gc) for ge, gc in g.terms.items() if ge != he]
     quotient: dict[tuple[int, ...], Fraction] = {}
     work, front = _front(f.terms, key)
     while work:

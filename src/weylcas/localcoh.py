@@ -57,7 +57,11 @@ def _pattern(d, nvars: int) -> frozenset[int]:
 
 
 def _support(e, nvars: int) -> frozenset[int]:
-    """supp(e) = {j : e_j > 0}, which is N(-e)."""
+    """supp(e) = {j : e_j > 0}, which is N(-e).  Every generator exponent
+    takes this path, so a negative entry, which names no monomial, is
+    refused here."""
+    if any(x < 0 for x in e):
+        raise ValueError(f"negative entry in monomial exponent {tuple(e)}")
     return _pattern([-x for x in e], nvars)
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,10 @@ from weylcas.groebner import (
     Ideal,
     NotZeroDimensionalError,
     _BlockElimOrder,
+    _front,
+    _primitive,
+    _record,
+    _reduce,
     buchberger,
     divide_exact,
     ideal_power,
@@ -410,3 +415,99 @@ def test_reduce_poly_and_divide_exact_match_reference():
             assert (got is None) == (want is None)
             if want is not None:
                 assert got.terms == want.terms
+
+
+# ---------- the integer reduction core ----------
+
+AB = ("a", "b")
+a = SparsePoly.variable(AB, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: buchberger([x, a], GREVLEX),
+    lambda: ideal(x, y).contains(a),
+    lambda: ideal(x).reduce(a),
+    lambda: reduce_poly(a, [x], GREVLEX),
+    lambda: divide_exact(a, x),
+], ids=["buchberger", "contains", "reduce", "reduce_poly", "divide_exact"])
+def test_polynomial_over_another_ring_is_refused(call):
+    with pytest.raises(ValueError, match="variable lists differ") as info:
+        call()
+    assert "('x', 'y')" in str(info.value) and "('a', 'b')" in str(info.value)
+
+
+def test_zero_basis_element_divides_nothing():
+    f = x ** 2 * y + 3 * y ** 2 - x
+    zero = SparsePoly.zero(XY)
+    assert reduce_poly(f, [zero, x * y - 1], GREVLEX).terms == ref_reduce_poly(
+        f, [x * y - 1], GREVLEX).terms
+    assert reduce_poly(f, [zero], GREVLEX) == f
+
+
+def _wide_coefficient(rng):
+    """A coefficient of either sign with a denominator up to 10^12."""
+    num = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 6))
+    return Fraction(num, rng.randint(1, 10 ** rng.randint(0, 12)))
+
+
+def _wide_poly(rng, n, max_deg, n_terms, min_deg=0):
+    p = _random_poly(rng, n, max_deg, n_terms, min_deg)
+    return SparsePoly(p.vars, {e: _wide_coefficient(rng) for e in p.terms})
+
+
+def _negative_heads(polys, order):
+    return sum(g.leading_term(order)[1] < 0 for g in polys if not g.is_zero())
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, _BlockElimOrder(1)],
+                         ids=["grevlex", "lex", "elim"])
+def test_buchberger_matches_reference_on_wide_coefficients(order):
+    rng = random.Random(f"wide buchberger {order!r}")
+    negative = 0
+    for trial in range(24):
+        # without constant terms the ideal is proper, so the bases are not [1]
+        n = 2 + trial % 2
+        gens = [_wide_poly(rng, n, 3 - trial % 2, 3, min_deg=1) for _ in range(n)]
+        negative += _negative_heads(gens, order)
+        assert _same_basis(buchberger(gens, order), ref_buchberger(gens, order)), gens
+    assert negative >= 20
+
+
+def test_reduce_poly_matches_reference_on_wide_coefficients():
+    rng = random.Random("wide reduce")
+    orders = [GREVLEX, LEX, _BlockElimOrder(1)]
+    negative = 0
+    for trial in range(60):
+        n = 2 + trial % 3
+        order = orders[trial % len(orders)]
+        basis = [_wide_poly(rng, n, 2, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        negative += _negative_heads(basis, order)
+        f = _wide_poly(rng, n, 4, 6)
+        assert reduce_poly(f, basis, order).terms == ref_reduce_poly(f, basis, order).terms
+    assert negative >= 30
+
+
+def test_pseudo_remainder_is_a_primitive_positive_multiple():
+    # the core returns r = s * NF(f) with r primitive and s > 0
+    rng = random.Random("pseudo remainder")
+    for trial in range(60):
+        n = 2 + trial % 2
+        basis = [_wide_poly(rng, n, 2, rng.randint(2, 3)) for _ in range(rng.randint(1, 3))]
+        basis = [g for g in basis if not g.is_zero()]
+        f = _wide_poly(rng, n, 4, 6)
+        want = ref_reduce_poly(f, basis, GREVLEX).terms
+        ints, den, num = _primitive(f.terms)
+        divisors = [_record(_primitive(g.terms)[0], GREVLEX.key) for g in basis]
+        r, lam, content = _reduce(*_front(ints, GREVLEX.key), GREVLEX.key, divisors)
+        assert all(isinstance(c, int) for c in r.values())
+        assert lam > 0 and content > 0
+        scale = Fraction(lam * den, content * num)
+        assert r == {e: c * scale for e, c in want.items()}
+        if r:
+            assert math.gcd(*r.values()) == 1
+
+
+@pytest.mark.parametrize("system", ["cyclic-5", "katsura-4"])
+def test_large_named_systems_match_reference(system):
+    gens = _cyclic(5) if system == "cyclic-5" else _katsura(4)
+    assert _same_basis(buchberger(gens, GREVLEX), ref_buchberger(gens, GREVLEX))

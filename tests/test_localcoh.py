@@ -494,3 +494,21 @@ def test_one_build_per_sign_pattern(monkeypatch):
             mv.exact_at(d)
             mv.delta_commutes_with_partials(d)
         assert builds[id(mv)] == 2 ** n
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CechComplex(1, [(-1,)]).cohomology_dim(1, (-2,)),
+    lambda: CechComplex(2, [(1, -1)]).cohomology_dim(1, (-2, 0)),
+    lambda: cech_cohomology_piece([(1, 0), (0, -2)], 2, (-1, -1)),
+    lambda: BiPrincipalMV((1, 0), (0, -1), 2),
+    lambda: mv_dimension_check([(1, 0)], [(-1, 1)], [(-1, 1), (-1, 1)]),
+    lambda: mv_connecting_biprincipal((1, -1), (0, 1), [(-2, 2), (-2, 2)]),
+    lambda: gamma_torsion_localization((1, -1), [(1, 0)], [(-2, 2), (-2, 2)], mod_r=True),
+    lambda: gamma_torsion_localization((1, 0), [(0, 1), (2, -1)], [(-2, 2), (-2, 2)]),
+    lambda: gamma_dstable_check((-1, 1), [(1, 1)], [(-2, 2), (-2, 2)], mod_r=True),
+], ids=["cech-1var", "cech-2var", "cech-piece", "biprincipal", "mv-dimension",
+        "mv-connecting", "gamma-f", "gamma-generator", "gamma-dstable"])
+def test_negative_exponent_is_refused(call):
+    # a generator exponent with a negative entry names no monomial of S
+    with pytest.raises(ValueError, match="negative entry in monomial exponent"):
+        call()
