@@ -260,11 +260,13 @@ class Ideal:
         return self._gb_cache[order]
 
     def contains(self, f: SparsePoly, order: TermOrder = GREVLEX) -> bool:
-        if f.is_zero():
+        if f.is_zero() and f.vars == self.vars:
             return True
-        return reduce_poly(f, self.groebner_basis(order), order).is_zero()
+        return self.reduce(f, order).is_zero()
 
     def reduce(self, f: SparsePoly, order: TermOrder = GREVLEX) -> SparsePoly:
+        if f.vars != self.vars:
+            raise ValueError(f"variable lists differ: {self.vars} vs {f.vars}")
         return reduce_poly(f, self.groebner_basis(order), order)
 
     def is_zero(self) -> bool:

@@ -1,5 +1,5 @@
 """tools/benchpair.py with a stubbed runner: pairing, medians, the JSON
-report, and the worktree export on a throwaway repository.  The benchmark
+report, and the export of a revision of a throwaway repository.  The benchmark
 itself never runs here."""
 
 import json
@@ -76,13 +76,15 @@ def test_quartile_distance_of_a_single_run_is_zero():
     assert benchpair.quartile_distance([3.0]) == 0.0
 
 
-def test_directions_come_from_the_benchmark_declaration():
-    directions = benchpair.metric_directions(benchpair.ROOT / "BENCHMARK.json")
+def test_directions_and_run_length_come_from_the_benchmark_declaration():
+    declared = json.loads((benchpair.ROOT / "BENCHMARK.json").read_text())
+    directions, seconds = benchpair.read_benchmark(benchpair.ROOT / "BENCHMARK.json")
     assert directions["jobs_per_s"] == "higher" and directions["job_p90_ms"] == "lower"
+    assert seconds == declared["run_seconds"]
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_export_and_removal_of_a_revision(tmp_path):
+def test_export_of_a_revision_holds_its_committed_files_only(tmp_path):
     repo = tmp_path / "repo"
     repo.mkdir()
 
@@ -95,11 +97,13 @@ def test_export_and_removal_of_a_revision(tmp_path):
     git("add", "f.txt")
     git("commit", "-q", "-m", "parent")
     (repo / "f.txt").write_text("change\n")
+    (repo / "untracked.txt").write_text("not committed\n")
     dest = tmp_path / "export" / "parent"
     benchpair.export_revision("HEAD", dest, repo=repo)
+    assert sorted(p.name for p in dest.iterdir()) == ["f.txt"]
     assert (dest / "f.txt").read_text() == "parent\n"
-    benchpair.remove_worktree(dest, repo=repo)
-    assert not dest.exists()
+    # the repository itself is untouched: no worktree, same working files
     listed = subprocess.run(["git", "worktree", "list"], cwd=repo, check=True,
                             capture_output=True, text=True).stdout
     assert len(listed.splitlines()) == 1
+    assert (repo / "f.txt").read_text() == "change\n"

@@ -427,9 +427,13 @@ a = SparsePoly.variable(AB, 0)
     lambda: buchberger([x, a], GREVLEX),
     lambda: ideal(x, y).contains(a),
     lambda: ideal(x).reduce(a),
+    lambda: Ideal(XY, []).reduce(a),
+    lambda: Ideal(XY, []).contains(a),
+    lambda: ideal(x).contains(SparsePoly.zero(AB)),
     lambda: reduce_poly(a, [x], GREVLEX),
     lambda: divide_exact(a, x),
-], ids=["buchberger", "contains", "reduce", "reduce_poly", "divide_exact"])
+], ids=["buchberger", "contains", "reduce", "zero-ideal-reduce", "zero-ideal-contains",
+        "contains-zero", "reduce_poly", "divide_exact"])
 def test_polynomial_over_another_ring_is_refused(call):
     with pytest.raises(ValueError, match="variable lists differ") as info:
         call()

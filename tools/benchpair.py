@@ -3,14 +3,15 @@
 Usage, from the root of a checkout:
 
     python3 tools/benchpair.py --pr N --parent HEAD --workload groebner --pairs 10
-    python3 tools/benchpair.py --pr N --parent main --pairs 5 --seconds 20
+    python3 tools/benchpair.py --pr N --parent main --pairs 5
 
-The parent revision is exported with `git worktree add --detach` into a
-temporary directory, which is removed afterwards; with --parent-tree, an
-existing checkout of that revision is used instead.  Each pair runs
-`perfbench/run.py --trace 0` once on the parent and once on the working
-tree with the same seed, and alternates which side runs first, so that
-drift on a shared host favours neither.  Pair k uses seed --seed + k.
+The committed files of the parent revision are exported with `git archive`
+into a temporary directory, which is removed afterwards; the export leaves
+nothing behind in the repository.  Each pair runs `perfbench/run.py
+--trace 0` once on the parent and once on the working tree with the same
+seed and the run length `BENCHMARK.json` declares, and alternates which
+side runs first, so that drift on a shared host favours neither.  Pair k
+uses seed --seed + k.
 
 BENCH_<pr>.json then holds, per workload and end-to-end metric, both
 sides' medians, the distance between the quartiles of the parent's runs,
@@ -22,6 +23,7 @@ attempted job counts of every run.  Only the standard library is used.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -29,6 +31,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -98,24 +101,24 @@ def summarise(runs, better):
     return out
 
 
-def metric_directions(benchmark_json):
+def read_benchmark(benchmark_json):
+    """The end-to-end metrics' directions and the run length in seconds."""
     spec = json.loads(Path(benchmark_json).read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}, spec["run_seconds"]
 
 
-def _git(*args, cwd=ROOT):
-    return subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True,
+def _git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
 
 
 def export_revision(rev, dest, repo=ROOT):
-    """Check `rev` out at `dest` as a detached worktree of `repo`."""
-    _git("worktree", "add", "--detach", str(dest), rev, cwd=repo)
-
-
-def remove_worktree(dest, repo=ROOT):
-    _git("worktree", "remove", "--force", str(dest), cwd=repo)
-    _git("worktree", "prune", cwd=repo)
+    """Write the files `rev` of `repo` commits into the new directory `dest`."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=repo,
+                             capture_output=True, check=True).stdout
+    Path(dest).mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
 
 
 def _print_table(summary):
@@ -131,41 +134,31 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pr", required=True, help="names the output, BENCH_<pr>.json")
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent")
-    parser.add_argument("--parent-tree", type=Path,
-                        help="an existing checkout of --parent, used instead of exporting it")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="repeatable; all four when absent")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
     args = parser.parse_args(argv)
     workloads = args.workload or list(WORKLOADS)
+    better, seconds = read_benchmark(ROOT / "BENCHMARK.json")
     meta = {
         "parent": f"{args.parent} = {_git('rev-parse', args.parent)}",
         "change": f"working tree on {_git('rev-parse', 'HEAD')}"
-                  + (" with uncommitted changes" if _git("status", "--porcelain") else ""),
-        "pairs": args.pairs, "seconds": args.seconds, "first_seed": args.seed,
+                  + (" with uncommitted changes" if _git("status", "--porcelain", "--untracked-files=no") else ""),
+        "pairs": args.pairs, "seconds": seconds, "first_seed": args.seed,
         "command": "perfbench/run.py --trace 0",
         "host": f"{platform.machine()}, {os.cpu_count()} cpus, "
                 f"{platform.python_implementation()} {platform.python_version()}",
     }
-    tmp = None
+    tmp = Path(tempfile.mkdtemp(prefix="benchpair-"))
     try:
-        if args.parent_tree is None:
-            tmp = Path(tempfile.mkdtemp(prefix="benchpair-"))
-            parent_tree = tmp / "parent"
-            export_revision(args.parent, parent_tree)
-        else:
-            parent_tree = args.parent_tree.resolve()
-        runs = run_pairs(run_perfbench, {"parent": parent_tree, "change": ROOT}, workloads,
-                         args.pairs, args.seed, args.seconds,
+        export_revision(args.parent, tmp / "parent")
+        runs = run_pairs(run_perfbench, {"parent": tmp / "parent", "change": ROOT}, workloads,
+                         args.pairs, args.seed, seconds,
                          log=lambda line: print(line, flush=True))
     finally:
-        if tmp is not None:
-            if parent_tree.exists():
-                remove_worktree(parent_tree)
-            shutil.rmtree(tmp, ignore_errors=True)
-    summary = summarise(runs, metric_directions(ROOT / "BENCHMARK.json"))
+        shutil.rmtree(tmp, ignore_errors=True)
+    summary = summarise(runs, better)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps({"meta": meta, "workloads": summary}, indent=1) + "\n")
     _print_table(summary)
