@@ -164,12 +164,12 @@ class LocalFactor:
         self._is_full = self.dim == algebra.dim and all(
             v == linalg.unit_vector(algebra.dim, i) for i, v in enumerate(basis_vectors)
         )
-        self._solver = None  # built on the first solve; a full factor needs none
+        self._span = None  # built on the first solve; a full factor needs none
 
     def _coords(self, ambient_vector):
-        if self._solver is None:
-            self._solver = linalg.ColumnSolver(self.basis_vectors)
-        return self._solver.solve(ambient_vector)
+        if self._span is None:
+            self._span = linalg.Subspace(self.algebra.dim, self.basis_vectors)
+        return self._span.coords(ambient_vector)
 
     def restrict(self, ambient_matrix) -> list[list[Fraction]]:
         """Restriction of an ambient multiplication operator to the factor,

@@ -65,8 +65,7 @@ class CurveExtension:
     def __init__(self, structural_map: SparsePoly | None = None,
                  relation: SparsePoly | None = None,
                  maximal_ideal: list[SparsePoly] | None = None,
-                 base_var: str = "x", ext_var: str = "y",
-                 check_maximal: bool = True):
+                 base_var: str = "x", ext_var: str = "y"):
         if (structural_map is None) == (relation is None):
             raise ValueError("give exactly one of structural_map or relation")
         self.base_var = base_var
@@ -99,8 +98,7 @@ class CurveExtension:
             if g.vars != self.s_vars:
                 raise ValueError("maximal ideal generator over the wrong ring")
         self.maximal_ideal = list(maximal_ideal)
-        if check_maximal:
-            self.residue_field_algebra()
+        self.residue_field_algebra()
 
     # ---------- quotients of S ----------
 
@@ -301,18 +299,15 @@ def maximal_ideal_stabilization_index(ext: CurveExtension) -> int:
     m-primary component this is the least s with m^s inside Q_1."""
     A = ext.quotient_algebra([ext.nu_in_s()])
     gen_mats = [A.mult_matrix(A.to_vector(g)) for g in ext.maximal_ideal]
-    current = [linalg.unit_vector(A.dim, i) for i in range(A.dim)]
+    current = linalg.Subspace(A.dim, [linalg.unit_vector(A.dim, i) for i in range(A.dim)])
     s = 0
     while True:
-        next_cols = []
-        for m in gen_mats:
-            for v in current:
-                next_cols.append(linalg.mat_vec(m, v))
-        next_basis = linalg.independent_columns(next_cols)
+        following = linalg.Subspace(
+            A.dim, [linalg.mat_vec(m, v) for m in gen_mats for v in current.basis])
         s += 1
-        if len(next_basis) == len(current) and linalg.subspace_equal(next_basis, current):
+        if following == current:
             return s - 1 if s > 1 else 1
-        current = next_basis
+        current = following
 
 
 def socle_growth_oracle(ext: CurveExtension, k_max: int,
@@ -348,17 +343,17 @@ def socle_matches_primary_annihilator(ext: CurveExtension,
     idx = matched_local_factor(A, factors, ext.maximal_ideal)
     hull = TruncatedHull(ext, truncation)
     AB = hull.algebra
-    nu_cols = linalg.independent_columns(linalg.columns(hull.nu_matrix))
-    q1_cols = list(linalg.columns(hull.nu_matrix))
+    nu_span = linalg.Subspace(AB.dim, linalg.columns(hull.nu_matrix))
+    q1_span = linalg.Subspace(AB.dim, nu_span.basis)
     for j, factor in enumerate(factors):
         if j == idx:
             continue
         for v in factor.basis_vectors:
             lift = A.to_poly(v)  # monomial representative, lifted through S
             m = AB.mult_matrix(AB.to_vector(lift))
-            q1_cols.extend(linalg.columns(m))
-    q1_basis = linalg.independent_columns(q1_cols)
-    return linalg.subspace_equal(nu_cols, q1_basis)
+            for col in linalg.columns(m):
+                q1_span.add(col)
+    return nu_span == q1_span
 
 
 # ---------- associated primes over R = Q[x] ----------
@@ -477,40 +472,28 @@ class ArtinModule:
 
     def submodule_closure(self, vectors) -> list:
         """Basis of the A-submodule generated by the given vectors."""
-        basis = linalg.independent_columns(list(vectors))
-        frontier = list(basis)
+        span = linalg.Subspace(self.dim)
+        frontier = [v for v in vectors if span.add(v)]
         while frontier:
-            new_frontier = []
-            for m in self.var_actions:
-                for v in frontier:
-                    w = linalg.mat_vec(m, v)
-                    if not linalg.column_space_contains(basis, w):
-                        basis.append(w)
-                        new_frontier.append(w)
-            frontier = new_frontier
-        return basis
+            images = [linalg.mat_vec(m, v) for m in self.var_actions for v in frontier]
+            frontier = [w for w in images if span.add(w)]
+        return span.basis
 
     def quotient_by(self, subspace_cols) -> "ArtinModule":
-        """Quotient module by an action-stable subspace."""
-        ech, pivots = linalg.rref(linalg.transpose(linalg.from_columns(subspace_cols))) \
-            if subspace_cols else ([], [])
-        complement = [i for i in range(self.dim) if i not in pivots]
-
-        def project(v):
-            v = v[:]
-            for row, p in zip(ech, pivots):
-                c = v[p]
-                if c != 0:
-                    for i in range(self.dim):
-                        v[i] -= c * row[i]
-            return [v[i] for i in complement]
-
-        new_actions = []
-        for m in self.var_actions:
-            cols = [project(linalg.mat_vec(m, linalg.unit_vector(self.dim, c)))
-                    for c in complement]
-            new_actions.append(linalg.from_columns(cols))
-        return ArtinModule(self.algebra, new_actions, len(complement))
+        """Quotient module by an action-stable subspace; a subspace that
+        some variable moves out of itself raises ValueError."""
+        span = linalg.Subspace(self.dim, subspace_cols)
+        if any(linalg.mat_vec(m, v) not in span for m in self.var_actions for v in span.basis):
+            raise ValueError("subspace is not stable under the action")
+        # e_c lies in the span plus the later unit vectors exactly when c is
+        # a pivot column, so this keeps the non-pivot unit vectors: they
+        # project to the unit vectors of the quotient
+        extended = linalg.Subspace(self.dim, span.basis)
+        lifts = [e for e in (linalg.unit_vector(self.dim, c) for c in reversed(range(self.dim)))
+                 if extended.add(e)][::-1]
+        new_actions = [linalg.from_columns([span.project(linalg.mat_vec(m, e)) for e in lifts])
+                       for m in self.var_actions]
+        return ArtinModule(self.algebra, new_actions, len(lifts))
 
 
 class HullResult:
@@ -530,8 +513,9 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
     local factor contributes its dual with multiplicity equal to the number
     of factor generators of M^dual / rad M^dual, which matches the socle
     multiplicities of M.  Certificates: the embedding is injective and
-    A-linear, soc(E) lands inside the image (essentiality), and each block
-    satisfies the double-dual identity (injectivity by construction).
+    A-linear, and soc(E) lands inside the image (essentiality).  E is
+    injective by construction: each block is the K-dual of a projective
+    local factor.
     """
     if module.dim == 0:
         raise ValueError("hull of the zero module")
@@ -541,24 +525,11 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
     rad = A.radical_basis()
     dual = module.dual()
     # radical subspace of the dual module
-    rad_cols = []
+    rad_span = linalg.Subspace(dual.dim)
     for r in rad:
-        act = dual.action_of_vector(r)
-        for j in range(dual.dim):
-            rad_cols.append([act[i][j] for i in range(dual.dim)])
-    rad_basis = linalg.independent_columns(rad_cols)
-    ech, pivots = linalg.rref(linalg.transpose(linalg.from_columns(rad_basis))) \
-        if rad_basis else ([], [])
-    complement = [i for i in range(dual.dim) if i not in pivots]
-
-    def project(v):
-        v = v[:]
-        for row, p in zip(ech, pivots):
-            c = v[p]
-            if c != 0:
-                for i in range(dual.dim):
-                    v[i] -= c * row[i]
-        return [v[i] for i in complement]
+        for col in linalg.columns(dual.action_of_vector(r)):
+            rad_span.add(col)
+    top_dim = dual.dim - rad_span.dim
 
     basis_actions_on_dual = {}
 
@@ -572,24 +543,20 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
     for factor in factors:
         e_act = dual_action_of(factor.idempotent)
         # K-dimension of the factor component of dual/rad(dual)
-        comp_cols = [project(linalg.mat_vec(e_act, linalg.unit_vector(dual.dim, j)))
-                     for j in range(dual.dim)]
-        target_dim = len(linalg.independent_columns([c for c in comp_cols if any(c)]))
+        target_dim = linalg.Subspace(
+            top_dim, [rad_span.project(col) for col in linalg.columns(e_act)]).dim
         gens = []
-        covered: list = []
+        covered = linalg.Subspace(top_dim)
         for j in range(dual.dim):
-            if len(covered) >= target_dim:
+            if covered.dim >= target_dim:
                 break
             candidate = linalg.mat_vec(e_act, linalg.unit_vector(dual.dim, j))
-            img = project(candidate)
-            if not any(img) or linalg.column_space_contains(covered, img):
+            if rad_span.project(candidate) in covered:
                 continue
             gens.append(candidate)
             # enlarge by the K-span of the A-orbit of the image
             for b in factor.basis_vectors:
-                w = project(linalg.mat_vec(dual_action_of(b), candidate))
-                if any(w) and not linalg.column_space_contains(covered, w):
-                    covered.append(w)
+                covered.add(rad_span.project(linalg.mat_vec(dual_action_of(b), candidate)))
         generators_per_factor.append(gens)
 
     # assemble the cover F = (+)_i A_i^{d_i} -> dual, then dualize
@@ -630,14 +597,8 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
         for v in range(len(A.var_matrices))
     )
     certificates["embedding_linear"] = linearity
-    soc_e = hull_module.socle()
-    image_cols = linalg.columns(embedding)
-    certificates["essential"] = all(
-        linalg.column_space_contains(image_cols, v) for v in soc_e
-    )
-    certificates["double_dual_identity"] = all(
-        linalg.transpose(linalg.transpose(m)) == m for m in hull_actions
-    )
+    image = linalg.Subspace(e_dim, linalg.columns(embedding))
+    certificates["essential"] = all(v in image for v in hull_module.socle())
     multiplicities = [len(g) for g in generators_per_factor]
     return HullResult(hull_module, embedding, multiplicities, certificates)
 
@@ -650,10 +611,9 @@ def socle_multiplicities(algebra: ArtinAlgebra, module: ArtinModule,
     out = []
     for factor in factors:
         e_act = module.action_of_vector(factor.idempotent)
-        comp = [linalg.mat_vec(e_act, v) for v in soc]
-        comp = linalg.independent_columns([c for c in comp if any(c)])
+        comp_dim = linalg.Subspace(module.dim, [linalg.mat_vec(e_act, v) for v in soc]).dim
         k_i = factor.residue_dim
-        if len(comp) % k_i != 0:
+        if comp_dim % k_i != 0:
             raise RuntimeError("socle component not a residue-field multiple")
-        out.append(len(comp) // k_i)
+        out.append(comp_dim // k_i)
     return out

@@ -1,7 +1,10 @@
 """Exact linear algebra over Q: row reduction, ranks, kernels, solving,
-block assembly and the cohomology of finite complexes.
+block assembly, the cohomology of finite complexes, and `Subspace`.
 
-Matrices are lists of rows of Fractions and act on column vectors.
+Matrices are lists of rows of Fractions and act on column vectors.  A
+`Subspace` keeps a growing span in reduced row echelon form and answers
+every span question asked of a set of vectors: membership, coordinates
+over the accepted vectors, projection modulo the span, and equality.
 """
 
 from __future__ import annotations
@@ -226,32 +229,6 @@ def from_columns(cols: list[Vector]) -> Matrix:
     return transpose(cols)
 
 
-def column_space_contains(basis_cols: list[Vector], v: Vector) -> bool:
-    if all(x == 0 for x in v):
-        return True
-    if not basis_cols:
-        return False
-    return solve(from_columns(basis_cols), v) is not None
-
-
-def independent_columns(cols: list[Vector]) -> list[Vector]:
-    """A maximal linearly independent subset, in order."""
-    out: list[Vector] = []
-    for v in cols:
-        if not column_space_contains(out, v):
-            out.append(v)
-    return out
-
-
-def subspace_le(u_cols: list[Vector], v_cols: list[Vector]) -> bool:
-    """span(u) <= span(v)?"""
-    return all(column_space_contains(v_cols, u) for u in u_cols)
-
-
-def subspace_equal(u_cols: list[Vector], v_cols: list[Vector]) -> bool:
-    return subspace_le(u_cols, v_cols) and subspace_le(v_cols, u_cols)
-
-
 def intersect_kernels(mats: list[Matrix], dim: int) -> list[Vector]:
     """Basis of the common kernel of the given matrices on Q^dim."""
     stacked: Matrix = []
@@ -273,86 +250,97 @@ def poly_of_matrix(coeffs, a: Matrix) -> Matrix:
     return out
 
 
-class ColumnSolver:
-    """Repeated solving of B c = w for a fixed full-column-rank-or-not B."""
+class Subspace:
+    """A subspace of Q^n, grown one vector at a time.
 
-    def __init__(self, b_columns: list[Vector]):
-        self.cols = len(b_columns)
-        self.rows = len(b_columns[0]) if b_columns else 0
-        b = from_columns(b_columns) if b_columns else []
-        aug = [b[i][:] + unit_vector(self.rows, i) for i in range(self.rows)]
-        r, pivots = rref(aug)
-        self.pivots = [p for p in pivots if p < self.cols]
-        self.red = [row[: self.cols] for row in r]
-        self.ops = [row[self.cols:] for row in r]
-        self.rank = len(self.pivots)
+    The rows are kept in reduced row echelon form: a row's pivot is its
+    first nonzero entry, equal to 1, and every other row is 0 in that
+    column.  Each row also carries its combination over `basis`, the
+    vectors `add` accepted, in order.  The reduced form of a span is
+    unique, so `==` compares rows and `project` does not depend on the
+    order of the vectors.  A vector of the wrong length raises ValueError.
+    """
 
-    def solve(self, w: Vector) -> Vector | None:
-        support = [(j, x) for j, x in enumerate(w) if x != 0]
-        ew = [sum((row[j] * x for j, x in support), Fraction(0)) for row in self.ops]
-        for i in range(self.rank, self.rows):
-            if ew[i] != 0:
-                return None
-        # free variables are zero, so each pivot coordinate reads off directly
-        c = [Fraction(0)] * self.cols
-        for i, p in enumerate(self.pivots):
-            c[p] = ew[i]
-        return c
+    def __init__(self, n: int, vectors=()):
+        self._n = n
+        self.basis: list[Vector] = []
+        self._rows: dict[int, Vector] = {}  # pivot -> row
+        self._combos: dict[int, Vector] = {}  # pivot -> row as a combination of basis
+        for v in vectors:
+            self.add(v)
 
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
-class KrylovReducer:
-    """Incremental echelon tracking for minimal polynomials of vectors."""
+    def _reduce(self, v: Vector, track: bool):
+        """v minus its part along the rows, and (if track) that part's
+        combination over basis; the rows are 0 at each other's pivots, so
+        one pass clears every pivot column."""
+        if len(v) != self._n:
+            raise ValueError(f"vector of length {len(v)} in a subspace of Q^{self._n}")
+        r = list(v)
+        combo = [Fraction(0)] * len(self.basis) if track else None
+        for p, row in self._rows.items():
+            c = r[p]
+            if c:
+                for j, y in enumerate(row):
+                    if y:
+                        r[j] -= c * y
+                if track:
+                    combo = [x + c * y for x, y in zip(combo, self._combos[p])]
+        return r, combo
 
-    def __init__(self, n: int):
-        self.n = n
-        self.pivot_of: dict[int, int] = {}
-        self.reduced: list[Vector] = []
-        self.combos: list[Vector] = []  # coefficients over the power basis
+    def add(self, v: Vector) -> bool:
+        """Add v; True when it was not already in the span."""
+        r, combo = self._reduce(v, True)
+        q = next((j for j, x in enumerate(r) if x), None)
+        if q is None:
+            return False
+        for row_combo in self._combos.values():
+            row_combo.append(Fraction(0))
+        inv = 1 / Fraction(r[q])
+        row = [x * inv for x in r]
+        row_combo = [-x * inv for x in combo] + [inv]
+        for p, other in self._rows.items():
+            a = other[q]
+            if a:
+                for j, y in enumerate(row):
+                    if y:
+                        other[j] -= a * y
+                self._combos[p] = [x - a * y for x, y in zip(self._combos[p], row_combo)]
+        self._rows[q] = row
+        self._combos[q] = row_combo
+        self.basis.append(list(v))
+        return True
 
-    def reduce(self, v: Vector, combo: Vector) -> tuple[Vector, Vector]:
-        v = v[:]
-        combo = combo[:]
-        for pivot, idx in self.pivot_of.items():
-            c = v[pivot]
-            if c != 0:
-                rv = self.reduced[idx]
-                rc = self.combos[idx]
-                for i in range(self.n):
-                    v[i] -= c * rv[i]
-                for i in range(len(rc)):
-                    if i < len(combo):
-                        combo[i] -= c * rc[i]
-                    else:
-                        combo.append(-c * rc[i])
-        return v, combo
+    def __contains__(self, v: Vector) -> bool:
+        return not any(self._reduce(v, False)[0])
 
-    def insert(self, v: Vector, combo: Vector) -> bool:
-        """Returns False (and records) if independent, True if v reduced to 0."""
-        v, combo = self.reduce(v, combo)
-        pivot = next((i for i in range(self.n) if v[i] != 0), None)
-        if pivot is None:
-            self.relation = combo
-            return True
-        inv = 1 / v[pivot]
-        self.reduced.append([x * inv for x in v])
-        self.combos.append([x * inv for x in combo])
-        self.pivot_of[pivot] = len(self.reduced) - 1
-        return False
+    def coords(self, v: Vector) -> Vector | None:
+        """The coordinates of v over basis, or None when v is outside."""
+        r, combo = self._reduce(v, True)
+        return None if any(r) else combo
+
+    def project(self, v: Vector) -> Vector:
+        """The non-pivot coordinates of v modulo the subspace."""
+        r = self._reduce(v, False)[0]
+        return [x for j, x in enumerate(r) if j not in self._rows]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self._n == other._n and self._rows == other._rows
 
 
 def minimal_polynomial_of_vector(a: Matrix, v: Vector) -> list[Fraction]:
-    n = len(v)
-    red = KrylovReducer(n)
-    w = v[:]
-    k = 0
-    while True:
-        combo = [Fraction(0)] * k + [Fraction(1)]
-        if red.insert(w, combo):
-            rel = red.relation
-            lead = rel[-1]
-            return [c / lead for c in rel]
+    """Monic generator of {p : p(a) v = 0}: v, a v, a^2 v, ... are added
+    until one lies in the span of the earlier ones."""
+    krylov = Subspace(len(v))
+    w = v
+    while krylov.add(w):
         w = mat_vec(a, w)
-        k += 1
+    return [-c for c in krylov.coords(w)] + [Fraction(1)]
 
 
 def minimal_polynomial(a: Matrix) -> list[Fraction]:

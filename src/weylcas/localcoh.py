@@ -206,11 +206,10 @@ class CohPiece:
         b_cols = []
         if t >= 1 and dims[t - 1] > 0:
             b_cols = [v for v in linalg.columns(diffs[t - 1]) if any(v)]
-        if self.z_cols:
-            self._z_solver = linalg.ColumnSolver(self.z_cols)
+        self._z_span = linalg.Subspace(self.ambient_dim, self.z_cols)
         beta_cols = []
         for b in b_cols:
-            coords = self._z_solver.solve(b)
+            coords = self._z_span.coords(b)
             if coords is None:
                 raise RuntimeError("boundary outside the cocycles")
             beta_cols.append(coords)
@@ -226,7 +225,7 @@ class CohPiece:
         """H-coordinates of an ambient cocycle."""
         if self.h_dim == 0:
             return []
-        coords = self._z_solver.solve(vector)
+        coords = self._z_span.coords(vector)
         if coords is None:
             raise RuntimeError("vector is not a cocycle")
         return [sum((q[i] * coords[i] for i in range(len(coords))), Fraction(0))
@@ -249,11 +248,9 @@ def induced_map(source: CohPiece, target: CohPiece, chain_matrix):
 def _h_basis_lifts(piece: CohPiece):
     """Cocycle representatives whose classes form a basis of H."""
     lifts = []
-    seen: list = []
+    seen = linalg.Subspace(piece.h_dim)
     for zc in piece.z_cols:
-        cls = piece.class_of(zc)
-        if any(cls) and not linalg.column_space_contains(seen, cls):
-            seen.append(cls)
+        if seen.add(piece.class_of(zc)):
             lifts.append(zc)
         if len(lifts) == piece.h_dim:
             break

@@ -9,8 +9,10 @@ q(m) for the coprime parts q of the quotient minimal polynomial, and
 accepts a factor as local after three full-degree candidates above
 degree 4.  `PerDegreeCech`, `PerDegreeMV` and the `old_mv_*`/`old_gamma_*`
 functions are the local cohomology code that rebuilt every complex at each
-multidegree, before `localcoh` built them once per sign pattern.  All are
-exact and slow; on inputs they answer correctly the production code must
+multidegree, before `localcoh` built them once per sign pattern.  The
+`old_*` span helpers, `OldColumnSolver` and `KrylovReducer` answered span
+questions one fresh row reduction at a time, before `linalg.Subspace`.  All
+are exact and slow; on inputs they answer correctly the production code must
 give identical results.
 """
 
@@ -292,7 +294,7 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
             raise RuntimeError("kernel-power split lost dimensions")
         # idempotents: the block components of the factor identity
         all_cols = [v for b in blocks for v in b]
-        coords = linalg.ColumnSolver(all_cols).solve(one_factor)
+        coords = OldColumnSolver(all_cols).solve(one_factor)
         if coords is None:
             raise RuntimeError("identity not in the span of the split blocks")
         pieces = []
@@ -719,3 +721,108 @@ def old_gamma_dstable_check(f: tuple[int, ...], i_gens: list[tuple[int, ...]],
                         "torsion_count": sum(torsion.values())}
     return {"stable": True, "failure": None, "flagged": flagged,
             "torsion_count": sum(torsion.values())}
+
+
+# ---------- span questions, one fresh row reduction at a time ----------
+# The parent's `linalg` helpers; `linalg.Subspace` must agree with them.
+
+def old_column_space_contains(basis_cols: list, v: list) -> bool:
+    if all(x == 0 for x in v):
+        return True
+    if not basis_cols:
+        return False
+    return linalg.solve(linalg.from_columns(basis_cols), v) is not None
+
+
+def old_independent_columns(cols: list) -> list:
+    """A maximal linearly independent subset, in order."""
+    out: list = []
+    for v in cols:
+        if not old_column_space_contains(out, v):
+            out.append(v)
+    return out
+
+
+def old_subspace_equal(u_cols: list, v_cols: list) -> bool:
+    return (all(old_column_space_contains(v_cols, u) for u in u_cols)
+            and all(old_column_space_contains(u_cols, v) for v in v_cols))
+
+
+class OldColumnSolver:
+    """Repeated solving of B c = w for a fixed B, by one rref of [B | I]."""
+
+    def __init__(self, b_columns: list):
+        self.cols = len(b_columns)
+        self.rows = len(b_columns[0]) if b_columns else 0
+        b = linalg.from_columns(b_columns) if b_columns else []
+        aug = [b[i][:] + linalg.unit_vector(self.rows, i) for i in range(self.rows)]
+        r, pivots = linalg.rref(aug)
+        self.pivots = [p for p in pivots if p < self.cols]
+        self.ops = [row[self.cols:] for row in r]
+        self.rank = len(self.pivots)
+
+    def solve(self, w: list) -> list | None:
+        support = [(j, x) for j, x in enumerate(w) if x != 0]
+        ew = [sum((row[j] * x for j, x in support), Fraction(0)) for row in self.ops]
+        for i in range(self.rank, self.rows):
+            if ew[i] != 0:
+                return None
+        # free variables are zero, so each pivot coordinate reads off directly
+        c = [Fraction(0)] * self.cols
+        for i, p in enumerate(self.pivots):
+            c[p] = ew[i]
+        return c
+
+
+class KrylovReducer:
+    """Incremental echelon tracking for minimal polynomials of vectors."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.pivot_of: dict[int, int] = {}
+        self.reduced: list = []
+        self.combos: list = []  # coefficients over the power basis
+
+    def reduce(self, v: list, combo: list) -> tuple[list, list]:
+        v = v[:]
+        combo = combo[:]
+        for pivot, idx in self.pivot_of.items():
+            c = v[pivot]
+            if c != 0:
+                rv = self.reduced[idx]
+                rc = self.combos[idx]
+                for i in range(self.n):
+                    v[i] -= c * rv[i]
+                for i in range(len(rc)):
+                    if i < len(combo):
+                        combo[i] -= c * rc[i]
+                    else:
+                        combo.append(-c * rc[i])
+        return v, combo
+
+    def insert(self, v: list, combo: list) -> bool:
+        """Returns False (and records) if independent, True if v reduced to 0."""
+        v, combo = self.reduce(v, combo)
+        pivot = next((i for i in range(self.n) if v[i] != 0), None)
+        if pivot is None:
+            self.relation = combo
+            return True
+        inv = 1 / v[pivot]
+        self.reduced.append([x * inv for x in v])
+        self.combos.append([x * inv for x in combo])
+        self.pivot_of[pivot] = len(self.reduced) - 1
+        return False
+
+
+def old_minimal_polynomial_of_vector(a: list, v: list) -> list[Fraction]:
+    red = KrylovReducer(len(v))
+    w = v[:]
+    k = 0
+    while True:
+        combo = [Fraction(0)] * k + [Fraction(1)]
+        if red.insert(w, combo):
+            rel = red.relation
+            lead = rel[-1]
+            return [c / lead for c in rel]
+        w = linalg.mat_vec(a, w)
+        k += 1

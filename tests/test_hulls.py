@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import _quotient_projection
 
 from weylcas import linalg
 from weylcas.artin import ArtinAlgebra, decompose_local
@@ -304,6 +305,48 @@ def test_quotient_module_construction():
     assert Q.dim == 2
     hull = essential_hull(A, Q)
     assert all(hull.certificates.values())
+
+
+def test_quotient_by_rejects_unstable_subspace():
+    # in Q[y]/(y^3) the line through 1 is not an ideal: y * 1 = y leaves it
+    A = ArtinAlgebra.from_presentation(Y, [y ** 3])
+    M = ArtinModule.regular(A)
+    with pytest.raises(ValueError, match="not stable"):
+        M.quotient_by([A.one()])
+
+
+def test_quotient_by_matches_rref_projection_oracle():
+    # the quotient acts on the non-pivot coordinates as the projection read
+    # off the rref of the subspace says, whatever the pivots are
+    XY = ("x", "y")
+    xx, yy = SparsePoly.variable(XY, 0), SparsePoly.variable(XY, 1)
+    A = ArtinAlgebra.from_presentation(XY, [(xx - 3) ** 3, (xx + yy) ** 2 - 4])
+    M = ArtinModule.regular(A)
+    seeds = [A.to_vector(p) for p in (xx - 3, (xx - 3) ** 2, xx + yy - 2, (xx - 3) * (xx + yy - 2))]
+    seeds.append([Fraction(c) for c in (-2, -1, -1, 2, -1, 1)])
+    dims = []
+    for seed in seeds:
+        sub = M.submodule_closure([seed])
+        project, complement = _quotient_projection(sub, A.dim)
+        expected = [linalg.from_columns([project(linalg.mat_vec(m, linalg.unit_vector(A.dim, c)))
+                                         for c in complement])
+                    for m in M.var_actions]
+        Q = M.quotient_by(sub)
+        assert Q.var_actions == expected
+        dims.append(Q.dim)
+    assert dims == [2, 4, 3, 4, 1]
+
+
+def test_quotient_by_rejects_wrong_length_vector():
+    M = ArtinModule.regular(ArtinAlgebra.from_presentation(Y, [y ** 3]))
+    with pytest.raises(ValueError, match="length 2"):
+        M.quotient_by([[Fraction(0), Fraction(1)]])
+
+
+def test_submodule_closure_rejects_wrong_length_vector():
+    M = ArtinModule.regular(ArtinAlgebra.from_presentation(Y, [y ** 3]))
+    with pytest.raises(ValueError, match="length 4"):
+        M.submodule_closure([[Fraction(0)] * 3, [Fraction(1)] * 4])
 
 
 def test_monomial_action_prefix_cache_matches_products_from_identity():

@@ -2,6 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import (
+    OldColumnSolver,
+    _quotient_projection,
+    old_column_space_contains,
+    old_independent_columns,
+    old_minimal_polynomial_of_vector,
+    old_subspace_equal,
+)
 
 from weylcas import linalg
 
@@ -86,3 +94,125 @@ def test_mat_mul_shapes():
     assert linalg.mat_mul([[], []], []) == [[], []]
     with pytest.raises(ValueError, match="shape mismatch"):
         linalg.mat_mul(F([[1, 2]]), F([[1, 2]]))
+
+
+# ---------- Subspace against the one-rref-per-question helpers ----------
+
+def random_columns(rng, n, k, max_den):
+    """k columns in Q^n: zero columns, combinations of earlier columns and
+    random ones, with denominators up to max_den."""
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        den = rng.randint(1, max_den)
+        return Fraction(rng.randint(-5 * den, 5 * den), den)
+
+    cols = []
+    for _ in range(k):
+        roll = rng.random()
+        if roll < 0.15:
+            cols.append([Fraction(0)] * n)
+        elif roll < 0.45 and cols:
+            picks = rng.sample(cols, rng.randint(1, len(cols)))
+            coeffs = [entry() for _ in picks]
+            cols.append([sum((c * v[i] for c, v in zip(coeffs, picks)), Fraction(0))
+                         for i in range(n)])
+        else:
+            cols.append([entry() for _ in range(n)])
+    return cols
+
+
+def span_cases():
+    """Seeded column sets: random, the empty set and full rank, each with
+    small denominators and with denominators up to 10^12."""
+    rng = random.Random(8)
+    for case in range(240):
+        max_den = 3 if case % 2 else 10 ** 12
+        n = rng.randint(1, 6)
+        if case % 8 == 0:
+            yield n, [], rng, max_den
+        elif case % 8 == 1:
+            # full rank: the unit vectors under a random invertible shear
+            cols = [linalg.unit_vector(n, i) for i in range(n)]
+            for i in range(n):
+                for j in range(i):
+                    cols[i][j] = Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, max_den))
+            rng.shuffle(cols)
+            yield n, cols, rng, max_den
+        else:
+            yield n, random_columns(rng, n, rng.randint(1, n + 3), max_den), rng, max_den
+
+
+def test_subspace_matches_old_span_helpers():
+    saw = {"dependent": 0, "zero": 0, "full": 0, "empty": 0}
+    for n, cols, rng, max_den in span_cases():
+        span = linalg.Subspace(n, cols)
+        assert span.basis == old_independent_columns(cols)
+        assert span.dim == len(span.basis)
+        saw["dependent"] += len(cols) > span.dim
+        saw["zero"] += any(not any(v) for v in cols)
+        saw["full"] += span.dim == n
+        saw["empty"] += not cols
+        project, _ = _quotient_projection(span.basis, n)
+        solver = OldColumnSolver(span.basis)
+        probes = cols + random_columns(rng, n, 4, max_den) + [[Fraction(0)] * n]
+        for v in probes:
+            assert (v in span) == old_column_space_contains(cols, v)
+            if span.basis:
+                assert span.coords(v) == solver.solve(v)
+            else:
+                assert span.coords(v) == ([] if not any(v) else None)
+            assert span.project(v) == project(v)
+    assert all(saw.values()), saw
+
+
+def test_subspace_equality_matches_old_helper():
+    rng = random.Random(9)
+    outcomes = set()
+    for case in range(150):
+        n = rng.randint(1, 5)
+        max_den = 10 ** 12 if case % 3 == 0 else 4
+        u = random_columns(rng, n, rng.randint(0, n + 1), max_den)
+        if rng.random() < 0.5:
+            # the same span from other generators: combinations of u, shuffled
+            v = random_columns(rng, n, 0, max_den)
+            for _ in range(len(u) + 1):
+                coeffs = [Fraction(rng.randint(-3, 3)) for _ in u]
+                v.append([sum((c * w[i] for c, w in zip(coeffs, u)), Fraction(0))
+                          for i in range(n)])
+            v += u
+            rng.shuffle(v)
+        else:
+            v = random_columns(rng, n, rng.randint(0, n + 1), max_den)
+        equal = linalg.Subspace(n, u) == linalg.Subspace(n, v)
+        assert equal == old_subspace_equal(u, v)
+        outcomes.add(equal)
+    assert outcomes == {True, False}
+    assert linalg.Subspace(2) != linalg.Subspace(3)
+
+
+def test_minimal_polynomial_of_vector_matches_krylov_oracle():
+    rng = random.Random(10)
+    for case in range(120):
+        n = rng.randint(1, 6)
+        max_den = 10 ** 12 if case % 4 == 0 else 3
+        a = [random_columns(rng, n, 1, max_den)[0] for _ in range(n)]
+        if case % 5 == 0:
+            # strictly upper triangular: nilpotent
+            a = [[x if j > i else Fraction(0) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        v = random_columns(rng, n, 1, max_den)[0]
+        assert linalg.minimal_polynomial_of_vector(a, v) == old_minimal_polynomial_of_vector(a, v)
+        zero = [Fraction(0)] * n
+        assert linalg.minimal_polynomial_of_vector(a, zero) == [Fraction(1)]
+        assert old_minimal_polynomial_of_vector(a, zero) == [Fraction(1)]
+
+
+def test_subspace_rejects_wrong_length_vector():
+    span = linalg.Subspace(3, [F([[1, 2, 3]])[0]])
+    short = F([[1, 2]])[0]
+    for ask in (span.add, span.coords, span.project, span.__contains__):
+        with pytest.raises(ValueError, match="length 2 in a subspace of Q\\^3"):
+            ask(short)
+    with pytest.raises(ValueError):
+        linalg.Subspace(2, [F([[1, 2, 3]])[0]])
