@@ -165,6 +165,7 @@ class LocalFactor:
             v == linalg.unit_vector(algebra.dim, i) for i, v in enumerate(basis_vectors)
         )
         self._span = None  # built on the first solve; a full factor needs none
+        self._radical: list | None = None
 
     def _coords(self, ambient_vector):
         if self._span is None:
@@ -201,17 +202,19 @@ class LocalFactor:
         return out
 
     def radical_basis_factor(self) -> list[list[Fraction]]:
-        """Radical of the factor, in factor coordinates.
+        """Radical of the factor, in factor coordinates, computed once.
 
         For an ideal direct summand the radical is the intersection with the
         ambient radical, so one subspace intersection suffices."""
-        n = self.dim
-        if n == 0:
-            return []
+        if self._radical is None:
+            self._radical = self._intersect_radical()
+        return self._radical
+
+    def _intersect_radical(self) -> list[list[Fraction]]:
         ambient_rad = self.algebra.radical_basis()
-        if not ambient_rad:
+        if self.dim == 0 or not ambient_rad:
             return []
-        if n == self.algebra.dim:
+        if self.dim == self.algebra.dim:
             return [self.to_factor_coords(v) for v in ambient_rad]
         # solve Rad * u = B * v; the v-parts form a factor-coordinate basis
         stacked = linalg.from_columns(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .artin import ArtinAlgebra, decompose_local
@@ -49,19 +50,16 @@ def _order_from_flag(name: str) -> TermOrder:
     return LEX if name == "lex" else GREVLEX
 
 
-def _infer_nvars(texts, minimum=1):
-    import re
-
-    n = minimum
-    for t in texts:
-        for m in re.finditer(r"[xd](\d+)", t):
-            n = max(n, int(m.group(1)))
-    return n
+def _ring_vars(args, texts) -> tuple[str, ...]:
+    """x1..xn, with n from --vars or else the highest index of an x or d
+    symbol in the texts (at least 1)."""
+    n = args.vars or max([1, *(int(m.group(1)) for t in texts
+                               for m in re.finditer(r"[xd](\d+)", t))])
+    return tuple(f"x{i+1}" for i in range(n))
 
 
 def _weyl_ring(args, texts):
-    n = args.vars if getattr(args, "vars", None) else _infer_nvars(texts)
-    return OreRing.weyl(tuple(f"x{i+1}" for i in range(n)))
+    return OreRing.weyl(_ring_vars(args, texts))
 
 
 def _parse_window(text: str, nvars: int | None = None):
@@ -147,8 +145,7 @@ def cmd_weyl_star(args):
 
 
 def cmd_koszul_map(args):
-    n = args.vars if args.vars else _infer_nvars([args.elems])
-    vars_ = tuple(f"x{i+1}" for i in range(n))
+    vars_ = _ring_vars(args, [args.elems])
     elems = _parse_poly_list(args.elems, vars_)
     order = _order_from_flag(args.order)
     if args.inductive:
@@ -172,8 +169,7 @@ def cmd_koszul_map(args):
 
 
 def cmd_koszul_regcheck(args):
-    n = args.vars if args.vars else _infer_nvars([args.elems])
-    vars_ = tuple(f"x{i+1}" for i in range(n))
+    vars_ = _ring_vars(args, [args.elems])
     elems = _parse_poly_list(args.elems, vars_)
     ok, witness = is_regular_sequence(elems)
     if ok:
@@ -188,8 +184,7 @@ def cmd_koszul_regcheck(args):
 
 
 def cmd_koszul_primeavoid(args):
-    n = args.vars if args.vars else _infer_nvars([args.prime])
-    vars_ = tuple(f"x{i+1}" for i in range(n))
+    vars_ = _ring_vars(args, [args.prime])
     gens = _parse_poly_list(args.prime, vars_)
     seq, trials = prime_avoidance_sequence(Ideal(vars_, gens), args.g, seed=args.seed)
     lines = [f"x_{i+1} = {p.to_str()} (trial {t})"
@@ -204,8 +199,7 @@ def cmd_koszul_primeavoid(args):
 
 
 def cmd_koszul_ext1(args):
-    n = args.vars if args.vars else _infer_nvars([args.elems])
-    vars_ = tuple(f"x{i+1}" for i in range(n))
+    vars_ = _ring_vars(args, [args.elems])
     elems = _parse_poly_list(args.elems, vars_)
     model = (GradedModuleModel.polynomial(vars_) if args.model == "poly"
              else GradedModuleModel.top_local_cohomology(vars_))
@@ -222,8 +216,7 @@ def cmd_koszul_ext1(args):
 
 
 def cmd_artin_decompose(args):
-    n = args.vars if args.vars else _infer_nvars([args.ideal])
-    vars_ = tuple(f"x{i+1}" for i in range(n))
+    vars_ = _ring_vars(args, [args.ideal])
     gens = _parse_poly_list(args.ideal, vars_)
     A = ArtinAlgebra(Ideal(vars_, gens))
     factors = decompose_local(A, seed=args.seed)
@@ -287,8 +280,8 @@ def cmd_hull_oracle(args):
 
 
 def cmd_lc_piece(args):
-    n = args.vars if args.vars else _infer_nvars([args.ideal])
-    vars_ = tuple(f"x{i+1}" for i in range(n))
+    vars_ = _ring_vars(args, [args.ideal])
+    n = len(vars_)
     gens = _monomial_generators(args.ideal, vars_)
     try:
         degree = tuple(int(t) for t in args.degree.split(","))
@@ -304,8 +297,8 @@ def cmd_lc_piece(args):
 
 
 def cmd_lc_mv(args):
-    n = args.vars if args.vars else _infer_nvars([args.i_gens, args.j_gens])
-    vars_ = tuple(f"x{i+1}" for i in range(n))
+    vars_ = _ring_vars(args, [args.i_gens, args.j_gens])
+    n = len(vars_)
     i_gens = _monomial_generators(args.i_gens, vars_)
     j_gens = _monomial_generators(args.j_gens, vars_)
     window = _parse_window(args.window, n)
@@ -336,10 +329,7 @@ def cmd_lc_mv(args):
 
 
 def cmd_lc_gamma(args):
-    n = args.vars if args.vars else _infer_nvars(
-        [args.ideal, args.quotient or "", args.invert or ""]
-    )
-    vars_ = tuple(f"x{i+1}" for i in range(n))
+    vars_ = _ring_vars(args, [args.ideal, args.quotient or "", args.invert or ""])
     if bool(args.quotient) == bool(args.invert):
         raise UsageError("give exactly one of --quotient (R/J) or --invert (R_f)")
     i_gens_polys = _parse_poly_list(args.ideal, vars_)
@@ -352,7 +342,7 @@ def cmd_lc_gamma(args):
         return 0
     f = _monomial_exponents(_parse_poly_list(args.invert, vars_))[0]
     i_gens = _monomial_exponents(i_gens_polys)
-    window = _parse_window(args.window, n)
+    window = _parse_window(args.window, len(vars_))
     report = gamma_dstable_check(f, i_gens, window, mod_r=args.mod_r)
     lines = [
         f"torsion classes in window: {report['torsion_count']}",
@@ -392,10 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, vars_flag=True):
+    def common(p, vars_flag=True, order=False, seed=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--order", choices=("grevlex", "lex"), default="grevlex")
-        p.add_argument("--seed", type=int, default=0)
+        if order:
+            p.add_argument("--order", choices=("grevlex", "lex"), default="grevlex")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         if vars_flag:
             p.add_argument("--vars", type=int, default=None,
                            help="number of ring variables (default: inferred)")
@@ -403,17 +395,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weyl-mul", help="product of two operators, left normal form")
     p.add_argument("left")
     p.add_argument("right")
-    common(p)
+    common(p, order=True)
     p.set_defaults(fn=cmd_weyl_mul)
 
     p = sub.add_parser("weyl-lnf", help="left normal form of an operator expression")
     p.add_argument("expr")
-    common(p)
+    common(p, order=True)
     p.set_defaults(fn=cmd_weyl_lnf)
 
     p = sub.add_parser("weyl-rnf", help="right normal form of an operator expression")
     p.add_argument("expr")
-    common(p)
+    common(p, order=True)
     p.set_defaults(fn=cmd_weyl_rnf)
 
     p = sub.add_parser("weyl-star",
@@ -430,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--convention", choices=("left", "right"), default="right")
     p.add_argument("--inductive", action="store_true",
                    help="use the block recursion and report the matching")
-    common(p)
+    common(p, order=True)
     p.set_defaults(fn=cmd_koszul_map)
 
     p = sub.add_parser("koszul-regcheck", help="regular-sequence test with witness")
@@ -443,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "generating set locally at a prime")
     p.add_argument("--prime", required=True)
     p.add_argument("--g", type=int, required=True)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(fn=cmd_koszul_primeavoid)
 
     p = sub.add_parser("koszul-ext1", help="graded Ext^1 against a module model")
@@ -456,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("artin-decompose",
                        help="local factors of a zero-dimensional quotient")
     p.add_argument("--ideal", required=True)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(fn=cmd_artin_decompose)
 
     p = sub.add_parser("hull-mult", help="hull multiplicity over the base line")
@@ -500,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lc_gamma)
 
     p = sub.add_parser("accept", help="run the full acceptance suite")
-    common(p, vars_flag=False)
+    common(p, vars_flag=False, seed=True)
     p.set_defaults(fn=cmd_accept)
 
     return parser

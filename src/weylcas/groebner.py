@@ -385,16 +385,21 @@ def quotient_by_ideal(I: Ideal, J: Ideal) -> Ideal:
     return result
 
 
-def saturation(I: Ideal, J: Ideal, cap: int = 64) -> Ideal:
+SATURATION_STEPS = 64
+
+
+def saturation(I: Ideal, J: Ideal) -> Ideal:
     """(I : J^infinity): iterate single-step quotients until two consecutive
-    iterates agree (mutual inclusion).  Caps at `cap` steps as a bug guard."""
+    iterates agree (mutual inclusion).  Stops after SATURATION_STEPS steps
+    as a bug guard."""
     current = I
-    for _ in range(cap):
+    for _ in range(SATURATION_STEPS):
         step = quotient_by_ideal(current, J)
         if step.equals(current):
             return current
         current = step
-    raise SaturationDivergedError(f"saturation did not stabilize within {cap} steps")
+    raise SaturationDivergedError(
+        f"saturation did not stabilize within {SATURATION_STEPS} steps")
 
 
 def standard_monomials(I: Ideal, order: TermOrder = GREVLEX) -> list[tuple[int, ...]]:

@@ -457,7 +457,10 @@ class ArtinModule:
         for e, c in zip(self.algebra.basis, v):
             if c == 0:
                 continue
-            out = linalg.mat_add(out, linalg.mat_scale(self.monomial_action(e), c))
+            for out_row, row in zip(out, self.monomial_action(e)):
+                for j, x in enumerate(row):
+                    if x:
+                        out_row[j] += c * x
         return out
 
     def socle(self) -> list:

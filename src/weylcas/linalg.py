@@ -206,19 +206,6 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     return x
 
 
-def mat_inverse(a: Matrix) -> Matrix:
-    n, m = shape(a)
-    if n != m:
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return []
-    aug = [a[i][:] + unit_vector(n, i) for i in range(n)]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
-
-
 def columns(a: Matrix) -> list[Vector]:
     return transpose(a)
 

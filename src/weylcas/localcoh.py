@@ -24,10 +24,15 @@ complex of u cannot carry this sequence: it lives in cohomological
 degrees <= 1 while H^2_{I+J} is nonzero, and u is not piecewise
 surjective, e.g. at degree (-1,-1) for f = x, g = y.)
 
+Cohomology pieces (`CohPiece`) are read off one `linalg.Subspace` per
+level: boundaries first, then the cocycles that extend them, whose
+coordinates are the classes.
+
 Partial derivatives act on a localization piece by d_k . x^d =
-d_k-coefficient * x^(d - e_k); the scalar d_k is the one thing a pattern
-does not fix, so the connecting map's compatibility with these actions
-is checked square by square at every degree.
+d_k-coefficient * x^(d - e_k).  For d_k = 0 the action is 0; otherwise
+d - e_k has the pattern of d and the scalar d_k multiplies both sides of
+the connecting map's square, so the square with unit entries is checked
+once per (pattern, k).
 """
 
 from __future__ import annotations
@@ -189,74 +194,42 @@ def mv_dimension_check(i_gens: list[tuple[int, ...]], j_gens: list[tuple[int, ..
 # ---------- cohomology pieces with induced maps ----------
 
 class CohPiece:
-    """Cohomology of a finite complex at one level, with class coordinates."""
+    """H^t of a finite complex, Z = ker diffs[t] modulo B = im diffs[t-1].
+
+    One `Subspace` takes the boundaries first (dimension b), then the
+    cocycles that extend them: those cocycles are `lifts`, a basis of H,
+    and the class of a cocycle is its coordinates past the first b."""
 
     def __init__(self, dims, diffs, t):
-        self.ambient_dim = dims[t]
-        if self.ambient_dim == 0:
-            self.z_cols = []
-            self.h_dim = 0
-            self.q_rows = []
-            return
-        if t < len(diffs) and len(diffs[t]) > 0:
-            self.z_cols = linalg.nullspace(diffs[t])
+        n = dims[t]
+        if t < len(diffs) and diffs[t]:
+            z_cols = linalg.nullspace(diffs[t])
         else:
-            self.z_cols = [linalg.unit_vector(self.ambient_dim, i)
-                           for i in range(self.ambient_dim)]
+            z_cols = [linalg.unit_vector(n, i) for i in range(n)]
         b_cols = []
         if t >= 1 and dims[t - 1] > 0:
             b_cols = [v for v in linalg.columns(diffs[t - 1]) if any(v)]
-        self._z_span = linalg.Subspace(self.ambient_dim, self.z_cols)
-        beta_cols = []
-        for b in b_cols:
-            coords = self._z_span.coords(b)
-            if coords is None:
-                raise RuntimeError("boundary outside the cocycles")
-            beta_cols.append(coords)
-        z = len(self.z_cols)
-        if beta_cols:
-            beta = linalg.from_columns(beta_cols)
-            self.q_rows = linalg.nullspace(linalg.transpose(beta))
-        else:
-            self.q_rows = [linalg.unit_vector(z, i) for i in range(z)]
-        self.h_dim = len(self.q_rows)
+        self._span = linalg.Subspace(n, b_cols)
+        self._b = self._span.dim
+        self.lifts = [z for z in z_cols if self._span.add(z)]
+        if self._span.dim != len(z_cols):
+            raise RuntimeError("boundary outside the cocycles")
+        self.h_dim = len(self.lifts)
 
     def class_of(self, vector):
-        """H-coordinates of an ambient cocycle."""
-        if self.h_dim == 0:
-            return []
-        coords = self._z_span.coords(vector)
+        """H-coordinates of an ambient cocycle, over the classes of lifts."""
+        coords = self._span.coords(vector)
         if coords is None:
             raise RuntimeError("vector is not a cocycle")
-        return [sum((q[i] * coords[i] for i in range(len(coords))), Fraction(0))
-                for q in self.q_rows]
+        return coords[self._b:]
 
 
 def induced_map(source: CohPiece, target: CohPiece, chain_matrix):
-    """Matrix on cohomology induced by a chain map at this level, expressed
-    in the canonical H-coordinates of both sides."""
-    if source.h_dim == 0 or target.h_dim == 0:
-        return linalg.zeros(target.h_dim, source.h_dim)
-    lifts = _h_basis_lifts(source)
-    source_classes = linalg.from_columns([source.class_of(z) for z in lifts])
-    image_classes = linalg.from_columns(
-        [target.class_of(linalg.mat_vec(chain_matrix, z)) for z in lifts]
-    )
-    return linalg.mat_mul(image_classes, linalg.mat_inverse(source_classes))
-
-
-def _h_basis_lifts(piece: CohPiece):
-    """Cocycle representatives whose classes form a basis of H."""
-    lifts = []
-    seen = linalg.Subspace(piece.h_dim)
-    for zc in piece.z_cols:
-        if seen.add(piece.class_of(zc)):
-            lifts.append(zc)
-        if len(lifts) == piece.h_dim:
-            break
-    if len(lifts) != piece.h_dim:
-        raise RuntimeError("failed to lift a cohomology basis")
-    return lifts
+    """Matrix on cohomology induced by a chain map at this level, in the
+    lift bases of both sides: column j is the class of the image of the
+    j-th lift of the source."""
+    images = [target.class_of(linalg.mat_vec(chain_matrix, z)) for z in source.lifts]
+    return [[c[i] for c in images] for i in range(target.h_dim)]
 
 
 # ---------- the bi-principal Mayer-Vietoris connecting map ----------
@@ -276,6 +249,7 @@ class BiPrincipalMV:
         self.cfg = CechComplex(nvars, minimalize_monomials([self.f, self.g]))
         self._fibres: dict[frozenset[int], tuple] = {}
         self._sequences: dict[frozenset[int], dict] = {}
+        self._squares: dict[tuple[frozenset[int], int], bool] = {}
 
     # -- complexes at a fixed pattern --
 
@@ -393,62 +367,64 @@ class BiPrincipalMV:
     # -- derivative actions --
 
     @staticmethod
-    def _partial_on_cech(cech: CechComplex, t: int, N, N2, scalar):
-        """d_k: C^t(cech) at pattern N -> at pattern N2 = N(d - e_k), the
-        scalar d_k on each matching active subset."""
+    def _partial_on_cech(cech: CechComplex, t: int, N, N2):
+        """d_k divided by its scalar d_k: C^t(cech) at pattern N -> at
+        pattern N2 = N(d - e_k), 1 on each matching active subset."""
         src = cech.active_subsets(t, N)
         tgt_pos = {T: i for i, T in enumerate(cech.active_subsets(t, N2))}
         mat = linalg.zeros(len(tgt_pos), len(src))
         for j, T in enumerate(src):
             i = tgt_pos.get(T)
             if i is not None:
-                mat[i][j] = scalar
+                mat[i][j] = Fraction(1)
         return mat
 
-    def _partial_on_fibre(self, t, N, N2, scalar):
-        """d_k on F^t = C^t(f) (+) C^t(g) (+) C^(t-1)(h), block by block."""
+    def _partial_on_fibre(self, t, N, N2):
+        """d_k divided by d_k on F^t = C^t(f) (+) C^t(g) (+) C^(t-1)(h),
+        block by block."""
         parts = [(c, t) for c in (self.cf, self.cg) if t <= 1]
         if t >= 1:
             parts.append((self.ch, t - 1))
-        blocks = [[self._partial_on_cech(c, s, N, N2, scalar) if i == j else None
+        blocks = [[self._partial_on_cech(c, s, N, N2) if i == j else None
                    for j, (c, s) in enumerate(parts)] for i in range(len(parts))]
         return linalg.block_matrix(blocks, [len(c.active_subsets(s, N2)) for c, s in parts],
                                    [len(c.active_subsets(s, N)) for c, s in parts])
 
     def delta_commutes_with_partials(self, d) -> bool:
-        """delta o d_k = d_k o delta on the materialized cohomology square
-        at degrees d and d - e_k, for every variable k and both levels."""
+        """delta o d_k = d_k o delta on the cohomology square at degrees d
+        and d - e_k, for every variable k and both levels.
+
+        d_k acts by the scalar d_k.  For d_k = 0 both sides are 0.  For
+        d_k != 0, d - e_k has the pattern N(d) and the scalar multiplies
+        both sides, so the square with unit entries is checked once per
+        (N(d), k)."""
         N = _pattern(d, self.nvars)
-        seq_d = self.sequence_at(d)
         for k in range(self.nvars):
-            d2 = tuple(x - (1 if j == k else 0) for j, x in enumerate(d))
-            N2 = negative_support(d2)
-            seq_d2 = self.sequence_at(d2)
-            scalar = Fraction(d[k])
-            for t in range(2):
-                # H^t(C)_d --delta--> H^(t+1)(F)_d
-                #    |d_k                  |d_k
-                # H^t(C)_d2 --delta--> H^(t+1)(F)_d2
-                pk_c = induced_map(seq_d["HC"][t], seq_d2["HC"][t],
-                                   self._partial_on_cech(self.ch, t, N, N2, scalar))
-                pk_f = induced_map(seq_d["HF"][t + 1], seq_d2["HF"][t + 1],
-                                   self._partial_on_fibre(t + 1, N, N2, scalar))
-                lhs = linalg.mat_mul(seq_d2["delta"][t], pk_c)
-                rhs = linalg.mat_mul(pk_f, seq_d["delta"][t])
-                rows = seq_d2["HF"][t + 1].h_dim
-                cols = seq_d["HC"][t].h_dim
-                if _pad(lhs, rows, cols) != _pad(rhs, rows, cols):
-                    return False
+            if d[k] == 0:
+                continue
+            if (N, k) not in self._squares:
+                d2 = tuple(x - (1 if j == k else 0) for j, x in enumerate(d))
+                self._squares[N, k] = self._square_commutes(d, d2)
+            if not self._squares[N, k]:
+                return False
         return True
 
-
-def _pad(m, rows, cols):
-    """Re-inflate a matrix whose zero blocks collapsed the empty shape."""
-    out = linalg.zeros(rows, cols)
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            out[i][j] = x
-    return out
+    def _square_commutes(self, d, d2) -> bool:
+        N, N2 = _pattern(d, self.nvars), _pattern(d2, self.nvars)
+        seq_d, seq_d2 = self.sequence_at(d), self.sequence_at(d2)
+        for t in range(2):
+            # H^t(C)_d --delta--> H^(t+1)(F)_d
+            #    |d_k                  |d_k
+            # H^t(C)_d2 --delta--> H^(t+1)(F)_d2
+            pk_c = induced_map(seq_d["HC"][t], seq_d2["HC"][t],
+                               self._partial_on_cech(self.ch, t, N, N2))
+            pk_f = induced_map(seq_d["HF"][t + 1], seq_d2["HF"][t + 1],
+                               self._partial_on_fibre(t + 1, N, N2))
+            lhs = linalg.mat_mul(seq_d2["delta"][t], pk_c)
+            rhs = linalg.mat_mul(pk_f, seq_d["delta"][t])
+            if lhs != rhs:
+                return False
+        return True
 
 
 def mv_connecting_biprincipal(f: tuple[int, ...], g: tuple[int, ...],

@@ -35,15 +35,12 @@ class OreRing:
     given on the ring variables and extended by the Leibniz rule."""
 
     def __init__(self, variables, kind: str = "weyl",
-                 delta_on_vars: list[SparsePoly] | None = None,
-                 op_names: list[str] | None = None):
+                 delta_on_vars: list[SparsePoly] | None = None):
         self.vars = tuple(variables)
         self.kind = kind
         if kind == "weyl":
             self.n_ops = len(self.vars)
-            self.op_names = tuple(op_names) if op_names else tuple(
-                f"d{i + 1}" for i in range(self.n_ops)
-            )
+            self.op_names = tuple(f"d{i + 1}" for i in range(self.n_ops))
             self.delta_on_vars = None
         elif kind == "ore":
             if delta_on_vars is None or len(delta_on_vars) != len(self.vars):

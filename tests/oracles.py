@@ -9,7 +9,10 @@ q(m) for the coprime parts q of the quotient minimal polynomial, and
 accepts a factor as local after three full-degree candidates above
 degree 4.  `PerDegreeCech`, `PerDegreeMV` and the `old_mv_*`/`old_gamma_*`
 functions are the local cohomology code that rebuilt every complex at each
-multidegree, before `localcoh` built them once per sign pattern.  The
+multidegree, before `localcoh` built them once per sign pattern;
+`OldCohPiece` and `old_induced_map` give cohomology classes in the
+coordinates of a left nullspace of the boundary and invert a re-lifted
+basis, before `CohPiece` read classes off one `Subspace`.  The
 `old_*` span helpers, `OldColumnSolver` and `KrylovReducer` answered span
 questions one fresh row reduction at a time, before `linalg.Subspace`.  All
 are exact and slow; on inputs they answer correctly the production code must
@@ -27,9 +30,6 @@ from weylcas import linalg
 from weylcas.artin import LocalFactor, _assert_idempotent_system
 from weylcas.koszul import WindowMarginError
 from weylcas.localcoh import (
-    CohPiece,
-    _pad,
-    induced_map,
     minimalize_monomials,
     monomial_lcm,
     window_degrees,
@@ -424,6 +424,97 @@ def old_mv_dimension_check(i_gens: list[tuple[int, ...]], j_gens: list[tuple[int
     return {"degrees": per_degree, "all_alternating_sums_zero": all_zero}
 
 
+# ---------- cohomology pieces in left-nullspace coordinates ----------
+
+class OldCohPiece:
+    """Cohomology of a finite complex at one level, with class coordinates."""
+
+    def __init__(self, dims, diffs, t):
+        self.ambient_dim = dims[t]
+        if self.ambient_dim == 0:
+            self.z_cols = []
+            self.h_dim = 0
+            self.q_rows = []
+            return
+        if t < len(diffs) and len(diffs[t]) > 0:
+            self.z_cols = linalg.nullspace(diffs[t])
+        else:
+            self.z_cols = [linalg.unit_vector(self.ambient_dim, i)
+                           for i in range(self.ambient_dim)]
+        b_cols = []
+        if t >= 1 and dims[t - 1] > 0:
+            b_cols = [v for v in linalg.columns(diffs[t - 1]) if any(v)]
+        self._z_span = linalg.Subspace(self.ambient_dim, self.z_cols)
+        beta_cols = []
+        for b in b_cols:
+            coords = self._z_span.coords(b)
+            if coords is None:
+                raise RuntimeError("boundary outside the cocycles")
+            beta_cols.append(coords)
+        z = len(self.z_cols)
+        if beta_cols:
+            beta = linalg.from_columns(beta_cols)
+            self.q_rows = linalg.nullspace(linalg.transpose(beta))
+        else:
+            self.q_rows = [linalg.unit_vector(z, i) for i in range(z)]
+        self.h_dim = len(self.q_rows)
+
+    def class_of(self, vector):
+        """H-coordinates of an ambient cocycle."""
+        if self.h_dim == 0:
+            return []
+        coords = self._z_span.coords(vector)
+        if coords is None:
+            raise RuntimeError("vector is not a cocycle")
+        return [sum((q[i] * coords[i] for i in range(len(coords))), Fraction(0))
+                for q in self.q_rows]
+
+
+def old_induced_map(source: OldCohPiece, target: OldCohPiece, chain_matrix):
+    """Matrix on cohomology induced by a chain map at this level, expressed
+    in the canonical H-coordinates of both sides."""
+    if source.h_dim == 0 or target.h_dim == 0:
+        return linalg.zeros(target.h_dim, source.h_dim)
+    lifts = _old_h_basis_lifts(source)
+    source_classes = linalg.from_columns([source.class_of(z) for z in lifts])
+    image_classes = linalg.from_columns(
+        [target.class_of(linalg.mat_vec(chain_matrix, z)) for z in lifts]
+    )
+    return linalg.mat_mul(image_classes, _inverse(source_classes))
+
+
+def _old_h_basis_lifts(piece: OldCohPiece):
+    """Cocycle representatives whose classes form a basis of H."""
+    lifts = []
+    seen = linalg.Subspace(piece.h_dim)
+    for zc in piece.z_cols:
+        if seen.add(piece.class_of(zc)):
+            lifts.append(zc)
+        if len(lifts) == piece.h_dim:
+            break
+    if len(lifts) != piece.h_dim:
+        raise RuntimeError("failed to lift a cohomology basis")
+    return lifts
+
+
+def _inverse(a):
+    """Inverse of an invertible square matrix, by row reduction of [a | 1]."""
+    n = len(a)
+    r, pivots = linalg.rref([row[:] + linalg.unit_vector(n, i) for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in r]
+
+
+def _pad(m, rows, cols):
+    """Re-inflate a matrix whose zero blocks collapsed the empty shape."""
+    out = linalg.zeros(rows, cols)
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            out[i][j] = x
+    return out
+
+
 class PerDegreeMV:
     """The full connecting-map apparatus for I = (f), J = (g)."""
 
@@ -509,24 +600,24 @@ class PerDegreeMV:
         m_dims, m_diffs = self.middle_at(d)
         h_dims = [self.ch.level_dim(t, d) for t in range(2)]
         h_diffs = [self.ch.differential(0, d)]
-        HF = [CohPiece(f_dims, f_diffs, t) for t in range(3)]
-        HM = [CohPiece(m_dims, m_diffs, t) for t in range(2)]
-        HC = [CohPiece(h_dims, h_diffs, t) for t in range(2)]
+        HF = [OldCohPiece(f_dims, f_diffs, t) for t in range(3)]
+        HM = [OldCohPiece(m_dims, m_diffs, t) for t in range(2)]
+        HC = [OldCohPiece(h_dims, h_diffs, t) for t in range(2)]
         rho, pi, delta = {}, {}, {}
         for t in range(2):
             # rho^t: F^t -> M^t, projection onto the middle block
             proj = linalg.zeros(m_dims[t], f_dims[t])
             for i in range(m_dims[t]):
                 proj[i][i] = Fraction(1)
-            rho[t] = induced_map(HF[t], HM[t], proj)
+            rho[t] = old_induced_map(HF[t], HM[t], proj)
             # pi^t: M^t -> C^t
-            pi[t] = induced_map(HM[t], HC[t], self.u_at(t, d))
+            pi[t] = old_induced_map(HM[t], HC[t], self.u_at(t, d))
             # delta^t: C^t -> F^(t+1), c |-> (0, c)
             incl = linalg.zeros(f_dims[t + 1], h_dims[t])
             offset = f_dims[t + 1] - h_dims[t]
             for i in range(h_dims[t]):
                 incl[offset + i][i] = Fraction(1)
-            delta[t] = induced_map(HC[t], HF[t + 1], incl)
+            delta[t] = old_induced_map(HC[t], HF[t + 1], incl)
         return {"HF": HF, "HM": HM, "HC": HC, "rho": rho, "pi": pi, "delta": delta}
 
     def fibre_matches_sum_cech(self, d) -> bool:
@@ -601,9 +692,9 @@ class PerDegreeMV:
                 # H^t(C)_d --delta--> H^(t+1)(F)_d
                 #    |d_k                  |d_k
                 # H^t(C)_d2 --delta--> H^(t+1)(F)_d2
-                pk_c = induced_map(seq_d["HC"][t], seq_d2["HC"][t],
+                pk_c = old_induced_map(seq_d["HC"][t], seq_d2["HC"][t],
                                    self._partial_on_cech(self.ch, t, d, k))
-                pk_f = induced_map(seq_d["HF"][t + 1], seq_d2["HF"][t + 1],
+                pk_f = old_induced_map(seq_d["HF"][t + 1], seq_d2["HF"][t + 1],
                                    self._partial_on_fibre(t + 1, d, k))
                 lhs = linalg.mat_mul(seq_d2["delta"][t], pk_c)
                 rhs = linalg.mat_mul(pk_f, seq_d["delta"][t])

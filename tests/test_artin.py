@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import old_decompose_local
-from weylcas.artin import ArtinAlgebra, decompose_local
+from weylcas.artin import ArtinAlgebra, LocalFactor, decompose_local
 from weylcas.groebner import Ideal, NotZeroDimensionalError
 from weylcas.poly import SparsePoly
 
@@ -141,6 +141,14 @@ def test_degree_five_and_six_products_split(poly, dims, residues):
     assert [f.dim for f in factors] == dims
     assert [f.residue_dim for f in factors] == residues
 
+
+def test_factor_radical_is_computed_once():
+    A = ArtinAlgebra.from_presentation(X, [(xv ** 2 + 1) ** 2 * (xv ** 3 - 2) * xv ** 2])
+    for f in decompose_local(A):
+        rad = f.radical_basis_factor()
+        assert f.radical_basis_factor() is rad
+        assert rad == LocalFactor(A, f.basis_vectors, f.idempotent).radical_basis_factor()
+    assert sorted(f.residue_dim for f in decompose_local(A)) == [1, 2, 3]
 
 @pytest.mark.parametrize("degree", [5, 6, 7])
 def test_full_degree_irreducible_certifies_a_field(degree):

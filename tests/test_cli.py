@@ -168,6 +168,30 @@ def test_unknown_flag_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["artin-decompose", "--ideal", "x1^2-1", "--order", "lex"],
+    ["lc-piece", "--ideal", "x1", "--i", "1", "--degree", "-1", "--seed", "3"],
+    ["weyl-star", "--ideal", "x1", "--op", "d1", "--order", "lex"],
+    ["koszul-regcheck", "--elems", "x1,x2", "--seed", "3"],
+    ["hull-mult", "--map", "y^2", "--maxideal", "y", "--order", "lex"],
+], ids=["artin-order", "lc-piece-seed", "weyl-star-order", "regcheck-seed", "hull-order"])
+def test_flag_unread_by_the_command_is_rejected(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["weyl-mul", "x1", "x2", "--order", "lex"], "x1*x2"),
+    (["koszul-map", "--elems", "x1,x2", "--order", "lex", "--k", "1"], "x1\nx2"),
+    (["artin-decompose", "--ideal", "x1^2-1", "--seed", "3"], "dim = 2, factors = 2"),
+    (["koszul-primeavoid", "--prime", "x1,x2", "--g", "2", "--seed", "1"], "x_1 = "),
+], ids=["weyl-mul-order", "koszul-map-order", "artin-seed", "primeavoid-seed"])
+def test_flag_read_by_the_command_is_accepted(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert expected in out
+
 def test_undeclared_variable_is_usage_error(capsys):
     code, _, err = run(capsys, "weyl-lnf", "z + 1")
     assert code == 2

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from weylcas import groebner
 from weylcas.groebner import (
     Ideal,
     NotZeroDimensionalError,
+    SaturationDivergedError,
     _BlockElimOrder,
     _front,
     _primitive,
@@ -105,6 +107,15 @@ def test_saturation_stabilizes_and_grows():
     assert S.equals(ideal(y ** 2))
     assert S.includes(I)
 
+
+def test_saturation_gives_up_after_a_fixed_number_of_steps(monkeypatch):
+    steps = []
+    monkeypatch.setattr(groebner, "quotient_by_ideal", lambda I, J: steps.append(I) or I)
+    monkeypatch.setattr(Ideal, "equals", lambda self, other: False)
+    with pytest.raises(SaturationDivergedError,
+                       match="saturation did not stabilize within 64 steps"):
+        saturation(ideal(x), ideal(x))
+    assert len(steps) == groebner.SATURATION_STEPS == 64
 
 def test_standard_monomials_univariate():
     Y = ("y",)

@@ -360,3 +360,17 @@ def test_monomial_action_prefix_cache_matches_products_from_identity():
                 for _ in range(k):
                     m = linalg.mat_mul(M.var_actions[i], m)
             assert M.monomial_action(e) == m
+
+
+def test_action_of_vector_is_the_sum_of_scaled_monomial_actions():
+    XY = ("x", "y")
+    xx, yy = SparsePoly.variable(XY, 0), SparsePoly.variable(XY, 1)
+    A = ArtinAlgebra.from_presentation(XY, [xx ** 3 - yy, yy ** 2])
+    vectors = [[Fraction(i * j % 5 - 2, j + 1) for j in range(A.dim)] for i in range(4)]
+    vectors.append([Fraction(0)] * A.dim)
+    for M in (ArtinModule.regular(A), ArtinModule.regular(A).dual()):
+        for v in vectors:
+            expected = linalg.zeros(M.dim, M.dim)
+            for e, c in zip(A.basis, v):
+                expected = linalg.mat_add(expected, linalg.mat_scale(M.monomial_action(e), c))
+            assert M.action_of_vector(v) == expected

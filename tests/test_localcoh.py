@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from oracles import (
+    OldCohPiece,
     PerDegreeCech,
     PerDegreeMV,
     old_gamma_dstable_check,
@@ -13,11 +14,13 @@ from oracles import (
     old_mv_connecting_biprincipal,
     old_mv_dimension_check,
 )
+from weylcas import linalg
 from weylcas.groebner import Ideal
 from weylcas.koszul import GradedModuleModel, negative_support
 from weylcas.localcoh import (
     BiPrincipalMV,
     CechComplex,
+    CohPiece,
     cech_cohomology_piece,
     gamma_dstable_check,
     gamma_torsion_cyclic,
@@ -424,10 +427,76 @@ def test_mv_connecting_matches_per_degree_oracle():
         for d in product(*(range(lo, hi + 1) for lo, hi in window)):
             assert mv.fibre_at(d) == old.fibre_at(d), (f, g, d)
             seq, ref = mv.sequence_at(d), old.sequence_at(d)
-            for name in ("HF", "HM", "HC"):
-                assert [p.h_dim for p in seq[name]] == [p.h_dim for p in ref[name]]
-            for name in ("rho", "pi", "delta"):
-                assert seq[name] == ref[name], (f, g, d, name)
+            change = {name: [_change_of_basis(ref[name][t], seq[name][t])
+                             for t in range(len(seq[name]))] for name in ("HF", "HM", "HC")}
+            # rho: H^t(F) -> H^t(M), pi: H^t(M) -> H^t(C), delta: H^t(C) -> H^(t+1)(F)
+            for name, src, tgt, shift in (("rho", "HF", "HM", 0), ("pi", "HM", "HC", 0),
+                                          ("delta", "HC", "HF", 1)):
+                for t in range(2):
+                    assert (linalg.mat_mul(ref[name][t], change[src][t])
+                            == linalg.mat_mul(change[tgt][t + shift], seq[name][t])), \
+                        (f, g, d, name, t)
+
+
+def _change_of_basis(old_piece, new_piece):
+    """C with old coordinates = C * new coordinates: the old classes of the
+    new lifts.  It is invertible when both pieces describe the same H."""
+    assert old_piece.h_dim == new_piece.h_dim
+    c = [[old_piece.class_of(z)[i] for z in new_piece.lifts] for i in range(old_piece.h_dim)]
+    assert linalg.rank(c) == new_piece.h_dim
+    return c
+
+
+def _random_complex(rng, dims):
+    """Integer differentials d_t: Q^dims[t] -> Q^dims[t+1] with d_t d_(t-1) = 0:
+    the rows of d_t are random combinations of the left kernel of d_(t-1)."""
+    diffs = []
+    for t in range(len(dims) - 1):
+        n = dims[t]
+        if t and dims[t - 1]:
+            left = linalg.nullspace(linalg.transpose(diffs[-1]))
+        else:
+            left = [linalg.unit_vector(n, i) for i in range(n)]
+        diffs.append([_combination(rng, left, n) for _ in range(dims[t + 1])])
+    return diffs
+
+
+def _combination(rng, vectors, n):
+    coeffs = [rng.randint(-2, 2) for _ in vectors]
+    return [sum((c * v[j] for c, v in zip(coeffs, vectors)), Fraction(0)) for j in range(n)]
+
+
+def test_cohomology_piece_matches_old_coordinates():
+    rng = random.Random(909)
+    for _ in range(60):
+        dims = [rng.randint(0, 4) for _ in range(4)]
+        diffs = _random_complex(rng, dims)
+        for t in range(len(dims)):
+            new, old = CohPiece(dims, diffs, t), OldCohPiece(dims, diffs, t)
+            assert new.h_dim == linalg.cohomology_dim(dims, diffs, t)
+            c = _change_of_basis(old, new)
+            for j, z in enumerate(new.lifts):
+                assert new.class_of(z) == linalg.unit_vector(new.h_dim, j)
+            # random cocycles convert by C; boundaries have class 0
+            cocycles = (linalg.nullspace(diffs[t]) if t < len(diffs) and diffs[t]
+                        else [linalg.unit_vector(dims[t], i) for i in range(dims[t])])
+            for _ in range(3):
+                v = _combination(rng, cocycles, dims[t])
+                assert old.class_of(v) == linalg.mat_vec(c, new.class_of(v))
+            if t and dims[t - 1]:
+                for b in linalg.columns(diffs[t - 1]):
+                    assert new.class_of(b) == [Fraction(0)] * new.h_dim
+
+
+def test_cohomology_piece_refuses_bad_input():
+    # not a complex: d1 d0 = 1 != 0, so the boundary is no cocycle
+    with pytest.raises(RuntimeError, match="boundary outside the cocycles"):
+        CohPiece([1, 1, 1], [[[Fraction(1)]], [[Fraction(1)]]], 1)
+    # H^1 of Q --0--> Q^2 --(1 1)--> Q: (1, 0) is no cocycle
+    piece = CohPiece([1, 2, 1], [[[Fraction(0)], [Fraction(0)]], [[Fraction(1), Fraction(1)]]], 1)
+    assert piece.h_dim == 1
+    with pytest.raises(RuntimeError, match="vector is not a cocycle"):
+        piece.class_of([Fraction(1), Fraction(0)])
 
 
 def test_gamma_matches_per_degree_oracle():
@@ -479,7 +548,7 @@ def test_one_build_per_sign_pattern(monkeypatch):
     builds = Counter()
     for cls, name in ((CechComplex, "_build"), (BiPrincipalMV, "_build_sequence")):
         def counted(self, pattern, _build=getattr(cls, name)):
-            builds[id(self)] += 1
+            builds[self] += 1
             return _build(self, pattern)
         monkeypatch.setattr(cls, name, counted)
     for n in (1, 2, 3):
@@ -488,13 +557,24 @@ def test_one_build_per_sign_pattern(monkeypatch):
         for d in window_degrees(window):
             for i in range(n + 1):
                 cech.cohomology_dim(i, d)
-        assert builds[id(cech)] == 2 ** n
+        assert builds[cech] == 2 ** n
         mv = BiPrincipalMV(tuple([1] + [0] * (n - 1)), tuple([0] * (n - 1) + [2]), n)
         for d in window_degrees(window):
             mv.exact_at(d)
             mv.delta_commutes_with_partials(d)
-        assert builds[id(mv)] == 2 ** n
+        assert builds[mv] == 2 ** n
 
+
+def test_one_derivative_square_per_pattern_and_variable():
+    for n in (1, 2, 3):
+        mv = BiPrincipalMV(tuple([1] + [0] * (n - 1)), tuple([0] * (n - 1) + [2]), n)
+        expected = set()
+        for d in window_degrees([(-3, 3)] * n):
+            assert mv.delta_commutes_with_partials(d)
+            expected |= {(negative_support(d), k) for k in range(n) if d[k]}
+        # d_k = 0 squares are skipped: both sides are the zero map
+        assert set(mv._squares) == expected
+        assert len(expected) == n * 2 ** n
 
 @pytest.mark.parametrize("call", [
     lambda: CechComplex(1, [(-1,)]).cohomology_dim(1, (-2,)),
