@@ -50,6 +50,17 @@ def _order_from_flag(name: str) -> TermOrder:
     return LEX if name == "lex" else GREVLEX
 
 
+def _variable_count(text: str) -> int:
+    """The --vars value: a positive int, else argparse reports a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive number of variables, got {text!r}")
+    return n
+
+
 def _ring_vars(args, texts) -> tuple[str, ...]:
     """x1..xn, with n from --vars or else the highest index of an x or d
     symbol in the texts (at least 1)."""
@@ -389,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if vars_flag:
-            p.add_argument("--vars", type=int, default=None,
+            p.add_argument("--vars", type=_variable_count, default=None,
                            help="number of ring variables (default: inferred)")
 
     p = sub.add_parser("weyl-mul", help="product of two operators, left normal form")

@@ -8,7 +8,8 @@ criteria make redundant.  Reductions keep their working terms in a heap
 front, so every term's order key is computed once.
 
 Reduction runs on primitive integer polynomials: basis elements are split
-into head and tail once, and a head c*x^e divided by a head h*x^f first
+into head and tail once (an `Ideal` keeps these divisor records next to
+each cached basis), and a head c*x^e divided by a head h*x^f first
 scales the working terms by h/gcd(c, h) (pseudo-division).  Only the final
 reduced basis, unique for the ideal and order, is made monic over Q.
 """
@@ -98,6 +99,11 @@ def _record(ints, key):
     return he, ints[he], [(e, c) for e, c in ints.items() if e != he]
 
 
+def _divisor_records(basis, key):
+    """The divisor records of the nonzero basis elements, in basis order."""
+    return [_record(_primitive(g.terms)[0], key) for g in basis if g.terms]
+
+
 def _reduce(work, front, key, divisors):
     """Pseudo-reduce the integer working terms by the divisor records: each
     term is divided by the first divisor whose head divides it, after the
@@ -126,14 +132,8 @@ def _reduce(work, front, key, divisors):
     return r, lam, content
 
 
-def reduce_poly(f: SparsePoly, basis: list[SparsePoly], order: TermOrder) -> SparsePoly:
-    """Full normal form of f modulo basis: no remaining term is divisible
-    by any basis head term.  Each term is divided by the first basis
-    element whose head divides it; zero elements divide nothing."""
-    for g in basis:
-        f._check_same_ring(g)
-    key = order.key
-    divisors = [_record(_primitive(g.terms)[0], key) for g in basis if g.terms]
+def _normal_form(f, divisors, key):
+    """reduce_poly on divisor records built beforehand."""
     if not divisors or not f.terms:
         return f
     ints, den, num = _primitive(f.terms)
@@ -143,6 +143,15 @@ def reduce_poly(f: SparsePoly, basis: list[SparsePoly], order: TermOrder) -> Spa
     # content * num * r = lam * den * (normal form of f)
     a, b = content * num, lam * den
     return SparsePoly(f.vars, {e: Fraction(c * a, b) for e, c in r.items()})
+
+
+def reduce_poly(f: SparsePoly, basis: list[SparsePoly], order: TermOrder) -> SparsePoly:
+    """Full normal form of f modulo basis: no remaining term is divisible
+    by any basis head term.  Each term is divided by the first basis
+    element whose head divides it; zero elements divide nothing."""
+    for g in basis:
+        f._check_same_ring(g)
+    return _normal_form(f, _divisor_records(basis, order.key), order.key)
 
 
 def s_polynomial(f: SparsePoly, g: SparsePoly, order: TermOrder) -> SparsePoly:
@@ -159,7 +168,7 @@ def buchberger(generators: list[SparsePoly], order: TermOrder) -> list[SparsePol
     for g in generators[1:]:
         generators[0]._check_same_ring(g)
     key = order.key
-    basis = [_record(_primitive(g.terms)[0], key) for g in generators if g.terms]
+    basis = _divisor_records(generators, key)
     if not basis:
         return []
 
@@ -253,6 +262,8 @@ class Ideal:
                 gens.append(g)
         self.generators = gens
         self._gb_cache: dict[TermOrder, list[SparsePoly]] = {}
+        # the divisor records of each cached basis, built on first reduction
+        self._records_cache: dict[TermOrder, list] = {}
 
     def groebner_basis(self, order: TermOrder = GREVLEX) -> list[SparsePoly]:
         if order not in self._gb_cache:
@@ -267,7 +278,11 @@ class Ideal:
     def reduce(self, f: SparsePoly, order: TermOrder = GREVLEX) -> SparsePoly:
         if f.vars != self.vars:
             raise ValueError(f"variable lists differ: {self.vars} vs {f.vars}")
-        return reduce_poly(f, self.groebner_basis(order), order)
+        records = self._records_cache.get(order)
+        if records is None:
+            records = self._records_cache[order] = _divisor_records(
+                self.groebner_basis(order), order.key)
+        return _normal_form(f, records, order.key)
 
     def is_zero(self) -> bool:
         return not self.groebner_basis()

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .groebner import Ideal, divide_exact
-from .poly import GREVLEX, SparsePoly, TermOrder
+from .poly import GREVLEX, SparsePoly, TermOrder, power_by_squaring
 
 
 class StarBoundNotFoundError(RuntimeError):
@@ -241,10 +241,8 @@ class DiffOp:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = DiffOp.one(self.ring)
-        for _ in range(k):
-            result = result * self
-        return result
+        # the left normal form is unique, so it equals that of the k-fold product
+        return DiffOp.one(self.ring) if k == 0 else power_by_squaring(self, k).to_left()
 
     def __eq__(self, other):
         if isinstance(other, SparsePoly):
@@ -331,9 +329,12 @@ class LocalizedFraction:
     """num / base^power over Q[vars]; the base is a fixed nonconstant poly.
 
     Canonicalization divides out whole base factors, cancels the monomial
-    gcd when the denominator is a monomial, and cancels the full univariate
-    gcd when everything lives in one variable (rebasing the denominator).
-    General denominators are compared by cross-multiplication.
+    gcd when the denominator is a monomial, and handles fractions that live
+    in one variable by the gcd of num and base: when it is constant the
+    base is made monic and stays unexpanded, so derivatives only raise the
+    power; otherwise the full gcd with base^power is cancelled and the
+    denominator rebased into one monic polynomial with power 1.  General
+    denominators are compared by cross-multiplication.
     """
 
     __slots__ = ("num", "base", "power")
@@ -466,6 +467,14 @@ def _simplify_fraction(num: SparsePoly, base: SparsePoly, power: int):
 
         i = active[0]
         dn = univar.from_sparse(num, i)
+        db = univar.from_sparse(base, i)
+        if univar.deg(univar.gcd(dn, db)) == 0:
+            # every prime factor of base^power divides base, so nothing
+            # cancels: make the base monic and keep the power unexpanded
+            lead = db[-1]
+            if lead != 1:
+                num, base = num * (1 / lead ** power), base * (1 / lead)
+            return num, base, power
         dd = univar.from_sparse(base ** power, i)
         g = univar.gcd(dn, dd)
         if univar.deg(g) > 0:

@@ -72,6 +72,19 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
+def power_by_squaring(x, k: int):
+    """x^k for k >= 1 by square-and-multiply in an associative ring: the
+    first factor is taken as is, and x is squared only while bits remain."""
+    result = None
+    while k:
+        if k & 1:
+            result = x if result is None else result * x
+        k >>= 1
+        if k:
+            x = x * x
+    return result
+
+
 class SparsePoly:
     """An exact polynomial over Q in a fixed ordered list of variables."""
 
@@ -226,14 +239,7 @@ class SparsePoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = SparsePoly.one(self.vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return SparsePoly.one(self.vars) if k == 0 else power_by_squaring(self, k)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

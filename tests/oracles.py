@@ -14,9 +14,13 @@ multidegree, before `localcoh` built them once per sign pattern;
 coordinates of a left nullspace of the boundary and invert a re-lifted
 basis, before `CohPiece` read classes off one `Subspace`.  The
 `old_*` span helpers, `OldColumnSolver` and `KrylovReducer` answered span
-questions one fresh row reduction at a time, before `linalg.Subspace`.  All
-are exact and slow; on inputs they answer correctly the production code must
-give identical results.
+questions one fresh row reduction at a time, before `linalg.Subspace`.
+`old_simplify_fraction` canonicalizes a univariate fraction by expanding
+base^power and rebasing it into one polynomial with power 1, before the
+coprime case kept the monic base unexpanded; `old_diffop_power` multiplies
+k times, before square-and-multiply.  All are exact and slow; on inputs
+they answer correctly the production code must give identical results
+(fractions: the same value, compared by cross-multiplication).
 """
 
 from __future__ import annotations
@@ -27,13 +31,16 @@ from fractions import Fraction
 from itertools import combinations
 
 from weylcas import linalg
+from weylcas import univar
 from weylcas.artin import LocalFactor, _assert_idempotent_system
+from weylcas.groebner import divide_exact
 from weylcas.koszul import WindowMarginError
 from weylcas.localcoh import (
     minimalize_monomials,
     monomial_lcm,
     window_degrees,
 )
+from weylcas.ore import DiffOp
 from weylcas.poly import SparsePoly
 from weylcas.univar import deg, divmod_poly, eval_at, monic, mul, squarefree_decomposition, trim
 
@@ -917,3 +924,66 @@ def old_minimal_polynomial_of_vector(a: list, v: list) -> list[Fraction]:
             return [c / lead for c in rel]
         w = linalg.mat_vec(a, w)
         k += 1
+
+
+# ---------- localized fractions and operator powers ----------
+# The parent's `ore` code: every univariate fraction rebased into one
+# expanded denominator, and powers of an operator as k-fold products.
+
+def old_simplify_fraction(num: SparsePoly, base: SparsePoly, power: int):
+    vars_ = num.vars
+    if num.is_zero():
+        return num, SparsePoly.one(vars_), 0
+    if power == 0 or base.is_constant():
+        if power > 0:
+            num = num * (Fraction(1) / base.constant_value() ** power)
+        return num, SparsePoly.one(vars_), 0
+    # strip whole base factors
+    while power > 0:
+        q = divide_exact(num, base)
+        if q is None:
+            break
+        num, power = q, power - 1
+    if power == 0:
+        return num, SparsePoly.one(vars_), 0
+    if len(base.terms) == 1:
+        be, bc = next(iter(base.terms.items()))
+        denom_exp = tuple(x * power for x in be)
+        content = tuple(min(e[i] for e in num.terms) for i in range(len(vars_)))
+        cancel = tuple(min(c, d) for c, d in zip(content, denom_exp))
+        if any(cancel):
+            num = SparsePoly(vars_, {
+                tuple(a - b for a, b in zip(e, cancel)): c for e, c in num.terms.items()
+            })
+            denom_exp = tuple(d - c for d, c in zip(denom_exp, cancel))
+        num = num * (Fraction(1) / bc ** power)
+        if not any(denom_exp):
+            return num, SparsePoly.one(vars_), 0
+        return num, SparsePoly.monomial(vars_, denom_exp), 1
+    active = [i for i in range(len(vars_)) if base.degree_in(i) > 0]
+    if len(active) == 1 and all(
+        all(x == 0 for j, x in enumerate(e) if j != active[0]) for e in num.terms
+    ):
+        i = active[0]
+        dn = univar.from_sparse(num, i)
+        dd = univar.from_sparse(base ** power, i)
+        g = univar.gcd(dn, dd)
+        if univar.deg(g) > 0:
+            dn = univar.divmod_poly(dn, g)[0]
+            dd = univar.divmod_poly(dd, g)[0]
+        lead = dd[-1]
+        dn = univar.scale(dn, 1 / lead)
+        dd = univar.scale(dd, 1 / lead)
+        num = univar.to_sparse(dn, vars_, i)
+        new_base = univar.to_sparse(dd, vars_, i)
+        if new_base == SparsePoly.one(vars_):
+            return num, SparsePoly.one(vars_), 0
+        return num, new_base, 1
+    return num, base, power
+
+
+def old_diffop_power(op: DiffOp, k: int) -> DiffOp:
+    result = DiffOp.one(op.ring)
+    for _ in range(k):
+        result = result * op
+    return result

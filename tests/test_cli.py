@@ -245,3 +245,12 @@ def test_artin_decompose_degree_five_product_json(capsys):
     assert payload["dim"] == 5
     assert sorted(f["residue_degree"] for f in payload["factors"]) == [2, 3]
     assert sorted(f["dim"] for f in payload["factors"]) == [2, 3]
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_vars_out_of_range_is_usage_error(capsys, count):
+    code, out, err = run(capsys, "weyl-lnf", "x1*d1", "--vars", count)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: ")
+    assert "argument --vars: expected a positive number of variables" in err

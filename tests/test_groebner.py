@@ -526,3 +526,28 @@ def test_pseudo_remainder_is_a_primitive_positive_multiple():
 def test_large_named_systems_match_reference(system):
     gens = _cyclic(5) if system == "cyclic-5" else _katsura(4)
     assert _same_basis(buchberger(gens, GREVLEX), ref_buchberger(gens, GREVLEX))
+
+
+def test_ideal_reduce_builds_divisor_records_once_per_order(monkeypatch):
+    builds = []
+    real = groebner._divisor_records
+
+    def counting(basis, key):
+        builds.append(key)
+        return real(basis, key)
+
+    monkeypatch.setattr(groebner, "_divisor_records", counting)
+    rng = random.Random("records")
+    for trial in range(12):
+        n = 2 + trial % 2
+        gens = [_random_poly(rng, n, 2, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        ideal = Ideal(_names(n), gens)
+        bases = {order: ideal.groebner_basis(order) for order in (GREVLEX, LEX)}
+        del builds[:]  # buchberger builds records of its own
+        for order in (GREVLEX, LEX, GREVLEX, LEX):
+            f = _random_poly(rng, n, 4, 6)
+            basis = bases[order]
+            want = ref_reduce_poly(f, basis, order) if basis else f
+            assert ideal.reduce(f, order).terms == want.terms
+            assert ideal.contains(f, order) == want.is_zero()
+        assert builds == [GREVLEX.key, LEX.key]

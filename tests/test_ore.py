@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from oracles import old_diffop_power, old_simplify_fraction
 
 from weylcas.acceptance import _rewrite_normal_form
 from weylcas.groebner import Ideal
@@ -278,3 +279,99 @@ def test_star_bound_random():
             continue
         m = s.op_order()
         assert verify_star(Iy, s, m + 1) <= m + 1
+
+
+def test_power_matches_k_fold_product():
+    rng = random.Random(41)
+    rings = [OreRing.weyl(tuple(f"x{i + 1}" for i in range(n))) for n in (1, 2, 3)]
+    rings += [ore_ring_ddx(), ore_ring_x2ddx()]
+    for ring in rings:
+        for _ in range(4):
+            s = random_diffop(rng, ring, 2, 2, 2)
+            for t in (s, s.to_right()):
+                for k in range(7):
+                    assert_same_form(t ** k, old_diffop_power(t, k))
+
+
+XY = ("x", "y")
+
+
+def _same_value(a, b):
+    # num_a / base_a^power_a == num_b / base_b^power_b over a domain
+    return a[0] * b[1] ** b[2] == b[0] * a[1] ** a[2]
+
+
+def _fraction_cases(rng):
+    """(label, num, base, power) over Q[x, y]: coprime and shared-factor
+    univariate fractions with non-monic bases, monomial bases, and
+    bases in both variables."""
+    xs = SparsePoly.variable(XY, 0)
+    ys = SparsePoly.variable(XY, 1)
+
+    def uni(degree):
+        c = [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for _ in range(degree)]
+        p = SparsePoly.constant(XY, rng.choice([1, 2, -3, Fraction(1, 2)])) * xs ** degree
+        for j, cj in enumerate(c):
+            p = p + cj * xs ** j
+        return p
+
+    for _ in range(40):
+        power = rng.randint(1, 4)
+        yield "univariate", uni(rng.randint(0, 3)), uni(rng.randint(1, 3)), power
+        h = uni(rng.randint(1, 2))
+        yield "shared", h * uni(rng.randint(0, 2)), h * uni(rng.randint(0, 2)), power
+        mono = SparsePoly.monomial(XY, (rng.randint(0, 2), rng.randint(1, 2)),
+                                   rng.choice([1, -2, Fraction(3, 4)]))
+        num = uni(rng.randint(0, 2)) * xs ** rng.randint(0, 3) + ys ** rng.randint(0, 3)
+        yield "monomial", num, mono, power
+        yield "multivariate", uni(rng.randint(0, 2)) * (xs + ys), xs * ys + uni(1), power
+
+
+def test_fraction_canonical_form_matches_old_path():
+    rng = random.Random(43)
+    coprime = 0
+    for label, num, base, power in _fraction_cases(rng):
+        f = LocalizedFraction(num, base, power)
+        new = (f.num, f.base, f.power)
+        old = old_simplify_fraction(num, base, power)
+        assert _same_value(new, old), label
+        assert _same_value(new, (num, base, power)), label
+        if new != old:
+            # only a coprime univariate fraction reads differently: the
+            # base made monic, its power unexpanded (whole factors of the
+            # base still divide out first)
+            coprime += 1
+            lead = max(base.terms.items())[1]
+            assert label in ("univariate", "shared")
+            assert f.base == base * (1 / lead) and 1 <= f.power <= power
+            assert old == (f.num, f.base ** f.power, 1)
+    assert coprime >= 20
+
+
+def test_derivatives_of_inverse_powers_keep_the_base():
+    # d^k (1/(x+s)^m) = (-1)^k (m+k-1)!/(m-1)! / (x+s)^(m+k)
+    for n in (1, 2, 3):
+        ring = OreRing.weyl(tuple(f"x{i + 1}" for i in range(n)))
+        for i in range(n):
+            for s, m, lead in ((1, 1, 1), (5, 3, 1), (-2, 2, 3)):
+                xi = SparsePoly.variable(ring.vars, i)
+                base = xi * lead + s * lead
+                f = LocalizedFraction(SparsePoly.one(ring.vars), base, m)
+                for k in range(13):
+                    got = DiffOp.operator(ring, i, k).apply(f)
+                    assert got.base == xi + s
+                    assert got.power == m + k
+                    want = Fraction((-1) ** k * factorial(m + k - 1), factorial(m - 1) * lead ** m)
+                    assert got.num == SparsePoly.constant(ring.vars, want)
+
+
+def test_shared_factor_still_cancels():
+    one = SparsePoly.one(("x",))
+    # (x-1)(x+2) / ((x-1)(x+3))^2 = (x+2) / ((x-1)(x+3)^2)
+    f = LocalizedFraction((x - one) * (x + 2 * one), (x - one) * (x + 3 * one), 2)
+    assert f.num == x + 2 * one
+    assert f.base == (x - one) * (x + 3 * one) ** 2 and f.power == 1
+    # a derivative whose numerator shares the base's factor x - 1
+    g = LocalizedFraction((x - one) ** 2, (x - one) * (x + one), 1)
+    assert g.num == x - one and g.base == x + one and g.power == 1
+    assert d.apply(g) == LocalizedFraction(2 * one, x + one, 2)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -169,3 +170,31 @@ def test_ring_axioms(p, q, r):
 def test_leibniz_property(p, q):
     for i in range(2):
         assert (p * q).partial(i) == p.partial(i) * q + p * q.partial(i)
+
+
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    rng = random.Random("pow")
+    real = SparsePoly.__mul__
+    log = []
+
+    def counting(a, b):
+        if isinstance(b, SparsePoly):
+            log.append(len(a.terms) * len(b.terms))
+        return real(a, b)
+
+    for trial in range(20):
+        b = P({(rng.randrange(4), rng.randrange(4)): rng.choice([-2, -1, 1, 3, Fraction(1, 2)])
+               for _ in range(2 + trial % 7)})
+        for k in range(10):
+            want = one
+            for _ in range(k):
+                want = want * b
+            monkeypatch.setattr(SparsePoly, "__mul__", counting)
+            del log[:]
+            got = b ** k
+            monkeypatch.setattr(SparsePoly, "__mul__", real)
+            assert got == want
+            # bit_length - 1 squarings, popcount - 1 products into the result
+            assert len(log) == (max(k.bit_length(), 1) - 1) + max(bin(k).count("1") - 1, 0)
+            if k == 2:
+                assert log == [len(b.terms) ** 2]
