@@ -32,11 +32,7 @@ class SearchExhaustedError(RuntimeError):
 
 
 class WindowMarginError(ValueError):
-    """A degree window is empty or too small for the needed degree shifts."""
-
-
-class NotFiniteDimensionalError(ValueError):
-    """A graded piece of the model is not finite-dimensional."""
+    """A degree window is empty."""
 
 
 # ---------- exterior-algebra differentials ----------
@@ -296,84 +292,36 @@ def prime_avoidance_sequence(P: Ideal, g: int, seed: int = 0,
 
 # ---------- graded module models and Ext^1 ----------
 
-def negative_support(d) -> frozenset[int]:
-    """N(d) = {j : d_j < 0}.  Whether a monomial module is nonzero at d is
-    a condition on this set, so there are at most 2^n cases."""
-    return frozenset(j for j, x in enumerate(d) if x < 0)
-
-
 class GradedModuleModel:
-    """A Z^n-graded module whose multidegree-d pieces have dimension 0 or 1,
-    cut out by a per-variable sign pattern: the piece at d is nonzero iff
-    the '-' positions of the pattern are exactly N(d) = negative_support(d)
-    ('+' means the coordinate is >= 0, '-' that it is <= -1).
+    """One of two Z^n-graded modules whose multidegree-d pieces have
+    dimension 0 or 1: the polynomial ring R, nonzero exactly at d >= 0,
+    and the top local cohomology H^n_m(R) of the maximal monomial ideal,
+    nonzero exactly at d <= -1 (for one variable, K[x, 1/x]/K[x]).
     Multiplication by a variable shifts the multidegree and truncates
-    outside the region.
+    outside the region."""
 
-    The all-'+' pattern is the polynomial ring; the all-'-' pattern is the
-    top local cohomology of the maximal monomial ideal, which for one
-    variable is K[x, 1/x]/K[x].
-    """
-
-    def __init__(self, variables, pattern: str):
+    def __init__(self, variables, top: bool):
         self.vars = tuple(variables)
-        if len(pattern) != len(self.vars) or any(c not in "+-" for c in pattern):
-            raise ValueError("pattern must be one '+'/'-' per variable")
-        self.pattern = pattern
-        self._negative = frozenset(j for j, c in enumerate(pattern) if c == "-")
+        self._top = top
 
     @classmethod
     def polynomial(cls, variables) -> "GradedModuleModel":
-        return cls(variables, "+" * len(tuple(variables)))
+        return cls(variables, False)
 
     @classmethod
     def top_local_cohomology(cls, variables) -> "GradedModuleModel":
-        return cls(variables, "-" * len(tuple(variables)))
-
-    def contains(self, d: tuple[int, ...]) -> bool:
-        return negative_support(d) == self._negative
+        return cls(variables, True)
 
     def basis_of_total_degree(self, t: int) -> list[tuple[int, ...]]:
-        """Multidegrees in the region with coordinate sum t (finite for
-        pure-sign patterns)."""
+        """Multidegrees in the region with coordinate sum t."""
         n = len(self.vars)
-        if len(set(self.pattern)) > 1:
-            raise NotFiniteDimensionalError(
-                "mixed sign patterns have infinite total-degree pieces"
-            )
-        if self.pattern[0] == "+":
-            if t < 0:
-                return []
-            return [e for e in _compositions(t, n)]
-        # all '-': substitute e_i = -1 - f_i with f_i >= 0
+        if not self._top:
+            return list(_compositions(t, n)) if t >= 0 else []
+        # substitute e_i = -1 - f_i with f_i >= 0
         s = -t - n
         if s < 0:
             return []
         return [tuple(-1 - f for f in e) for e in _compositions(s, n)]
-
-    def structure_maps_commute(self, degrees: list[tuple[int, ...]]) -> bool:
-        """x_i then x_j equals x_j then x_i on the given pieces (scalar 0/1
-        maps here, so this checks region-truncation consistency)."""
-        for d in degrees:
-            if not self.contains(d):
-                continue
-            for i in range(len(self.vars)):
-                for j in range(len(self.vars)):
-                    via_ij = self._shift_ok(self._shift(d, i), j) and self._shift_ok(d, i)
-                    via_ji = self._shift_ok(self._shift(d, j), i) and self._shift_ok(d, j)
-                    target = tuple(
-                        x + (1 if k in (i, j) else 0) + (1 if i == j == k else 0)
-                        for k, x in enumerate(d)
-                    )
-                    if self.contains(target) and via_ij != via_ji:
-                        return False
-        return True
-
-    def _shift(self, d, i):
-        return tuple(x + (1 if k == i else 0) for k, x in enumerate(d))
-
-    def _shift_ok(self, d, i):
-        return self.contains(self._shift(d, i))
 
     def mult_matrix(self, p: SparsePoly, source_degree: int):
         """Matrix of multiplication by the homogeneous polynomial p from the

@@ -34,7 +34,6 @@ from weylcas import linalg
 from weylcas import univar
 from weylcas.artin import LocalFactor, _assert_idempotent_system
 from weylcas.groebner import divide_exact
-from weylcas.koszul import WindowMarginError
 from weylcas.localcoh import (
     minimalize_monomials,
     monomial_lcm,
@@ -513,15 +512,6 @@ def _inverse(a):
     return [row[n:] for row in r]
 
 
-def _pad(m, rows, cols):
-    """Re-inflate a matrix whose zero blocks collapsed the empty shape."""
-    out = linalg.zeros(rows, cols)
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            out[i][j] = x
-    return out
-
-
 class PerDegreeMV:
     """The full connecting-map apparatus for I = (f), J = (g)."""
 
@@ -534,8 +524,8 @@ class PerDegreeMV:
         self.cg = PerDegreeCech(nvars, [self.g])
         self.ch = PerDegreeCech(nvars, [self.h])
         self.cfg = PerDegreeCech(nvars, minimalize_monomials([self.f, self.g]))
-        # per-degree memos: the oracle, exactness and derivative checks all
-        # revisit the same degrees
+        # per-degree memos: the oracle and exactness checks revisit the
+        # same degrees
         self._fibres: dict[tuple[int, ...], tuple] = {}
         self._sequences: dict[tuple[int, ...], dict] = {}
 
@@ -661,56 +651,6 @@ class PerDegreeMV:
                 return False
         return True
 
-    # -- derivative actions --
-
-    def _partial_on_cech(self, cech: PerDegreeCech, t: int, d, k: int):
-        """d_k: C^t(cech)_d -> C^t(cech)_(d - e_k), the scalar d_k on each
-        matching active subset."""
-        d2 = tuple(x - (1 if j == k else 0) for j, x in enumerate(d))
-        src = cech.active_subsets(t, d)
-        tgt = cech.active_subsets(t, d2)
-        tgt_pos = {T: i for i, T in enumerate(tgt)}
-        mat = linalg.zeros(len(tgt), len(src))
-        for j, T in enumerate(src):
-            i = tgt_pos.get(T)
-            if i is not None:
-                mat[i][j] = Fraction(d[k])
-        return mat
-
-    def _partial_on_fibre(self, t, d, k):
-        """d_k on F^t = C^t(f) (+) C^t(g) (+) C^(t-1)(h), block by block."""
-        d2 = tuple(x - (1 if j == k else 0) for j, x in enumerate(d))
-        parts = [(c, t) for c in (self.cf, self.cg) if t <= 1]
-        if t >= 1:
-            parts.append((self.ch, t - 1))
-        blocks = [[self._partial_on_cech(c, s, d, k) if i == j else None
-                   for j, (c, s) in enumerate(parts)] for i in range(len(parts))]
-        return linalg.block_matrix(blocks, [c.level_dim(s, d2) for c, s in parts],
-                                   [c.level_dim(s, d) for c, s in parts])
-
-    def delta_commutes_with_partials(self, d) -> bool:
-        """delta o d_k = d_k o delta on the materialized cohomology square
-        at degrees d and d - e_k, for every variable k and both levels."""
-        seq_d = self.sequence_at(d)
-        for k in range(self.nvars):
-            d2 = tuple(x - (1 if j == k else 0) for j, x in enumerate(d))
-            seq_d2 = self.sequence_at(d2)
-            for t in range(2):
-                # H^t(C)_d --delta--> H^(t+1)(F)_d
-                #    |d_k                  |d_k
-                # H^t(C)_d2 --delta--> H^(t+1)(F)_d2
-                pk_c = old_induced_map(seq_d["HC"][t], seq_d2["HC"][t],
-                                   self._partial_on_cech(self.ch, t, d, k))
-                pk_f = old_induced_map(seq_d["HF"][t + 1], seq_d2["HF"][t + 1],
-                                   self._partial_on_fibre(t + 1, d, k))
-                lhs = linalg.mat_mul(seq_d2["delta"][t], pk_c)
-                rhs = linalg.mat_mul(pk_f, seq_d["delta"][t])
-                rows = seq_d2["HF"][t + 1].h_dim
-                cols = seq_d["HC"][t].h_dim
-                if _pad(lhs, rows, cols) != _pad(rhs, rows, cols):
-                    return False
-        return True
-
 
 def _negated(m):
     return [[-x for x in row] for row in m]
@@ -720,40 +660,13 @@ def old_mv_connecting_biprincipal(f: tuple[int, ...], g: tuple[int, ...],
                               window: list[tuple[int, int]],
                               nvars: int | None = None) -> dict:
     """Build the fibre complex for I = (f), J = (g) and verify, per degree:
-    the fibre-vs-Cech oracle, exactness of the long sequence, and the
-    commutation of the connecting map with every partial derivative
-    (inner degrees only; the boundary shell is reported as skipped)."""
+    the fibre-vs-Cech oracle and exactness of the long sequence."""
     n = nvars if nvars is not None else len(window)
-    if any(hi < lo + 1 for lo, hi in window):
-        raise WindowMarginError(
-            "window needs at least two degrees per variable for the "
-            "derivative squares"
-        )
     mv = PerDegreeMV(f, g, n)
-    oracle_ok = True
-    exact_ok = True
-    dlin_ok = True
-    skipped = []
     degrees = list(window_degrees(window))
-    inner = set()
-    for d in degrees:
-        if all(lo < x <= hi for x, (lo, hi) in zip(d, window)):
-            inner.add(d)
-    for d in degrees:
-        if not mv.fibre_matches_sum_cech(d):
-            oracle_ok = False
-        if not mv.exact_at(d):
-            exact_ok = False
-        if d in inner:
-            if not mv.delta_commutes_with_partials(d):
-                dlin_ok = False
-        else:
-            skipped.append(d)
     return {
-        "h_oracle_matches": oracle_ok,
-        "long_sequence_exact": exact_ok,
-        "delta_d_linear": dlin_ok,
-        "boundary_degrees_skipped": len(skipped),
+        "h_oracle_matches": all(mv.fibre_matches_sum_cech(d) for d in degrees),
+        "long_sequence_exact": all(mv.exact_at(d) for d in degrees),
         "lcm": mv.h,
     }
 

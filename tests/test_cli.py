@@ -154,8 +154,12 @@ def test_usage_error_exit_code(capsys):
     ["lc-piece", "--ideal", "x1,x2", "--i", "-1", "--degree", "-1,-1"],
     ["lc-piece", "--ideal", "x1,x2", "--i", "2", "--degree", "-1,x"],
     ["lc-piece", "--ideal", "1", "--i", "0", "--degree", "-1"],
-    ["lc-mv", "--i-gens", "x1", "--j-gens", "x2", "--window", "0..0"],
-], ids=["i-above", "i-below", "degree-parse", "unit-ideal", "window-margin"])
+    ["lc-mv", "--i-gens", "x1", "--j-gens", "x2", "--window", "3..1"],
+    ["lc-mv", "--i-gens", "x1,x2", "--j-gens", "x2", "--window", "3..1"],
+    ["lc-gamma", "--ideal", "x1", "--invert", "x1", "--mod-r", "--vars", "2",
+     "--window", "3..1"],
+], ids=["i-above", "i-below", "degree-parse", "unit-ideal", "window-margin",
+        "mv-empty-window", "gamma-empty-window"])
 def test_lc_input_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

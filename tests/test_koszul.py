@@ -9,7 +9,6 @@ from weylcas.groebner import Ideal
 from weylcas.koszul import (
     GradedModuleModel,
     KoszulComplex,
-    NotFiniteDimensionalError,
     SearchExhaustedError,
     build_psi_inductive,
     ext1_koszul,
@@ -235,18 +234,6 @@ def test_model_pieces():
     E2 = GradedModuleModel.top_local_cohomology(("x", "y"))
     assert len(E2.basis_of_total_degree(-2)) == 1
     assert len(E2.basis_of_total_degree(-4)) == 3
-
-
-def test_model_mixed_pattern_rejected():
-    m = GradedModuleModel(("x", "y"), "+-")
-    with pytest.raises(NotFiniteDimensionalError):
-        m.basis_of_total_degree(0)
-
-
-def test_model_structure_maps_commute():
-    E2 = GradedModuleModel.top_local_cohomology(("x", "y"))
-    degrees = [(a, b) for a in range(-4, 0) for b in range(-4, 0)]
-    assert E2.structure_maps_commute(degrees)
 
 
 def test_ext1_polynomial_ring_not_injective():

@@ -16,7 +16,7 @@ from oracles import (
 )
 from weylcas import linalg
 from weylcas.groebner import Ideal
-from weylcas.koszul import GradedModuleModel, negative_support
+from weylcas.koszul import GradedModuleModel
 from weylcas.localcoh import (
     BiPrincipalMV,
     CechComplex,
@@ -28,6 +28,7 @@ from weylcas.localcoh import (
     minimalize_monomials,
     mv_connecting_biprincipal,
     mv_dimension_check,
+    negative_support,
     window_degrees,
 )
 from weylcas.poly import SparsePoly
@@ -162,11 +163,18 @@ def test_mv_connecting_full_report(f, g):
 
 
 def test_mv_connecting_degenerate_window_rejected():
-    from weylcas.koszul import GradedModuleModel, ext1_koszul, koszul_h1_window
+    from weylcas.koszul import ext1_koszul, koszul_h1_window
     from weylcas.localcoh import WindowMarginError
 
-    with pytest.raises(WindowMarginError):
-        mv_connecting_biprincipal((1, 0), (0, 1), [(0, 0), (-3, 3)])
+    # an empty window would pass every check vacuously
+    for call in (lambda w: mv_connecting_biprincipal((1, 0), (0, 1), w),
+                 lambda w: mv_dimension_check([(1, 0), (0, 1)], [(0, 1)], w),
+                 lambda w: gamma_dstable_check((1, 0), [(1, 0)], w, mod_r=True),
+                 lambda w: gamma_torsion_localization((1, 0), [(1, 0)], w)):
+        with pytest.raises(WindowMarginError, match="empty window"):
+            call([(0, 0), (3, 1)])
+    # a one-degree window is a window
+    assert mv_connecting_biprincipal((1, 0), (0, 1), [(0, 0), (-3, 3)])["delta_d_linear"]
     # Koszul Ext^1 and H_1 raise the same class on an empty window
     with pytest.raises(WindowMarginError):
         ext1_koszul([x], GradedModuleModel.polynomial(XY), (1, 0))
@@ -238,14 +246,13 @@ def test_gamma_dstable_mixed_monomial():
     assert report["torsion_count"] > 0
 
 
-# (f, g, window) -> report of mv_connecting_biprincipal before fibre_at and
-# sequence_at were memoised per degree
+# (f, g, lcm): mv_connecting_biprincipal passes every check on these
 MV_REPORTS = [
-    ((1, 0), (1, 2), 9, (1, 2)),
-    ((1, 2), (0, 2), 9, (1, 2)),
-    ((2, 1), (0, 2), 9, (2, 2)),
-    ((2, 0), (2, 2), 9, (2, 2)),
-    ((1, 0, 0), (0, 2, 0), 61, (1, 2, 0)),
+    ((1, 0), (1, 2), (1, 2)),
+    ((1, 2), (0, 2), (1, 2)),
+    ((2, 1), (0, 2), (2, 2)),
+    ((2, 0), (2, 2), (2, 2)),
+    ((1, 0, 0), (0, 2, 0), (1, 2, 0)),
 ]
 
 
@@ -273,14 +280,13 @@ def test_mv_connecting_reports_unchanged_by_memo(monkeypatch):
 
     monkeypatch.setattr(BiPrincipalMV, "_build_sequence", counted)
     pairs = _seeded_monomial_pairs()
-    assert pairs == [(f, g) for f, g, _, _ in MV_REPORTS]
-    for f, g, skipped, lcm in MV_REPORTS:
+    assert pairs == [(f, g) for f, g, _ in MV_REPORTS]
+    for f, g, lcm in MV_REPORTS:
         report = mv_connecting_biprincipal(f, g, [(-2, 2)] * len(f))
         assert report == {
             "h_oracle_matches": True,
             "long_sequence_exact": True,
             "delta_d_linear": True,
-            "boundary_degrees_skipped": skipped,
             "lcm": lcm,
         }
     # one build per sign pattern of each instance: at most 2^n
@@ -293,8 +299,9 @@ def test_mv_connecting_reports_unchanged_by_memo(monkeypatch):
 
 def test_memoised_sequence_matches_fresh_build():
     mv = BiPrincipalMV((2, 1), (0, 2), 2)
-    for d in product(range(-2, 3), repeat=2):
-        assert mv.delta_commutes_with_partials(d)
+    for N in _patterns(2):
+        for j in N:
+            assert mv.delta_commutes_with_x(N, j)
     for d in product(range(-3, 3), repeat=2):
         cached = mv.sequence_at(d)
         assert mv.sequence_at(list(d)) is cached
@@ -422,7 +429,9 @@ def test_mv_connecting_matches_per_degree_oracle():
     for n, (f,), (g,) in _pair_corpus(12, 12, sizes=(1,)):
         window = _window(n) if n < 4 else [(-1, 0)] * 4
         report = mv_connecting_biprincipal(f, g, window)
-        assert report == old_mv_connecting_biprincipal(f, g, window), (f, g)
+        ref = old_mv_connecting_biprincipal(f, g, window)
+        assert {key: report[key] for key in ref} == ref, (f, g)
+        assert report["delta_d_linear"], (f, g)
         mv, old = BiPrincipalMV(f, g, n), PerDegreeMV(f, g, n)
         for d in product(*(range(lo, hi + 1) for lo, hi in window)):
             assert mv.fibre_at(d) == old.fibre_at(d), (f, g, d)
@@ -516,17 +525,14 @@ def test_gamma_matches_per_degree_oracle():
 def test_model_pieces_are_a_pattern():
     for n in (1, 2, 3):
         names = tuple(f"x{i + 1}" for i in range(n))
-        for signs in product("+-", repeat=n):
-            model = GradedModuleModel(names, "".join(signs))
-            for d in product(range(-3, 3), repeat=n):
-                expected = all((x >= 0) if s == "+" else (x <= -1) for x, s in zip(d, signs))
-                assert model.contains(d) == expected
-        for model in (GradedModuleModel.polynomial(names),
-                      GradedModuleModel.top_local_cohomology(names)):
+        # R is nonzero at pattern {}, H^n_m at the pattern of all variables
+        for model, pattern in ((GradedModuleModel.polynomial(names), frozenset()),
+                               (GradedModuleModel.top_local_cohomology(names),
+                                frozenset(range(n)))):
             for t in range(-6, 5):
                 box = product(range(-abs(t) - n, abs(t) + n + 1), repeat=n)
                 assert sorted(model.basis_of_total_degree(t)) == sorted(
-                    d for d in box if sum(d) == t and model.contains(d))
+                    d for d in box if sum(d) == t and negative_support(d) == pattern)
 
 
 @pytest.mark.parametrize("call,lengths", [
@@ -561,20 +567,79 @@ def test_one_build_per_sign_pattern(monkeypatch):
         mv = BiPrincipalMV(tuple([1] + [0] * (n - 1)), tuple([0] * (n - 1) + [2]), n)
         for d in window_degrees(window):
             mv.exact_at(d)
-            mv.delta_commutes_with_partials(d)
+        for N in _patterns(n):
+            for j in N:
+                mv.delta_commutes_with_x(N, j)
         assert builds[mv] == 2 ** n
 
 
-def test_one_derivative_square_per_pattern_and_variable():
-    for n in (1, 2, 3):
-        mv = BiPrincipalMV(tuple([1] + [0] * (n - 1)), tuple([0] * (n - 1) + [2]), n)
-        expected = set()
-        for d in window_degrees([(-3, 3)] * n):
-            assert mv.delta_commutes_with_partials(d)
-            expected |= {(negative_support(d), k) for k in range(n) if d[k]}
-        # d_k = 0 squares are skipped: both sides are the zero map
-        assert set(mv._squares) == expected
-        assert len(expected) == n * 2 ** n
+def _patterns(n):
+    return [frozenset(N) for k in range(n + 1) for N in combinations(range(n), k)]
+
+
+def test_one_x_square_per_pattern_and_variable(monkeypatch):
+    squares = []
+    square = BiPrincipalMV.delta_commutes_with_x
+
+    def counted(self, N, j):
+        squares.append((N, j))
+        return square(self, N, j)
+
+    monkeypatch.setattr(BiPrincipalMV, "delta_commutes_with_x", counted)
+    # (-2, -1) and (0, 2) reach one pattern each
+    for n, window in product((1, 2, 3), [(-3, 3), (-1, 0), (-2, -1), (0, 2)]):
+        squares.clear()
+        report = mv_connecting_biprincipal(tuple([1] + [0] * (n - 1)),
+                                           tuple([0] * (n - 1) + [2]), [window] * n)
+        assert report["delta_d_linear"]
+        patterns = {negative_support(d) for d in window_degrees([window] * n)}
+        # once each (N, j), j in N: sum of |N| squares over the window's patterns
+        assert Counter(squares) == Counter((N, j) for N in patterns for j in N)
+
+
+# the bi-principal pairs of acceptance criterion 12, all in 2 variables
+CRITERION_12_PAIRS = [((1, 0), (0, 1)), ((2, 0), (0, 1)), ((1, 0), (1, 1))]
+THREE_VARIABLE_PAIR = ((1, 1, 0), (0, 1, 1))
+
+
+def _with_delta_doubled(monkeypatch, pattern, t):
+    """Every sequence built at `pattern` carries 2 * delta^t: still exact,
+    but no longer the connecting map of the other patterns' squares."""
+    build = BiPrincipalMV._build_sequence
+
+    def perturbed(self, N):
+        seq = build(self, N)
+        if N == pattern:
+            seq["delta"][t] = [[2 * x for x in row] for row in seq["delta"][t]]
+        return seq
+
+    monkeypatch.setattr(BiPrincipalMV, "_build_sequence", perturbed)
+
+
+@pytest.mark.parametrize("pattern", [frozenset({0, 2}), frozenset({0, 1, 2})],
+                         ids=["N=02", "N=012"])
+def test_perturbed_delta_is_not_d_linear(monkeypatch, pattern):
+    f, g = THREE_VARIABLE_PAIR
+    assert mv_connecting_biprincipal(f, g, [(-2, 2)] * 3)["delta_d_linear"]
+    _with_delta_doubled(monkeypatch, pattern, 1)
+    report = mv_connecting_biprincipal(f, g, [(-2, 2)] * 3)
+    assert not report["delta_d_linear"]
+    # the perturbation keeps every rank, so only the square can see it
+    assert report["h_oracle_matches"] and report["long_sequence_exact"]
+    mv = BiPrincipalMV(f, g, 3)
+    assert not mv.delta_commutes_with_x(frozenset({0, 1, 2}), 1)
+
+
+@pytest.mark.parametrize("f,g", CRITERION_12_PAIRS)
+def test_two_variable_squares_are_degenerate(monkeypatch, f, g):
+    # no square of these pairs is nonzero on both sides, so doubling any
+    # delta goes unseen: the 3-variable pair above is the one that can fail
+    for pattern in _patterns(2):
+        for t in range(2):
+            monkeypatch.undo()
+            _with_delta_doubled(monkeypatch, pattern, t)
+            assert mv_connecting_biprincipal(f, g, [(-3, 3)] * 2)["delta_d_linear"]
+
 
 @pytest.mark.parametrize("call", [
     lambda: CechComplex(1, [(-1,)]).cohomology_dim(1, (-2,)),
