@@ -1,8 +1,17 @@
 """Exact linear algebra over Q: row reduction, ranks, kernels, solving,
 block assembly, the cohomology of finite complexes, and `Subspace`.
 
-Matrices are lists of rows of Fractions and act on column vectors.  A
-`Subspace` keeps a growing span in reduced row echelon form and answers
+Matrices are lists of rows of Fractions and act on column vectors.
+
+Row reduction runs on integers inside and shows Fractions only at the
+boundary.  `rref`, `rank` and `nullspace` share one fraction-free echelon
+routine: it scales each row (int or Fraction entries) by the lcm of its
+denominators, eliminates by cross-multiplication and keeps every row
+primitive.  `rref` then divides each pivot row by its pivot, `nullspace`
+reads its vectors off the integer rows, and `rank` converts nothing back.
+A ragged matrix, or operands whose shapes do not fit, raise ValueError.
+
+A `Subspace` keeps a growing span in reduced row echelon form and answers
 every span question asked of a set of vectors: membership, coordinates
 over the accepted vectors, projection modulo the span, and equality.
 """
@@ -10,6 +19,7 @@ over the accepted vectors, projection modulo the span, and equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = list  # list[list[Fraction]]
 Vector = list  # list[Fraction]
@@ -92,12 +102,18 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
+    for row in a:
+        if len(row) != len(v):
+            raise ValueError(f"shape mismatch {len(a)}x{len(row)} * vector of length {len(v)}")
     support = [(j, x) for j, x in enumerate(v) if x != 0]
     return [sum((row[j] * x for j, x in support), Fraction(0)) for row in a]
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+    (ra, ca), (rb, cb) = shape(a), shape(b)
+    if (ra, ca) != (rb, cb):
+        raise ValueError(f"shape mismatch {ra}x{ca} + {rb}x{cb}")
+    return [[x + y for x, y in zip(r1, r2, strict=True)] for r1, r2 in zip(a, b)]
 
 
 def mat_scale(a: Matrix, c) -> Matrix:
@@ -123,34 +139,79 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = copy(a)
-    rows, cols = shape(m)
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries (a zero row is kept)."""
+    content = gcd(*row)
+    return [x // content for x in row] if content > 1 else row
+
+
+def _integer_rows(a: Matrix) -> list[list[int]]:
+    """Each row of a (int or Fraction entries) scaled by the lcm of its
+    denominators and made primitive.  A ragged matrix raises ValueError."""
+    cols = len(a[0]) if a else 0
+    out = []
+    for row in a:
+        if len(row) != cols:
+            raise ValueError(f"ragged matrix: a row of length {len(row)} after one of length {cols}")
+        den = lcm(*[x.denominator for x in row])
+        if den == 1:
+            out.append(_primitive([x.numerator for x in row]))
+        else:
+            out.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    return out
+
+
+def _echelon(m: list[list[int]], reduced: bool) -> list[int]:
+    """Row-reduce the primitive integer rows m in place; the pivot columns.
+
+    A row meets the pivot row p by cross-multiplication, (p_c/g) row -
+    (f/g) p with f the row's entry in the pivot column c and g =
+    gcd(p_c, f), and is then made primitive again, so no Fraction is built
+    and the entries stay small.  Afterwards the first len(pivots) rows are
+    the pivot rows, in order, and the rest are zero.  With reduced, the
+    rows are also cleared above each pivot: pivot row i is then its entry
+    at pivots[i] times row i of the reduced row echelon form.
+    """
+    rows = len(m)
+    cols = len(m[0]) if m else 0
     pivots = []
     r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot_row is None:
+        for i in range(r, rows):
+            if m[i][c]:
+                break
+        else:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        m[r], m[i] = m[i], m[r]
+        pivot_row = m[r]
+        p = pivot_row[c]
+        for i in range(0 if reduced else r + 1, rows):
+            f = m[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                m[i] = _primitive([a * x - b * y for x, y in zip(m[i], pivot_row)])
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    return pivots
+
+
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form (Fraction entries) and the list of pivot
+    columns.  A ragged matrix raises ValueError."""
+    m = _integer_rows(a)
+    pivots = _echelon(m, True)
+    zero = Fraction(0)
+    out = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
+    out += [[zero] * len(row) for row in m[len(pivots):]]
+    return out, pivots
 
 
 def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
+    """The rank of a; a ragged matrix raises ValueError."""
+    return len(_echelon(_integer_rows(a), False))
 
 
 def cohomology_dim(dims: list[int], diffs: list[Matrix], t: int) -> int:
@@ -159,8 +220,10 @@ def cohomology_dim(dims: list[int], diffs: list[Matrix], t: int) -> int:
     dims[t] is the dimension of level t and diffs[t] the map between levels
     t and t + 1, in either direction (only its rank counts), so chain and
     cochain complexes both fit.  A level past the last map is an end of the
-    complex.
+    complex; a level outside dims raises ValueError.
     """
+    if not 0 <= t < len(dims):
+        raise ValueError(f"level {t} of a complex with levels 0..{len(dims) - 1}")
     if not dims[t]:
         return 0
     out_rank = rank(diffs[t]) if t < len(diffs) else 0
@@ -169,20 +232,20 @@ def cohomology_dim(dims: list[int], diffs: list[Matrix], t: int) -> int:
 
 
 def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of {v : a v = 0}, one vector per free column."""
-    rows, cols = shape(a)
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [unit_vector(cols, i) for i in range(cols)]
-    r, pivots = rref(a)
+    """Basis of {v : a v = 0}, one vector per free column.  A ragged
+    matrix raises ValueError."""
+    m = _integer_rows(a)
+    cols = len(m[0]) if m else 0
+    pivots = _echelon(m, True)
+    zero, one = Fraction(0), Fraction(1)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
+        v = [zero] * cols
+        v[f] = one
+        for row, p in zip(m, pivots):
+            if row[f]:
+                v[p] = Fraction(-row[f], row[p])
         basis.append(v)
     return basis
 
@@ -196,6 +259,8 @@ def unit_vector(n: int, i: int) -> Vector:
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """One solution of a x = b (free variables set to 0), or None."""
     rows, cols = shape(a)
+    if len(b) != rows:
+        raise ValueError(f"shape mismatch {rows}x{cols} matrix, vector of length {len(b)}")
     aug = [a[i][:] + [Fraction(b[i])] for i in range(rows)]
     r, pivots = rref(aug)
     if cols in pivots:

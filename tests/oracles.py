@@ -18,9 +18,12 @@ questions one fresh row reduction at a time, before `linalg.Subspace`.
 `old_simplify_fraction` canonicalizes a univariate fraction by expanding
 base^power and rebasing it into one polynomial with power 1, before the
 coprime case kept the monic base unexpanded; `old_diffop_power` multiplies
-k times, before square-and-multiply.  All are exact and slow; on inputs
-they answer correctly the production code must give identical results
-(fractions: the same value, compared by cross-multiplication).
+k times, before square-and-multiply.  `old_rref` eliminates over
+`Fraction`s, and `old_rank`, `old_nullspace` and `old_solve` read their
+answers off it, before `linalg` eliminated on integer rows.  All are exact
+and slow; on inputs they answer correctly the production code must give
+identical results (fractions: the same value, compared by
+cross-multiplication).
 """
 
 from __future__ import annotations
@@ -900,3 +903,62 @@ def old_diffop_power(op: DiffOp, k: int) -> DiffOp:
     for _ in range(k):
         result = result * op
     return result
+
+
+def old_rref(a: list) -> tuple[list, list[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    m = linalg.copy(a)
+    rows, cols = linalg.shape(m)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def old_rank(a: list) -> int:
+    if not a or not a[0]:
+        return 0
+    return len(old_rref(a)[1])
+
+
+def old_nullspace(a: list) -> list:
+    """Basis of {v : a v = 0}, one vector per free column."""
+    rows, cols = linalg.shape(a)
+    if cols == 0:
+        return []
+    r, pivots = old_rref(a)
+    basis = []
+    for f in range(cols):
+        if f not in pivots:
+            v = linalg.unit_vector(cols, f)
+            for i, p in enumerate(pivots):
+                v[p] = -r[i][f]
+            basis.append(v)
+    return basis
+
+
+def old_solve(a: list, b: list) -> list | None:
+    """One solution of a x = b (free variables set to 0), or None."""
+    rows, cols = linalg.shape(a)
+    aug = [a[i][:] + [Fraction(b[i])] for i in range(rows)]
+    r, pivots = old_rref(aug)
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for i, p in enumerate(pivots):
+        x[p] = r[i][cols]
+    return x

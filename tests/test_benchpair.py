@@ -107,3 +107,47 @@ def test_export_of_a_revision_holds_its_committed_files_only(tmp_path):
                             capture_output=True, text=True).stdout
     assert len(listed.splitlines()) == 1
     assert (repo / "f.txt").read_text() == "change\n"
+
+
+def _stub_main(monkeypatch, tmp_path, runner):
+    """benchpair.main with `runner` in place of perfbench, no git, and
+    tmp_path as the checkout that receives BENCH_<pr>.json."""
+    shutil.copy(benchpair.ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    monkeypatch.setattr(benchpair, "ROOT", tmp_path)
+    monkeypatch.setattr(benchpair, "_git", lambda *args: "")
+    monkeypatch.setattr(benchpair, "export_revision", lambda rev, dest: Path(dest).mkdir(parents=True))
+    monkeypatch.setattr(benchpair, "run_perfbench", runner)
+
+
+def test_pairs_must_be_a_positive_integer(monkeypatch, tmp_path, capsys):
+    stub = StubRunner()
+    _stub_main(monkeypatch, tmp_path, stub)
+    for pairs in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            benchpair.main(["--pr", "t", "--pairs", pairs])
+        assert exc.value.code == 2
+        assert f"{pairs} is not a positive integer" in capsys.readouterr().err
+    assert stub.calls == [] and not (tmp_path / "BENCH_t.json").exists()
+    assert benchpair.main(["--pr", "t", "--pairs", "1", "--workload", "ore"]) == 0
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["workloads"]["ore"]["metrics"]["jobs_per_s"]["pairs"] == 1
+
+
+def test_a_failing_run_is_reported_and_writes_no_report(monkeypatch, tmp_path, capsys):
+    stub = StubRunner()
+
+    def runner(tree, workload, seed, seconds):
+        if workload == "ore" and seed == 102 and tree == benchpair.ROOT:
+            stderr = "".join(f"line {i}\n" for i in range(30)) + "KeyError: 'x'\n"
+            raise subprocess.CalledProcessError(3, ["perfbench/run.py"], output="", stderr=stderr)
+        return stub(tree, workload, seed, seconds)
+
+    _stub_main(monkeypatch, tmp_path, runner)
+    assert benchpair.main(["--pr", "t", "--pairs", "3", "--workload", "groebner",
+                           "--workload", "ore"]) == 1
+    err = capsys.readouterr().err
+    assert "change side, workload ore, seed 102, exit code 3" in err
+    assert err.rstrip().endswith("KeyError: 'x'") and "line 29" in err and "line 10\n" not in err
+    assert not (tmp_path / "BENCH_t.json").exists()
+    # pair 2 runs the change first, so the run stopped before its parent
+    assert [(w, s) for _, w, s, _ in stub.calls][-2:] == [("ore", 101), ("ore", 101)]

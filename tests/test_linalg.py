@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,10 @@ from oracles import (
     old_column_space_contains,
     old_independent_columns,
     old_minimal_polynomial_of_vector,
+    old_nullspace,
+    old_rank,
+    old_rref,
+    old_solve,
     old_subspace_equal,
 )
 
@@ -216,3 +221,143 @@ def test_subspace_rejects_wrong_length_vector():
             ask(short)
     with pytest.raises(ValueError):
         linalg.Subspace(2, [F([[1, 2, 3]])[0]])
+
+
+# ---------- integer elimination against the Fraction oracle ----------
+
+def random_matrix(rng, kind, rows, cols):
+    """A rows x cols matrix of one corpus kind (cech, rational, big, zero or
+    small); integral entries are ints or Fractions at random."""
+
+    def entry():
+        if kind == "cech":
+            x = rng.choice((0, 0, 0, 1, -1))
+        elif kind == "rational":
+            x = 0 if rng.random() < 0.3 else Fraction(rng.randint(-9, 9), rng.randint(1, 10 ** 12))
+        elif kind == "big":
+            x = rng.choice((1, -1)) * (10 ** 12 + rng.randint(-50, 50)) if rng.random() < 0.7 else 0
+        elif kind == "zero":
+            x = 0
+        else:
+            x = rng.randint(-4, 4)
+        return Fraction(x) if rng.random() < 0.5 else x
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def elimination_corpus():
+    """Seeded matrices: 0/+-1 Cech-like, rationals with denominators up to
+    10^12, entries near 10^12, small integers; tall, wide, square and
+    rank-deficient ones (products through a narrower space), with zero rows
+    and columns spliced in; all-zero matrices, [] and [[]]."""
+    rng = random.Random(12)
+    yield from ([], [[]], [[], []], [[0]], [[Fraction(0)] * 3] * 2, [[0] * 4] * 5)
+    kinds = ("cech", "rational", "big", "small")
+    for case in range(240):
+        kind = kinds[case % 4]
+        shape = ("tall", "wide", "square", "deficient")[case // 4 % 4]
+        n = rng.randint(1, 7)
+        rows, cols = {"tall": (n + rng.randint(2, 5), n), "wide": (n, n + rng.randint(2, 5)),
+                      "square": (n, n), "deficient": (n + 1, n + 2)}[shape]
+        if shape == "deficient":
+            k = rng.randint(0, n - 1)
+            a = linalg.mat_mul(random_matrix(rng, kind, rows, k), random_matrix(rng, kind, k, cols)) \
+                if k else random_matrix(rng, "zero", rows, cols)
+        else:
+            a = random_matrix(rng, kind, rows, cols)
+        if case % 5 == 0:
+            a.insert(rng.randint(0, len(a)), [0] * cols)
+        if case % 7 == 0:
+            j = rng.randint(0, cols)
+            a = [row[:j] + [Fraction(0)] + row[j:] for row in a]
+        yield a
+
+
+def Q(a):
+    return [[Fraction(x) for x in row] for row in a]
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+def test_elimination_matches_the_fraction_oracle():
+    rng = random.Random(13)
+    ranks = set()
+    for a in elimination_corpus():
+        before = linalg.copy(a)
+        r, pivots = linalg.rref(a)
+        assert (r, pivots) == old_rref(Q(a)), a
+        assert all_fractions(r)
+        assert linalg.rank(a) == old_rank(Q(a)) == len(pivots)
+        kernel = linalg.nullspace(a)
+        assert kernel == old_nullspace(Q(a))
+        assert all_fractions(kernel)
+        rows, cols = linalg.shape(a)
+        x = [rng.randint(-3, 3) for _ in range(cols)]
+        for b in (linalg.mat_vec(a, x), [rng.randint(-3, 3) for _ in range(rows)]):
+            solution = linalg.solve(a, b)
+            assert solution == old_solve(Q(a), b)
+            assert solution is None or all_fractions([solution])
+        assert a == before  # the input is not touched
+        ranks.add((len(pivots) == min(rows, cols), bool(cols)))
+    assert ranks == {(True, True), (False, True), (True, False)}
+
+
+def test_echelon_rows_stay_primitive():
+    """The kernel's invariant: every row has content 1 (or is zero), the
+    pivot rows come first, and the reduced rows are their pivots times the
+    rows of the reduced row echelon form."""
+    for a in elimination_corpus():
+        expected, pivots = old_rref(Q(a))
+        for reduced in (False, True):
+            m = linalg._integer_rows(a)
+            assert linalg._echelon(m, reduced) == pivots
+            assert all(math.gcd(*row) in (0, 1) for row in m)
+            assert not any(map(any, m[len(pivots):]))
+            for i, p in enumerate(pivots):
+                assert not any(m[i][:p]) and m[i][p]
+                if reduced:
+                    assert [Fraction(x, m[i][p]) for x in m[i]] == expected[i]
+
+
+def test_cohomology_dim_matches_oracle_ranks():
+    rng = random.Random(14)
+    for case in range(150):
+        dims = [rng.randint(0, 4) for _ in range(rng.randint(1, 5))]
+        kind = ("cech", "rational", "big", "small")[case % 4]
+        diffs = [random_matrix(rng, kind, dims[t + 1], dims[t]) for t in range(len(dims) - 1)]
+        for t in range(len(dims)):
+            expected = dims[t] and dims[t] - (old_rank(Q(diffs[t])) if t < len(diffs) else 0) \
+                - (old_rank(Q(diffs[t - 1])) if t else 0)
+            assert linalg.cohomology_dim(dims, diffs, t) == expected
+
+
+@pytest.mark.parametrize("ragged", [[[0, 2], [2]], [[1], [1, 1]], [[1, 1], [1]], [[], [1]]])
+def test_elimination_refuses_ragged_matrices(ragged):
+    for fn in (linalg.rref, linalg.rank, linalg.nullspace):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            fn(ragged)
+
+
+def test_mat_vec_refuses_vector_of_wrong_length():
+    with pytest.raises(ValueError, match="1x2 \\* vector of length 1"):
+        linalg.mat_vec([[1, 2]], [1])
+
+
+def test_mat_add_refuses_shape_mismatch():
+    with pytest.raises(ValueError, match="1x1 \\+ 1x2"):
+        linalg.mat_add([[1]], [[1, 2]])
+    with pytest.raises(ValueError):
+        linalg.mat_add([[1, 2], [1]], [[1, 2], [1, 2]])
+
+
+def test_solve_refuses_right_side_of_wrong_length():
+    with pytest.raises(ValueError, match="1x1 matrix, vector of length 2"):
+        linalg.solve([[1]], [1, 2])
+
+
+def test_cohomology_dim_refuses_level_outside_the_complex():
+    for t in (-1, 2):
+        with pytest.raises(ValueError, match=f"level {t} of a complex with levels 0..1"):
+            linalg.cohomology_dim([1, 1], [[[1]]], t)

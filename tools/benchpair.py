@@ -17,7 +17,10 @@ BENCH_<pr>.json then holds, per workload and end-to-end metric, both
 sides' medians, the distance between the quartiles of the parent's runs,
 the number of pairs the change won (by the direction `BENCHMARK.json`
 gives the metric) and every run's value, and per workload the failed and
-attempted job counts of every run.  Only the standard library is used.
+attempted job counts of every run.  A run that exits non-zero stops the
+script: it names the side, workload, seed and exit code, prints the tail of
+the run's stderr, and exits 1 without writing BENCH_<pr>.json.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -38,6 +41,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("groebner", "ore", "artinian", "cohomology")
 SIDES = ("parent", "change")
+STDERR_TAIL_LINES = 20
+
+
+class RunFailed(Exception):
+    """A perfbench run that exited non-zero, and where it ran."""
+
+    def __init__(self, side, workload, seed, returncode, stderr):
+        super().__init__(f"perfbench run failed: {side} side, workload {workload}, "
+                         f"seed {seed}, exit code {returncode}")
+        self.stderr = stderr or ""
 
 
 def run_perfbench(tree, workload, seed, seconds):
@@ -56,7 +69,10 @@ def run_pairs(runner, trees, workloads, pairs, seed, seconds, log=None):
     for w in workloads:
         for k in range(pairs):
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                result = runner(trees[side], w, seed + k, seconds)
+                try:
+                    result = runner(trees[side], w, seed + k, seconds)
+                except subprocess.CalledProcessError as exc:
+                    raise RunFailed(side, w, seed + k, exc.returncode, exc.stderr) from None
                 runs[w][side].append(result)
                 if log:
                     log(f"{w} pair {k + 1}/{pairs} seed {seed + k} {side}: "
@@ -130,13 +146,20 @@ def _print_table(summary):
                   f" (parent IQR {m['parent_iqr']:.3g}){won}")
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pr", required=True, help="names the output, BENCH_<pr>.json")
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="repeatable; all four when absent")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=_positive_int, default=10)
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
     args = parser.parse_args(argv)
     workloads = args.workload or list(WORKLOADS)
@@ -156,6 +179,10 @@ def main(argv=None):
         runs = run_pairs(run_perfbench, {"parent": tmp / "parent", "change": ROOT}, workloads,
                          args.pairs, args.seed, seconds,
                          log=lambda line: print(line, flush=True))
+    except RunFailed as exc:
+        tail = exc.stderr.splitlines()[-STDERR_TAIL_LINES:]
+        print("\n".join([str(exc), "stderr tail:", *tail]), file=sys.stderr)
+        return 1
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     summary = summarise(runs, better)
