@@ -14,6 +14,19 @@ local.  Over an infinite field a generic combination does one or the
 other; a factor where every candidate fails both raises RuntimeError
 rather than being returned as local.
 
+The structure constants are one integer tensor over one common
+denominator: the coordinates of b_i * b_j are tensor[i][j] / den.  It is
+built from the multiplication matrices X_k of the variables.  Column j of
+X_k is the normal form of x_k * b_j: a unit vector when that monomial is
+standard, and otherwise (a border monomial) one Groebner reduction, so at
+most nvars * dim reductions are made.  The standard monomials form an
+order ideal, so every product b_i * b_j = x^e of degree two or more
+follows from a product of lower degree, nf(x^e) = X_k nf(x^(e - e_k)) for
+any k with e_k > 0, memoised by exponent.  `mult`, `mult_matrix`, the
+basis traces and the trace form scale their inputs by the lcm of their
+denominators, accumulate Python ints and build Fractions only for the
+answers.
+
 The Jacobson radical is computed from the trace form, which in
 characteristic zero has the radical as its kernel; residue-field
 dimensions follow without any factorization.
@@ -24,10 +37,16 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg, univar
 from .groebner import Ideal, standard_monomials
 from .poly import GREVLEX, SparsePoly, TermOrder
+
+
+def _shift(e: tuple, k: int, step: int) -> tuple:
+    """The exponent e with step added at position k."""
+    return e[:k] + (e[k] + step,) + e[k + 1:]
 
 
 class ArtinAlgebra:
@@ -38,83 +57,145 @@ class ArtinAlgebra:
         self.basis = standard_monomials(ideal, order)  # raises if not 0-dim
         self.dim = len(self.basis)
         self._pos = {e: i for i, e in enumerate(self.basis)}
-        # structure constants: table[i][j] = coordinates of basis_i * basis_j
-        nf_cache: dict[tuple, list[Fraction]] = {}
-
-        def nf_of(exp):
-            if exp not in nf_cache:
-                nf_cache[exp] = self._reduce_to_vector(SparsePoly.monomial(self.vars, exp))
-            return nf_cache[exp]
-
-        self.table = [
-            [nf_of(tuple(a + b for a, b in zip(ei, ej))) for ej in self.basis]
-            for ei in self.basis
-        ]
-        self.var_matrices = [
-            self.mult_matrix(self.to_vector(SparsePoly.variable(self.vars, i)))
-            for i in range(len(self.vars))
-        ]
-        self.basis_traces = [
-            sum((self.table[k][j][j] for j in range(self.dim)), Fraction(0))
-            for k in range(self.dim)
-        ]
+        var_cols, var_den = self._variable_columns()
+        self.var_matrices = []
+        for cols in var_cols:
+            m = linalg.zeros(self.dim, self.dim)
+            for j, col in enumerate(cols):
+                for r, c in col:
+                    m[r][j] = Fraction(c, var_den)
+            self.var_matrices.append(m)
+        self._den, self._tensor = self._structure_tensor(var_cols, var_den)
+        # trace of multiplication by basis_k, times den
+        self._traces = [sum(self._tensor[k][j][j] for j in range(self.dim))
+                        for k in range(self.dim)]
+        self.basis_traces = linalg.fraction_vector(self._traces, self._den)
         self._radical: list | None = None
 
     @classmethod
     def from_presentation(cls, variables, generators, order: TermOrder = GREVLEX):
         return cls(Ideal(variables, list(generators)), order)
 
+    # ---------- structure tensor ----------
+
+    def _variable_columns(self):
+        """The columns of the variable multiplication matrices over one
+        common denominator: cols[k][j] lists the nonzero (row, numerator)
+        of nf(x_k * b_j).  Only border monomials are reduced."""
+        shifted = [[_shift(b, k, 1) for b in self.basis] for k in range(len(self.vars))]
+        border = {e: linalg.integer_vector(self.to_vector(SparsePoly.monomial(self.vars, e)))
+                  for e in {e for row in shifted for e in row if e not in self._pos}}
+        den = lcm(*[d for _, d in border.values()])
+        cols = []
+        for row in shifted:
+            cols_k = []
+            for e in row:
+                if e in self._pos:
+                    cols_k.append([(self._pos[e], den)])
+                else:
+                    nums, d = border[e]
+                    cols_k.append([(r, x * (den // d)) for r, x in enumerate(nums) if x])
+            cols.append(cols_k)
+        return cols, den
+
+    def _structure_tensor(self, var_cols, var_den):
+        """The common denominator and the integer tensor of b_i * b_j.
+
+        Normal forms (numerators, denominator) are kept by exponent and made
+        in order of degree: a standard monomial is a unit vector, and x^e
+        otherwise is X_k applied to x^(e - e_k) for the first k with e_k > 0,
+        which is again a product of two standard monomials."""
+        n = self.dim
+        nf: dict[tuple, tuple[list[int], int]] = {}
+        for e, i in self._pos.items():
+            unit = [0] * n
+            unit[i] = 1
+            nf[e] = (unit, 1)
+        products = {tuple(a + b for a, b in zip(ei, ej))
+                    for i, ei in enumerate(self.basis) for ej in self.basis[i:]}
+        for e in sorted(products - nf.keys(), key=sum):
+            k = next(k for k, x in enumerate(e) if x)
+            nums, d = nf[_shift(e, k, -1)]
+            acc = [0] * n
+            for j, x in enumerate(nums):
+                if x:
+                    for r, c in var_cols[k][j]:
+                        acc[r] += x * c
+            d *= var_den
+            g = gcd(d, *acc)
+            nf[e] = ([x // g for x in acc], d // g) if g > 1 else (acc, d)
+        den = lcm(*[nf[e][1] for e in products])
+        scaled = {}
+        for e in products:
+            nums, d = nf[e]
+            scaled[e] = nums if d == den else [x * (den // d) for x in nums]
+        tensor = [[scaled[tuple(a + b for a, b in zip(ei, ej))] for ej in self.basis]
+                  for ei in self.basis]
+        return den, tensor
+
+    @functools.cached_property
+    def table(self) -> list[list[list[Fraction]]]:
+        """Structure constants as Fractions: table[i][j] holds the
+        coordinates of basis_i * basis_j.  Built on first access."""
+        return [[linalg.fraction_vector(t, self._den) for t in row] for row in self._tensor]
+
     # ---------- vector encoding ----------
 
-    def _reduce_to_vector(self, p: SparsePoly) -> list[Fraction]:
+    def to_vector(self, p: SparsePoly) -> list[Fraction]:
+        """Coordinates of p modulo the ideal in the standard-monomial basis."""
         nf = self.ideal.reduce(p, self.order)
         v = [Fraction(0)] * self.dim
         for e, c in nf.terms.items():
             v[self._pos[e]] = c
         return v
 
-    def to_vector(self, p: SparsePoly) -> list[Fraction]:
-        """Coordinates of p modulo the ideal in the standard-monomial basis."""
-        return self._reduce_to_vector(p)
-
     def to_poly(self, v) -> SparsePoly:
         terms = {e: c for e, c in zip(self.basis, v) if c != 0}
         return SparsePoly(self.vars, terms)
 
     def one(self) -> list[Fraction]:
-        return self.to_vector(SparsePoly.one(self.vars))
+        if self.dim == 0:
+            return []
+        return linalg.unit_vector(self.dim, self._pos[(0,) * len(self.vars)])
 
-    def mult(self, u, v):
-        out = [Fraction(0)] * self.dim
-        for i, ci in enumerate(u):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(v):
-                if cj == 0:
-                    continue
-                c = ci * cj
-                row = self.table[i][j]
-                for k, t in enumerate(row):
-                    if t != 0:
-                        out[k] += c * t
-        return out
+    def mult(self, u, v) -> list[Fraction]:
+        """Coordinates of the product of the elements with coordinates u and v."""
+        nu, du = linalg.integer_vector(u)
+        nv, dv = linalg.integer_vector(v)
+        acc = [0] * self.dim
+        for i, a in enumerate(nu):
+            if a:
+                row = self._tensor[i]
+                for j, b in enumerate(nv):
+                    if b:
+                        c = a * b
+                        acc = [x + c * t for x, t in zip(acc, row[j])]
+        return linalg.fraction_vector(acc, du * dv * self._den)
 
     def mult_matrix(self, v) -> list[list[Fraction]]:
         """Multiplication matrix of the element with coordinate vector v."""
-        cols = [self.mult(v, linalg.unit_vector(self.dim, j)) for j in range(self.dim)]
-        return linalg.from_columns(cols)
+        nv, dv = linalg.integer_vector(v)
+        support = [(self._tensor[i], a) for i, a in enumerate(nv) if a]
+        cols = []
+        for j in range(self.dim):
+            acc = [0] * self.dim
+            for row, a in support:
+                acc = [x + a * t for x, t in zip(acc, row[j])]
+            cols.append(acc)
+        den = dv * self._den
+        return [linalg.fraction_vector(r, den) for r in zip(*cols)]
 
     # ---------- semisimplicity data ----------
 
-    def trace_gram(self) -> list[list[Fraction]]:
-        # trace of multiplication by basis_k, then bilinearity over the table
-        traces = self.basis_traces
-        gram = linalg.zeros(self.dim, self.dim)
+    def trace_gram(self) -> list[list[int]]:
+        """A positive integer multiple of the trace form's Gram matrix,
+        tr(b_i * b_j), by bilinearity over the tensor: it has the same
+        kernel."""
+        gram = [[0] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
             for j in range(i, self.dim):
                 gram[i][j] = gram[j][i] = sum(
-                    (c * t for c, t in zip(self.table[i][j], traces)), Fraction(0)
-                )
+                    [c * t for c, t in zip(self._tensor[i][j], self._traces)])
         return gram
 
     def radical_basis(self) -> list[list[Fraction]]:

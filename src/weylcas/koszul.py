@@ -303,6 +303,7 @@ class GradedModuleModel:
     def __init__(self, variables, top: bool):
         self.vars = tuple(variables)
         self._top = top
+        self._pieces: dict[int, tuple[list, dict]] = {}  # t -> (basis, position)
 
     @classmethod
     def polynomial(cls, variables) -> "GradedModuleModel":
@@ -313,15 +314,23 @@ class GradedModuleModel:
         return cls(variables, True)
 
     def basis_of_total_degree(self, t: int) -> list[tuple[int, ...]]:
-        """Multidegrees in the region with coordinate sum t."""
-        n = len(self.vars)
-        if not self._top:
-            return list(_compositions(t, n)) if t >= 0 else []
-        # substitute e_i = -1 - f_i with f_i >= 0
-        s = -t - n
-        if s < 0:
-            return []
-        return [tuple(-1 - f for f in e) for e in _compositions(s, n)]
+        """Multidegrees in the region with coordinate sum t, listed once
+        per model and t; the list is shared, so callers must not change it."""
+        return self._piece(t)[0]
+
+    def _piece(self, t: int) -> tuple[list, dict]:
+        """The basis of total degree t and each multidegree's position in it."""
+        piece = self._pieces.get(t)
+        if piece is None:
+            n = len(self.vars)
+            if not self._top:
+                basis = list(_compositions(t, n)) if t >= 0 else []
+            else:
+                # substitute e_i = -1 - f_i with f_i >= 0
+                s = -t - n
+                basis = [tuple(-1 - f for f in e) for e in _compositions(s, n)] if s >= 0 else []
+            piece = self._pieces[t] = (basis, {m: i for i, m in enumerate(basis)})
+        return piece
 
     def mult_matrix(self, p: SparsePoly, source_degree: int):
         """Matrix of multiplication by the homogeneous polynomial p from the
@@ -332,8 +341,7 @@ class GradedModuleModel:
             raise ValueError("multiplier must be homogeneous")
         shift = p.total_degree()
         src = self.basis_of_total_degree(source_degree)
-        tgt = self.basis_of_total_degree(source_degree + shift)
-        tgt_pos = {m: i for i, m in enumerate(tgt)}
+        tgt, tgt_pos = self._piece(source_degree + shift)
         mat = linalg.zeros(len(tgt), len(src))
         for j, m in enumerate(src):
             for e, c in p.terms.items():

@@ -3,13 +3,18 @@ block assembly, the cohomology of finite complexes, and `Subspace`.
 
 Matrices are lists of rows of Fractions and act on column vectors.
 
-Row reduction runs on integers inside and shows Fractions only at the
-boundary.  `rref`, `rank` and `nullspace` share one fraction-free echelon
-routine: it scales each row (int or Fraction entries) by the lcm of its
-denominators, eliminates by cross-multiplication and keeps every row
-primitive.  `rref` then divides each pivot row by its pivot, `nullspace`
-reads its vectors off the integer rows, and `rank` converts nothing back.
-A ragged matrix, or operands whose shapes do not fit, raise ValueError.
+Products and row reduction run on integers inside and show Fractions
+only at the boundary.  A row or vector (int or Fraction entries) is scaled
+by the lcm of its denominators.  `mat_mul` puts its right factor over one
+common denominator and each row of its left factor over its own, and
+`mat_vec` each row of the matrix over its own, then both multiply and add
+Python ints and divide once per output entry; every entry they return is
+a Fraction.  `rref`, `rank` and `nullspace` share one fraction-free
+echelon routine: it eliminates the scaled rows by cross-multiplication and
+keeps every row primitive.  `rref` then divides each pivot row by its
+pivot, `nullspace` reads its vectors off the integer rows, and `rank`
+converts nothing back.  A ragged matrix, operands whose shapes do not fit,
+or a negative power raise ValueError.
 
 A `Subspace` keeps a growing span in reduced row echelon form and answers
 every span question asked of a set of vectors: membership, coordinates
@@ -45,9 +50,33 @@ def copy(a: Matrix) -> Matrix:
     return [row[:] for row in a]
 
 
+def _width(a: Matrix) -> int:
+    """The common length of the rows of a; a ragged matrix raises ValueError."""
+    cols = len(a[0]) if a else 0
+    for row in a:
+        if len(row) != cols:
+            raise ValueError(f"ragged matrix: a row of length {len(row)} after one of length {cols}")
+    return cols
+
+
+def integer_vector(v: Vector) -> tuple[list[int], int]:
+    """v (int or Fraction entries) as integer numerators over the lcm of its
+    denominators, and that lcm."""
+    den = lcm(*[x.denominator for x in v])
+    if den == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def fraction_vector(nums: list[int], den: int) -> Vector:
+    """The Fractions nums[i] / den."""
+    zero = Fraction(0)
+    return [Fraction(x, den) if x else zero for x in nums]
+
+
 def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
+    """The transpose; a ragged matrix raises ValueError."""
+    _width(a)
     return [list(col) for col in zip(*a)]
 
 
@@ -77,8 +106,8 @@ def block_matrix(blocks: list[list[Matrix | None]], row_dims: list[int],
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = shape(a)
-    rb, cb = shape(b)
+    ra, ca = len(a), _width(a)
+    rb, cb = len(b), _width(b)
     if ra == 0:
         return []
     if ca == 0 or rb == 0 or cb == 0:
@@ -86,18 +115,21 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         return zeros(ra, cb)
     if ca != rb:
         raise ValueError(f"shape mismatch {ra}x{ca} * {rb}x{cb}")
-    # each row of the product combines the rows of b that its nonzero
-    # entries pick, and only nonzero entries of those rows are multiplied
-    zero = Fraction(0)
-    b_support = [[(k, y) for k, y in enumerate(row) if y != 0] for row in b]
+    # b over one common denominator and each row of a over its own; each
+    # row of the product combines the rows of b that its nonzero entries
+    # pick, and only nonzero entries of those rows are multiplied
+    den_b = lcm(*[x.denominator for row in b for x in row])
+    b_support = [[(k, y.numerator * (den_b // y.denominator)) for k, y in enumerate(row) if y]
+                 for row in b]
     out = []
     for row in a:
-        acc = [zero] * cb
-        for j, x in enumerate(row):
-            if x != 0:
+        nums, den = integer_vector(row)
+        acc = [0] * cb
+        for j, x in enumerate(nums):
+            if x:
                 for k, y in b_support[j]:
                     acc[k] += x * y
-        out.append(acc)
+        out.append(fraction_vector(acc, den * den_b))
     return out
 
 
@@ -105,8 +137,17 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     for row in a:
         if len(row) != len(v):
             raise ValueError(f"shape mismatch {len(a)}x{len(row)} * vector of length {len(v)}")
-    support = [(j, x) for j, x in enumerate(v) if x != 0]
-    return [sum((row[j] * x for j, x in support), Fraction(0)) for row in a]
+    nums, den_v = integer_vector(v)
+    support = [(j, x) for j, x in enumerate(nums) if x]
+    zero = Fraction(0)
+    out = []
+    for row in a:
+        # the row's entries on the support of v, over their own lcm
+        picked = [(row[j], x) for j, x in support]
+        den = lcm(*[y.denominator for y, _ in picked])
+        total = sum([y.numerator * (den // y.denominator) * x for y, x in picked])
+        out.append(Fraction(total, den * den_v) if total else zero)
+    return out
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -125,6 +166,8 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     n, m = shape(a)
     if n != m:
         raise ValueError("matrix must be square")
+    if k < 0:
+        raise ValueError(f"negative power {k}")
     result = identity(n)
     base = copy(a)
     while k:
@@ -148,17 +191,8 @@ def _primitive(row: list[int]) -> list[int]:
 def _integer_rows(a: Matrix) -> list[list[int]]:
     """Each row of a (int or Fraction entries) scaled by the lcm of its
     denominators and made primitive.  A ragged matrix raises ValueError."""
-    cols = len(a[0]) if a else 0
-    out = []
-    for row in a:
-        if len(row) != cols:
-            raise ValueError(f"ragged matrix: a row of length {len(row)} after one of length {cols}")
-        den = lcm(*[x.denominator for x in row])
-        if den == 1:
-            out.append(_primitive([x.numerator for x in row]))
-        else:
-            out.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
-    return out
+    _width(a)
+    return [_primitive(integer_vector(row)[0]) for row in a]
 
 
 def _echelon(m: list[list[int]], reduced: bool) -> list[int]:

@@ -20,7 +20,12 @@ base^power and rebasing it into one polynomial with power 1, before the
 coprime case kept the monic base unexpanded; `old_diffop_power` multiplies
 k times, before square-and-multiply.  `old_rref` eliminates over
 `Fraction`s, and `old_rank`, `old_nullspace` and `old_solve` read their
-answers off it, before `linalg` eliminated on integer rows.  All are exact
+answers off it, before `linalg` eliminated on integer rows; `old_mat_mul`
+and `old_mat_vec` multiply and add `Fraction`s, before `linalg` multiplied
+integer rows.  `old_structure_table` Groebner-reduces every product of two
+standard monomials, and `old_mult`, `old_mult_matrix`, `old_basis_traces`
+and `old_radical_basis` compute over that `Fraction` table, before
+`ArtinAlgebra` built one integer tensor from the variable matrices.  All are exact
 and slow; on inputs they answer correctly the production code must give
 identical results (fractions: the same value, compared by
 cross-multiplication).
@@ -962,3 +967,85 @@ def old_solve(a: list, b: list) -> list | None:
     for i, p in enumerate(pivots):
         x[p] = r[i][cols]
     return x
+
+
+def old_mat_mul(a: list, b: list) -> list:
+    ra, ca = linalg.shape(a)
+    rb, cb = linalg.shape(b)
+    if ra == 0:
+        return []
+    if ca == 0 or rb == 0 or cb == 0:
+        return linalg.zeros(ra, cb)
+    if ca != rb:
+        raise ValueError(f"shape mismatch {ra}x{ca} * {rb}x{cb}")
+    zero = Fraction(0)
+    b_support = [[(k, y) for k, y in enumerate(row) if y != 0] for row in b]
+    out = []
+    for row in a:
+        acc = [zero] * cb
+        for j, x in enumerate(row):
+            if x != 0:
+                for k, y in b_support[j]:
+                    acc[k] += x * y
+        out.append(acc)
+    return out
+
+
+def old_mat_vec(a: list, v: list) -> list:
+    for row in a:
+        if len(row) != len(v):
+            raise ValueError(f"shape mismatch {len(a)}x{len(row)} * vector of length {len(v)}")
+    support = [(j, x) for j, x in enumerate(v) if x != 0]
+    return [sum((row[j] * x for j, x in support), Fraction(0)) for row in a]
+
+
+# ---------- Artinian products over a Fraction table ----------
+
+def old_structure_table(algebra) -> list:
+    """table[i][j]: the coordinates of basis_i * basis_j, one Groebner
+    reduction per product monomial."""
+    nf_cache = {}
+
+    def nf_of(exp):
+        if exp not in nf_cache:
+            nf_cache[exp] = algebra.to_vector(SparsePoly.monomial(algebra.vars, exp))
+        return nf_cache[exp]
+
+    return [[nf_of(tuple(a + b for a, b in zip(ei, ej))) for ej in algebra.basis]
+            for ei in algebra.basis]
+
+
+def old_mult(table: list, u: list, v: list) -> list:
+    out = [Fraction(0)] * len(table)
+    for i, ci in enumerate(u):
+        if ci == 0:
+            continue
+        for j, cj in enumerate(v):
+            if cj == 0:
+                continue
+            c = ci * cj
+            for k, t in enumerate(table[i][j]):
+                if t != 0:
+                    out[k] += c * t
+    return out
+
+
+def old_mult_matrix(table: list, v: list) -> list:
+    n = len(table)
+    return linalg.from_columns([old_mult(table, v, linalg.unit_vector(n, j)) for j in range(n)])
+
+
+def old_basis_traces(table: list) -> list:
+    n = len(table)
+    return [sum((table[k][j][j] for j in range(n)), Fraction(0)) for k in range(n)]
+
+
+def old_radical_basis(table: list) -> list:
+    """Kernel of the trace form tr(basis_i * basis_j), over Fractions."""
+    n = len(table)
+    if n == 0:
+        return []
+    traces = old_basis_traces(table)
+    gram = [[sum((c * t for c, t in zip(table[i][j], traces)), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+    return old_nullspace(gram)

@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import old_decompose_local
+from oracles import (
+    old_basis_traces,
+    old_decompose_local,
+    old_mult,
+    old_mult_matrix,
+    old_radical_basis,
+    old_structure_table,
+)
+from weylcas import linalg
 from weylcas.artin import ArtinAlgebra, LocalFactor, decompose_local
 from weylcas.groebner import Ideal, NotZeroDimensionalError
 from weylcas.poly import SparsePoly
@@ -235,3 +243,100 @@ def test_same_factors_as_kernel_powers_where_those_are_right():
             assert snapshot(new) == snapshot(old)
             checked += 1
     assert checked >= 25
+
+
+# ---------- the structure tensor against one reduction per product ----------
+
+def product_corpus():
+    """The decomposition ideals above, the hull ideals of test_hulls, ideals
+    with rational coefficients and constants near 10^12, and the zero
+    algebra."""
+    out = [A for A, _ in known_corpus()]
+    rng = random.Random(42)
+    out += [ArtinAlgebra(random_zero_dim_ideal(rng)) for _ in range(25)]
+    out += [ArtinAlgebra.from_presentation(Y, [g]) for g in (
+        yv ** 2, yv ** 2 - 1, yv ** 4, yv ** 3 - yv ** 2, yv ** 3, yv ** 2 + 7)]
+    out.append(ArtinAlgebra.from_presentation(XY, [(x2 - 3) ** 3, (x2 + y2) ** 2 - 4]))
+    out.append(ArtinAlgebra.from_presentation(XY, [x2 ** 3 - y2, y2 ** 2]))
+    third, seventh = Fraction(1, 3), Fraction(1, 7)
+    out.append(ArtinAlgebra.from_presentation(
+        XY, [(x2 - third) ** 2 * (x2 + 2), (y2 - seventh * x2) ** 2 - Fraction(5, 11) * x2]))
+    out.append(ArtinAlgebra.from_presentation(
+        X, [(xv ** 2 + 10 ** 12 + 39) * (xv - 1) ** 2 * (xv + Fraction(1, 10 ** 12))]))
+    out.append(ArtinAlgebra.from_presentation(
+        XY, [x2 ** 3 - Fraction(10 ** 12 - 11, 3) * y2, y2 ** 2 - Fraction(1, 10 ** 12) * x2 * y2]))
+    out.append(ArtinAlgebra.from_presentation(X, [xv - 1, xv]))
+    return out
+
+
+def random_element(rng, dim):
+    """Zero, unit and dense vectors with int and Fraction entries, up to
+    denominators of 10^12."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [Fraction(0)] * dim
+    if kind == 1:
+        return linalg.unit_vector(dim, rng.randrange(dim))
+    if kind == 2:
+        return [rng.randint(-3, 3) for _ in range(dim)]
+    return [Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 12))
+            if rng.random() < 0.7 else Fraction(0) for _ in range(dim)]
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+def test_products_match_one_reduction_per_product():
+    rng = random.Random(13)
+    checked = 0
+    for A in product_corpus():
+        table = old_structure_table(A)
+        assert A.table == table and all(all_fractions(row) for row in A.table)
+        assert A.basis_traces == old_basis_traces(table) and all_fractions([A.basis_traces])
+        assert A.radical_basis() == old_radical_basis(table)
+        for i, m in enumerate(A.var_matrices):
+            x = A.to_vector(SparsePoly.variable(A.vars, i))
+            assert m == old_mult_matrix(table, x) and all_fractions(m)
+        if A.dim == 0:
+            assert A.mult([], []) == [] and A.mult_matrix([]) == [] and A.one() == []
+            continue
+        assert A.one() == A.to_vector(SparsePoly.one(A.vars))
+        for _ in range(4):
+            u, v = random_element(rng, A.dim), random_element(rng, A.dim)
+            product = A.mult(u, v)
+            assert product == old_mult(table, u, v) and all_fractions([product])
+            m = A.mult_matrix(v)
+            assert m == old_mult_matrix(table, v) and all_fractions(m)
+        checked += 1
+    assert checked >= 40
+
+
+def test_table_is_built_on_first_access_only():
+    A = ArtinAlgebra.from_presentation(XY, [(x2 - 3) ** 3, (x2 + y2) ** 2 - 4])
+    decompose_local(A)
+    assert "table" not in vars(A)
+    assert A.table is A.table
+
+
+def test_only_border_monomials_are_reduced(monkeypatch):
+    reduced = []
+    original = Ideal.reduce
+
+    def counting(self, f, *args, **kwargs):
+        reduced.append(f)
+        return original(self, f, *args, **kwargs)
+
+    monkeypatch.setattr(Ideal, "reduce", counting)
+    for ideal in [A.ideal for A in product_corpus()]:
+        ideal.groebner_basis()
+        reduced.clear()
+        A = ArtinAlgebra(ideal)
+        assert len(reduced) <= len(A.vars) * A.dim
+        # each border monomial once
+        assert len({tuple(f.terms) for f in reduced}) == len(reduced)
+        for f in reduced:
+            (e,) = f.terms
+            assert e not in A.basis
+            assert any(e[k] and e[:k] + (e[k] - 1,) + e[k + 1:] in A.basis
+                       for k in range(len(e)))

@@ -151,3 +151,23 @@ def test_a_failing_run_is_reported_and_writes_no_report(monkeypatch, tmp_path, c
     assert not (tmp_path / "BENCH_t.json").exists()
     # pair 2 runs the change first, so the run stopped before its parent
     assert [(w, s) for _, w, s, _ in stub.calls][-2:] == [("ore", 101), ("ore", 101)]
+
+
+def test_a_run_with_wrong_answers_is_a_failed_run(monkeypatch, tmp_path, capsys):
+    # perfbench/run.py exits 0 on wrong answers; its JSON says "correct": false
+    stub = StubRunner()
+
+    def runner(tree, workload, seed, seconds):
+        result = stub(tree, workload, seed, seconds)
+        if workload == "artinian" and seed == 102 and tree == benchpair.ROOT:
+            result = dict(result, correct=False, failed=2)
+        return result
+
+    _stub_main(monkeypatch, tmp_path, runner)
+    assert benchpair.main(["--pr", "t", "--pairs", "3", "--workload", "artinian"]) == 1
+    err = capsys.readouterr().err
+    assert "change side, workload artinian, seed 102, wrong answers (2 failed jobs" in err
+    assert "stderr tail" not in err
+    assert not (tmp_path / "BENCH_t.json").exists()
+    # pair 2 runs the change first, so the run stopped before its parent
+    assert [(w, s) for _, w, s, _ in stub.calls][-2:] == [("artinian", 101), ("artinian", 102)]

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -234,6 +234,17 @@ def test_model_pieces():
     E2 = GradedModuleModel.top_local_cohomology(("x", "y"))
     assert len(E2.basis_of_total_degree(-2)) == 1
     assert len(E2.basis_of_total_degree(-4)) == 3
+
+
+def test_model_pieces_are_listed_once_per_total_degree():
+    for model, in_region in ((GradedModuleModel.polynomial(XYZ), lambda x: x >= 0),
+                             (GradedModuleModel.top_local_cohomology(XYZ), lambda x: x <= -1)):
+        for t in range(-7, 5):
+            piece = model.basis_of_total_degree(t)
+            assert model.basis_of_total_degree(t) is piece
+            # every multidegree of the region with coordinate sum t, once
+            assert sorted(piece) == [d for d in product(range(-9, 9), repeat=3)
+                                     if sum(d) == t and all(map(in_region, d))]
 
 
 def test_ext1_polynomial_ring_not_injective():

@@ -8,6 +8,8 @@ from oracles import (
     _quotient_projection,
     old_column_space_contains,
     old_independent_columns,
+    old_mat_mul,
+    old_mat_vec,
     old_minimal_polynomial_of_vector,
     old_nullspace,
     old_rank,
@@ -338,6 +340,66 @@ def test_elimination_refuses_ragged_matrices(ragged):
     for fn in (linalg.rref, linalg.rank, linalg.nullspace):
         with pytest.raises(ValueError, match="ragged matrix"):
             fn(ragged)
+
+
+def product_corpus():
+    """Seeded factor pairs of every kind of `random_matrix`, mixed between
+    the two factors, with zero rows and columns spliced in, and with empty
+    shapes: no rows, an inner dimension of 0, no columns."""
+    rng = random.Random(21)
+    kinds = ("cech", "rational", "big", "zero", "small")
+    for case in range(300):
+        ra, k, cb = (rng.randint(0, 6) if rng.random() < 0.15 else rng.randint(1, 6)
+                     for _ in range(3))
+        a = random_matrix(rng, rng.choice(kinds), ra, k)
+        b = random_matrix(rng, rng.choice(kinds), k, cb)
+        if case % 5 == 0 and a:
+            a[rng.randrange(ra)] = [0] * k
+        if case % 7 == 0 and k:
+            j = rng.randrange(k)
+            a = [row[:j] + [Fraction(0)] + row[j + 1:] for row in a]
+            b[j] = [0] * cb
+        yield a, b
+
+
+def test_products_match_the_fraction_oracle():
+    rng = random.Random(22)
+    for a, b in product_corpus():
+        before = (linalg.copy(a), linalg.copy(b))
+        out = linalg.mat_mul(a, b)
+        assert out == old_mat_mul(Q(a), Q(b)) and all_fractions(out), (a, b)
+        assert (a, b) == before
+        k = len(a[0]) if a else 0
+        for kind in ("rational", "big", "small", "zero"):
+            v = random_matrix(rng, kind, 1, k)[0]
+            out = linalg.mat_vec(a, v)
+            assert out == old_mat_vec(Q(a), v) and all_fractions([out]), (a, v)
+
+
+def test_mat_mul_refuses_a_ragged_right_factor():
+    # once answered [[4, 2]]
+    with pytest.raises(ValueError, match="ragged matrix"):
+        linalg.mat_mul([[1, 1]], [[1, 2], [3]])
+
+
+def test_mat_mul_refuses_a_ragged_left_factor():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        linalg.mat_mul([[1, 1], [1]], [[1, 2], [3, 4]])
+
+
+def test_transpose_and_from_columns_refuse_ragged_input():
+    # once truncated to [[1, 3]]
+    for fn in (linalg.transpose, linalg.from_columns, linalg.columns):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            fn([[1, 2], [3]])
+
+
+def test_mat_pow_refuses_a_negative_power():
+    # once looped forever: k >>= 1 stays at -1
+    with pytest.raises(ValueError, match="negative power -1"):
+        linalg.mat_pow(F([[1, 1], [0, 1]]), -1)
+    assert linalg.mat_pow(F([[1, 1], [0, 1]]), 0) == F([[1, 0], [0, 1]])
+    assert linalg.mat_pow(F([[1, 1], [0, 1]]), 5) == F([[1, 5], [0, 1]])
 
 
 def test_mat_vec_refuses_vector_of_wrong_length():

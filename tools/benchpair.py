@@ -17,10 +17,12 @@ BENCH_<pr>.json then holds, per workload and end-to-end metric, both
 sides' medians, the distance between the quartiles of the parent's runs,
 the number of pairs the change won (by the direction `BENCHMARK.json`
 gives the metric) and every run's value, and per workload the failed and
-attempted job counts of every run.  A run that exits non-zero stops the
-script: it names the side, workload, seed and exit code, prints the tail of
-the run's stderr, and exits 1 without writing BENCH_<pr>.json.  Only the
-standard library is used.
+attempted job counts of every run.  A run that exits non-zero, or whose
+JSON says `"correct": false` (a job answered wrongly outside the listed
+known defects; `perfbench/run.py` still exits 0 then), stops the script: it
+names the side, workload, seed and the exit code or the wrong answers,
+prints the tail of the run's stderr if there is one, and exits 1 without
+writing BENCH_<pr>.json.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ STDERR_TAIL_LINES = 20
 
 
 class RunFailed(Exception):
-    """A perfbench run that exited non-zero, and where it ran."""
+    """A perfbench run that exited non-zero or answered wrongly, and where
+    it ran."""
 
-    def __init__(self, side, workload, seed, returncode, stderr):
+    def __init__(self, side, workload, seed, problem, stderr=""):
         super().__init__(f"perfbench run failed: {side} side, workload {workload}, "
-                         f"seed {seed}, exit code {returncode}")
+                         f"seed {seed}, {problem}")
         self.stderr = stderr or ""
 
 
@@ -72,7 +75,12 @@ def run_pairs(runner, trees, workloads, pairs, seed, seconds, log=None):
                 try:
                     result = runner(trees[side], w, seed + k, seconds)
                 except subprocess.CalledProcessError as exc:
-                    raise RunFailed(side, w, seed + k, exc.returncode, exc.stderr) from None
+                    raise RunFailed(side, w, seed + k, f"exit code {exc.returncode}",
+                                    exc.stderr) from None
+                if not result["correct"]:
+                    raise RunFailed(side, w, seed + k,
+                                    f"wrong answers ({result['failed']} failed jobs, "
+                                    '"correct": false)')
                 runs[w][side].append(result)
                 if log:
                     log(f"{w} pair {k + 1}/{pairs} seed {seed + k} {side}: "
@@ -181,7 +189,7 @@ def main(argv=None):
                          log=lambda line: print(line, flush=True))
     except RunFailed as exc:
         tail = exc.stderr.splitlines()[-STDERR_TAIL_LINES:]
-        print("\n".join([str(exc), "stderr tail:", *tail]), file=sys.stderr)
+        print("\n".join([str(exc), *(["stderr tail:", *tail] if tail else [])]), file=sys.stderr)
         return 1
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
