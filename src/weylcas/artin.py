@@ -150,7 +150,7 @@ class ArtinAlgebra:
         return v
 
     def to_poly(self, v) -> SparsePoly:
-        terms = {e: c for e, c in zip(self.basis, v) if c != 0}
+        terms = {e: c for e, c in zip(self.basis, v, strict=True) if c != 0}
         return SparsePoly(self.vars, terms)
 
     def one(self) -> list[Fraction]:
@@ -160,6 +160,8 @@ class ArtinAlgebra:
 
     def mult(self, u, v) -> list[Fraction]:
         """Coordinates of the product of the elements with coordinates u and v."""
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ValueError(f"vectors of length {len(u)}, {len(v)} in an algebra of dimension {self.dim}")
         nu, du = linalg.integer_vector(u)
         nv, dv = linalg.integer_vector(v)
         acc = [0] * self.dim
@@ -174,6 +176,8 @@ class ArtinAlgebra:
 
     def mult_matrix(self, v) -> list[list[Fraction]]:
         """Multiplication matrix of the element with coordinate vector v."""
+        if len(v) != self.dim:
+            raise ValueError(f"vector of length {len(v)} in an algebra of dimension {self.dim}")
         nv, dv = linalg.integer_vector(v)
         support = [(self._tensor[i], a) for i, a in enumerate(nv) if a]
         cols = []
@@ -276,7 +280,7 @@ class LocalFactor:
 
     def to_ambient(self, factor_vector):
         out = [Fraction(0)] * len(self.idempotent)
-        for c, b in zip(factor_vector, self.basis_vectors):
+        for c, b in zip(factor_vector, self.basis_vectors, strict=True):
             if c != 0:
                 for i, x in enumerate(b):
                     out[i] += c * x
@@ -361,17 +365,19 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
         return None  # residue field Q: already local
     one_factor = factor.to_factor_coords(factor.idempotent)
     # on the factor, multiplication by a candidate c agrees with
-    # multiplication by its component e*c
-    var_actions = [factor.restrict(x) for x in algebra.var_matrices]
+    # multiplication by its component e*c; the variables act by integer
+    # rows over one common denominator
+    stacked, den = linalg.integer_matrix(
+        [row for x in algebra.var_matrices for row in factor.restrict(x)])
+    var_actions = [stacked[i:i + k] for i in range(0, len(stacked), k)]
     basis = linalg.from_columns(factor.basis_vectors)
     for coeffs in _candidate_combinations(len(algebra.vars), seed, extra_trials):
-        m = linalg.zeros(k, k)
-        for c, x in zip(coeffs, var_actions):
-            if c:
-                m = linalg.mat_add(m, linalg.mat_scale(x, c))
+        # the candidate's action is m / den
+        m = [[sum([c * x for c, x in zip(coeffs, entries)]) for entries in zip(*rows)]
+             for rows in zip(*var_actions)]
         # in a commutative algebra the minimal polynomial of multiplication
         # by a is the annihilator of 1 under it
-        mu = linalg.minimal_polynomial_of_vector(m, one_factor)
+        mu = linalg.annihilator(m, den, one_factor)
         parts = univar.coprime_factorization(mu)
         if len(parts) == 1:
             if univar.deg(parts[0][0]) == r:
@@ -383,11 +389,7 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
         for e in univar.crt_idempotents(moduli):
             # e(a) * 1 by Horner on vectors; the block is the kernel of
             # multiplication by 1 - e(a), the image of the idempotent
-            e_factor = [Fraction(0)] * k
-            for c in reversed(e):
-                e_factor = linalg.mat_vec(m, e_factor)
-                e_factor = [x + c * y for x, y in zip(e_factor, one_factor)]
-            e_ambient = factor.to_ambient(e_factor)
+            e_ambient = linalg.mat_vec(basis, linalg.poly_apply(e, m, den, one_factor))
             complement = [a - b for a, b in zip(factor.idempotent, e_ambient)]
             block = linalg.nullspace(factor.restrict(algebra.mult_matrix(complement)))
             # ambient coordinates of the block basis: basis * block

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a mathematical verification fails, 2 on
-usage errors (bad flags, unparseable expressions).  Identical invocations
+usage errors (bad flags, unparseable expressions) and on input refused as
+too costly (a factorization past its recombination budget).  Identical invocations
 (including --seed) produce byte-identical output; --json switches to a
 versioned machine-readable format ("schema": 1).
 """
@@ -37,6 +38,7 @@ from .localcoh import (
 from .ore import OreRing, verify_star
 from .parser import ParseError, diffop_to_str, parse_operator, parse_polynomial
 from .poly import GREVLEX, LEX, TermOrder
+from .univar import RecombinationBudgetError
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -544,7 +546,7 @@ def main(argv=None) -> int:
         # flush at shutdown does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ParseError, UsageError, WindowMarginError) as exc:
+    except (ParseError, UsageError, WindowMarginError, RecombinationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, RuntimeError) as exc:

@@ -425,6 +425,7 @@ class ArtinModule:
         self.var_actions = var_actions
         self.dim = dim
         self._monomial_cache: dict[tuple, list] = {}
+        self._integer_cache: dict[tuple, tuple[list, int]] = {}  # linalg.integer_matrix of those
 
     @classmethod
     def regular(cls, algebra: ArtinAlgebra) -> "ArtinModule":
@@ -452,16 +453,20 @@ class ArtinModule:
         return self._monomial_cache[e]
 
     def action_of_vector(self, v):
-        """Action matrix of the algebra element with coordinate vector v."""
-        out = linalg.zeros(self.dim, self.dim)
-        for e, c in zip(self.algebra.basis, v):
-            if c == 0:
-                continue
-            for out_row, row in zip(out, self.monomial_action(e)):
-                for j, x in enumerate(row):
-                    if x:
-                        out_row[j] += c * x
-        return out
+        """Action matrix of the algebra element with coordinate vector v (of
+        length algebra.dim), summed over integer monomial actions."""
+        actions, scalars = [], []
+        for e, c in zip(self.algebra.basis, v, strict=True):
+            if c:
+                if e not in self._integer_cache:
+                    self._integer_cache[e] = linalg.integer_matrix(self.monomial_action(e))
+                actions.append(self._integer_cache[e][0])
+                scalars.append(Fraction(c) / self._integer_cache[e][1])
+        nums, den = linalg.integer_vector(scalars)
+        acc = [[0] * self.dim for _ in range(self.dim)]
+        for s, rows in zip(nums, actions):
+            acc = [[x + s * y for x, y in zip(r1, r2)] for r1, r2 in zip(acc, rows)]
+        return [linalg.fraction_vector(row, den) for row in acc]
 
     def socle(self) -> list:
         """Basis of the annihilator of the radical (the largest semisimple

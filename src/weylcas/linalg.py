@@ -1,22 +1,21 @@
 """Exact linear algebra over Q: row reduction, ranks, kernels, solving,
-block assembly, the cohomology of finite complexes, and `Subspace`.
+block assembly, the cohomology of finite complexes, `Subspace`, and
+polynomials of a matrix applied to a vector.
 
-Matrices are lists of rows of Fractions and act on column vectors.
+Matrices are lists of rows of Fractions and act on column vectors.  All
+arithmetic runs on Python ints, and every entry returned is a Fraction.
+A vector or row (int or Fraction entries) is scaled by the lcm of its
+denominators, a matrix by one (`integer_matrix`).  `mat_mul` and `mat_vec`
+multiply and add ints and divide once per output entry.  `rref`, `rank`
+and `nullspace` share one fraction-free echelon routine: it eliminates by
+cross-multiplication and keeps every row primitive.  `Subspace` keeps its
+rows the same way.  For an integer matrix m over a denominator den,
+`annihilator` (minimal polynomials) iterates m on integer Krylov vectors
+and `poly_apply` runs Horner on integer vectors; each rescales by powers
+of den once, at the end.  A ragged matrix, operands whose shapes do not
+fit, or a negative power raise ValueError.
 
-Products and row reduction run on integers inside and show Fractions
-only at the boundary.  A row or vector (int or Fraction entries) is scaled
-by the lcm of its denominators.  `mat_mul` puts its right factor over one
-common denominator and each row of its left factor over its own, and
-`mat_vec` each row of the matrix over its own, then both multiply and add
-Python ints and divide once per output entry; every entry they return is
-a Fraction.  `rref`, `rank` and `nullspace` share one fraction-free
-echelon routine: it eliminates the scaled rows by cross-multiplication and
-keeps every row primitive.  `rref` then divides each pivot row by its
-pivot, `nullspace` reads its vectors off the integer rows, and `rank`
-converts nothing back.  A ragged matrix, operands whose shapes do not fit,
-or a negative power raise ValueError.
-
-A `Subspace` keeps a growing span in reduced row echelon form and answers
+A `Subspace` keeps a growing span in a canonical echelon form and answers
 every span question asked of a set of vectors: membership, coordinates
 over the accepted vectors, projection modulo the span, and equality.
 """
@@ -66,6 +65,13 @@ def integer_vector(v: Vector) -> tuple[list[int], int]:
     if den == 1:
         return [x.numerator for x in v], 1
     return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def integer_matrix(a: Matrix) -> tuple[list[list[int]], int]:
+    """a (int or Fraction entries) as integer rows over one common
+    denominator, and that denominator."""
+    den = lcm(*[x.denominator for row in a for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
 
 
 def fraction_vector(nums: list[int], den: int) -> Vector:
@@ -118,9 +124,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     # b over one common denominator and each row of a over its own; each
     # row of the product combines the rows of b that its nonzero entries
     # pick, and only nonzero entries of those rows are multiplied
-    den_b = lcm(*[x.denominator for row in b for x in row])
-    b_support = [[(k, y.numerator * (den_b // y.denominator)) for k, y in enumerate(row) if y]
-                 for row in b]
+    b_int, den_b = integer_matrix(b)
+    b_support = [[(k, y) for k, y in enumerate(row) if y] for row in b_int]
     out = []
     for row in a:
         nums, den = integer_vector(row)
@@ -148,18 +153,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
         total = sum([y.numerator * (den // y.denominator) * x for y, x in picked])
         out.append(Fraction(total, den * den_v) if total else zero)
     return out
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    (ra, ca), (rb, cb) = shape(a), shape(b)
-    if (ra, ca) != (rb, cb):
-        raise ValueError(f"shape mismatch {ra}x{ca} + {rb}x{cb}")
-    return [[x + y for x, y in zip(r1, r2, strict=True)] for r1, r2 in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    c = Fraction(c)
-    return [[c * x for x in row] for row in a]
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
@@ -336,22 +329,34 @@ def poly_of_matrix(coeffs, a: Matrix) -> Matrix:
     return out
 
 
+def _combine(a: int, x: list[int], dx: int, b: int, y: list[int], dy: int, c: int = 1):
+    """(a x / dx + b y / dy) / c, for integer vectors x and y, as integers
+    over one denominator, in lowest terms."""
+    d = lcm(dx, dy)
+    a, b, d = a * (d // dx), b * (d // dy), d * c
+    nums = [a * s + b * t for s, t in zip(x, y)]
+    g = gcd(d, *nums)
+    return ([s // g for s in nums], d // g) if g > 1 else (nums, d)
+
+
 class Subspace:
     """A subspace of Q^n, grown one vector at a time.
 
-    The rows are kept in reduced row echelon form: a row's pivot is its
-    first nonzero entry, equal to 1, and every other row is 0 in that
-    column.  Each row also carries its combination over `basis`, the
-    vectors `add` accepted, in order.  The reduced form of a span is
-    unique, so `==` compares rows and `project` does not depend on the
-    order of the vectors.  A vector of the wrong length raises ValueError.
+    The rows are primitive integer vectors, each positive at its pivot (its
+    first nonzero entry) and 0 at the other rows' pivots: the primitive
+    positive multiples of the reduced row echelon form, unique for a span,
+    so `==` compares rows and `project` does not depend on the order of the
+    vectors.  Each row carries its combination over `basis`, the vectors
+    `add` accepted, in order, as integers over one denominator.  A vector
+    is reduced by cross-multiplication, as in `_echelon`.  A vector of the
+    wrong length raises ValueError.
     """
 
     def __init__(self, n: int, vectors=()):
         self._n = n
         self.basis: list[Vector] = []
-        self._rows: dict[int, Vector] = {}  # pivot -> row
-        self._combos: dict[int, Vector] = {}  # pivot -> row as a combination of basis
+        self._rows: dict[int, list[int]] = {}  # pivot -> row
+        self._combos: dict[int, tuple[list[int], int]] = {}  # pivot -> (numerators, den)
         for v in vectors:
             self.add(v)
 
@@ -360,43 +365,44 @@ class Subspace:
         return len(self.basis)
 
     def _reduce(self, v: Vector, track: bool):
-        """v minus its part along the rows, and (if track) that part's
-        combination over basis; the rows are 0 at each other's pivots, so
-        one pass clears every pivot column."""
+        """(r, e, w, d), integers with e v = r + sum_k w[k] / d basis[k]:
+        r is 0 at every pivot, and w is kept only if track.  The rows are 0
+        at each other's pivots, so one pass clears every pivot column."""
         if len(v) != self._n:
             raise ValueError(f"vector of length {len(v)} in a subspace of Q^{self._n}")
-        r = list(v)
-        combo = [Fraction(0)] * len(self.basis) if track else None
+        r, e = integer_vector(v)
+        w, d = [0] * len(self.basis), 1
         for p, row in self._rows.items():
             c = r[p]
             if c:
-                for j, y in enumerate(row):
-                    if y:
-                        r[j] -= c * y
+                g = gcd(row[p], c)
+                a, b = row[p] // g, c // g
+                r = [a * x - b * y for x, y in zip(r, row)]
+                e *= a
                 if track:
-                    combo = [x + c * y for x, y in zip(combo, self._combos[p])]
-        return r, combo
+                    w, d = _combine(a, w, d, b, *self._combos[p])
+        return r, e, w, d
 
     def add(self, v: Vector) -> bool:
         """Add v; True when it was not already in the span."""
-        r, combo = self._reduce(v, True)
+        r, e, w, d = self._reduce(v, True)
         q = next((j for j, x in enumerate(r) if x), None)
         if q is None:
             return False
-        for row_combo in self._combos.values():
-            row_combo.append(Fraction(0))
-        inv = 1 / Fraction(r[q])
-        row = [x * inv for x in r]
-        row_combo = [-x * inv for x in combo] + [inv]
+        g = gcd(*r) if r[q] > 0 else -gcd(*r)
+        row = [x // g for x in r]
+        combo = ([-x for x in w] + [e * d], d * g)
         for p, other in self._rows.items():
-            a = other[q]
-            if a:
-                for j, y in enumerate(row):
-                    if y:
-                        other[j] -= a * y
-                self._combos[p] = [x - a * y for x, y in zip(self._combos[p], row_combo)]
+            self._combos[p][0].append(0)
+            f = other[q]
+            if f:
+                h = gcd(row[q], f)
+                reduced = [row[q] // h * x - f // h * y for x, y in zip(other, row)]
+                c = gcd(*reduced)
+                self._rows[p] = [x // c for x in reduced]
+                self._combos[p] = _combine(row[q] // h, *self._combos[p], -f // h, *combo, c)
         self._rows[q] = row
-        self._combos[q] = row_combo
+        self._combos[q] = combo
         self.basis.append(list(v))
         return True
 
@@ -405,13 +411,13 @@ class Subspace:
 
     def coords(self, v: Vector) -> Vector | None:
         """The coordinates of v over basis, or None when v is outside."""
-        r, combo = self._reduce(v, True)
-        return None if any(r) else combo
+        r, e, w, d = self._reduce(v, True)
+        return None if any(r) else fraction_vector(w, d * e)
 
     def project(self, v: Vector) -> Vector:
         """The non-pivot coordinates of v modulo the subspace."""
-        r = self._reduce(v, False)[0]
-        return [x for j, x in enumerate(r) if j not in self._rows]
+        r, e, _, _ = self._reduce(v, False)
+        return fraction_vector([x for j, x in enumerate(r) if j not in self._rows], e)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -419,14 +425,41 @@ class Subspace:
         return self._n == other._n and self._rows == other._rows
 
 
-def minimal_polynomial_of_vector(a: Matrix, v: Vector) -> list[Fraction]:
-    """Monic generator of {p : p(a) v = 0}: v, a v, a^2 v, ... are added
-    until one lies in the span of the earlier ones."""
+def _int_mat_vec(m: list[list[int]], w: list[int]) -> list[int]:
+    support = [(j, x) for j, x in enumerate(w) if x]
+    return [sum([row[j] * x for j, x in support]) for row in m]
+
+
+def annihilator(m: list[list[int]], den: int, v: Vector) -> list[Fraction]:
+    """Monic generator of {p : p(m / den) v = 0}, for an integer matrix m.
+    The first u_k = m^k v in the span of the earlier ones, sum_i c_i u_i,
+    gives p = t^k - sum_i c_i / den^(k - i) t^i."""
     krylov = Subspace(len(v))
-    w = v
+    w = integer_vector(v)[0]
     while krylov.add(w):
-        w = mat_vec(a, w)
-    return [-c for c in krylov.coords(w)] + [Fraction(1)]
+        w = _int_mat_vec(m, w)
+    coords = krylov.coords(w)
+    k = len(coords)
+    return [-c / den ** (k - i) for i, c in enumerate(coords)] + [Fraction(1)]
+
+
+def poly_apply(coeffs, m: list[list[int]], den: int, v: Vector) -> Vector:
+    """p(m / den) v for p = coeffs (dense) and an integer matrix m: with
+    p = sum_i P_i / L t^i and v = V / dv over integers, Horner builds
+    h = sum_i P_i den^(n - i) m^i V, n = deg p, and divides by L den^n dv."""
+    nums, dv = integer_vector(v)
+    cs, dc = integer_vector(coeffs)
+    h, scale = [0] * len(nums), 1
+    for i, c in enumerate(reversed(cs)):
+        if i:
+            scale *= den
+        h = [x + c * scale * y for x, y in zip(_int_mat_vec(m, h), nums)]
+    return fraction_vector(h, dc * scale * dv)
+
+
+def minimal_polynomial_of_vector(a: Matrix, v: Vector) -> list[Fraction]:
+    """Monic generator of {p : p(a) v = 0}."""
+    return annihilator(*integer_matrix(a), v)
 
 
 def minimal_polynomial(a: Matrix) -> list[Fraction]:
@@ -438,9 +471,10 @@ def minimal_polynomial(a: Matrix) -> list[Fraction]:
         raise ValueError("matrix must be square")
     if n == 0:
         return [Fraction(1)]
+    rows, den = integer_matrix(a)
     result: list[Fraction] = [Fraction(1)]
     for i in range(n):
-        local = minimal_polynomial_of_vector(a, unit_vector(n, i))
+        local = annihilator(rows, den, unit_vector(n, i))
         result = univar.lcm(result, local)
         if univar.deg(result) == n:
             break

@@ -5,21 +5,33 @@ zeros; [] is the zero polynomial.  These routines back minimal-polynomial
 work and the idempotent splitting: Euclidean arithmetic, CRT idempotents,
 Yun squarefree decomposition, and complete factorization over Q by
 Zassenhaus's method (factor modulo a small prime, Hensel-lift, recombine).
-The factorization uses finite fields internally only; its input and
-output are rational, and its one random choice is seeded, so every call
-replays.
+
+`divmod_poly`, `gcd` and `xgcd` (so also `lcm`, `squarefree_decomposition`
+and `crt_idempotents`) run fraction-free pseudo-division on integer
+polynomials, dividing out contents, and return the same Fractions as over
+Q.  The factorization uses finite fields internally only, replays (its one
+random choice is seeded), and refuses (RecombinationBudgetError) to try
+more than RECOMBINATION_SUBSETS subsets in recombination.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
+from .linalg import fraction_vector, integer_vector
 from .poly import SparsePoly
 
 Dense = list  # list[Fraction]
+
+RECOMBINATION_SUBSETS = 4096
+
+
+class RecombinationBudgetError(ValueError):
+    """Recombination needs more than RECOMBINATION_SUBSETS subsets."""
 
 
 def trim(c: Dense) -> Dense:
@@ -30,33 +42,6 @@ def trim(c: Dense) -> Dense:
 
 def deg(c: Dense) -> int:
     return len(c) - 1
-
-
-def is_zero(c: Dense) -> bool:
-    return not c
-
-
-def constant(a) -> Dense:
-    a = Fraction(a)
-    return [a] if a != 0 else []
-
-
-def add(a: Dense, b: Dense) -> Dense:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return trim(out)
-
-
-def neg(a: Dense) -> Dense:
-    return [-x for x in a]
-
-
-def sub(a: Dense, b: Dense) -> Dense:
-    return add(a, neg(b))
 
 
 def mul(a: Dense, b: Dense) -> Dense:
@@ -78,20 +63,35 @@ def scale(a: Dense, c) -> Dense:
     return [x * c for x in a]
 
 
+def _pseudo_divmod(a: list, b: list) -> tuple[int, list, list]:
+    """(s, q, r) with s * a = q * b + r and deg r < deg b, for integer
+    polynomials a and b != 0: each quotient term cancels the lead of r by
+    cross-multiplication with g = gcd(lc(b), lc(r))."""
+    r, s = list(a), 1
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * max(len(a) - db, 0)
+    while len(r) > db:
+        g = math.gcd(lb, r[-1])
+        x, y = lb // g, r[-1] // g
+        if x != 1:
+            r, q, s = [x * c for c in r], [x * c for c in q], s * x
+        k = len(r) - 1 - db
+        q[k] = y
+        for i, c in enumerate(b):
+            r[i + k] -= y * c
+        _itrim(r)
+    return s, _itrim(q), r
+
+
 def divmod_poly(a: Dense, b: Dense) -> tuple[Dense, Dense]:
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    db, lb = deg(b), b[-1]
-    while r and deg(r) >= db:
-        k = deg(r) - db
-        c = r[-1] / lb
-        q[k] = c
-        for i in range(len(b)):
-            r[i + k] -= c * b[i]
-        trim(r)
-    return trim(q), r
+    if len(a) < len(b):
+        return [], list(a)
+    (na, da), (nb, db) = integer_vector(a), integer_vector(b)
+    # s na = q nb + r, so a = b (q db / (s da)) + r / (s da)
+    s, q, r = _pseudo_divmod(na, nb)
+    return fraction_vector([c * db for c in q], s * da), fraction_vector(r, s * da)
 
 
 def monic(a: Dense) -> Dense:
@@ -101,9 +101,11 @@ def monic(a: Dense) -> Dense:
 
 
 def gcd(a: Dense, b: Dense) -> Dense:
+    """The monic gcd, by Euclid on primitive integer polynomials."""
+    a, b = _primitive(integer_vector(a)[0]), _primitive(integer_vector(b)[0])
     while b:
-        a, b = b, divmod_poly(a, b)[1]
-    return monic(a)
+        a, b = b, _primitive(_pseudo_divmod(a, b)[2])
+    return fraction_vector(a, a[-1]) if a else []
 
 
 def lcm(a: Dense, b: Dense) -> Dense:
@@ -115,13 +117,6 @@ def lcm(a: Dense, b: Dense) -> Dense:
 
 def derivative(a: Dense) -> Dense:
     return trim([a[i] * i for i in range(1, len(a))])
-
-
-def eval_at(a: Dense, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def squarefree_decomposition(a: Dense) -> list[tuple[Dense, int]]:
@@ -146,25 +141,28 @@ def squarefree_decomposition(a: Dense) -> list[tuple[Dense, int]]:
 
 
 def xgcd(a: Dense, b: Dense) -> tuple[Dense, Dense, Dense]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b), g monic (or zero)."""
-    r0, r1, s0, s1, t0, t1 = a, b, constant(1), [], [], constant(1)
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), g monic (or zero).  Euclid
+    runs on the integer polynomials da*a and db*b, and s0*da*a + t0*db*b = r0
+    holds throughout."""
+    (r0, da), (r1, db) = integer_vector(a), integer_vector(b)
+    s0, s1, t0, t1 = [1], [], [], [1]
     while r1:
-        q, r = divmod_poly(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1))
-        t0, t1 = t1, sub(t0, mul(q, t1))
-    if not r0:
-        return [], s0, t0
-    inv = 1 / r0[-1]
-    return scale(r0, inv), scale(s0, inv), scale(t0, inv)
+        k, q, r = _pseudo_divmod(r0, r1)
+        s = _isub([k * c for c in s0], _imul(q, s1))
+        t = _isub([k * c for c in t0], _imul(q, t1))
+        g = math.gcd(*r, *s, *t)
+        r0, r1 = r1, [c // g for c in r]
+        s0, s1 = s1, [c // g for c in s]
+        t0, t1 = t1, [c // g for c in t]
+    lead = r0[-1] if r0 else 1
+    return (fraction_vector(r0, lead), fraction_vector([c * da for c in s0], lead),
+            fraction_vector([c * db for c in t0], lead))
 
 
 def crt_idempotents(moduli: list[Dense]) -> list[Dense]:
     """For pairwise coprime P_1..P_r with product P, the e_i of degree
     < deg P with e_i = 1 mod P_i and e_i = 0 mod P_j for j != i."""
-    total = constant(1)
-    for p in moduli:
-        total = mul(total, p)
+    total = functools.reduce(mul, moduli, [Fraction(1)])
     out = []
     for p in moduli:
         rest = divmod_poly(total, p)[0]
@@ -344,16 +342,17 @@ def _symmetric(a: list, m: int) -> list:
 
 
 def _primitive(a: list) -> list:
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    if a[-1] < 0:
+    """a over the gcd of its coefficients, with positive lead; [] stays []."""
+    g = math.gcd(*a)
+    if a and a[-1] < 0:
         g = -g
     return [c // g for c in a]
 
 
 def _exact_quotient(f: list, g: list) -> list | None:
     """f / g over Z, or None if g does not divide f."""
+    if (f[0] % g[0]) if g[0] else f[0]:
+        return None  # g(0) does not divide f(0)
     r = list(f)
     dg, lg = len(g) - 1, g[-1]
     q = [0] * max(len(f) - dg, 0)
@@ -397,9 +396,14 @@ def _zassenhaus(f: list) -> list[list]:
     while pk <= bound:
         pk *= p
     lifted = _hensel_lift(f, sorted(modp), p, pk)
-    found, size = [], 1
+    found, size, tried = [], 1, 0
     while 2 * size <= len(lifted):
         for subset in itertools.combinations(range(len(lifted)), size):
+            tried += 1
+            if tried > RECOMBINATION_SUBSETS:
+                raise RecombinationBudgetError(
+                    f"factoring a polynomial of degree {n} with {len(modp)} factors modulo {p} "
+                    f"needs more than {RECOMBINATION_SUBSETS} recombination subsets")
             g = [b]
             for i in subset:
                 g = _imod(_imul(g, lifted[i]), pk)

@@ -25,7 +25,13 @@ and `old_mat_vec` multiply and add `Fraction`s, before `linalg` multiplied
 integer rows.  `old_structure_table` Groebner-reduces every product of two
 standard monomials, and `old_mult`, `old_mult_matrix`, `old_basis_traces`
 and `old_radical_basis` compute over that `Fraction` table, before
-`ArtinAlgebra` built one integer tensor from the variable matrices.  All are exact
+`ArtinAlgebra` built one integer tensor from the variable matrices.
+`OldSubspace` keeps Fraction rows in reduced row echelon form and Fraction
+combinations; `old_action_of_vector` sums Fraction monomial actions;
+`old_poly_apply` runs Horner on Fraction vectors; `old_divmod_poly`,
+`old_gcd`, `old_xgcd`, `old_squarefree_decomposition` and
+`old_crt_idempotents` run Euclid over Fractions, before `linalg` and
+`univar` kept these on integers.  All are exact
 and slow; on inputs they answer correctly the production code must give
 identical results (fractions: the same value, compared by
 cross-multiplication).
@@ -49,7 +55,14 @@ from weylcas.localcoh import (
 )
 from weylcas.ore import DiffOp
 from weylcas.poly import SparsePoly
-from weylcas.univar import deg, divmod_poly, eval_at, monic, mul, squarefree_decomposition, trim
+from weylcas.univar import deg, divmod_poly, monic, mul, squarefree_decomposition, trim
+
+
+def eval_at(a: list, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 def _int_divisors(n: int) -> list[int]:
@@ -1049,3 +1062,175 @@ def old_radical_basis(table: list) -> list:
     gram = [[sum((c * t for c, t in zip(table[i][j], traces)), Fraction(0)) for j in range(n)]
             for i in range(n)]
     return old_nullspace(gram)
+
+
+# ---------- spans, actions, Horner and Euclid over Fractions ----------
+
+class OldSubspace:
+    """A subspace of Q^n whose rows are kept in reduced row echelon form
+    over Fractions, each with its Fraction combination over `basis`."""
+
+    def __init__(self, n: int, vectors=()):
+        self._n = n
+        self.basis: list = []
+        self._rows: dict = {}  # pivot -> row
+        self._combos: dict = {}  # pivot -> row as a combination of basis
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def _reduce(self, v: list, track: bool):
+        if len(v) != self._n:
+            raise ValueError(f"vector of length {len(v)} in a subspace of Q^{self._n}")
+        r = list(v)
+        combo = [Fraction(0)] * len(self.basis) if track else None
+        for p, row in self._rows.items():
+            c = r[p]
+            if c:
+                for j, y in enumerate(row):
+                    if y:
+                        r[j] -= c * y
+                if track:
+                    combo = [x + c * y for x, y in zip(combo, self._combos[p])]
+        return r, combo
+
+    def add(self, v: list) -> bool:
+        r, combo = self._reduce(v, True)
+        q = next((j for j, x in enumerate(r) if x), None)
+        if q is None:
+            return False
+        for row_combo in self._combos.values():
+            row_combo.append(Fraction(0))
+        inv = 1 / Fraction(r[q])
+        row = [x * inv for x in r]
+        row_combo = [-x * inv for x in combo] + [inv]
+        for p, other in self._rows.items():
+            a = other[q]
+            if a:
+                for j, y in enumerate(row):
+                    if y:
+                        other[j] -= a * y
+                self._combos[p] = [x - a * y for x, y in zip(self._combos[p], row_combo)]
+        self._rows[q] = row
+        self._combos[q] = row_combo
+        self.basis.append(list(v))
+        return True
+
+    def __contains__(self, v: list) -> bool:
+        return not any(self._reduce(v, False)[0])
+
+    def coords(self, v: list):
+        r, combo = self._reduce(v, True)
+        return None if any(r) else combo
+
+    def project(self, v: list) -> list:
+        r = self._reduce(v, False)[0]
+        return [x for j, x in enumerate(r) if j not in self._rows]
+
+    def __eq__(self, other) -> bool:
+        return self._n == other._n and self._rows == other._rows
+
+
+def old_action_of_vector(module, v: list) -> list:
+    """The action of the algebra element v on an ArtinModule, one Fraction
+    multiply-add per entry of each monomial action."""
+    out = linalg.zeros(module.dim, module.dim)
+    for e, c in zip(module.algebra.basis, v):
+        if c == 0:
+            continue
+        for out_row, row in zip(out, module.monomial_action(e)):
+            for j, x in enumerate(row):
+                if x:
+                    out_row[j] += c * x
+    return out
+
+
+def old_poly_apply(coeffs: list, a: list, v: list) -> list:
+    """p(a) v by Horner on Fraction vectors, as `_try_split` evaluated e(a)*1."""
+    out = [Fraction(0)] * len(v)
+    for c in reversed(coeffs):
+        out = old_mat_vec(a, out)
+        out = [x + c * y for x, y in zip(out, v)]
+    return out
+
+
+def _old_add(a: list, b: list) -> list:
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i] += x
+    return trim(out)
+
+
+def _old_sub(a: list, b: list) -> list:
+    return _old_add(a, [-x for x in b])
+
+
+def old_divmod_poly(a: list, b: list) -> tuple[list, list]:
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    r = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    db, lb = deg(b), b[-1]
+    while r and deg(r) >= db:
+        k = deg(r) - db
+        c = r[-1] / lb
+        q[k] = c
+        for i in range(len(b)):
+            r[i + k] -= c * b[i]
+        trim(r)
+    return trim(q), r
+
+
+def old_gcd(a: list, b: list) -> list:
+    while b:
+        a, b = b, old_divmod_poly(a, b)[1]
+    return monic(a)
+
+
+def old_squarefree_decomposition(a: list) -> list:
+    a = monic(a)
+    if deg(a) <= 0:
+        return []
+    out = []
+    g = old_gcd(a, trim([a[i] * i for i in range(1, len(a))]))
+    w = old_divmod_poly(a, g)[0]
+    i = 1
+    while deg(w) > 0:
+        y = old_gcd(w, g)
+        factor = old_divmod_poly(w, y)[0]
+        if deg(factor) > 0:
+            out.append((monic(factor), i))
+        w = y
+        g = old_divmod_poly(g, y)[0]
+        i += 1
+    return out
+
+
+def old_xgcd(a: list, b: list) -> tuple[list, list, list]:
+    r0, r1, s0, s1, t0, t1 = a, b, [Fraction(1)], [], [], [Fraction(1)]
+    while r1:
+        q, r = old_divmod_poly(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _old_sub(s0, mul(q, s1))
+        t0, t1 = t1, _old_sub(t0, mul(q, t1))
+    if not r0:
+        return [], s0, t0
+    inv = 1 / r0[-1]
+    return [x * inv for x in r0], [x * inv for x in s0], [x * inv for x in t0]
+
+
+def old_crt_idempotents(moduli: list) -> list:
+    total = [Fraction(1)]
+    for p in moduli:
+        total = mul(total, p)
+    out = []
+    for p in moduli:
+        rest = old_divmod_poly(total, p)[0]
+        _, _, t = old_xgcd(p, old_divmod_poly(rest, p)[1])
+        out.append(mul(t, rest))
+    return out

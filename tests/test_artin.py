@@ -340,3 +340,44 @@ def test_only_border_monomials_are_reduced(monkeypatch):
             assert e not in A.basis
             assert any(e[k] and e[:k] + (e[k] - 1,) + e[k + 1:] in A.basis
                        for k in range(len(e)))
+
+
+# ---------- coordinate vectors of the wrong length ----------
+
+def fat_point():
+    """Q[x,y]/(x^2, xy, y^2), of dimension 3."""
+    return ArtinAlgebra.from_presentation(XY, [x2 ** 2, x2 * y2, y2 ** 2])
+
+
+def test_mult_refuses_vectors_of_the_wrong_length():
+    # once answered [1, 0, 0] for mult([1], [1, 0, 0])
+    A = fat_point()
+    for u, v in (([1], [1, 0, 0]), ([1, 0, 0], [1, 0, 0, 5]), ([1, 0, 0, 0], [1])):
+        with pytest.raises(ValueError, match="in an algebra of dimension 3"):
+            A.mult(u, v)
+    assert A.mult([1, 0, 0], [0, 2, 0]) == [0, 2, 0]
+
+
+def test_mult_matrix_refuses_a_vector_of_the_wrong_length():
+    A = fat_point()
+    for v in ([1], [1, 0, 0, 5]):
+        with pytest.raises(ValueError, match=f"length {len(v)} in an algebra of dimension 3"):
+            A.mult_matrix(v)
+
+
+def test_to_poly_refuses_a_vector_of_the_wrong_length():
+    A = fat_point()
+    for v in ([1], [1, 0, 0, 5]):
+        with pytest.raises(ValueError):
+            A.to_poly(v)
+    assert A.to_poly([1, 0, 0]) == SparsePoly.one(XY)
+
+
+def test_to_ambient_refuses_a_vector_of_the_wrong_length():
+    A = ArtinAlgebra.from_presentation(X, [xv ** 2 * (xv - 1)])
+    factor = max(decompose_local(A), key=lambda f: f.dim)
+    assert factor.dim == 2
+    for v in ([1], [1, 0, 5]):
+        with pytest.raises(ValueError):
+            factor.to_ambient(v)
+    assert factor.to_ambient([1, 0]) == factor.basis_vectors[0]

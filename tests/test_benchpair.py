@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -171,3 +172,29 @@ def test_a_run_with_wrong_answers_is_a_failed_run(monkeypatch, tmp_path, capsys)
     assert not (tmp_path / "BENCH_t.json").exists()
     # pair 2 runs the change first, so the run stopped before its parent
     assert [(w, s) for _, w, s, _ in stub.calls][-2:] == [("artinian", 101), ("artinian", 102)]
+
+
+def test_meta_records_source_size_and_bytecode_caching(monkeypatch, tmp_path):
+    # setup_s tracks the size of src/ when every import compiles from source
+    stub = StubRunner()
+    _stub_main(monkeypatch, tmp_path, stub)
+
+    def export(rev, dest):
+        (Path(dest) / "src" / "pkg").mkdir(parents=True)
+        (Path(dest) / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+        (Path(dest) / "src" / "notes.txt").write_text("not python\n" * 50)
+
+    monkeypatch.setattr(benchpair, "export_revision", export)
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n" * 4)
+    (tmp_path / "src" / "pkg" / "b.py").write_text("y = 2\n")
+    for env, flag, off in (("1", 0, True), (None, 1, True), (None, 0, False), ("", 0, False)):
+        if env is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", env)
+        monkeypatch.setattr(benchpair.sys, "flags", types.SimpleNamespace(dont_write_bytecode=flag))
+        assert benchpair.main(["--pr", "t", "--pairs", "1", "--workload", "ore"]) == 0
+        meta = json.loads((tmp_path / "BENCH_t.json").read_text())["meta"]
+        assert meta["src_lines"] == {"parent": 2, "change": 5}
+        assert meta["bytecode_caching_off"] is off

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,21 @@ def test_artin_decompose_huge_constant(capsys):
     assert code == 0
     assert "dim = 2, factors = 1" in out
     assert "factor 1: dim 2, residue degree 2" in out
+
+
+def test_artin_decompose_refuses_exponential_recombination(capsys):
+    # degree 64 with 32 factors modulo every prime: recombination would try
+    # about 2^31 subsets
+    from test_univar import swinnerton_dyer
+
+    f = swinnerton_dyer([2, 3, 5, 7, 11, 13])
+    ideal = " + ".join(f"({c})*x1^{i}" for i, c in enumerate(f) if c)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "artin-decompose", "--ideal", ideal, "--vars", "1")
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: factoring a polynomial of degree 64")
+    assert "recombination subsets" in err
 
 
 def test_artin_decompose_degree_five_product_json(capsys):

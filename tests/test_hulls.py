@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import _quotient_projection
+from oracles import _quotient_projection, old_action_of_vector
 
 from weylcas import linalg
 from weylcas.artin import ArtinAlgebra, decompose_local
@@ -365,12 +365,26 @@ def test_monomial_action_prefix_cache_matches_products_from_identity():
 def test_action_of_vector_is_the_sum_of_scaled_monomial_actions():
     XY = ("x", "y")
     xx, yy = SparsePoly.variable(XY, 0), SparsePoly.variable(XY, 1)
-    A = ArtinAlgebra.from_presentation(XY, [xx ** 3 - yy, yy ** 2])
-    vectors = [[Fraction(i * j % 5 - 2, j + 1) for j in range(A.dim)] for i in range(4)]
-    vectors.append([Fraction(0)] * A.dim)
-    for M in (ArtinModule.regular(A), ArtinModule.regular(A).dual()):
-        for v in vectors:
-            expected = linalg.zeros(M.dim, M.dim)
-            for e, c in zip(A.basis, v):
-                expected = linalg.mat_add(expected, linalg.mat_scale(M.monomial_action(e), c))
-            assert M.action_of_vector(v) == expected
+    third, seventh = Fraction(1, 3), Fraction(1, 7)
+    for A in (ArtinAlgebra.from_presentation(XY, [xx ** 3 - yy, yy ** 2]),
+              # monomial actions with denominators
+              ArtinAlgebra.from_presentation(XY, [(xx - third) ** 2 * (xx + 2),
+                                                  (yy - seventh * xx) ** 2 - Fraction(5, 11) * xx])):
+        vectors = [[Fraction(i * j % 5 - 2, j + 1) for j in range(A.dim)] for i in range(4)]
+        vectors += [[Fraction(0)] * A.dim, [1] + [0] * (A.dim - 1)]
+        for M in (ArtinModule.regular(A), ArtinModule.regular(A).dual()):
+            for v in vectors:
+                action = M.action_of_vector(v)
+                assert action == old_action_of_vector(M, v)
+                assert all(type(x) is Fraction for row in action for x in row)
+
+
+def test_action_of_vector_refuses_a_vector_of_the_wrong_length():
+    # both once answered the identity on Q[x,y]/(x^2, xy, y^2)
+    XY = ("x", "y")
+    xx, yy = SparsePoly.variable(XY, 0), SparsePoly.variable(XY, 1)
+    M = ArtinModule.regular(ArtinAlgebra.from_presentation(XY, [xx ** 2, xx * yy, yy ** 2]))
+    for v in ([1, 0, 0, 5], [1]):
+        with pytest.raises(ValueError):
+            M.action_of_vector(v)
+    assert M.action_of_vector([1, 0, 0]) == linalg.identity(3)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from oracles import (
     OldColumnSolver,
+    OldSubspace,
     _quotient_projection,
     old_column_space_contains,
     old_independent_columns,
@@ -12,6 +13,7 @@ from oracles import (
     old_mat_vec,
     old_minimal_polynomial_of_vector,
     old_nullspace,
+    old_poly_apply,
     old_rank,
     old_rref,
     old_solve,
@@ -407,13 +409,6 @@ def test_mat_vec_refuses_vector_of_wrong_length():
         linalg.mat_vec([[1, 2]], [1])
 
 
-def test_mat_add_refuses_shape_mismatch():
-    with pytest.raises(ValueError, match="1x1 \\+ 1x2"):
-        linalg.mat_add([[1]], [[1, 2]])
-    with pytest.raises(ValueError):
-        linalg.mat_add([[1, 2], [1]], [[1, 2], [1, 2]])
-
-
 def test_solve_refuses_right_side_of_wrong_length():
     with pytest.raises(ValueError, match="1x1 matrix, vector of length 2"):
         linalg.solve([[1]], [1, 2])
@@ -423,3 +418,84 @@ def test_cohomology_dim_refuses_level_outside_the_complex():
     for t in (-1, 2):
         with pytest.raises(ValueError, match=f"level {t} of a complex with levels 0..1"):
             linalg.cohomology_dim([1, 1], [[[1]]], t)
+
+
+# ---------- integer Subspace, Krylov and Horner against the Fraction oracles ----------
+
+SPAN_KINDS = ("cech", "rational", "big", "small", "zero", "dependent")
+
+
+def span_vector(rng, kind, n, earlier):
+    """A vector of Q^n of one kind: 0/+-1, rational with denominators up to
+    10^12, near 10^12, small, zero, or a combination of earlier vectors."""
+    if kind != "dependent":
+        return random_matrix(rng, kind, 1, n)[0] if n else []
+    picks = rng.sample(earlier, rng.randint(1, len(earlier))) if earlier else []
+    coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 10 ** 12))) for _ in picks]
+    return [sum((c * v[i] for c, v in zip(coeffs, picks)), Fraction(0)) for i in range(n)]
+
+
+def subspace_corpus():
+    """Seeded vector lists: n = 0, empty lists, and mixes of every kind in
+    Q^1..Q^6, with more vectors than n so that some are dependent."""
+    rng = random.Random(14)
+    yield 0, []
+    yield 0, [[], []]
+    for case in range(200):
+        n = rng.randint(1, 6)
+        count = 0 if case % 10 == 0 else rng.randint(1, n + 3)
+        vectors = []
+        for _ in range(count):
+            vectors.append(span_vector(rng, rng.choice(SPAN_KINDS), n, vectors))
+        yield n, vectors
+
+
+def test_integer_subspace_matches_the_fraction_oracle():
+    rng = random.Random(15)
+    saw = {"dependent": 0, "full": 0, "empty": 0, "n = 0": 0}
+    for n, vectors in subspace_corpus():
+        new, old = linalg.Subspace(n), OldSubspace(n)
+        for v in vectors:
+            assert new.add(v) == old.add(v)
+        assert new.basis == old.basis and new.dim == old.dim
+        saw["dependent"] += len(vectors) > new.dim
+        saw["full"] += new.dim == n > 0
+        saw["empty"] += not vectors
+        saw["n = 0"] += n == 0
+        probes = vectors + [span_vector(rng, kind, n, vectors) for kind in SPAN_KINDS]
+        for v in probes:
+            assert (v in new) == (v in old)
+            coords = new.coords(v)
+            assert coords == old.coords(v)
+            assert coords is None or all_fractions([coords])
+            projected = new.project(v)
+            assert projected == old.project(v) and all_fractions([projected])
+        # another insertion order: the same rows, so equal spans and the same
+        # projections; a span with one vector fewer is equal iff it is dependent
+        shuffled = vectors[::-1]
+        rng.shuffle(shuffled)
+        again = linalg.Subspace(n, shuffled)
+        assert again == new and OldSubspace(n, shuffled) == old
+        assert [again.project(v) for v in probes] == [new.project(v) for v in probes]
+        fewer = vectors[1:]
+        assert (linalg.Subspace(n, fewer) == new) == (OldSubspace(n, fewer) == old)
+    assert all(saw.values()), saw
+
+
+def test_krylov_and_horner_on_integer_vectors_match_the_fraction_oracles():
+    rng = random.Random(16)
+    for case in range(160):
+        kind = ("cech", "rational", "big", "small")[case % 4]
+        n = rng.randint(0, 6)
+        a = random_matrix(rng, kind, n, n)
+        if case % 5 == 0:
+            # strictly upper triangular: nilpotent
+            a = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(a)]
+        v = span_vector(rng, rng.choice(SPAN_KINDS[:5]), n, [])
+        m, den = linalg.integer_matrix(a)
+        assert all(type(x) is int for row in m for x in row) and den >= 1
+        assert linalg.annihilator(m, den, v) == old_minimal_polynomial_of_vector(Q(a), Q([v])[0])
+        p = [Fraction(rng.randint(-9, 9), rng.choice((1, 3, 10 ** 12)))
+             for _ in range(rng.randint(0, 5))]
+        out = linalg.poly_apply(p, m, den, v)
+        assert out == old_poly_apply(p, Q(a), Q([v])[0]) and all_fractions([out])

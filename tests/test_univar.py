@@ -1,10 +1,19 @@
+import itertools
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from oracles import old_coprime_factorization, old_rational_roots
+from oracles import (
+    old_coprime_factorization,
+    old_crt_idempotents,
+    old_divmod_poly,
+    old_gcd,
+    old_rational_roots,
+    old_squarefree_decomposition,
+    old_xgcd,
+)
 from weylcas import univar
 from weylcas.univar import coprime_factorization, crt_idempotents, irreducible_factors, rational_roots
 
@@ -128,11 +137,96 @@ def test_crt_idempotents():
         for j, m in enumerate(moduli):
             r = univar.divmod_poly(e, m)[1]
             assert r == (P(1) if i == j else [])
-    assert univar.divmod_poly(univar.sub(sum_polys(es), P(1)), total)[1] == []
+    assert univar.divmod_poly(sum_polys(es + [P(-1)]), total)[1] == []
 
 
 def sum_polys(ps):
-    out = []
-    for p in ps:
-        out = univar.add(out, p)
-    return out
+    return univar.trim([sum(c) for c in itertools.zip_longest(*ps, fillvalue=Fraction(0))])
+
+
+# ---------- integer Euclid against the Fraction oracles ----------
+
+def euclid_corpus():
+    """Seeded pairs (a, b) from the families of test_artin: Eisenstein
+    factors, quadratics x^2 + c with c near 10^12, and linear factors with
+    constants near 1/10^12, with multiplicities, common factors and
+    rational contents; and zero and constant polynomials."""
+    rng = random.Random(31)
+
+    def factor():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return eisenstein(rng, rng.randint(1, 6))
+        if kind == 1:
+            return P(10 ** 12 + rng.randint(1, 1000), 0, 1)
+        return P(rng.randint(-9, 9) + Fraction(rng.choice((-1, 1)), 10 ** 12), 1)
+
+    def poly(common):
+        own = [(factor(), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+        content = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 12), rng.randint(1, 10 ** 12))
+        return univar.scale(product(common + own), content)
+
+    for _ in range(60):
+        common = [(factor(), rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+        yield poly(common), poly(common)
+    yield from [([], []), (P(3), []), ([], P(-2, 5)), (P(1, 1), P(Fraction(1, 7))),
+                (P(Fraction(2, 3)), P(4, 0, 1))]
+
+
+def all_fractions(*polys):
+    return all(type(c) is Fraction for p in polys for c in p)
+
+
+def test_integer_euclid_matches_the_fraction_oracles():
+    crt_checked = 0
+    for a, b in euclid_corpus():
+        if b:
+            q, r = univar.divmod_poly(a, b)
+            assert (q, r) == old_divmod_poly(a, b) and all_fractions(q, r)
+        g = univar.gcd(a, b)
+        assert g == old_gcd(a, b) and all_fractions(g)
+        g, s, t = univar.xgcd(a, b)
+        assert (g, s, t) == old_xgcd(a, b) and all_fractions(g, s, t)
+        for f in (a, b):
+            assert univar.squarefree_decomposition(f) == old_squarefree_decomposition(f)
+        moduli = [product([part]) for part in coprime_factorization(a)]
+        if len(moduli) > 1:
+            es = crt_idempotents(moduli)
+            assert es == old_crt_idempotents(moduli) and all_fractions(*es)
+            crt_checked += 1
+    assert crt_checked >= 15
+
+
+# ---------- the recombination budget ----------
+
+def swinnerton_dyer(primes):
+    """The integer polynomial prod (x +- sqrt(p_1) +- ... +- sqrt(p_k)) of
+    degree 2^k, irreducible over Q: each prime p turns g into
+    g(x + sqrt p) g(x - sqrt p) = A^2 - p B^2 for g(x + sqrt p) = A + sqrt(p) B."""
+    f = [0, 1]
+    for p in primes:
+        a, b = [], []
+        for c in reversed(f):
+            # (a + sqrt(p) b)(x + sqrt(p)) + c
+            a, b = univar._iadd(univar._iadd([0] + a, [p * y for y in b]), [c]), univar._iadd([0] + b, a)
+        f = univar._isub(univar._imul(a, a), [p * y for y in univar._imul(b, b)])
+    return f
+
+
+def test_swinnerton_dyer_polynomials_within_the_budget_are_irreducible():
+    assert swinnerton_dyer([2, 3]) == [1, 0, -10, 0, 1]
+    for primes in ([2, 3], [2, 3, 5], [2, 3, 5, 7]):
+        f = P(*swinnerton_dyer(primes))
+        assert irreducible_factors(f) == [f]
+
+
+def test_recombination_past_the_budget_is_refused(monkeypatch):
+    # modulo 5, the first usable prime, x^4 - 10x^2 + 1 has two quadratic
+    # factors, so recombination tries the two subsets of size one
+    f = P(*swinnerton_dyer([2, 3]))
+    monkeypatch.setattr(univar, "RECOMBINATION_SUBSETS", 1)
+    with pytest.raises(univar.RecombinationBudgetError, match="more than 1 recombination subsets"):
+        irreducible_factors(f)
+    assert issubclass(univar.RecombinationBudgetError, ValueError)
+    monkeypatch.setattr(univar, "RECOMBINATION_SUBSETS", 2)
+    assert irreducible_factors(f) == [f]

@@ -17,7 +17,11 @@ BENCH_<pr>.json then holds, per workload and end-to-end metric, both
 sides' medians, the distance between the quartiles of the parent's runs,
 the number of pairs the change won (by the direction `BENCHMARK.json`
 gives the metric) and every run's value, and per workload the failed and
-attempted job counts of every run.  A run that exits non-zero, or whose
+attempted job counts of every run.  Its `meta` also records what moves
+`setup_s`, the time `perfbench/run.py` takes to import the library: the
+line count of each side's `src/`, and whether bytecode caching was off
+(PYTHONDONTWRITEBYTECODE set, which the runs inherit, or this interpreter
+started with -B), in which case every import compiles from source.  A run that exits non-zero, or whose
 JSON says `"correct": false` (a job answered wrongly outside the listed
 known defects; `perfbench/run.py` still exits 0 then), stops the script: it
 names the side, workload, seed and the exit code or the wrong answers,
@@ -131,6 +135,11 @@ def read_benchmark(benchmark_json):
     return {m["name"]: m["better"] for m in spec["end_to_end"]}, spec["run_seconds"]
 
 
+def src_lines(tree):
+    """The number of lines of the Python files under tree/src."""
+    return sum(p.read_bytes().count(b"\n") for p in Path(tree, "src").rglob("*.py"))
+
+
 def _git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
@@ -180,10 +189,13 @@ def main(argv=None):
         "command": "perfbench/run.py --trace 0",
         "host": f"{platform.machine()}, {os.cpu_count()} cpus, "
                 f"{platform.python_implementation()} {platform.python_version()}",
+        "bytecode_caching_off": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")
+                                     or sys.flags.dont_write_bytecode),
     }
     tmp = Path(tempfile.mkdtemp(prefix="benchpair-"))
     try:
         export_revision(args.parent, tmp / "parent")
+        meta["src_lines"] = {"parent": src_lines(tmp / "parent"), "change": src_lines(ROOT)}
         runs = run_pairs(run_perfbench, {"parent": tmp / "parent", "change": ROOT}, workloads,
                          args.pairs, args.seed, seconds,
                          log=lambda line: print(line, flush=True))
