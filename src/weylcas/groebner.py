@@ -1,17 +1,29 @@
 """Buchberger's algorithm and the ideal operations built on it.
 
 Membership, colon ideals, intersections, saturation, and standard
-monomials of zero-dimensional ideals.  S-pairs wait in a heap keyed by the
-order key of their lcm, computed once when the pair is made; each new basis
-element goes through the Gebauer-Moeller update, which drops the pairs its
-criteria make redundant.  Reductions keep their working terms in a heap
-front, so every term's order key is computed once.
+monomials of zero-dimensional ideals.  S-pairs wait in a heap keyed by
+their lcm; each new basis element goes through the Gebauer-Moeller update,
+which drops the pairs its criteria make redundant.  Reductions keep their
+working terms in a heap front.
+
+Inside the reduction kernel a monomial is one int (Monagan and Pearce,
+"Sparse polynomial division using a heap", JSC 46, 2011; `_Packing`).  The
+low bits hold the exponents, one field per variable whose top bit is a
+guard; above them sit the order's weight rows (`TermOrder.rows`), so int
+comparison is the term order, a product is a sum, a divides b iff
+((b | G) - a) & G == G for the guard mask G, and a new term overflows its
+fields iff te & G.  The field width comes from the input's largest
+exponent; a term that overflows restarts the whole computation at double
+the width (`_widening`).  Exponent tuples are packed and unpacked only at
+the `SparsePoly` boundary: input records, the final basis, remainders and
+quotients.
 
 Reduction runs on primitive integer polynomials: basis elements are split
-into head and tail once (an `Ideal` keeps these divisor records next to
-each cached basis), and a head c*x^e divided by a head h*x^f first
-scales the working terms by h/gcd(c, h) (pseudo-division).  Only the final
-reduced basis, unique for the ideal and order, is made monic over Q.
+into head and tail once (an `Ideal` keeps these divisor records, with their
+packing, next to each cached basis), and a head c*x^e divided by a head
+h*x^f first scales the working terms by h/gcd(c, h) (pseudo-division).
+Only the final reduced basis, unique for the ideal and order, is made monic
+over Q.
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import itemgetter, le, mul, sub
 
 from .poly import GREVLEX, SparsePoly, TermOrder
 
@@ -33,26 +45,77 @@ class SaturationDivergedError(RuntimeError):
     """Saturation failed to stabilize within the iteration cap."""
 
 
-def _divides(e1: tuple[int, ...], e2: tuple[int, ...]) -> bool:
-    return all(map(le, e1, e2))
+class _Overflow(Exception):
+    """A new term does not fit the packed field width."""
 
 
-def _exp_sub(e1, e2):
-    return tuple(map(sub, e1, e2))
+class _Packing:
+    """Monomials of one order in nvars variables, packed into ints with
+    fields `width` bits wide.  Field i of the low part (bits i*width up)
+    holds the exponent of variable i below its guard bit; above the low
+    part each weight row of the order gets a field wide enough for the sum
+    of its exponents, the most significant row highest.  Packing is linear,
+    so pack(e) is the dot product of e with the packed unit monomials."""
+
+    __slots__ = ("order", "width", "guard", "units", "shifts", "field")
+
+    def __init__(self, order: TermOrder, nvars: int, width: int):
+        rows = order.rows(nvars)
+        row_width = width - 1 + max(map(len, rows), default=1).bit_length()
+        self.units = [1 << (i * width) for i in range(nvars)]
+        for k, row in enumerate(reversed(rows)):
+            bit = 1 << (nvars * width + k * row_width)
+            for i in row:
+                self.units[i] += bit
+        self.order = order
+        self.width = width
+        self.shifts = [i * width for i in range(nvars)]
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+        self.field = (1 << (width - 1)) - 1
+
+    def pack(self, e) -> int:
+        return sum(map(mul, e, self.units))
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        field = self.field
+        return tuple([(m >> s) & field for s in self.shifts])
+
+    def packed(self, terms) -> dict:
+        pack = self.pack
+        return {pack(e): c for e, c in terms.items()}
 
 
-def _exp_lcm(e1, e2):
-    return tuple(map(max, e1, e2))
+def _width(polys) -> int:
+    """The field width for these polynomials: the least power of two from 8
+    up whose field holds twice their largest exponent below the guard."""
+    top = max([max(e, default=0) for g in polys for e in g.terms], default=0)
+    width = 8
+    while 1 << (width - 1) <= 2 * top:
+        width *= 2
+    return width
 
 
-def _coprime(e1, e2) -> bool:
-    return not any(map(min, e1, e2))
+def _widening(run, polys):
+    """run(width) from the width of polys, doubling the width and running
+    again from scratch while a term overflows."""
+    width = _width(polys)
+    while True:
+        try:
+            return run(width)
+        except _Overflow:
+            width *= 2
 
 
-def _front(terms, key):
-    """The working terms of a reduction and their front: a heap of
-    (negated order key, exponent), so the largest term pops first."""
-    front = [(tuple([-k for k in key(e)]), e) for e in terms]
+def _divides(a: int, b: int, guard: int) -> bool:
+    """Whether packed monomial a divides b: no field of b - a borrows from
+    its guard bit."""
+    return ((b | guard) - a) & guard == guard
+
+
+def _front(terms):
+    """The working terms of a reduction and their front: a heap of negated
+    packed monomials, so the largest term pops first."""
+    front = [-e for e in terms]
     heapify(front)
     return dict(terms), front
 
@@ -61,21 +124,25 @@ def _pop_head(work, front):
     """Remove and return the largest working term.  Heap entries whose term
     has cancelled are skipped."""
     while True:
-        e = heappop(front)[1]
+        e = -heappop(front)
         c = work.pop(e, None)
         if c is not None:
             return e, c
 
 
-def _subtract(work, front, key, fac, shift, tail):
+def _subtract(work, front, fac, shift, tail, guard):
     """work -= fac * x^shift * tail.  Every new term lies below the head just
-    popped, so the front only moves down."""
+    popped, so the front only moves down.  A new term whose guard bits are
+    set has overflowed its fields: it differs from every term that fits, so
+    only new terms are tested."""
     for ge, gc in tail:
-        te = tuple(map(add, ge, shift))
+        te = ge + shift
         old = work.get(te)
         if old is None:
+            if te & guard:
+                raise _Overflow
             work[te] = -fac * gc
-            heappush(front, (tuple([-k for k in key(te)]), te))
+            heappush(front, -te)
         else:
             acc = old - fac * gc
             if acc:
@@ -92,19 +159,19 @@ def _primitive(terms):
     return {e: c.numerator * (den // c.denominator) // num for e, c in terms.items()}, den, num
 
 
-def _record(ints, key):
-    """A divisor of the integer reduction: (head exponent, head coefficient,
-    tail), split once."""
-    he = max(ints, key=key)
+def _record(ints):
+    """A divisor of the integer reduction: (head, head coefficient, tail) on
+    packed monomials, split once."""
+    he = max(ints)
     return he, ints[he], [(e, c) for e, c in ints.items() if e != he]
 
 
-def _divisor_records(basis, key):
+def _divisor_records(basis, packing):
     """The divisor records of the nonzero basis elements, in basis order."""
-    return [_record(_primitive(g.terms)[0], key) for g in basis if g.terms]
+    return [_record(_primitive(packing.packed(g.terms))[0]) for g in basis if g.terms]
 
 
-def _reduce(work, front, key, divisors):
+def _reduce(work, front, divisors, guard):
     """Pseudo-reduce the integer working terms by the divisor records: each
     term is divided by the first divisor whose head divides it, after the
     working terms and the remainder are scaled so that the division is exact
@@ -114,8 +181,9 @@ def _reduce(work, front, key, divisors):
     lam = 1
     while work:
         e, c = _pop_head(work, front)
+        eg = e | guard
         for he, hc, tail in divisors:
-            if _divides(he, e):
+            if (eg - he) & guard == guard:
                 g = gcd(c, hc)
                 m, q = hc // g, c // g
                 if m < 0:
@@ -124,7 +192,7 @@ def _reduce(work, front, key, divisors):
                     work = {t: v * m for t, v in work.items()}
                     remainder = {t: v * m for t, v in remainder.items()}
                     lam *= m
-                _subtract(work, front, key, q, _exp_sub(e, he), tail)
+                _subtract(work, front, q, e - he, tail, guard)
                 break
         else:
             remainder[e] = c
@@ -132,17 +200,19 @@ def _reduce(work, front, key, divisors):
     return r, lam, content
 
 
-def _normal_form(f, divisors, key):
-    """reduce_poly on divisor records built beforehand."""
+def _normal_form(f, divisors, packing):
+    """reduce_poly on divisor records built beforehand with `packing`, which
+    must hold the exponents of f."""
     if not divisors or not f.terms:
         return f
-    ints, den, num = _primitive(f.terms)
-    r, lam, content = _reduce(*_front(ints, key), key, divisors)
+    ints, den, num = _primitive(packing.packed(f.terms))
+    r, lam, content = _reduce(*_front(ints), divisors, packing.guard)
     if r == ints:  # no term was divisible
         return f
     # content * num * r = lam * den * (normal form of f)
     a, b = content * num, lam * den
-    return SparsePoly(f.vars, {e: Fraction(c * a, b) for e, c in r.items()})
+    unpack = packing.unpack
+    return SparsePoly._clean(f.vars, {unpack(m): Fraction(c * a, b) for m, c in r.items()})
 
 
 def reduce_poly(f: SparsePoly, basis: list[SparsePoly], order: TermOrder) -> SparsePoly:
@@ -151,15 +221,20 @@ def reduce_poly(f: SparsePoly, basis: list[SparsePoly], order: TermOrder) -> Spa
     element whose head divides it; zero elements divide nothing."""
     for g in basis:
         f._check_same_ring(g)
-    return _normal_form(f, _divisor_records(basis, order.key), order.key)
+
+    def run(width):
+        packing = _Packing(order, len(f.vars), width)
+        return _normal_form(f, _divisor_records(basis, packing), packing)
+
+    return _widening(run, [f, *basis])
 
 
 def s_polynomial(f: SparsePoly, g: SparsePoly, order: TermOrder) -> SparsePoly:
     ef, cf = f.leading_term(order)
     eg, cg = g.leading_term(order)
-    l = _exp_lcm(ef, eg)
-    mf = SparsePoly.monomial(f.vars, _exp_sub(l, ef), 1 / cf)
-    mg = SparsePoly.monomial(f.vars, _exp_sub(l, eg), 1 / cg)
+    l = tuple(map(max, ef, eg))
+    mf = SparsePoly.monomial(f.vars, tuple(map(sub, l, ef)), 1 / cf)
+    mg = SparsePoly.monomial(f.vars, tuple(map(sub, l, eg)), 1 / cg)
     return mf * f - mg * g
 
 
@@ -167,13 +242,20 @@ def buchberger(generators: list[SparsePoly], order: TermOrder) -> list[SparsePol
     """Reduced Groebner basis of the ideal generated by `generators`."""
     for g in generators[1:]:
         generators[0]._check_same_ring(g)
-    key = order.key
-    basis = _divisor_records(generators, key)
-    if not basis:
+    if not any(g.terms for g in generators):
         return []
+    nvars = len(generators[0].vars)
+    return _widening(lambda width: _buchberger(generators, _Packing(order, nvars, width)),
+                     generators)
+
+
+def _buchberger(generators, packing):
+    """buchberger at one packing; raises _Overflow."""
+    guard, pack, unpack = packing.guard, packing.pack, packing.unpack
+    basis = _divisor_records(generators, packing)
 
     def reduced(rec, divisors):
-        return _reduce(*_front(dict([rec[:2]] + rec[2]), key), key, divisors)[0]
+        return _reduce(*_front(dict([rec[:2]] + rec[2])), divisors, guard)[0]
 
     # interreduce the input to cut pair churn; one element at a time so the
     # span is preserved at every step.  Afterwards no head divides another.
@@ -185,67 +267,78 @@ def buchberger(generators: list[SparsePoly], order: TermOrder) -> list[SparsePol
             if r != dict([rec[:2]] + rec[2]):
                 changed = True
                 if r:
-                    basis[i] = _record(r, key)
+                    basis[i] = _record(r)
                 else:
                     basis.pop(i)
                 break
 
-    heads: list[tuple[int, ...]] = []
+    heads: list[int] = []
+    exps: list[tuple[int, ...]] = []  # the heads unpacked, for lcms
     active: list[int] = []  # basis indices whose head no later head divides
-    pairs: list = []  # heap of (key(lcm), i, j, lcm) with i < j
+    pairs: list = []  # heap of (packed lcm, i, j) with i < j
+
+    def coprime(g, new):
+        return not any(map(min, exps[g], exps[new]))
+
+    def lcm_of(g, new):
+        return pack(tuple(map(max, exps[g], exps[new])))
 
     def update(new: int):
         """Gebauer-Moeller: add the pairs of `new` that criteria M and F keep,
         drop old pairs by criterion B, retire elements `new` makes redundant."""
         h = heads[new]
-        cands = [(_exp_lcm(heads[g], h), g) for g in active]
+        cands = [(lcm_of(g, new), g) for g in active]
         kept = []
         for n, (l, g) in enumerate(cands):
-            if _coprime(heads[g], h) or not (
-                any(_divides(l2, l) for l2, _ in cands[n + 1:])
-                or any(_divides(l2, l) for l2, _ in kept)
+            if coprime(g, new) or not (
+                any(_divides(l2, l, guard) for l2, _ in cands[n + 1:])
+                or any(_divides(l2, l, guard) for l2, _ in kept)
             ):
                 kept.append((l, g))
         pairs[:] = [
             p for p in pairs
-            if not _divides(h, p[3])
-            or _exp_lcm(heads[p[1]], h) == p[3]
-            or _exp_lcm(heads[p[2]], h) == p[3]
+            if not _divides(h, p[0], guard)
+            or lcm_of(p[1], new) == p[0]
+            or lcm_of(p[2], new) == p[0]
         ]
-        pairs.extend((key(l), g, new, l) for l, g in kept if not _coprime(heads[g], h))
+        pairs.extend((l, g, new) for l, g in kept if not coprime(g, new))
         heapify(pairs)
-        active[:] = [g for g in active if not _divides(h, heads[g])]
+        active[:] = [g for g in active if not _divides(h, heads[g], guard)]
         active.append(new)
 
-    for i, rec in enumerate(basis):
+    def add(rec):
         heads.append(rec[0])
-        update(i)
+        exps.append(unpack(rec[0]))
+        update(len(heads) - 1)
+
+    for rec in basis:
+        add(rec)
     while pairs:
-        _, i, j, l = heappop(pairs)
+        l, i, j = heappop(pairs)
         # the S-polynomial (c_j/gamma) x^(l-h_i) b_i - (c_i/gamma) x^(l-h_j) b_j,
         # whose heads cancel, built from the two tails
         hi, ci, ti = basis[i]
         hj, cj, tj = basis[j]
         gamma = gcd(ci, cj)
         work, front = {}, []
-        _subtract(work, front, key, -(cj // gamma), _exp_sub(l, hi), ti)
-        _subtract(work, front, key, ci // gamma, _exp_sub(l, hj), tj)
-        r = _reduce(work, front, key, [basis[k] for k in active])[0]
+        _subtract(work, front, -(cj // gamma), l - hi, ti, guard)
+        _subtract(work, front, ci // gamma, l - hj, tj, guard)
+        r = _reduce(work, front, [basis[k] for k in active], guard)[0]
         if not r:
             continue
-        basis.append(_record(r, key))
-        heads.append(basis[-1][0])
-        update(len(basis) - 1)
+        basis.append(_record(r))
+        add(basis[-1])
 
     # the active elements form a minimal basis; tail-reduce and make monic.
     # Each result is the unique reduced element with its head, whatever the
     # order of the divisors, so they can be sorted first.
-    keep = sorted((basis[k] for k in active), key=lambda rec: key(rec[0]))
+    keep = sorted((basis[k] for k in active), key=itemgetter(0))
     out = []
+    vs = generators[0].vars
     for i, rec in enumerate(keep):
         r = reduced(rec, keep[:i] + keep[i + 1:])
         hc = r[rec[0]]
-        out.append(SparsePoly(generators[0].vars, {e: Fraction(c, hc) for e, c in r.items()}))
+        out.append(SparsePoly._clean(vs, {unpack(m): Fraction(c, hc) for m, c in r.items()}))
     return out
 
 
@@ -262,8 +355,9 @@ class Ideal:
                 gens.append(g)
         self.generators = gens
         self._gb_cache: dict[TermOrder, list[SparsePoly]] = {}
-        # the divisor records of each cached basis, built on first reduction
-        self._records_cache: dict[TermOrder, list] = {}
+        # the packing and divisor records of each cached basis, built on
+        # first reduction and again only when a reduction needs wider fields
+        self._records_cache: dict[TermOrder, tuple[_Packing, list]] = {}
 
     def groebner_basis(self, order: TermOrder = GREVLEX) -> list[SparsePoly]:
         if order not in self._gb_cache:
@@ -278,11 +372,18 @@ class Ideal:
     def reduce(self, f: SparsePoly, order: TermOrder = GREVLEX) -> SparsePoly:
         if f.vars != self.vars:
             raise ValueError(f"variable lists differ: {self.vars} vs {f.vars}")
-        records = self._records_cache.get(order)
-        if records is None:
-            records = self._records_cache[order] = _divisor_records(
-                self.groebner_basis(order), order.key)
-        return _normal_form(f, records, order.key)
+        width = _width([f])
+        while True:
+            cached = self._records_cache.get(order)
+            if cached is None or cached[0].width < width:
+                basis = self.groebner_basis(order)
+                packing = _Packing(order, len(self.vars), max(width, _width(basis)))
+                cached = self._records_cache[order] = (
+                    packing, _divisor_records(basis, packing))
+            try:
+                return _normal_form(f, cached[1], cached[0])
+            except _Overflow:
+                width = 2 * cached[0].width
 
     def is_zero(self) -> bool:
         return not self.groebner_basis()
@@ -310,6 +411,11 @@ class _BlockElimOrder(TermOrder):
         self.kind = "grevlex"
         self.priority = None
         self.n_front = n_front
+
+    def rows(self, nvars):
+        k = self.n_front
+        return ([tuple(range(j)) for j in range(k, 0, -1)]
+                + [tuple(range(k, j)) for j in range(nvars, k, -1)])
 
     def key(self, exponents):
         front = exponents[: self.n_front]
@@ -358,19 +464,28 @@ def divide_exact(f: SparsePoly, g: SparsePoly, order: TermOrder = GREVLEX) -> Sp
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
         return SparsePoly.zero(f.vars)
-    key = order.key
-    he, hc = g.leading_term(order)
-    tail = [(ge, gc) for ge, gc in g.terms.items() if ge != he]
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    work, front = _front(f.terms, key)
+    return _widening(lambda width: _divide_exact(f, g, _Packing(order, len(f.vars), width)),
+                     [f, g])
+
+
+def _divide_exact(f, g, packing):
+    """divide_exact at one packing; raises _Overflow."""
+    guard = packing.guard
+    tail = packing.packed(g.terms)
+    he = max(tail)
+    hc = tail.pop(he)
+    tail = list(tail.items())
+    quotient = {}
+    work, front = _front(packing.packed(f.terms))
     while work:
         e, c = _pop_head(work, front)
-        if not _divides(he, e):
+        if not _divides(he, e, guard):
             return None
-        shift = _exp_sub(e, he)
+        shift = e - he
         fac = quotient[shift] = c / hc
-        _subtract(work, front, key, fac, shift, tail)
-    return SparsePoly(f.vars, quotient)
+        _subtract(work, front, fac, shift, tail, guard)
+    unpack = packing.unpack
+    return SparsePoly._clean(f.vars, {unpack(m): c for m, c in quotient.items()})
 
 
 def quotient_by_element(I: Ideal, f: SparsePoly) -> Ideal:
@@ -438,7 +553,7 @@ def standard_monomials(I: Ideal, order: TermOrder = GREVLEX) -> list[tuple[int, 
     def walk(prefix):
         if len(prefix) == n:
             e = tuple(prefix)
-            if not any(_divides(h, e) for h in heads):
+            if not any(all(map(le, h, e)) for h in heads):
                 out.append(e)
             return
         for k in range(bounds[len(prefix)]):

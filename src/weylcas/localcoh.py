@@ -114,6 +114,8 @@ class CechComplex:
                           for subs in self._subsets for T in subs}
         # pattern -> active subsets per level, differentials, cohomology dims
         self._patterns: dict[frozenset[int], dict] = {}
+        # degree -> its pattern, for callers that ask for every i at each d
+        self._degree_patterns: dict[tuple[int, ...], frozenset[int]] = {}
 
     def piece_nonzero(self, T: tuple[int, ...], N: frozenset[int]) -> bool:
         """The localization at the generators in T is nonzero at pattern N."""
@@ -129,7 +131,11 @@ class CechComplex:
     def cohomology_dim(self, i: int, d: tuple[int, ...]) -> int:
         if not 0 <= i <= self.r:
             raise ValueError(f"cohomological degree {i} out of range")
-        return self._at(_pattern(d, self.nvars))["h"][i]
+        d = tuple(d)
+        N = self._degree_patterns.get(d)
+        if N is None:
+            N = self._degree_patterns[d] = _pattern(d, self.nvars)
+        return self._at(N)["h"][i]
 
     def _at(self, N: frozenset[int]) -> dict:
         if N not in self._patterns:
@@ -482,33 +488,52 @@ def gamma_torsion_localization(f: tuple[int, ...], i_gens: list[tuple[int, ...]]
 def gamma_dstable_check(f: tuple[int, ...], i_gens: list[tuple[int, ...]],
                         window: list[tuple[int, int]],
                         mod_r: bool = False) -> dict:
-    """Whether d_k of every torsion basis class x^d is torsion again (a
-    step that leaves the window is flagged, not failed).
+    """Whether the torsion marks of `gamma_torsion_localization` behave as
+    Gamma_I of the module on the window's basis classes x^d:
 
-    This cannot fail: for d_k != 0, d - e_k has the pattern of d, and the
-    torsion mark is a function of the pattern, so it holds for any
-    pattern-based torsion set, a wrong one too.  The step that can change
-    the mark, x_j from pattern N to N - {j}, is not checked here."""
+    - d_k of a torsion class is torsion again (d - e_k keeps the pattern);
+    - x_j of a torsion class with d_j = -1 is torsion again: the step from
+      pattern N to N - {j}, the only one that changes the pattern, so with
+      the first the marks are a D-submodule;
+    - a nonzero class that every generator x^g maps to torsion or zero is
+      torsion, since I m in Gamma_I(M) gives I^(k+1) m = 0.  A D-stable set
+      of patterns can still be Gamma of another ideal; this step tells them
+      apart.
+
+    A derivative or x_j step that leaves the window is flagged, not failed;
+    a class with a generator image outside the window is not judged by the
+    third step.  The failure is (d, step): "d<k>" or "x<j>" (1-based) for
+    the first two, "I" for the third."""
     torsion = gamma_torsion_localization(f, i_gens, window, mod_r)
     n = len(f)
     supp_f = _support(f, n)
     flagged = 0
+
+    def zero(d):
+        N = _pattern(d, n)
+        return not N <= supp_f or (mod_r and not N)
+
+    def moved(d, step):
+        d2 = tuple(map(sum, zip(d, step)))
+        return d2 if all(lo <= x <= hi for x, (lo, hi) in zip(d2, window)) else None
+
+    def report(failure):
+        return {"stable": failure is None, "failure": failure, "flagged": flagged,
+                "torsion_count": sum(torsion.values())}
+
+    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
     for d, is_torsion in torsion.items():
-        if not is_torsion:
-            continue
-        for k in range(n):
-            scalar = d[k]
-            if scalar == 0:
-                continue
-            d2 = tuple(x - (1 if j == k else 0) for j, x in enumerate(d))
-            if any(not (lo <= x <= hi) for x, (lo, hi) in zip(d2, window)):
-                flagged += 1
-                continue
-            N2 = _pattern(d2, n)
-            if not N2 <= supp_f or (mod_r and not N2):
-                continue  # the image is zero in the module
-            if not torsion[d2]:
-                return {"stable": False, "failure": (d, k), "flagged": flagged,
-                        "torsion_count": sum(torsion.values())}
-    return {"stable": True, "failure": None, "flagged": flagged,
-            "torsion_count": sum(torsion.values())}
+        if is_torsion:
+            steps = [(f"d{k + 1}", tuple(-u for u in units[k])) for k in range(n) if d[k]]
+            steps += [(f"x{j + 1}", units[j]) for j in range(n) if d[j] == -1]
+            for name, step in steps:
+                d2 = moved(d, step)
+                if d2 is None:
+                    flagged += 1
+                elif not zero(d2) and not torsion[d2]:
+                    return report((d, name))
+        elif not zero(d):
+            images = [moved(d, g) for g in i_gens]
+            if all(d2 is not None and (zero(d2) or torsion[d2]) for d2 in images):
+                return report((d, "I"))
+    return report(None)

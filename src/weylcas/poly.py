@@ -44,6 +44,22 @@ class TermOrder:
             return (sum(exponents),) + tuple([-x for x in reversed(exponents)])
         return (sum(exponents),) + tuple([-exponents[i] for i in reversed(p)])
 
+    def rows(self, nvars: int) -> list[tuple[int, ...]]:
+        """The order as weight rows, most significant first: each row is
+        the variables whose exponents it sums, and monomials compare as
+        their row sums do, lexicographically.  Lex gives the exponents in
+        priority order; grevlex gives the partial degrees deg, deg minus
+        the least significant exponent, and so on down to the most
+        significant exponent alone."""
+        p = self.priority
+        if p is None:
+            p = tuple(range(nvars))
+        elif len(p) != nvars:
+            raise ValueError(f"priority {p} does not fit {nvars} variables")
+        if self.kind == "lex":
+            return [(i,) for i in p]
+        return [p[:k] for k in range(nvars, 0, -1)]
+
     def __eq__(self, other):
         return (
             type(other) is type(self)
@@ -110,6 +126,17 @@ class SparsePoly:
                         del cleaned[e]
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", cleaned)
+
+    @classmethod
+    def _clean(cls, variables: tuple[str, ...], terms: dict) -> "SparsePoly":
+        """A polynomial on a term dict that is already clean: exponent
+        tuples of the right length with no negative entry, nonzero
+        Fractions.  Internal callers that built such a dict use this to skip
+        the checks of __init__, which public callers keep."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", variables)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
@@ -200,12 +227,12 @@ class SparsePoly:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        return SparsePoly(self.vars, terms)
+        return SparsePoly._clean(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._clean(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -220,7 +247,7 @@ class SparsePoly:
             c = _as_fraction(other)
             if c == 0:
                 return SparsePoly.zero(self.vars)
-            return SparsePoly(self.vars, {e: c * v for e, v in self.terms.items()})
+            return SparsePoly._clean(self.vars, {e: c * v for e, v in self.terms.items()})
         self._check_same_ring(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -232,7 +259,7 @@ class SparsePoly:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return SparsePoly(self.vars, out)
+        return SparsePoly._clean(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -265,7 +292,7 @@ class SparsePoly:
             e2 = list(e)
             e2[index] = k - 1
             out[tuple(e2)] = c * k
-        return SparsePoly(self.vars, out)
+        return SparsePoly._clean(self.vars, out)
 
     def substitute(self, index: int, value: "SparsePoly") -> "SparsePoly":
         """Substitute a polynomial for one variable (value over the same ring)."""

@@ -31,7 +31,10 @@ combinations; `old_action_of_vector` sums Fraction monomial actions;
 `old_poly_apply` runs Horner on Fraction vectors; `old_divmod_poly`,
 `old_gcd`, `old_xgcd`, `old_squarefree_decomposition` and
 `old_crt_idempotents` run Euclid over Fractions, before `linalg` and
-`univar` kept these on integers.  All are exact
+`univar` kept these on integers.  `old_reduce`, `old_reduce_poly`,
+`old_divide_exact` and `old_buchberger` are the Groebner reduction kernel
+on exponent tuples, before `groebner` packed each monomial into one int.
+All are exact
 and slow; on inputs they answer correctly the production code must give
 identical results (fractions: the same value, compared by
 cross-multiplication).
@@ -42,7 +45,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import add, le, sub
 
 from weylcas import linalg
 from weylcas import univar
@@ -1233,4 +1238,192 @@ def old_crt_idempotents(moduli: list) -> list:
         rest = old_divmod_poly(total, p)[0]
         _, _, t = old_xgcd(p, old_divmod_poly(rest, p)[1])
         out.append(mul(t, rest))
+    return out
+
+
+# ---------- the Groebner reduction kernel on exponent tuples ----------
+# The parent's integer reduction core: monomials are exponent tuples, each
+# new term pays a `TermOrder.key` call for its heap entry, and every head
+# test compares tuples slot by slot.
+
+def _old_divides(e1, e2):
+    return all(map(le, e1, e2))
+
+
+def _old_front(terms, key):
+    front = [(tuple([-k for k in key(e)]), e) for e in terms]
+    heapify(front)
+    return dict(terms), front
+
+
+def _old_pop_head(work, front):
+    while True:
+        e = heappop(front)[1]
+        c = work.pop(e, None)
+        if c is not None:
+            return e, c
+
+
+def _old_subtract(work, front, key, fac, shift, tail):
+    for ge, gc in tail:
+        te = tuple(map(add, ge, shift))
+        old = work.get(te)
+        if old is None:
+            work[te] = -fac * gc
+            heappush(front, (tuple([-k for k in key(te)]), te))
+        else:
+            acc = old - fac * gc
+            if acc:
+                work[te] = acc
+            else:
+                del work[te]
+
+
+def _old_primitive(terms):
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    num = math.gcd(*[c.numerator for c in terms.values()]) or 1
+    return {e: c.numerator * (den // c.denominator) // num for e, c in terms.items()}, den, num
+
+
+def _old_record(ints, key):
+    he = max(ints, key=key)
+    return he, ints[he], [(e, c) for e, c in ints.items() if e != he]
+
+
+def _old_divisor_records(basis, key):
+    return [_old_record(_old_primitive(g.terms)[0], key) for g in basis if g.terms]
+
+
+def old_reduce(work, front, key, divisors):
+    """Pseudo-reduce integer working terms (exponent tuple -> int) by divisor
+    records (head, head coefficient, tail); returns (r, lam, content) with r
+    primitive and content * r = lam * (the normal form of the input)."""
+    remainder = {}
+    lam = 1
+    while work:
+        e, c = _old_pop_head(work, front)
+        for he, hc, tail in divisors:
+            if _old_divides(he, e):
+                g = math.gcd(c, hc)
+                m, q = hc // g, c // g
+                if m < 0:
+                    m, q = -m, -q
+                if m != 1:
+                    work = {t: v * m for t, v in work.items()}
+                    remainder = {t: v * m for t, v in remainder.items()}
+                    lam *= m
+                _old_subtract(work, front, key, q, tuple(map(sub, e, he)), tail)
+                break
+        else:
+            remainder[e] = c
+    r, _, content = _old_primitive(remainder)
+    return r, lam, content
+
+
+def old_reduce_poly(f: SparsePoly, basis: list[SparsePoly], order) -> SparsePoly:
+    key = order.key
+    divisors = _old_divisor_records(basis, key)
+    if not divisors or not f.terms:
+        return f
+    ints, den, num = _old_primitive(f.terms)
+    r, lam, content = old_reduce(*_old_front(ints, key), key, divisors)
+    a, b = content * num, lam * den
+    return SparsePoly(f.vars, {e: Fraction(c * a, b) for e, c in r.items()})
+
+
+def old_divide_exact(f: SparsePoly, g: SparsePoly, order) -> SparsePoly | None:
+    if f.is_zero():
+        return SparsePoly.zero(f.vars)
+    key = order.key
+    he, hc = g.leading_term(order)
+    tail = [(ge, gc) for ge, gc in g.terms.items() if ge != he]
+    quotient = {}
+    work, front = _old_front(f.terms, key)
+    while work:
+        e, c = _old_pop_head(work, front)
+        if not _old_divides(he, e):
+            return None
+        shift = tuple(map(sub, e, he))
+        fac = quotient[shift] = c / hc
+        _old_subtract(work, front, key, fac, shift, tail)
+    return SparsePoly(f.vars, quotient)
+
+
+def old_buchberger(generators: list[SparsePoly], order) -> list[SparsePoly]:
+    key = order.key
+    basis = _old_divisor_records(generators, key)
+    if not basis:
+        return []
+
+    def reduced(rec, divisors):
+        return old_reduce(*_old_front(dict([rec[:2]] + rec[2]), key), key, divisors)[0]
+
+    changed = True
+    while changed:
+        changed = False
+        for i, rec in enumerate(basis):
+            r = reduced(rec, basis[:i] + basis[i + 1:])
+            if r != dict([rec[:2]] + rec[2]):
+                changed = True
+                if r:
+                    basis[i] = _old_record(r, key)
+                else:
+                    basis.pop(i)
+                break
+
+    heads: list = []
+    active: list[int] = []
+    pairs: list = []
+
+    def lcm_of(e1, e2):
+        return tuple(map(max, e1, e2))
+
+    def coprime(e1, e2):
+        return not any(map(min, e1, e2))
+
+    def update(new: int):
+        h = heads[new]
+        cands = [(lcm_of(heads[g], h), g) for g in active]
+        kept = []
+        for n, (l, g) in enumerate(cands):
+            if coprime(heads[g], h) or not (
+                any(_old_divides(l2, l) for l2, _ in cands[n + 1:])
+                or any(_old_divides(l2, l) for l2, _ in kept)
+            ):
+                kept.append((l, g))
+        pairs[:] = [
+            p for p in pairs
+            if not _old_divides(h, p[3])
+            or lcm_of(heads[p[1]], h) == p[3]
+            or lcm_of(heads[p[2]], h) == p[3]
+        ]
+        pairs.extend((key(l), g, new, l) for l, g in kept if not coprime(heads[g], h))
+        heapify(pairs)
+        active[:] = [g for g in active if not _old_divides(h, heads[g])]
+        active.append(new)
+
+    for i, rec in enumerate(basis):
+        heads.append(rec[0])
+        update(i)
+    while pairs:
+        _, i, j, l = heappop(pairs)
+        hi, ci, ti = basis[i]
+        hj, cj, tj = basis[j]
+        gamma = math.gcd(ci, cj)
+        work, front = {}, []
+        _old_subtract(work, front, key, -(cj // gamma), tuple(map(sub, l, hi)), ti)
+        _old_subtract(work, front, key, ci // gamma, tuple(map(sub, l, hj)), tj)
+        r = old_reduce(work, front, key, [basis[k] for k in active])[0]
+        if not r:
+            continue
+        basis.append(_old_record(r, key))
+        heads.append(basis[-1][0])
+        update(len(basis) - 1)
+
+    keep = sorted((basis[k] for k in active), key=lambda rec: key(rec[0]))
+    out = []
+    for i, rec in enumerate(keep):
+        r = reduced(rec, keep[:i] + keep[i + 1:])
+        hc = r[rec[0]]
+        out.append(SparsePoly(generators[0].vars, {e: Fraction(c, hc) for e, c in r.items()}))
     return out

@@ -10,6 +10,7 @@ from weylcas.groebner import (
     NotZeroDimensionalError,
     SaturationDivergedError,
     _BlockElimOrder,
+    _Packing,
     _front,
     _primitive,
     _record,
@@ -24,6 +25,8 @@ from weylcas.groebner import (
     standard_monomials,
 )
 from weylcas.poly import GREVLEX, LEX, SparsePoly, TermOrder
+
+from oracles import old_buchberger, old_divide_exact, old_reduce_poly
 
 XY = ("x", "y")
 x = SparsePoly.variable(XY, 0)
@@ -511,13 +514,14 @@ def test_pseudo_remainder_is_a_primitive_positive_multiple():
         basis = [g for g in basis if not g.is_zero()]
         f = _wide_poly(rng, n, 4, 6)
         want = ref_reduce_poly(f, basis, GREVLEX).terms
-        ints, den, num = _primitive(f.terms)
-        divisors = [_record(_primitive(g.terms)[0], GREVLEX.key) for g in basis]
-        r, lam, content = _reduce(*_front(ints, GREVLEX.key), GREVLEX.key, divisors)
+        packing = _Packing(GREVLEX, n, groebner._width([f, *basis]))
+        ints, den, num = _primitive(packing.packed(f.terms))
+        divisors = [_record(_primitive(packing.packed(g.terms))[0]) for g in basis]
+        r, lam, content = _reduce(*_front(ints), divisors, packing.guard)
         assert all(isinstance(c, int) for c in r.values())
         assert lam > 0 and content > 0
         scale = Fraction(lam * den, content * num)
-        assert r == {e: c * scale for e, c in want.items()}
+        assert r == {packing.pack(e): c * scale for e, c in want.items()}
         if r:
             assert math.gcd(*r.values()) == 1
 
@@ -532,9 +536,9 @@ def test_ideal_reduce_builds_divisor_records_once_per_order(monkeypatch):
     builds = []
     real = groebner._divisor_records
 
-    def counting(basis, key):
-        builds.append(key)
-        return real(basis, key)
+    def counting(basis, packing):
+        builds.append(packing.order)
+        return real(basis, packing)
 
     monkeypatch.setattr(groebner, "_divisor_records", counting)
     rng = random.Random("records")
@@ -550,4 +554,118 @@ def test_ideal_reduce_builds_divisor_records_once_per_order(monkeypatch):
             want = ref_reduce_poly(f, basis, order) if basis else f
             assert ideal.reduce(f, order).terms == want.terms
             assert ideal.contains(f, order) == want.is_zero()
-        assert builds == [GREVLEX.key, LEX.key]
+        assert builds == [GREVLEX, LEX]
+
+
+# ---------- packed monomials against the tuple kernel ----------
+
+PACKED_ORDERS = {
+    "grevlex": GREVLEX,
+    "lex": LEX,
+    "grevlex-priority": TermOrder("grevlex", priority=(2, 0, 3, 1)),
+    "lex-priority": TermOrder("lex", priority=(1, 3, 0, 2)),
+    "elim-1": _BlockElimOrder(1),
+    "elim-2": _BlockElimOrder(2),
+}
+
+
+def _fit(order, n):
+    """The order for n variables: a priority is cut down to the first n."""
+    if order.priority is None:
+        return order
+    return TermOrder(order.kind, priority=[i for i in order.priority if i < n])
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_ORDERS))
+def test_packing_is_the_term_order(name):
+    rng = random.Random(f"packing {name}")
+    for n in (1, 2, 3, 4):
+        if name.startswith("elim") and n <= PACKED_ORDERS[name].n_front:
+            continue
+        order = _fit(PACKED_ORDERS[name], n)
+        for width in (8, 16):
+            packing = _Packing(order, n, width)
+            top = (1 << (width - 1)) - 1
+            exps = [tuple(rng.choice([0, 1, 2, top // 2, top]) for _ in range(n))
+                    for _ in range(60)]
+            assert sorted(exps, key=packing.pack) == sorted(exps, key=order.key)
+            for a in exps[:20]:
+                assert packing.unpack(packing.pack(a)) == a
+                for b in exps[:20]:
+                    pa, pb = packing.pack(a), packing.pack(b)
+                    divides = ((pb | packing.guard) - pa) & packing.guard == packing.guard
+                    assert divides == all(map(lambda u, v: u <= v, a, b))
+                    ab = tuple(map(lambda u, v: u + v, a, b))
+                    if max(ab) <= top:
+                        assert pa + pb == packing.pack(ab) and not (pa + pb) & packing.guard
+                    else:
+                        assert (pa + pb) & packing.guard
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_ORDERS))
+def test_packed_kernel_matches_tuple_kernel(name):
+    rng = random.Random(f"packed kernel {name}")
+    for trial in range(16):
+        n = 3 + trial % 2
+        order = _fit(PACKED_ORDERS[name], n)
+        gens = [_wide_poly(rng, n, 3 if n < 4 else 2, rng.randint(2, 4), min_deg=1)
+                for _ in range(rng.randint(2, n))]
+        basis = buchberger(gens, order)
+        assert _same_basis(basis, old_buchberger(gens, order)), gens
+        f = _wide_poly(rng, n, 4, 6)
+        divisors = basis[:2] + [g for g in gens if not g.is_zero()]
+        assert reduce_poly(f, divisors, order).terms == old_reduce_poly(f, divisors, order).terms
+        g = gens[0]
+        q = _random_poly(rng, n, 2, 3)
+        for prod in (q * g, q * g + _random_poly(rng, n, 3, 2)):
+            if prod.is_zero():
+                continue
+            got, want = divide_exact(prod, g, order), old_divide_exact(prod, g, order)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.terms == want.terms
+
+
+def test_overflowing_term_restarts_at_double_width(monkeypatch):
+    widths = []
+    real = groebner._Packing
+
+    def recording(order, nvars, width):
+        widths.append(width)
+        return real(order, nvars, width)
+
+    monkeypatch.setattr(groebner, "_Packing", recording)
+    gens = [x - y ** 20, x ** 50 * y - 1]
+    got = buchberger(gens, LEX)
+    assert [g.to_str(LEX) for g in got] == ["y^1001 - 1", "x - y^20"]
+    assert widths == [8, 16]
+    assert _same_basis(got, old_buchberger(gens, LEX))
+    # reduce_poly and divide_exact widen the same way
+    del widths[:]
+    assert reduce_poly(x ** 7, [x - y ** 30], LEX) == y ** 210
+    assert widths == [8, 16]
+    del widths[:]
+    assert divide_exact(x ** 5, x - y ** 30, LEX) is None  # stops at y^150
+    assert widths == [8, 16]
+
+
+def test_ideal_reduce_widens_its_cached_records():
+    I = ideal(x - y ** 30)
+    assert I.reduce(x ** 2, LEX) == y ** 60
+    narrow = I._records_cache[LEX][0].width
+    assert I.reduce(x ** 7, LEX) == y ** 210
+    assert I._records_cache[LEX][0].width == 2 * narrow
+    assert I.reduce(x ** 2 * y ** 300, LEX) == y ** 360
+    assert I.contains(x ** 300 - y ** 9000, LEX)
+
+
+def test_huge_exponents_are_exact():
+    big = 2 ** 40
+    f = SparsePoly(XY, {(2 * big, 1): 1, (0, 1): 1})
+    g = SparsePoly(XY, {(big, 1): 1, (0, 0): -1})
+    want = SparsePoly(XY, {(big, 0): 1, (0, 1): 1})
+    for order in (GREVLEX, LEX):
+        assert reduce_poly(f, [g], order) == want == old_reduce_poly(f, [g], order)
+        num = SparsePoly(XY, {(big, 2): 1})
+        den = SparsePoly(XY, {(big // 2, 1): 1})
+        assert divide_exact(num, den, order) == SparsePoly(XY, {(big // 2, 1): 1})

@@ -14,7 +14,7 @@ from oracles import (
     old_mv_connecting_biprincipal,
     old_mv_dimension_check,
 )
-from weylcas import linalg
+from weylcas import linalg, localcoh
 from weylcas.groebner import Ideal
 from weylcas.koszul import GradedModuleModel
 from weylcas.localcoh import (
@@ -657,3 +657,48 @@ def test_negative_exponent_is_refused(call):
     # a generator exponent with a negative entry names no monomial of S
     with pytest.raises(ValueError, match="negative entry in monomial exponent"):
         call()
+
+
+def test_gamma_dstable_check_rejects_wrong_torsion_marks(monkeypatch):
+    # f = x1*x2, I = (x1), mod R: the torsion classes are those of pattern {0}
+    f, i_gens, window = (1, 1), [(1, 0)], [(-4, 4), (-4, 4)]
+    true = gamma_torsion_localization(f, i_gens, window, mod_r=True)
+    assert {negative_support(d) for d, v in true.items() if v} == {frozenset({0})}
+    assert gamma_dstable_check(f, i_gens, window, mod_r=True)["stable"]
+
+    def marks(*patterns):
+        wrong = {d: int(negative_support(d) in patterns) for d in true}
+        monkeypatch.setattr(localcoh, "gamma_torsion_localization", lambda *args: wrong)
+        return gamma_dstable_check(f, i_gens, window, mod_r=True)
+
+    # {{1}} is D-stable (it is Gamma of (x2)), but it leaves x^(-1, -4)
+    # unmarked although x1 maps it into the marks, to x^(0, -4)
+    report = marks(frozenset({1}))
+    assert not report["stable"] and report["failure"] == ((-1, -4), "I")
+    # {{0, 1}} alone is not D-stable: x_j moves a class with d_j = -1 out
+    report = marks(frozenset({0, 1}))
+    assert not report["stable"]
+    d, step = report["failure"]
+    assert step[0] == "x" and d[int(step[1:]) - 1] == -1
+    assert marks(frozenset({0}))["stable"]
+
+
+def test_cech_reads_each_degree_pattern_once(monkeypatch):
+    calls = Counter()
+    real = localcoh._pattern
+
+    def counting(d, nvars):
+        calls[tuple(d)] += 1
+        return real(d, nvars)
+
+    monkeypatch.setattr(localcoh, "_pattern", counting)
+    cech = CechComplex(2, [(1, 0), (0, 1)])
+    calls.clear()
+    degrees = list(window_degrees([(-2, 2), (-2, 2)]))
+    for d in degrees:
+        assert [cech.cohomology_dim(i, d) for i in range(3)] == [
+            0, 0, int(d[0] < 0 and d[1] < 0)]
+    assert set(calls) == set(degrees) and set(calls.values()) == {1}
+    for bad in ((-1,), (-1, -1, 5)):
+        with pytest.raises(ValueError, match="coordinates for a ring in 2 variables"):
+            cech.cohomology_dim(2, bad)

@@ -40,6 +40,21 @@ def test_canonical_no_zero_terms():
     assert (0, 1) not in q.terms
 
 
+def test_public_constructor_still_checks_every_term():
+    with pytest.raises(ValueError, match="has length 1, expected 2"):
+        P({(1,): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        P({(1, -1): 1})
+    for bad in (0.5, "1", None):
+        with pytest.raises(TypeError, match="coefficient must be int or Fraction"):
+            P({(1, 0): bad})
+    # sums, products and negatives build clean term maps without the checks
+    p = (x + y) * (x - 2 * y) - x * x
+    assert all(isinstance(c, Fraction) and c for c in p.terms.values())
+    assert p == P({(1, 1): -1, (0, 2): -2}) and -p == P({(1, 1): 1, (0, 2): 2})
+    assert p * Fraction(1, 2) == P({(1, 1): Fraction(-1, 2), (0, 2): -1})
+
+
 def test_var_mismatch_raises():
     z = SparsePoly.variable(("z",), 0)
     with pytest.raises(ValueError):
