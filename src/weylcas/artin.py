@@ -210,29 +210,6 @@ class ArtinAlgebra:
             self._radical = linalg.nullspace(self.trace_gram())
         return self._radical
 
-    def is_field(self) -> bool:
-        if self.dim == 0:
-            return False
-        return not self.radical_basis() and len(decompose_local(self)) == 1
-
-    def check_ring_axioms(self, sample: list[tuple[int, int, int]] | None = None) -> bool:
-        """Commutativity/associativity on basis triples (all, or a sample)."""
-        idx = sample or [
-            (i, j, k)
-            for i in range(self.dim)
-            for j in range(self.dim)
-            for k in range(self.dim)
-        ]
-        for i, j, k in idx:
-            ei = linalg.unit_vector(self.dim, i)
-            ej = linalg.unit_vector(self.dim, j)
-            ek = linalg.unit_vector(self.dim, k)
-            if self.mult(ei, ej) != self.mult(ej, ei):
-                return False
-            if self.mult(self.mult(ei, ej), ek) != self.mult(ei, self.mult(ej, ek)):
-                return False
-        return True
-
     def __repr__(self):
         return f"ArtinAlgebra(dim={self.dim}, ideal={self.ideal!r})"
 
@@ -259,8 +236,13 @@ class LocalFactor:
 
     def restrict(self, ambient_matrix) -> list[list[Fraction]]:
         """Restriction of an ambient multiplication operator to the factor,
-        in factor coordinates."""
+        in factor coordinates.  A matrix that is not dim x dim for the
+        algebra raises ValueError."""
         if self._is_full:
+            n = self.dim
+            if len(ambient_matrix) != n or any(len(row) != n for row in ambient_matrix):
+                raise ValueError(f"matrix of shape {linalg.shape(ambient_matrix)} "
+                                 f"on an algebra of dimension {n}")
             return [row[:] for row in ambient_matrix]
         cols = []
         for v in self.basis_vectors:
@@ -268,23 +250,18 @@ class LocalFactor:
             if c is None:
                 raise RuntimeError("factor subspace is not invariant")
             cols.append(c)
-        return linalg.from_columns(cols)
+        return linalg.transpose(cols)
 
     def to_factor_coords(self, ambient_vector):
         if self._is_full:
+            if len(ambient_vector) != self.dim:
+                raise ValueError(f"vector of length {len(ambient_vector)} "
+                                 f"in an algebra of dimension {self.dim}")
             return ambient_vector[:]
         c = self._coords(ambient_vector)
         if c is None:
             raise ValueError("vector outside the factor")
         return c
-
-    def to_ambient(self, factor_vector):
-        out = [Fraction(0)] * len(self.idempotent)
-        for c, b in zip(factor_vector, self.basis_vectors, strict=True):
-            if c != 0:
-                for i, x in enumerate(b):
-                    out[i] += c * x
-        return out
 
     def radical_basis_factor(self) -> list[list[Fraction]]:
         """Radical of the factor, in factor coordinates, computed once.
@@ -302,7 +279,7 @@ class LocalFactor:
         if self.dim == self.algebra.dim:
             return [self.to_factor_coords(v) for v in ambient_rad]
         # solve Rad * u = B * v; the v-parts form a factor-coordinate basis
-        stacked = linalg.from_columns(
+        stacked = linalg.transpose(
             ambient_rad + [[-c for c in b] for b in self.basis_vectors]
         )
         kernel = linalg.nullspace(stacked)
@@ -370,7 +347,7 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
     stacked, den = linalg.integer_matrix(
         [row for x in algebra.var_matrices for row in factor.restrict(x)])
     var_actions = [stacked[i:i + k] for i in range(0, len(stacked), k)]
-    basis = linalg.from_columns(factor.basis_vectors)
+    basis = linalg.transpose(factor.basis_vectors)
     for coeffs in _candidate_combinations(len(algebra.vars), seed, extra_trials):
         # the candidate's action is m / den
         m = [[sum([c * x for c, x in zip(coeffs, entries)]) for entries in zip(*rows)]
@@ -393,8 +370,8 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
             complement = [a - b for a, b in zip(factor.idempotent, e_ambient)]
             block = linalg.nullspace(factor.restrict(algebra.mult_matrix(complement)))
             # ambient coordinates of the block basis: basis * block
-            ambient = linalg.mat_mul(basis, linalg.from_columns(block))
-            pieces.append((linalg.columns(ambient), e_ambient))
+            ambient = linalg.mat_mul(basis, linalg.transpose(block))
+            pieces.append((linalg.transpose(ambient), e_ambient))
         if sum(len(b) for b, _ in pieces) != k:
             raise RuntimeError("idempotent split lost dimensions")
         return pieces

@@ -15,9 +15,9 @@ supported; the one-variable case already exercises multiplicity, socle
 growth, and residue-field extensions, and higher-dimensional bases add
 representation cost without new structural content.
 
-Associated primes of R-modules are computed, never assumed: over Q[x] a
-prime is recorded by the dense coefficient tuple of its monic generator
-(the zero ideal by the empty tuple).
+Associated primes of finite R-modules are computed, never assumed: over
+Q[x] a prime is recorded by the dense coefficient tuple of its monic
+generator.
 """
 
 from __future__ import annotations
@@ -41,15 +41,6 @@ class TruncationError(ValueError):
 
 class NotMaximalError(ValueError):
     """The given ideal of S is not maximal (S/m is not a field)."""
-
-
-Prime = tuple  # dense monic coefficient tuple over Q[x]; () is the zero ideal
-
-
-def prime_to_str(p: Prime, var: str = "x") -> str:
-    if not p:
-        return "(0)"
-    return "(" + univar.to_sparse(list(p), (var,)).to_str() + ")"
 
 
 class CurveExtension:
@@ -113,12 +104,6 @@ class CurveExtension:
         if self.style == "map":
             return self.f
         return SparsePoly.variable(self.s_vars, 0)
-
-    def rank_over_base(self) -> int:
-        """The rank of S as a free R-module."""
-        if self.style == "map":
-            return self.f.total_degree()
-        return self.relation.degree_in(1)
 
     def residue_field_algebra(self) -> ArtinAlgebra:
         A = self.quotient_algebra(self.maximal_ideal)
@@ -271,9 +256,6 @@ class TruncatedHull:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def x_action_on_dual(self):
-        return linalg.transpose(self.x_matrix)
-
     def socle_dims(self, k_max: int) -> list[int]:
         """dim (0 :_E nu^k) for k = 1..k_max."""
         out = []
@@ -281,16 +263,6 @@ class TruncatedHull:
         for _ in range(k_max):
             power = linalg.mat_mul(power, self.nu_matrix)
             out.append(self.dim - linalg.rank(power))
-        return out
-
-    def filtration_dims(self, k_max: int) -> list[int]:
-        """dim (0 :_E m^k) = dim S/m^k for k = 1..k_max (k <= truncation)."""
-        out = []
-        for k in range(1, k_max + 1):
-            if k > self.truncation:
-                raise TruncationError("k exceeds the truncation level")
-            Ak = self.ext.quotient_algebra(_ideal_power_gens(self.ext.maximal_ideal, k))
-            out.append(Ak.dim)
         return out
 
 
@@ -343,7 +315,7 @@ def socle_matches_primary_annihilator(ext: CurveExtension,
     idx = matched_local_factor(A, factors, ext.maximal_ideal)
     hull = TruncatedHull(ext, truncation)
     AB = hull.algebra
-    nu_span = linalg.Subspace(AB.dim, linalg.columns(hull.nu_matrix))
+    nu_span = linalg.Subspace(AB.dim, linalg.transpose(hull.nu_matrix))
     q1_span = linalg.Subspace(AB.dim, nu_span.basis)
     for j, factor in enumerate(factors):
         if j == idx:
@@ -351,7 +323,7 @@ def socle_matches_primary_annihilator(ext: CurveExtension,
         for v in factor.basis_vectors:
             lift = A.to_poly(v)  # monomial representative, lifted through S
             m = AB.mult_matrix(AB.to_vector(lift))
-            for col in linalg.columns(m):
+            for col in linalg.transpose(m):
                 q1_span.add(col)
     return nu_span == q1_span
 
@@ -381,46 +353,29 @@ def ass_truncated_hull(hull: TruncatedHull) -> frozenset:
     power = linalg.mat_pow(hull.nu_matrix, hull.dim)
     if not linalg.is_zero_matrix(power):
         raise RuntimeError("hull element not annihilated by a power of nu")
-    dual_action = hull.x_action_on_dual()
     nu_dual = linalg.transpose(hull.nu_matrix)
     witnesses = linalg.nullspace(nu_dual)
     if not witnesses:
         raise RuntimeError("truncated hull has no socle")
-    ann = linalg.minimal_polynomial_of_vector(dual_action, witnesses[0])
+    ann = linalg.annihilator(*linalg.integer_matrix(linalg.transpose(hull.x_matrix)), witnesses[0])
     nu = hull.ext.nu_dense()
     if ann != nu:
         raise RuntimeError("socle witness annihilator differs from nu")
     return frozenset({tuple(nu)})
 
 
-def ass_free_extension(ext: CurveExtension) -> frozenset:
-    """Associated primes of S itself as an R-module: torsion-free (free of
-    finite rank), so only the zero prime.  The rank is checked to be
-    positive and finite."""
-    if ext.rank_over_base() < 1:
-        raise ValueError("extension is not module-finite free")
-    return frozenset({()})
-
-
-def ass_r(module) -> frozenset:
-    """Associated primes over R = Q[x] of a truncated hull, a finite
-    module given by its x-action matrix, or a free curve extension."""
-    if isinstance(module, TruncatedHull):
-        return ass_truncated_hull(module)
-    if isinstance(module, CurveExtension):
-        return ass_free_extension(module)
-    if isinstance(module, list):
-        return ass_finite_x_module(module)
-    raise TypeError(f"no associated-prime computation for {type(module).__name__}")
-
-
 # ---------- finite modules over an ArtinAlgebra and their hulls ----------
 
 class ArtinModule:
     """A finite-dimensional module over an ArtinAlgebra, presented by the
-    action matrices of the ring variables of the algebra presentation."""
+    action matrices of the ring variables of the algebra presentation.
+    Anything but one dim x dim action per variable raises ValueError."""
 
     def __init__(self, algebra: ArtinAlgebra, var_actions, dim: int):
+        if len(var_actions) != len(algebra.vars) or any(
+                len(m) != dim or any(len(row) != dim for row in m) for m in var_actions):
+            raise ValueError(f"{len(algebra.vars)} actions of shape {dim}x{dim} expected, got "
+                             f"{[linalg.shape(m) for m in var_actions]}")
         self.algebra = algebra
         self.var_actions = var_actions
         self.dim = dim
@@ -474,9 +429,7 @@ class ArtinModule:
         rad = self.algebra.radical_basis()
         if not rad:
             return [linalg.unit_vector(self.dim, i) for i in range(self.dim)]
-        return linalg.intersect_kernels(
-            [self.action_of_vector(r) for r in rad], self.dim
-        )
+        return linalg.nullspace([row for r in rad for row in self.action_of_vector(r)])
 
     def submodule_closure(self, vectors) -> list:
         """Basis of the A-submodule generated by the given vectors."""
@@ -499,7 +452,7 @@ class ArtinModule:
         extended = linalg.Subspace(self.dim, span.basis)
         lifts = [e for e in (linalg.unit_vector(self.dim, c) for c in reversed(range(self.dim)))
                  if extended.add(e)][::-1]
-        new_actions = [linalg.from_columns([span.project(linalg.mat_vec(m, e)) for e in lifts])
+        new_actions = [linalg.transpose([span.project(linalg.mat_vec(m, e)) for e in lifts])
                        for m in self.var_actions]
         return ArtinModule(self.algebra, new_actions, len(lifts))
 
@@ -535,7 +488,7 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
     # radical subspace of the dual module
     rad_span = linalg.Subspace(dual.dim)
     for r in rad:
-        for col in linalg.columns(dual.action_of_vector(r)):
+        for col in linalg.transpose(dual.action_of_vector(r)):
             rad_span.add(col)
     top_dim = dual.dim - rad_span.dim
 
@@ -552,7 +505,7 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
         e_act = dual_action_of(factor.idempotent)
         # K-dimension of the factor component of dual/rad(dual)
         target_dim = linalg.Subspace(
-            top_dim, [rad_span.project(col) for col in linalg.columns(e_act)]).dim
+            top_dim, [rad_span.project(col) for col in linalg.transpose(e_act)]).dim
         gens = []
         covered = linalg.Subspace(top_dim)
         for j in range(dual.dim):
@@ -579,7 +532,7 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
                 block_actions[vi].append(rv)
     if not cover_cols:
         raise RuntimeError("empty cover for a nonzero module")
-    cover = linalg.from_columns(cover_cols)
+    cover = linalg.transpose(cover_cols)
     e_dim = len(cover_cols)
 
     def block_diag(blocks):
@@ -605,7 +558,7 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
         for v in range(len(A.var_matrices))
     )
     certificates["embedding_linear"] = linearity
-    image = linalg.Subspace(e_dim, linalg.columns(embedding))
+    image = linalg.Subspace(e_dim, linalg.transpose(embedding))
     certificates["essential"] = all(v in image for v in hull_module.socle())
     multiplicities = [len(g) for g in generators_per_factor]
     return HullResult(hull_module, embedding, multiplicities, certificates)

@@ -227,16 +227,6 @@ def is_regular_sequence(a: list[SparsePoly], variables=None) -> tuple[bool, Spar
     return True, None
 
 
-def symbolic_power2_member(f: SparsePoly, P: Ideal) -> bool:
-    """f in P^(2) = P^2 R_P cap R, decided as (P^2 : f) not contained in P.
-
-    P is assumed prime by the caller.
-    """
-    P2 = ideal_power(P, 2)
-    colon = quotient_by_element(P2, f)
-    return not all(P.contains(g) for g in colon.groebner_basis())
-
-
 def member_locally(f: SparsePoly, L: Ideal, P: Ideal) -> bool:
     """f in L R_P cap R, i.e. (L : f) not contained in P."""
     if L.is_zero():

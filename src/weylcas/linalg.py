@@ -2,7 +2,8 @@
 block assembly, the cohomology of finite complexes, `Subspace`, and
 polynomials of a matrix applied to a vector.
 
-Matrices are lists of rows of Fractions and act on column vectors.  All
+Matrices are lists of rows of Fractions and act on column vectors;
+`transpose` turns a list of columns into a matrix and back.  All
 arithmetic runs on Python ints, and every entry returned is a Fraction.
 A vector or row (int or Fraction entries) is scaled by the lcm of its
 denominators, a matrix by one (`integer_matrix`).  `mat_mul` and `mat_vec`
@@ -298,26 +299,6 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     return x
 
 
-def columns(a: Matrix) -> list[Vector]:
-    return transpose(a)
-
-
-def from_columns(cols: list[Vector]) -> Matrix:
-    if not cols:
-        return []
-    return transpose(cols)
-
-
-def intersect_kernels(mats: list[Matrix], dim: int) -> list[Vector]:
-    """Basis of the common kernel of the given matrices on Q^dim."""
-    stacked: Matrix = []
-    for m in mats:
-        stacked.extend(m)
-    if not stacked:
-        return [unit_vector(dim, i) for i in range(dim)]
-    return nullspace(stacked)
-
-
 def poly_of_matrix(coeffs, a: Matrix) -> Matrix:
     """Evaluate a dense univariate polynomial at a square matrix (Horner)."""
     n, _ = shape(a)
@@ -455,11 +436,6 @@ def poly_apply(coeffs, m: list[list[int]], den: int, v: Vector) -> Vector:
             scale *= den
         h = [x + c * scale * y for x, y in zip(_int_mat_vec(m, h), nums)]
     return fraction_vector(h, dc * scale * dv)
-
-
-def minimal_polynomial_of_vector(a: Matrix, v: Vector) -> list[Fraction]:
-    """Monic generator of {p : p(a) v = 0}."""
-    return annihilator(*integer_matrix(a), v)
 
 
 def minimal_polynomial(a: Matrix) -> list[Fraction]:

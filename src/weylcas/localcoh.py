@@ -48,13 +48,6 @@ from itertools import combinations, product
 from . import linalg
 from .groebner import Ideal, saturation
 from .koszul import WindowMarginError
-from .poly import SparsePoly
-
-
-def _monomial_exponent(p: SparsePoly) -> tuple[int, ...]:
-    if len(p.terms) != 1:
-        raise ValueError(f"{p.to_str()} is not a monomial")
-    return next(iter(p.terms))
 
 
 def negative_support(d) -> frozenset[int]:
@@ -163,12 +156,9 @@ class CechComplex:
         return mat
 
 
-def cech_cohomology_piece(generators: list[tuple[int, ...]] | list[SparsePoly],
-                          i: int, d: tuple[int, ...], nvars: int | None = None) -> int:
-    if generators and isinstance(generators[0], SparsePoly):
-        cech = CechComplex(len(generators[0].vars), [_monomial_exponent(g) for g in generators])
-    else:
-        cech = CechComplex(nvars if nvars is not None else len(d), list(generators))
+def cech_cohomology_piece(generators: list[tuple[int, ...]], i: int, d: tuple[int, ...],
+                          nvars: int | None = None) -> int:
+    cech = CechComplex(nvars if nvars is not None else len(d), list(generators))
     return cech.cohomology_dim(i, d)
 
 
@@ -229,7 +219,7 @@ class CohPiece:
             z_cols = [linalg.unit_vector(n, i) for i in range(n)]
         b_cols = []
         if t >= 1 and dims[t - 1] > 0:
-            b_cols = [v for v in linalg.columns(diffs[t - 1]) if any(v)]
+            b_cols = [v for v in linalg.transpose(diffs[t - 1]) if any(v)]
         self._span = linalg.Subspace(n, b_cols)
         self._b = self._span.dim
         self.lifts = [z for z in z_cols if self._span.add(z)]

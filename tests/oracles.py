@@ -280,6 +280,16 @@ def _quotient_projection(rad_vectors: list, dim: int):
     return project, complement
 
 
+def _to_ambient(factor: LocalFactor, factor_vector: list) -> list:
+    """Ambient coordinates of a vector given in factor coordinates."""
+    out = [Fraction(0)] * len(factor.idempotent)
+    for c, b in zip(factor_vector, factor.basis_vectors, strict=True):
+        if c != 0:
+            for i, x in enumerate(b):
+                out[i] += c * x
+    return out
+
+
 def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
     k = factor.dim
     if k == 1:
@@ -296,7 +306,7 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
         local_elt = linalg.mat_vec(mult_idem, cand)
         m = factor.restrict(algebra.mult_matrix(local_elt))
         # the induced action on the (etale) quotient has squarefree min poly
-        m_ss = linalg.from_columns(
+        m_ss = linalg.transpose(
             [project([m[rr][c] for rr in range(k)]) for c in complement]
         )
         minpoly_ss = linalg.minimal_polynomial(m_ss)
@@ -340,8 +350,8 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
                         e_factor[i] += c * v[i]
             offset += len(b)
             pieces.append((
-                [factor.to_ambient(v) for v in b],
-                factor.to_ambient(e_factor),
+                [_to_ambient(factor, v) for v in b],
+                _to_ambient(factor, e_factor),
             ))
         return pieces
     return None
@@ -475,7 +485,7 @@ class OldCohPiece:
                            for i in range(self.ambient_dim)]
         b_cols = []
         if t >= 1 and dims[t - 1] > 0:
-            b_cols = [v for v in linalg.columns(diffs[t - 1]) if any(v)]
+            b_cols = [v for v in linalg.transpose(diffs[t - 1]) if any(v)]
         self._z_span = linalg.Subspace(self.ambient_dim, self.z_cols)
         beta_cols = []
         for b in b_cols:
@@ -485,7 +495,7 @@ class OldCohPiece:
             beta_cols.append(coords)
         z = len(self.z_cols)
         if beta_cols:
-            beta = linalg.from_columns(beta_cols)
+            beta = linalg.transpose(beta_cols)
             self.q_rows = linalg.nullspace(linalg.transpose(beta))
         else:
             self.q_rows = [linalg.unit_vector(z, i) for i in range(z)]
@@ -508,8 +518,8 @@ def old_induced_map(source: OldCohPiece, target: OldCohPiece, chain_matrix):
     if source.h_dim == 0 or target.h_dim == 0:
         return linalg.zeros(target.h_dim, source.h_dim)
     lifts = _old_h_basis_lifts(source)
-    source_classes = linalg.from_columns([source.class_of(z) for z in lifts])
-    image_classes = linalg.from_columns(
+    source_classes = linalg.transpose([source.class_of(z) for z in lifts])
+    image_classes = linalg.transpose(
         [target.class_of(linalg.mat_vec(chain_matrix, z)) for z in lifts]
     )
     return linalg.mat_mul(image_classes, _inverse(source_classes))
@@ -768,7 +778,7 @@ def old_column_space_contains(basis_cols: list, v: list) -> bool:
         return True
     if not basis_cols:
         return False
-    return linalg.solve(linalg.from_columns(basis_cols), v) is not None
+    return linalg.solve(linalg.transpose(basis_cols), v) is not None
 
 
 def old_independent_columns(cols: list) -> list:
@@ -791,7 +801,7 @@ class OldColumnSolver:
     def __init__(self, b_columns: list):
         self.cols = len(b_columns)
         self.rows = len(b_columns[0]) if b_columns else 0
-        b = linalg.from_columns(b_columns) if b_columns else []
+        b = linalg.transpose(b_columns) if b_columns else []
         aug = [b[i][:] + linalg.unit_vector(self.rows, i) for i in range(self.rows)]
         r, pivots = linalg.rref(aug)
         self.pivots = [p for p in pivots if p < self.cols]
@@ -1050,7 +1060,7 @@ def old_mult(table: list, u: list, v: list) -> list:
 
 def old_mult_matrix(table: list, v: list) -> list:
     n = len(table)
-    return linalg.from_columns([old_mult(table, v, linalg.unit_vector(n, j)) for j in range(n)])
+    return linalg.transpose([old_mult(table, v, linalg.unit_vector(n, j)) for j in range(n)])
 
 
 def old_basis_traces(table: list) -> list:

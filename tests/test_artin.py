@@ -50,7 +50,12 @@ def test_not_zero_dimensional():
 
 def test_ring_axioms_small():
     A = ArtinAlgebra.from_presentation(XY, [x2 ** 2 - y2, y2 ** 2])
-    assert A.check_ring_axioms()
+    units = [linalg.unit_vector(A.dim, i) for i in range(A.dim)]
+    for ei in units:
+        for ej in units:
+            assert A.mult(ei, ej) == A.mult(ej, ei)
+            for ek in units:
+                assert A.mult(A.mult(ei, ej), ek) == A.mult(ei, A.mult(ej, ek))
 
 
 def test_decompose_split_quadratic():
@@ -77,7 +82,7 @@ def test_decompose_irreducible_quadratic_is_field():
     factors = decompose_local(A)
     assert [f.dim for f in factors] == [2]
     assert factors[0].residue_dim == 2
-    assert A.is_field()
+    assert not A.radical_basis() and len(decompose_local(A)) == 1
 
 
 def test_decompose_product_of_two_quadratic_fields():
@@ -162,7 +167,7 @@ def test_factor_radical_is_computed_once():
 def test_full_degree_irreducible_certifies_a_field(degree):
     A = ArtinAlgebra.from_presentation(X, [xv ** degree - 2])
     assert [f.dim for f in decompose_local(A)] == [degree]
-    assert A.is_field()
+    assert not A.radical_basis() and len(decompose_local(A)) == 1
 
 
 def test_no_certified_split_raises():
@@ -373,11 +378,21 @@ def test_to_poly_refuses_a_vector_of_the_wrong_length():
     assert A.to_poly([1, 0, 0]) == SparsePoly.one(XY)
 
 
-def test_to_ambient_refuses_a_vector_of_the_wrong_length():
-    A = ArtinAlgebra.from_presentation(X, [xv ** 2 * (xv - 1)])
-    factor = max(decompose_local(A), key=lambda f: f.dim)
-    assert factor.dim == 2
-    for v in ([1], [1, 0, 5]):
-        with pytest.raises(ValueError):
-            factor.to_ambient(v)
-    assert factor.to_ambient([1, 0]) == factor.basis_vectors[0]
+def test_factor_coordinates_refuse_input_of_the_wrong_length():
+    """The whole-algebra factor checks lengths itself; a proper factor
+    refuses through its subspace and mat_vec."""
+    whole = decompose_local(ArtinAlgebra.from_presentation(X, [xv ** 3]))[0]
+    assert whole._is_full
+    proper = max(decompose_local(ArtinAlgebra.from_presentation(X, [xv ** 2 * (xv - 1)])),
+                 key=lambda f: f.dim)
+    assert proper.dim == 2 and not proper._is_full
+    for factor in (whole, proper):
+        for v in ([1, 0], [1, 0, 0, 7]):
+            with pytest.raises(ValueError):
+                factor.to_factor_coords(v)
+        for m in ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]):
+            with pytest.raises(ValueError):
+                factor.restrict(m)
+    assert whole.to_factor_coords([1, 0, 7]) == [1, 0, 7]
+    assert whole.restrict(linalg.identity(3)) == linalg.identity(3)
+    assert proper.restrict(linalg.identity(3)) == linalg.identity(2)

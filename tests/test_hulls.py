@@ -12,7 +12,6 @@ from weylcas.hulls import (
     TruncatedHull,
     TruncationError,
     ass_finite_x_module,
-    ass_free_extension,
     ass_truncated_hull,
     socle_matches_primary_annihilator,
     essential_hull,
@@ -122,11 +121,6 @@ def test_truncation_error():
         socle_growth_oracle(map_ext(y ** 3, [y]), 6, truncation=10)
 
 
-def test_filtration_dims_match_quotients():
-    hull = TruncatedHull(map_ext(y ** 2, [y]), 6)
-    assert hull.filtration_dims(4) == [1, 2, 3, 4]
-
-
 def test_socle_primary_annihilator_corpus():
     for f, m, _, _ in CORPUS:
         assert socle_matches_primary_annihilator(map_ext(f, m))
@@ -147,26 +141,13 @@ def test_ass_simple_quotient():
     assert ass_finite_x_module(x_act) == frozenset({(Fraction(0), Fraction(1))})
 
 
-def test_ass_free_extension():
-    assert ass_free_extension(map_ext(y ** 2, [y])) == frozenset({()})
-
-
 def test_ass_dispatcher():
-    from weylcas.hulls import ass_r
-
+    """Associated primes of a truncated hull and of a finite module given by
+    its x-action, each from its own function."""
     ext = map_ext(y ** 2, [y])
-    assert ass_r(ext) == frozenset({()})
-    assert ass_r(TruncatedHull(ext, 6)) == frozenset({(Fraction(0), Fraction(1))})
+    assert ass_truncated_hull(TruncatedHull(ext, 6)) == frozenset({(Fraction(0), Fraction(1))})
     m = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert len(ass_r(m)) == 2
-
-
-def test_prime_to_str():
-    from weylcas.hulls import prime_to_str
-
-    assert prime_to_str(()) == "(0)"
-    assert prime_to_str((Fraction(1), Fraction(1))) == "(x + 1)"
-    assert prime_to_str((Fraction(0), Fraction(1))) == "(x)"
+    assert len(ass_finite_x_module(m)) == 2
 
 
 def test_ass_finite_mixed_torsion():
@@ -328,8 +309,8 @@ def test_quotient_by_matches_rref_projection_oracle():
     for seed in seeds:
         sub = M.submodule_closure([seed])
         project, complement = _quotient_projection(sub, A.dim)
-        expected = [linalg.from_columns([project(linalg.mat_vec(m, linalg.unit_vector(A.dim, c)))
-                                         for c in complement])
+        expected = [linalg.transpose([project(linalg.mat_vec(m, linalg.unit_vector(A.dim, c)))
+                                      for c in complement])
                     for m in M.var_actions]
         Q = M.quotient_by(sub)
         assert Q.var_actions == expected
@@ -388,3 +369,17 @@ def test_action_of_vector_refuses_a_vector_of_the_wrong_length():
         with pytest.raises(ValueError):
             M.action_of_vector(v)
     assert M.action_of_vector([1, 0, 0]) == linalg.identity(3)
+
+
+def test_artin_module_refuses_actions_of_the_wrong_count_or_shape():
+    # once refused only later, by IndexError in action_of_vector or inside mat_mul
+    XY = ("x", "y")
+    xx, yy = SparsePoly.variable(XY, 0), SparsePoly.variable(XY, 1)
+    A = ArtinAlgebra.from_presentation(XY, [xx ** 2, yy ** 2])
+    two = [[1, 0], [0, 1]]
+    for actions, dim in (([linalg.identity(4)], 4), ([two, two], 3),
+                         ([linalg.identity(4), [[1, 0, 0, 0]] * 3 + [[1]]], 4)):
+        with pytest.raises(ValueError):
+            ArtinModule(A, actions, dim)
+    M = ArtinModule(A, A.var_matrices, 4)
+    assert M.action_of_vector(A.one()) == linalg.identity(4)

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from weylcas.groebner import Ideal
+from weylcas.groebner import Ideal, ideal_power
 from weylcas.koszul import (
     GradedModuleModel,
     KoszulComplex,
@@ -18,7 +18,6 @@ from weylcas.koszul import (
     member_locally,
     prime_avoidance_sequence,
     psi_w_check,
-    symbolic_power2_member,
 )
 from weylcas.poly import SparsePoly
 
@@ -163,6 +162,11 @@ def test_regular_sequence_improper_fails():
     ok, _ = is_regular_sequence([x, y - 1, x + 3])
     # (x, y-1, x+3) contains 3, hence 1
     assert not ok
+
+
+def symbolic_power2_member(f, P):
+    """f in P^(2) = P^2 R_P cap R, for a prime P."""
+    return member_locally(f, ideal_power(P, 2), P)
 
 
 def test_symbolic_power_examples():

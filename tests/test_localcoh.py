@@ -493,7 +493,7 @@ def test_cohomology_piece_matches_old_coordinates():
                 v = _combination(rng, cocycles, dims[t])
                 assert old.class_of(v) == linalg.mat_vec(c, new.class_of(v))
             if t and dims[t - 1]:
-                for b in linalg.columns(diffs[t - 1]):
+                for b in linalg.transpose(diffs[t - 1]):
                     assert new.class_of(b) == [Fraction(0)] * new.h_dim
 
 
