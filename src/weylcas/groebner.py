@@ -159,6 +159,12 @@ def _primitive(terms):
     return {e: c.numerator * (den // c.denominator) // num for e, c in terms.items()}, den, num
 
 
+def _exact(a, b):
+    """a / b as a stored coefficient: an int when b divides a, else a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
 def _record(ints):
     """A divisor of the integer reduction: (head, head coefficient, tail) on
     packed monomials, split once."""
@@ -212,7 +218,7 @@ def _normal_form(f, divisors, packing):
     # content * num * r = lam * den * (normal form of f)
     a, b = content * num, lam * den
     unpack = packing.unpack
-    return SparsePoly._clean(f.vars, {unpack(m): Fraction(c * a, b) for m, c in r.items()})
+    return SparsePoly._clean(f.vars, {unpack(m): _exact(c * a, b) for m, c in r.items()})
 
 
 def reduce_poly(f: SparsePoly, basis: list[SparsePoly], order: TermOrder) -> SparsePoly:
@@ -233,8 +239,8 @@ def s_polynomial(f: SparsePoly, g: SparsePoly, order: TermOrder) -> SparsePoly:
     ef, cf = f.leading_term(order)
     eg, cg = g.leading_term(order)
     l = tuple(map(max, ef, eg))
-    mf = SparsePoly.monomial(f.vars, tuple(map(sub, l, ef)), 1 / cf)
-    mg = SparsePoly.monomial(f.vars, tuple(map(sub, l, eg)), 1 / cg)
+    mf = SparsePoly.monomial(f.vars, tuple(map(sub, l, ef)), Fraction(1) / cf)
+    mg = SparsePoly.monomial(f.vars, tuple(map(sub, l, eg)), Fraction(1) / cg)
     return mf * f - mg * g
 
 
@@ -338,7 +344,7 @@ def _buchberger(generators, packing):
     for i, rec in enumerate(keep):
         r = reduced(rec, keep[:i] + keep[i + 1:])
         hc = r[rec[0]]
-        out.append(SparsePoly._clean(vs, {unpack(m): Fraction(c, hc) for m, c in r.items()}))
+        out.append(SparsePoly._clean(vs, {unpack(m): _exact(c, hc) for m, c in r.items()}))
     return out
 
 
@@ -482,7 +488,7 @@ def _divide_exact(f, g, packing):
         if not _divides(he, e, guard):
             return None
         shift = e - he
-        fac = quotient[shift] = c / hc
+        fac = quotient[shift] = _exact(c, hc)
         _subtract(work, front, fac, shift, tail, guard)
     unpack = packing.unpack
     return SparsePoly._clean(f.vars, {unpack(m): c for m, c in quotient.items()})

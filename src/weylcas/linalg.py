@@ -421,7 +421,7 @@ def annihilator(m: list[list[int]], den: int, v: Vector) -> list[Fraction]:
         w = _int_mat_vec(m, w)
     coords = krylov.coords(w)
     k = len(coords)
-    return [-c / den ** (k - i) for i, c in enumerate(coords)] + [Fraction(1)]
+    return [Fraction(-c) / den ** (k - i) for i, c in enumerate(coords)] + [Fraction(1)]
 
 
 def poly_apply(coeffs, m: list[list[int]], den: int, v: Vector) -> Vector:

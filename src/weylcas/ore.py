@@ -170,9 +170,17 @@ class DiffOp:
             raise ValueError("element has positive operator order")
         return self.terms.get(self.ring.zero_alpha(), SparsePoly.zero(self.ring.vars))
 
-    def _check_ring(self, other: "DiffOp"):
+    def _lift(self, other) -> "DiffOp":
+        """A DiffOp over this ring, a polynomial or a rational as a DiffOp."""
+        if isinstance(other, (int, Fraction)):
+            other = SparsePoly.constant(self.ring.vars, other)
+        if isinstance(other, SparsePoly):
+            return DiffOp.from_poly(self.ring, other)
+        if not isinstance(other, DiffOp):
+            raise TypeError(f"coefficient must be int or Fraction, got {type(other).__name__}")
         if self.ring != other.ring:
             raise ValueError("operators over different rings")
+        return other
 
     # ---------- normal forms ----------
 
@@ -199,10 +207,7 @@ class DiffOp:
     # ---------- arithmetic ----------
 
     def __add__(self, other):
-        if isinstance(other, SparsePoly):
-            other = DiffOp.from_poly(self.ring, other)
-        self._check_ring(other)
-        a, b = self.to_left(), other.to_left()
+        a, b = self.to_left(), self._lift(other).to_left()
         terms = dict(a.terms)
         for alpha, c in b.terms.items():
             _add_term(terms, alpha, c)
@@ -212,17 +217,12 @@ class DiffOp:
         return DiffOp(self.ring, {a: -c for a, c in self.terms.items()}, self.form)
 
     def __sub__(self, other):
-        if isinstance(other, SparsePoly):
-            other = DiffOp.from_poly(self.ring, other)
-        return self + (-other)
+        return self + (-self._lift(other))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return DiffOp(self.ring, {a: c * other for a, c in self.terms.items()}, self.form)
-        if isinstance(other, SparsePoly):
-            other = DiffOp.from_poly(self.ring, other)
-        self._check_ring(other)
-        a, b = self.to_left(), other.to_left()
+        a, b = self.to_left(), self._lift(other).to_left()
         out: dict = {}
         for alpha, phi in a.terms.items():
             for beta, psi in b.terms.items():
@@ -473,7 +473,7 @@ def _simplify_fraction(num: SparsePoly, base: SparsePoly, power: int):
             # cancels: make the base monic and keep the power unexpanded
             lead = db[-1]
             if lead != 1:
-                num, base = num * (1 / lead ** power), base * (1 / lead)
+                num, base = num * (Fraction(1) / lead ** power), base * (Fraction(1) / lead)
             return num, base, power
         dd = univar.from_sparse(base ** power, i)
         g = univar.gcd(dn, dd)
@@ -481,8 +481,8 @@ def _simplify_fraction(num: SparsePoly, base: SparsePoly, power: int):
             dn = univar.divmod_poly(dn, g)[0]
             dd = univar.divmod_poly(dd, g)[0]
         lead = dd[-1]
-        dn = univar.scale(dn, 1 / lead)
-        dd = univar.scale(dd, 1 / lead)
+        dn = univar.scale(dn, Fraction(1) / lead)
+        dd = univar.scale(dd, Fraction(1) / lead)
         num = univar.to_sparse(dn, vars_, i)
         new_base = univar.to_sparse(dd, vars_, i)
         if new_base == SparsePoly.one(vars_):

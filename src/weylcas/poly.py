@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials over the rationals, with exact arithmetic.
 
 A polynomial is a map from exponent vectors (tuples of non-negative ints,
-one slot per variable) to nonzero Fractions.  Zero coefficients are never
-stored, so two equal polynomials have identical term maps.
+one slot per variable) to nonzero exact rationals, ints when integral and
+Fractions otherwise (see SparsePoly).  Zero coefficients are never stored,
+so two equal polynomials have identical term maps.
 """
 
 from __future__ import annotations
@@ -80,11 +81,12 @@ GREVLEX = TermOrder("grevlex")
 LEX = TermOrder("lex")
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def _as_fraction(c) -> int | Fraction:
+    """c as a stored coefficient: an int when integral (a bool as 0/1), else a Fraction."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
@@ -102,13 +104,21 @@ def power_by_squaring(x, k: int):
 
 
 class SparsePoly:
-    """An exact polynomial over Q in a fixed ordered list of variables."""
+    """An exact polynomial over Q in a fixed ordered list of variables.
+
+    The constructor and the Groebner outputs store a coefficient as an int
+    when integral and as a Fraction otherwise, and int op int stays int, so
+    integer polynomials never pay Fraction's gcd per product.  (A Fraction
+    sum or product may still be integral; it equals and hashes like the
+    int.)  Only true division differs: int / int is a float, which the
+    constructor and the arithmetic refuse with TypeError, so coefficients
+    are divided as Fraction(a) / b."""
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple[int, ...], object] | None = None):
         vs = tuple(variables)
-        cleaned: dict[tuple[int, ...], Fraction] = {}
+        cleaned: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
                 e = tuple(exps)
@@ -121,7 +131,7 @@ class SparsePoly:
                 c = _as_fraction(coeff)
                 if c != 0:
                     acc = cleaned.get(e)
-                    cleaned[e] = c if acc is None else acc + c
+                    cleaned[e] = c if acc is None else _as_fraction(acc + c)
                     if cleaned[e] == 0:
                         del cleaned[e]
         object.__setattr__(self, "vars", vs)
@@ -130,9 +140,9 @@ class SparsePoly:
     @classmethod
     def _clean(cls, variables: tuple[str, ...], terms: dict) -> "SparsePoly":
         """A polynomial on a term dict that is already clean: exponent
-        tuples of the right length with no negative entry, nonzero
-        Fractions.  Internal callers that built such a dict use this to skip
-        the checks of __init__, which public callers keep."""
+        tuples of the right length with no negative entry, nonzero stored
+        coefficients.  Internal callers that built such a dict use this to
+        skip the checks of __init__, which public callers keep."""
         p = object.__new__(cls)
         object.__setattr__(p, "vars", variables)
         object.__setattr__(p, "terms", terms)
@@ -175,15 +185,15 @@ class SparsePoly:
     def is_constant(self) -> bool:
         return all(all(x == 0 for x in e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
 
-    def coeff(self, exponents) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+    def coeff(self, exponents) -> int | Fraction:
+        return self.terms.get(tuple(exponents), 0)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -200,16 +210,18 @@ class SparsePoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def leading_term(self, order: TermOrder = GREVLEX) -> tuple[tuple[int, ...], Fraction]:
+    def leading_term(self, order: TermOrder = GREVLEX) -> tuple[tuple[int, ...], int | Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=order.key)
         return e, self.terms[e]
 
-    def sorted_terms(self, order: TermOrder = GREVLEX) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self, order: TermOrder = GREVLEX) -> list[tuple[tuple[int, ...], int | Fraction]]:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def _check_same_ring(self, other: "SparsePoly"):
+        if not isinstance(other, SparsePoly):
+            raise TypeError(f"coefficient must be int or Fraction, got {type(other).__name__}")
         if self.vars != other.vars:
             raise ValueError(f"variable lists differ: {self.vars} vs {other.vars}")
 
@@ -237,6 +249,7 @@ class SparsePoly:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = SparsePoly.constant(self.vars, other)
+        self._check_same_ring(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -249,7 +262,7 @@ class SparsePoly:
                 return SparsePoly.zero(self.vars)
             return SparsePoly._clean(self.vars, {e: c * v for e, v in self.terms.items()})
         self._check_same_ring(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -284,7 +297,7 @@ class SparsePoly:
         """Partial derivative with respect to the index-th variable."""
         if not (0 <= index < len(self.vars)):
             raise ValueError(f"variable index {index} out of range")
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for e, c in self.terms.items():
             k = e[index]
             if k == 0:

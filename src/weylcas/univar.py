@@ -97,7 +97,7 @@ def divmod_poly(a: Dense, b: Dense) -> tuple[Dense, Dense]:
 def monic(a: Dense) -> Dense:
     if not a:
         return []
-    return scale(a, 1 / a[-1])
+    return scale(a, Fraction(1) / a[-1])
 
 
 def gcd(a: Dense, b: Dense) -> Dense:

@@ -34,6 +34,9 @@ combinations; `old_action_of_vector` sums Fraction monomial actions;
 `univar` kept these on integers.  `old_reduce`, `old_reduce_poly`,
 `old_divide_exact` and `old_buchberger` are the Groebner reduction kernel
 on exponent tuples, before `groebner` packed each monomial into one int.
+`old_poly_add`, `old_poly_mul` and `old_partial` are `SparsePoly`'s loops
+on term maps coerced to `Fraction`, before integral coefficients stayed
+Python ints.
 All are exact
 and slow; on inputs they answer correctly the production code must give
 identical results (fractions: the same value, compared by
@@ -921,8 +924,8 @@ def old_simplify_fraction(num: SparsePoly, base: SparsePoly, power: int):
             dn = univar.divmod_poly(dn, g)[0]
             dd = univar.divmod_poly(dd, g)[0]
         lead = dd[-1]
-        dn = univar.scale(dn, 1 / lead)
-        dd = univar.scale(dd, 1 / lead)
+        dn = univar.scale(dn, Fraction(1) / lead)
+        dd = univar.scale(dd, Fraction(1) / lead)
         num = univar.to_sparse(dn, vars_, i)
         new_base = univar.to_sparse(dd, vars_, i)
         if new_base == SparsePoly.one(vars_):
@@ -1251,6 +1254,52 @@ def old_crt_idempotents(moduli: list) -> list:
     return out
 
 
+# ---------- polynomial arithmetic on Fractions ----------
+# The parent's `SparsePoly` loops, on term maps {exponents: coefficient}
+# with every coefficient made a Fraction; each returns such a term map.
+
+def _fraction_terms(terms: dict) -> dict:
+    return {e: Fraction(c) for e, c in terms.items()}
+
+
+def old_poly_add(a: dict, b: dict) -> dict:
+    terms = _fraction_terms(a)
+    for e, c in _fraction_terms(b).items():
+        acc = terms.get(e)
+        s = c if acc is None else acc + c
+        if s == 0:
+            terms.pop(e, None)
+        else:
+            terms[e] = s
+    return terms
+
+
+def old_poly_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in _fraction_terms(a).items():
+        for e2, c2 in _fraction_terms(b).items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc = out.get(e)
+            s = c1 * c2 if acc is None else acc + c1 * c2
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def old_partial(a: dict, index: int) -> dict:
+    out = {}
+    for e, c in _fraction_terms(a).items():
+        k = e[index]
+        if k == 0:
+            continue
+        e2 = list(e)
+        e2[index] = k - 1
+        out[tuple(e2)] = c * k
+    return out
+
+
 # ---------- the Groebner reduction kernel on exponent tuples ----------
 # The parent's integer reduction core: monomials are exponent tuples, each
 # new term pays a `TermOrder.key` call for its heap entry, and every head
@@ -1354,7 +1403,7 @@ def old_divide_exact(f: SparsePoly, g: SparsePoly, order) -> SparsePoly | None:
         if not _old_divides(he, e):
             return None
         shift = tuple(map(sub, e, he))
-        fac = quotient[shift] = c / hc
+        fac = quotient[shift] = Fraction(c) / hc
         _old_subtract(work, front, key, fac, shift, tail)
     return SparsePoly(f.vars, quotient)
 

@@ -209,7 +209,7 @@ def ref_reduce_poly(f, basis, order):
         for g, (he, hc) in zip(basis, heads):
             if _ref_divides(he, e):
                 shift = _ref_sub(e, he)
-                fac = c / hc
+                fac = Fraction(c) / hc
                 for ge, gc in g.terms.items():
                     if ge == he:
                         continue
@@ -234,7 +234,7 @@ def ref_divide_exact(f, g, order=GREVLEX):
         if not _ref_divides(he, e):
             return None
         shift = _ref_sub(e, he)
-        fac = work[e] / hc
+        fac = Fraction(work[e]) / hc
         quotient[shift] = fac
         for ge, gc in g.terms.items():
             te = tuple(a + b for a, b in zip(ge, shift))
@@ -250,8 +250,8 @@ def _ref_s_polynomial(f, g, order):
     ef, cf = f.leading_term(order)
     eg, cg = g.leading_term(order)
     l = _ref_lcm(ef, eg)
-    mf = SparsePoly.monomial(f.vars, _ref_sub(l, ef), 1 / cf)
-    mg = SparsePoly.monomial(f.vars, _ref_sub(l, eg), 1 / cg)
+    mf = SparsePoly.monomial(f.vars, _ref_sub(l, ef), Fraction(1) / cf)
+    mg = SparsePoly.monomial(f.vars, _ref_sub(l, eg), Fraction(1) / cg)
     return mf * f - mg * g
 
 
@@ -318,7 +318,7 @@ def ref_buchberger(generators, order):
     for i, g in enumerate(keep):
         r = ref_reduce_poly(g, keep[:i] + keep[i + 1:], order)
         _, lc = r.leading_term(order)
-        reduced.append(r * (1 / lc))
+        reduced.append(r * (Fraction(1) / lc))
     reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]))
     return reduced
 

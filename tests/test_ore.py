@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -343,7 +344,7 @@ def test_fraction_canonical_form_matches_old_path():
             coprime += 1
             lead = max(base.terms.items())[1]
             assert label in ("univariate", "shared")
-            assert f.base == base * (1 / lead) and 1 <= f.power <= power
+            assert f.base == base * (Fraction(1) / lead) and 1 <= f.power <= power
             assert old == (f.num, f.base ** f.power, 1)
     assert coprime >= 20
 
@@ -375,3 +376,19 @@ def test_shared_factor_still_cancels():
     g = LocalizedFraction((x - one) ** 2, (x - one) * (x + one), 1)
     assert g.num == x - one and g.base == x + one and g.power == 1
     assert d.apply(g) == LocalizedFraction(2 * one, x + one, 2)
+
+
+def test_a_non_rational_operand_raises_type_error():
+    # before, x * 0.5 failed inside the ring check with AttributeError
+    for value in (x, X):
+        for bad in (0.5, "1", None):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError, match="coefficient must be int or "
+                                   f"Fraction, got {type(bad).__name__}"):
+                    op(value, bad)
+                with pytest.raises(TypeError):
+                    op(bad, value)
+    # rationals still lift to constants
+    assert X + 1 == DiffOp.from_poly(W1, x + 1)
+    assert X - Fraction(1, 2) == DiffOp.from_poly(W1, x - Fraction(1, 2))
+    assert X * 2 == DiffOp.from_poly(W1, 2 * x)

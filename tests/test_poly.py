@@ -50,7 +50,7 @@ def test_public_constructor_still_checks_every_term():
             P({(1, 0): bad})
     # sums, products and negatives build clean term maps without the checks
     p = (x + y) * (x - 2 * y) - x * x
-    assert all(isinstance(c, Fraction) and c for c in p.terms.values())
+    assert all(type(c) is int and c for c in p.terms.values())
     assert p == P({(1, 1): -1, (0, 2): -2}) and -p == P({(1, 1): 1, (0, 2): 2})
     assert p * Fraction(1, 2) == P({(1, 1): Fraction(-1, 2), (0, 2): -1})
 
