@@ -24,8 +24,8 @@ order ideal, so every product b_i * b_j = x^e of degree two or more
 follows from a product of lower degree, nf(x^e) = X_k nf(x^(e - e_k)) for
 any k with e_k > 0, memoised by exponent.  `mult`, `mult_matrix`, the
 basis traces and the trace form scale their inputs by the lcm of their
-denominators, accumulate Python ints and build Fractions only for the
-answers.
+denominators, accumulate Python ints and divide only for the answers
+(an int where integral, as everywhere in `linalg`).
 
 The Jacobson radical is computed from the trace form, which in
 characteristic zero has the radical as its kernel; residue-field
@@ -63,8 +63,8 @@ class ArtinAlgebra:
             m = linalg.zeros(self.dim, self.dim)
             for j, col in enumerate(cols):
                 for r, c in col:
-                    m[r][j] = Fraction(c, var_den)
-            self.var_matrices.append(m)
+                    m[r][j] = c
+            self.var_matrices.append([linalg.fraction_vector(row, var_den) for row in m])
         self._den, self._tensor = self._structure_tensor(var_cols, var_den)
         # trace of multiplication by basis_k, times den
         self._traces = [sum(self._tensor[k][j][j] for j in range(self.dim))
@@ -144,7 +144,7 @@ class ArtinAlgebra:
     def to_vector(self, p: SparsePoly) -> list[Fraction]:
         """Coordinates of p modulo the ideal in the standard-monomial basis."""
         nf = self.ideal.reduce(p, self.order)
-        v = [Fraction(0)] * self.dim
+        v = [0] * self.dim
         for e, c in nf.terms.items():
             v[self._pos[e]] = c
         return v
@@ -381,7 +381,7 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
 
 
 def _assert_idempotent_system(algebra, factors):
-    total = [Fraction(0)] * algebra.dim
+    total = [0] * algebra.dim
     for f in factors:
         e = f.idempotent
         if algebra.mult(e, e) != e:

@@ -34,7 +34,7 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import itemgetter, le, mul, sub
 
-from .poly import GREVLEX, SparsePoly, TermOrder
+from .poly import GREVLEX, SparsePoly, TermOrder, exact_ratio
 
 
 class NotZeroDimensionalError(ValueError):
@@ -159,12 +159,6 @@ def _primitive(terms):
     return {e: c.numerator * (den // c.denominator) // num for e, c in terms.items()}, den, num
 
 
-def _exact(a, b):
-    """a / b as a stored coefficient: an int when b divides a, else a Fraction."""
-    q, r = divmod(a, b)
-    return Fraction(a, b) if r else q
-
-
 def _record(ints):
     """A divisor of the integer reduction: (head, head coefficient, tail) on
     packed monomials, split once."""
@@ -218,7 +212,7 @@ def _normal_form(f, divisors, packing):
     # content * num * r = lam * den * (normal form of f)
     a, b = content * num, lam * den
     unpack = packing.unpack
-    return SparsePoly._clean(f.vars, {unpack(m): _exact(c * a, b) for m, c in r.items()})
+    return SparsePoly._clean(f.vars, {unpack(m): exact_ratio(c * a, b) for m, c in r.items()})
 
 
 def reduce_poly(f: SparsePoly, basis: list[SparsePoly], order: TermOrder) -> SparsePoly:
@@ -344,7 +338,7 @@ def _buchberger(generators, packing):
     for i, rec in enumerate(keep):
         r = reduced(rec, keep[:i] + keep[i + 1:])
         hc = r[rec[0]]
-        out.append(SparsePoly._clean(vs, {unpack(m): _exact(c, hc) for m, c in r.items()}))
+        out.append(SparsePoly._clean(vs, {unpack(m): exact_ratio(c, hc) for m, c in r.items()}))
     return out
 
 
@@ -488,7 +482,7 @@ def _divide_exact(f, g, packing):
         if not _divides(he, e, guard):
             return None
         shift = e - he
-        fac = quotient[shift] = _exact(c, hc)
+        fac = quotient[shift] = exact_ratio(c, hc)
         _subtract(work, front, fac, shift, tail, guard)
     unpack = packing.unpack
     return SparsePoly._clean(f.vars, {unpack(m): c for m, c in quotient.items()})

@@ -369,25 +369,45 @@ def ass_truncated_hull(hull: TruncatedHull) -> frozenset:
 class ArtinModule:
     """A finite-dimensional module over an ArtinAlgebra, presented by the
     action matrices of the ring variables of the algebra presentation.
-    Anything but one dim x dim action per variable raises ValueError."""
+    Anything but one dim x dim action per variable, actions that do not
+    commute, or an element of the ideal's Groebner basis that does not act
+    as zero raises ValueError.  The regular module, duals, quotients and
+    hulls are modules by construction and skip these costly checks."""
 
     def __init__(self, algebra: ArtinAlgebra, var_actions, dim: int):
         if len(var_actions) != len(algebra.vars) or any(
                 len(m) != dim or any(len(row) != dim for row in m) for m in var_actions):
             raise ValueError(f"{len(algebra.vars)} actions of shape {dim}x{dim} expected, got "
                              f"{[linalg.shape(m) for m in var_actions]}")
+        self._adopt(algebra, var_actions, dim)
+        for i, a in enumerate(var_actions):
+            for j, b in enumerate(var_actions[:i]):
+                if linalg.mat_mul(a, b) != linalg.mat_mul(b, a):
+                    raise ValueError(f"the actions of {algebra.vars[j]} and {algebra.vars[i]} "
+                                     "do not commute")
+        for g in algebra.ideal.groebner_basis(algebra.order):
+            if not linalg.is_zero_matrix(self._action_of_terms(g.terms.items())):
+                raise ValueError(f"{g.to_str()} in the ideal does not act as zero")
+
+    def _adopt(self, algebra: ArtinAlgebra, var_actions, dim: int):
         self.algebra = algebra
         self.var_actions = var_actions
         self.dim = dim
         self._monomial_cache: dict[tuple, list] = {}
         self._integer_cache: dict[tuple, tuple[list, int]] = {}  # linalg.integer_matrix of those
+        return self
+
+    @classmethod
+    def _built(cls, algebra: ArtinAlgebra, var_actions, dim: int) -> "ArtinModule":
+        """A module by construction, taken without the checks of __init__."""
+        return cls.__new__(cls)._adopt(algebra, var_actions, dim)
 
     @classmethod
     def regular(cls, algebra: ArtinAlgebra) -> "ArtinModule":
-        return cls(algebra, [linalg.copy(m) for m in algebra.var_matrices], algebra.dim)
+        return cls._built(algebra, [linalg.copy(m) for m in algebra.var_matrices], algebra.dim)
 
     def dual(self) -> "ArtinModule":
-        return ArtinModule(
+        return ArtinModule._built(
             self.algebra,
             [linalg.transpose(m) for m in self.var_actions],
             self.dim,
@@ -409,9 +429,13 @@ class ArtinModule:
 
     def action_of_vector(self, v):
         """Action matrix of the algebra element with coordinate vector v (of
-        length algebra.dim), summed over integer monomial actions."""
+        length algebra.dim)."""
+        return self._action_of_terms(zip(self.algebra.basis, v, strict=True))
+
+    def _action_of_terms(self, terms):
+        """The action of sum c x^e over the (e, c) pairs, by integer monomial actions."""
         actions, scalars = [], []
-        for e, c in zip(self.algebra.basis, v, strict=True):
+        for e, c in terms:
             if c:
                 if e not in self._integer_cache:
                     self._integer_cache[e] = linalg.integer_matrix(self.monomial_action(e))
@@ -454,7 +478,7 @@ class ArtinModule:
                  if extended.add(e)][::-1]
         new_actions = [linalg.transpose([span.project(linalg.mat_vec(m, e)) for e in lifts])
                        for m in self.var_actions]
-        return ArtinModule(self.algebra, new_actions, len(lifts))
+        return ArtinModule._built(self.algebra, new_actions, len(lifts))
 
 
 class HullResult:
@@ -547,7 +571,7 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
         return out
 
     hull_actions = [linalg.transpose(block_diag(bs)) for bs in block_actions]
-    hull_module = ArtinModule(A, hull_actions, e_dim)
+    hull_module = ArtinModule._built(A, hull_actions, e_dim)
     embedding = linalg.transpose(cover)
 
     certificates = {}

@@ -2,19 +2,20 @@
 block assembly, the cohomology of finite complexes, `Subspace`, and
 polynomials of a matrix applied to a vector.
 
-Matrices are lists of rows of Fractions and act on column vectors;
-`transpose` turns a list of columns into a matrix and back.  All
-arithmetic runs on Python ints, and every entry returned is a Fraction.
-A vector or row (int or Fraction entries) is scaled by the lcm of its
-denominators, a matrix by one (`integer_matrix`).  `mat_mul` and `mat_vec`
-multiply and add ints and divide once per output entry.  `rref`, `rank`
-and `nullspace` share one fraction-free echelon routine: it eliminates by
-cross-multiplication and keeps every row primitive.  `Subspace` keeps its
-rows the same way.  For an integer matrix m over a denominator den,
-`annihilator` (minimal polynomials) iterates m on integer Krylov vectors
-and `poly_apply` runs Horner on integer vectors; each rescales by powers
-of den once, at the end.  A ragged matrix, operands whose shapes do not
-fit, or a negative power raise ValueError.
+Matrices are lists of rows of exact rationals and act on column vectors;
+`transpose` turns a list of columns into a matrix and back.  Every entry
+returned is stored as a `SparsePoly` coefficient is: an int when integral,
+else a Fraction.  All arithmetic runs on Python ints: a vector or row is
+scaled by the lcm of its denominators, a matrix by one
+(`integer_matrix`).  `mat_mul` and `mat_vec` multiply and add ints and
+divide once per output entry.  `rref`, `rank` and `nullspace` share one
+fraction-free echelon routine: it eliminates by cross-multiplication and
+keeps every row primitive.  `Subspace` keeps its rows the same way.  For
+an integer matrix m over a denominator den, `annihilator` (minimal
+polynomials) iterates m on integer Krylov vectors and `poly_apply` runs
+Horner on integer vectors; each rescales by powers of den once, at the
+end.  A ragged matrix, operands whose shapes do not fit, or a negative
+power raise ValueError.
 
 A `Subspace` keeps a growing span in a canonical echelon form and answers
 every span question asked of a set of vectors: membership, coordinates
@@ -26,19 +27,20 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Matrix = list  # list[list[Fraction]]
-Vector = list  # list[Fraction]
+from .poly import exact_ratio
+
+Matrix = list  # list[list[int | Fraction]]
+Vector = list  # list[int | Fraction]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    zero = Fraction(0)
-    return [[zero] * cols for _ in range(rows)]
+    return [[0] * cols for _ in range(rows)]
 
 
 def identity(n: int) -> Matrix:
     m = zeros(n, n)
     for i in range(n):
-        m[i][i] = Fraction(1)
+        m[i][i] = 1
     return m
 
 
@@ -61,7 +63,9 @@ def _width(a: Matrix) -> int:
 
 def integer_vector(v: Vector) -> tuple[list[int], int]:
     """v (int or Fraction entries) as integer numerators over the lcm of its
-    denominators, and that lcm."""
+    denominators, and that lcm.  The numerators are always a new list."""
+    if set(map(type, v)) <= {int}:
+        return list(v), 1
     den = lcm(*[x.denominator for x in v])
     if den == 1:
         return [x.numerator for x in v], 1
@@ -76,9 +80,8 @@ def integer_matrix(a: Matrix) -> tuple[list[list[int]], int]:
 
 
 def fraction_vector(nums: list[int], den: int) -> Vector:
-    """The Fractions nums[i] / den."""
-    zero = Fraction(0)
-    return [Fraction(x, den) if x else zero for x in nums]
+    """The exact entries nums[i] / den."""
+    return list(nums) if den == 1 else [exact_ratio(x, den) for x in nums]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -145,14 +148,13 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
             raise ValueError(f"shape mismatch {len(a)}x{len(row)} * vector of length {len(v)}")
     nums, den_v = integer_vector(v)
     support = [(j, x) for j, x in enumerate(nums) if x]
-    zero = Fraction(0)
     out = []
     for row in a:
         # the row's entries on the support of v, over their own lcm
         picked = [(row[j], x) for j, x in support]
         den = lcm(*[y.denominator for y, _ in picked])
         total = sum([y.numerator * (den // y.denominator) * x for y, x in picked])
-        out.append(Fraction(total, den * den_v) if total else zero)
+        out.append(exact_ratio(total, den * den_v))
     return out
 
 
@@ -227,13 +229,12 @@ def _echelon(m: list[list[int]], reduced: bool) -> list[int]:
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (Fraction entries) and the list of pivot
-    columns.  A ragged matrix raises ValueError."""
+    """Reduced row echelon form and the list of pivot columns.  A ragged
+    matrix raises ValueError."""
     m = _integer_rows(a)
     pivots = _echelon(m, True)
-    zero = Fraction(0)
-    out = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(m, pivots)]
-    out += [[zero] * len(row) for row in m[len(pivots):]]
+    out = [fraction_vector(row, row[c]) for row, c in zip(m, pivots)]
+    out += [[0] * len(row) for row in m[len(pivots):]]
     return out, pivots
 
 
@@ -265,22 +266,20 @@ def nullspace(a: Matrix) -> list[Vector]:
     m = _integer_rows(a)
     cols = len(m[0]) if m else 0
     pivots = _echelon(m, True)
-    zero, one = Fraction(0), Fraction(1)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
-        v = [zero] * cols
-        v[f] = one
+        v = unit_vector(cols, f)
         for row, p in zip(m, pivots):
             if row[f]:
-                v[p] = Fraction(-row[f], row[p])
+                v[p] = exact_ratio(-row[f], row[p])
         basis.append(v)
     return basis
 
 
 def unit_vector(n: int, i: int) -> Vector:
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
+    v = [0] * n
+    v[i] = 1
     return v
 
 
@@ -289,11 +288,11 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     rows, cols = shape(a)
     if len(b) != rows:
         raise ValueError(f"shape mismatch {rows}x{cols} matrix, vector of length {len(b)}")
-    aug = [a[i][:] + [Fraction(b[i])] for i in range(rows)]
+    aug = [a[i][:] + [b[i]] for i in range(rows)]
     r, pivots = rref(aug)
     if cols in pivots:
         return None
-    x = [Fraction(0)] * cols
+    x = [0] * cols
     for i, p in enumerate(pivots):
         x[p] = r[i][cols]
     return x
@@ -421,7 +420,8 @@ def annihilator(m: list[list[int]], den: int, v: Vector) -> list[Fraction]:
         w = _int_mat_vec(m, w)
     coords = krylov.coords(w)
     k = len(coords)
-    return [Fraction(-c) / den ** (k - i) for i, c in enumerate(coords)] + [Fraction(1)]
+    return [exact_ratio(-c.numerator, c.denominator * den ** (k - i))
+            for i, c in enumerate(coords)] + [1]
 
 
 def poly_apply(coeffs, m: list[list[int]], den: int, v: Vector) -> Vector:
@@ -446,9 +446,9 @@ def minimal_polynomial(a: Matrix) -> list[Fraction]:
     if n != m:
         raise ValueError("matrix must be square")
     if n == 0:
-        return [Fraction(1)]
+        return [1]
     rows, den = integer_matrix(a)
-    result: list[Fraction] = [Fraction(1)]
+    result = [1]
     for i in range(n):
         local = annihilator(rows, den, unit_vector(n, i))
         result = univar.lcm(result, local)

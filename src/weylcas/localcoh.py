@@ -42,7 +42,6 @@ connecting map is checked by one such square per (N, j).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 
 from . import linalg
@@ -279,7 +278,7 @@ class BiPrincipalMV:
         and an active piece of C(f) or C(g) lies in an active one of C(h)."""
         if not self.ch.active_subsets(t, N):
             return []
-        return [[Fraction(sign) for c, sign in ((self.cf, 1), (self.cg, -1))
+        return [[sign for c, sign in ((self.cf, 1), (self.cg, -1))
                  if c.active_subsets(t, N)]]
 
     def fibre_at(self, d):
@@ -330,7 +329,7 @@ class BiPrincipalMV:
             # rho^t: F^t -> M^t, projection onto the middle block
             proj = linalg.zeros(m_dims[t], f_dims[t])
             for i in range(m_dims[t]):
-                proj[i][i] = Fraction(1)
+                proj[i][i] = 1
             rho[t] = induced_map(HF[t], HM[t], proj)
             # pi^t: M^t -> C^t
             pi[t] = induced_map(HM[t], HC[t], self._u(t, N))
@@ -338,7 +337,7 @@ class BiPrincipalMV:
             incl = linalg.zeros(f_dims[t + 1], h_dims[t])
             offset = f_dims[t + 1] - h_dims[t]
             for i in range(h_dims[t]):
-                incl[offset + i][i] = Fraction(1)
+                incl[offset + i][i] = 1
             delta[t] = induced_map(HC[t], HF[t + 1], incl)
         return {"HF": HF, "HM": HM, "HC": HC, "rho": rho, "pi": pi, "delta": delta}
 
@@ -386,7 +385,7 @@ class BiPrincipalMV:
         tgt_pos = {T: i for i, T in enumerate(cech.active_subsets(t, N2))}
         mat = linalg.zeros(len(tgt_pos), len(src))
         for col, T in enumerate(src):
-            mat[tgt_pos[T]][col] = Fraction(1)
+            mat[tgt_pos[T]][col] = 1
         return mat
 
     def _inclusion_on_fibre(self, t, N, N2):

@@ -216,8 +216,13 @@ class DiffOp:
     def __neg__(self):
         return DiffOp(self.ring, {a: -c for a, c in self.terms.items()}, self.form)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -90,6 +90,17 @@ def _as_fraction(c) -> int | Fraction:
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
+def exact_ratio(n: int, d: int) -> int | Fraction:
+    """n / d as stored: an int when d divides n, else a Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
+def _is_operator(other) -> bool:
+    from .ore import DiffOp  # ore builds on this module; DiffOp's reflected methods take a polynomial
+    return isinstance(other, DiffOp)
+
+
 def power_by_squaring(x, k: int):
     """x^k for k >= 1 by square-and-multiply in an associative ring: the
     first factor is taken as is, and x is squared only while bits remain."""
@@ -228,7 +239,9 @@ class SparsePoly:
     # ---------- arithmetic ----------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, SparsePoly):
+            if not isinstance(other, (int, Fraction)) and _is_operator(other):
+                return NotImplemented
             other = SparsePoly.constant(self.vars, other)
         self._check_same_ring(other)
         terms = dict(self.terms)
@@ -247,7 +260,9 @@ class SparsePoly:
         return SparsePoly._clean(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, SparsePoly):
+            if not isinstance(other, (int, Fraction)) and _is_operator(other):
+                return NotImplemented
             other = SparsePoly.constant(self.vars, other)
         self._check_same_ring(other)
         return self + (-other)
@@ -256,7 +271,9 @@ class SparsePoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, SparsePoly):
+            if not isinstance(other, (int, Fraction)) and _is_operator(other):
+                return NotImplemented
             c = _as_fraction(other)
             if c == 0:
                 return SparsePoly.zero(self.vars)

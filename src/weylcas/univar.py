@@ -1,17 +1,19 @@
 """Dense univariate polynomial helpers over Q.
 
-A polynomial is a list of Fractions indexed by degree with no trailing
-zeros; [] is the zero polynomial.  These routines back minimal-polynomial
-work and the idempotent splitting: Euclidean arithmetic, CRT idempotents,
-Yun squarefree decomposition, and complete factorization over Q by
+A polynomial is a list of exact rationals (an int when integral, as in
+`linalg`) indexed by degree with no trailing zeros; [] is the zero
+polynomial.  These routines back minimal-polynomial work and the
+idempotent splitting: Euclidean arithmetic, CRT idempotents, Yun
+squarefree decomposition, and complete factorization over Q by
 Zassenhaus's method (factor modulo a small prime, Hensel-lift, recombine).
 
-`divmod_poly`, `gcd` and `xgcd` (so also `lcm`, `squarefree_decomposition`
-and `crt_idempotents`) run fraction-free pseudo-division on integer
-polynomials, dividing out contents, and return the same Fractions as over
-Q.  The factorization uses finite fields internally only, replays (its one
-random choice is seeded), and refuses (RecombinationBudgetError) to try
-more than RECOMBINATION_SUBSETS subsets in recombination.
+`mul`, `monic`, `divmod_poly`, `gcd` and `xgcd` (so also `lcm`,
+`squarefree_decomposition` and `crt_idempotents`) compute on integer
+polynomials, by fraction-free pseudo-division and dividing out contents,
+and return the same values as over Q.  The factorization uses finite
+fields internally only, replays (its one random choice is seeded), and
+refuses (RecombinationBudgetError) to try more than RECOMBINATION_SUBSETS
+subsets in recombination.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from .linalg import fraction_vector, integer_vector
 from .poly import SparsePoly
 
-Dense = list  # list[Fraction]
+Dense = list  # list[int | Fraction]
 
 RECOMBINATION_SUBSETS = 4096
 
@@ -45,15 +47,8 @@ def deg(c: Dense) -> int:
 
 
 def mul(a: Dense, b: Dense) -> Dense:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return trim(out)
+    (na, da), (nb, db) = integer_vector(a), integer_vector(b)
+    return fraction_vector(_imul(na, nb), da * db)
 
 
 def scale(a: Dense, c) -> Dense:
@@ -86,8 +81,6 @@ def _pseudo_divmod(a: list, b: list) -> tuple[int, list, list]:
 def divmod_poly(a: Dense, b: Dense) -> tuple[Dense, Dense]:
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    if len(a) < len(b):
-        return [], list(a)
     (na, da), (nb, db) = integer_vector(a), integer_vector(b)
     # s na = q nb + r, so a = b (q db / (s da)) + r / (s da)
     s, q, r = _pseudo_divmod(na, nb)
@@ -95,9 +88,8 @@ def divmod_poly(a: Dense, b: Dense) -> tuple[Dense, Dense]:
 
 
 def monic(a: Dense) -> Dense:
-    if not a:
-        return []
-    return scale(a, Fraction(1) / a[-1])
+    nums = integer_vector(a)[0]
+    return fraction_vector(nums, nums[-1]) if nums else []
 
 
 def gcd(a: Dense, b: Dense) -> Dense:
@@ -162,7 +154,7 @@ def xgcd(a: Dense, b: Dense) -> tuple[Dense, Dense, Dense]:
 def crt_idempotents(moduli: list[Dense]) -> list[Dense]:
     """For pairwise coprime P_1..P_r with product P, the e_i of degree
     < deg P with e_i = 1 mod P_i and e_i = 0 mod P_j for j != i."""
-    total = functools.reduce(mul, moduli, [Fraction(1)])
+    total = functools.reduce(mul, moduli, [1])
     out = []
     for p in moduli:
         rest = divmod_poly(total, p)[0]
@@ -425,10 +417,9 @@ def irreducible_factors(a: Dense) -> list[Dense]:
     a = monic(a)
     if deg(a) <= 1:
         return [a]
-    denom = math.lcm(*(c.denominator for c in a))
-    ints = _primitive([int(c * denom) for c in a])
+    ints = _primitive(integer_vector(a)[0])
     return sorted(
-        (monic([Fraction(c) for c in g]) for g in _zassenhaus(ints)),
+        (monic(g) for g in _zassenhaus(ints)),
         key=lambda q: (len(q), q),
     )
 
@@ -453,7 +444,7 @@ def rational_roots(a: Dense) -> list[Fraction]:
 
 def from_sparse(p: SparsePoly, index: int = 0) -> Dense:
     """Dense coefficients of p, which must only involve variable `index`."""
-    out = [Fraction(0)] * (p.degree_in(index) + 1 if not p.is_zero() else 0)
+    out = [0] * (p.degree_in(index) + 1 if not p.is_zero() else 0)
     for e, c in p.terms.items():
         if any(x != 0 for i, x in enumerate(e) if i != index):
             raise ValueError("polynomial is not univariate in the given variable")

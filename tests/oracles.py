@@ -36,7 +36,10 @@ combinations; `old_action_of_vector` sums Fraction monomial actions;
 on exponent tuples, before `groebner` packed each monomial into one int.
 `old_poly_add`, `old_poly_mul` and `old_partial` are `SparsePoly`'s loops
 on term maps coerced to `Fraction`, before integral coefficients stayed
-Python ints.
+Python ints; `old_mul` and `old_monic` are `univar`'s loops on Fractions,
+before `univar` multiplied integer polynomials.  `exact_rule` checks the
+stored form both `SparsePoly` and `linalg` keep: an int when integral, else
+a Fraction.
 All are exact
 and slow; on inputs they answer correctly the production code must give
 identical results (fractions: the same value, compared by
@@ -63,7 +66,15 @@ from weylcas.localcoh import (
 )
 from weylcas.ore import DiffOp
 from weylcas.poly import SparsePoly
-from weylcas.univar import deg, divmod_poly, monic, mul, squarefree_decomposition, trim
+from weylcas.univar import deg, divmod_poly, squarefree_decomposition, trim
+
+
+def exact_rule(values) -> bool:
+    """Every entry, at any depth of nested lists, is stored as an exact
+    rational: an int, or a Fraction that is not integral."""
+    return all(exact_rule(x) if isinstance(x, list)
+               else type(x) is int or (type(x) is Fraction and x.denominator != 1)
+               for x in values)
 
 
 def eval_at(a: list, x: Fraction) -> Fraction:
@@ -128,7 +139,7 @@ def split_quadratic(a: list) -> list[list] | None:
     """Split a monic quadratic into two monic linears, or None if irreducible."""
     if deg(a) != 2:
         raise ValueError("not a quadratic")
-    a = monic(a)
+    a = old_monic(a)
     p, q = a[1], a[0]
     disc = p * p - 4 * q
     r = _sqrt_fraction(disc)
@@ -144,7 +155,7 @@ def split_quartic(a: list) -> list[list] | None:
     via the resolvent cubic, or None if no rational split exists."""
     if deg(a) != 4:
         raise ValueError("not a quartic")
-    a = monic(a)
+    a = old_monic(a)
     s, r, q, p = a[0], a[1], a[2], a[3]
     # resolvent cubic for x^4 + p x^3 + q x^2 + r x + s, roots u = b + d
     resolvent = trim([
@@ -174,7 +185,7 @@ def split_quartic(a: list) -> list[list] | None:
                 d_val = (u - bd) / 2
             f1 = [b_val, a1, Fraction(1)]
             f2 = [d_val, c1, Fraction(1)]
-            if mul(f1, f2) == a:
+            if old_mul(f1, f2) == a:
                 return [trim(f1), trim(f2)]
     return None
 
@@ -182,7 +193,7 @@ def split_quartic(a: list) -> list[list] | None:
 def _split_squarefree(a: list) -> list[list]:
     """Split a monic squarefree polynomial into coprime monic factors,
     irreducible whenever the degree-by-degree strategies apply."""
-    a = monic(a)
+    a = old_monic(a)
     if deg(a) <= 1:
         return [a]
     factors = []
@@ -194,7 +205,7 @@ def _split_squarefree(a: list) -> list[list]:
     d = deg(rest)
     if d <= 1:
         if d == 1:
-            factors.append(monic(rest))
+            factors.append(old_monic(rest))
         return factors
     if d == 2:
         split = split_quadratic(rest)
@@ -857,7 +868,7 @@ class KrylovReducer:
         if pivot is None:
             self.relation = combo
             return True
-        inv = 1 / v[pivot]
+        inv = Fraction(1) / v[pivot]
         self.reduced.append([x * inv for x in v])
         self.combos.append([x * inv for x in combo])
         self.pivot_of[pivot] = len(self.reduced) - 1
@@ -873,8 +884,8 @@ def old_minimal_polynomial_of_vector(a: list, v: list) -> list[Fraction]:
         if red.insert(w, combo):
             rel = red.relation
             lead = rel[-1]
-            return [c / lead for c in rel]
-        w = linalg.mat_vec(a, w)
+            return [Fraction(c) / lead for c in rel]
+        w = old_mat_vec(a, w)
         k += 1
 
 
@@ -952,7 +963,7 @@ def old_rref(a: list) -> tuple[list, list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
+        inv = Fraction(1) / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c] != 0:
@@ -1175,6 +1186,25 @@ def old_poly_apply(coeffs: list, a: list, v: list) -> list:
     return out
 
 
+def old_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trim(out)
+
+
+def old_monic(a: list) -> list:
+    if not a:
+        return []
+    inv = Fraction(1) / a[-1]
+    return [x * inv for x in a]
+
+
 def _old_add(a: list, b: list) -> list:
     out = [Fraction(0)] * max(len(a), len(b))
     for i, x in enumerate(a):
@@ -1196,7 +1226,7 @@ def old_divmod_poly(a: list, b: list) -> tuple[list, list]:
     db, lb = deg(b), b[-1]
     while r and deg(r) >= db:
         k = deg(r) - db
-        c = r[-1] / lb
+        c = Fraction(r[-1]) / lb
         q[k] = c
         for i in range(len(b)):
             r[i + k] -= c * b[i]
@@ -1207,11 +1237,11 @@ def old_divmod_poly(a: list, b: list) -> tuple[list, list]:
 def old_gcd(a: list, b: list) -> list:
     while b:
         a, b = b, old_divmod_poly(a, b)[1]
-    return monic(a)
+    return old_monic(a)
 
 
 def old_squarefree_decomposition(a: list) -> list:
-    a = monic(a)
+    a = old_monic(a)
     if deg(a) <= 0:
         return []
     out = []
@@ -1222,7 +1252,7 @@ def old_squarefree_decomposition(a: list) -> list:
         y = old_gcd(w, g)
         factor = old_divmod_poly(w, y)[0]
         if deg(factor) > 0:
-            out.append((monic(factor), i))
+            out.append((old_monic(factor), i))
         w = y
         g = old_divmod_poly(g, y)[0]
         i += 1
@@ -1234,23 +1264,23 @@ def old_xgcd(a: list, b: list) -> tuple[list, list, list]:
     while r1:
         q, r = old_divmod_poly(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _old_sub(s0, mul(q, s1))
-        t0, t1 = t1, _old_sub(t0, mul(q, t1))
+        s0, s1 = s1, _old_sub(s0, old_mul(q, s1))
+        t0, t1 = t1, _old_sub(t0, old_mul(q, t1))
     if not r0:
         return [], s0, t0
-    inv = 1 / r0[-1]
+    inv = Fraction(1) / r0[-1]
     return [x * inv for x in r0], [x * inv for x in s0], [x * inv for x in t0]
 
 
 def old_crt_idempotents(moduli: list) -> list:
     total = [Fraction(1)]
     for p in moduli:
-        total = mul(total, p)
+        total = old_mul(total, p)
     out = []
     for p in moduli:
         rest = old_divmod_poly(total, p)[0]
         _, _, t = old_xgcd(p, old_divmod_poly(rest, p)[1])
-        out.append(mul(t, rest))
+        out.append(old_mul(t, rest))
     return out
 
 

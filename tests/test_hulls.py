@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import _quotient_projection, old_action_of_vector
+from oracles import _quotient_projection, exact_rule, old_action_of_vector
 
 from weylcas import linalg
 from weylcas.artin import ArtinAlgebra, decompose_local
@@ -357,7 +357,7 @@ def test_action_of_vector_is_the_sum_of_scaled_monomial_actions():
             for v in vectors:
                 action = M.action_of_vector(v)
                 assert action == old_action_of_vector(M, v)
-                assert all(type(x) is Fraction for row in action for x in row)
+                assert exact_rule(action)
 
 
 def test_action_of_vector_refuses_a_vector_of_the_wrong_length():
@@ -383,3 +383,25 @@ def test_artin_module_refuses_actions_of_the_wrong_count_or_shape():
             ArtinModule(A, actions, dim)
     M = ArtinModule(A, A.var_matrices, 4)
     assert M.action_of_vector(A.one()) == linalg.identity(4)
+
+
+def test_artin_module_refuses_actions_where_the_ideal_does_not_act_as_zero():
+    # once accepted, and essential_hull then ended in "empty cover for a nonzero module"
+    XY = ("x", "y")
+    xx, yy = SparsePoly.variable(XY, 0), SparsePoly.variable(XY, 1)
+    A = ArtinAlgebra.from_presentation(XY, [xx ** 2, yy ** 2])
+    with pytest.raises(ValueError, match="x\\^2 in the ideal does not act as zero"):
+        ArtinModule(A, [linalg.identity(2), linalg.zeros(2, 2)], 2)
+    # x acts as 0 and y as a nonzero nilpotent: a module, the simple one twice over
+    M = ArtinModule(A, [linalg.zeros(2, 2), [[0, 0], [1, 0]]], 2)
+    assert essential_hull(A, M).certificates == {
+        "embedding_injective": True, "embedding_linear": True, "essential": True}
+
+
+def test_artin_module_refuses_actions_that_do_not_commute():
+    # both square to zero, as x^2 and y^2 ask, but xy != yx
+    XY = ("x", "y")
+    xx, yy = SparsePoly.variable(XY, 0), SparsePoly.variable(XY, 1)
+    A = ArtinAlgebra.from_presentation(XY, [xx ** 2, yy ** 2])
+    with pytest.raises(ValueError, match="the actions of x and y do not commute"):
+        ArtinModule(A, [[[0, 1], [0, 0]], [[0, 0], [1, 0]]], 2)

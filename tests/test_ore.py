@@ -392,3 +392,17 @@ def test_a_non_rational_operand_raises_type_error():
     assert X + 1 == DiffOp.from_poly(W1, x + 1)
     assert X - Fraction(1, 2) == DiffOp.from_poly(W1, x - Fraction(1, 2))
     assert X * 2 == DiffOp.from_poly(W1, 2 * x)
+
+
+def test_a_polynomial_on_the_left_of_an_operator_lifts_to_an_operator():
+    # once SparsePoly refused a DiffOp operand with TypeError before
+    # DiffOp's reflected method could run
+    W2 = OreRing.weyl(("x", "y"))
+    p = SparsePoly.variable(W2.vars, 0) - 2 * SparsePoly.variable(W2.vars, 1) ** 2
+    for s in (DiffOp.operator(W2, 0), DiffOp.operator(W2, 1) * DiffOp.operator(W2, 0) + 3):
+        lifted = DiffOp.from_poly(W2, p)
+        assert p * s == lifted * s
+        assert p + s == lifted + s
+        assert p - s == lifted - s
+    assert x * d == X * d and x + d == X + d and x - d == X - d
+    assert x * d != d * x
