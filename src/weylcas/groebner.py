@@ -1,10 +1,22 @@
 """Buchberger's algorithm and the ideal operations built on it.
 
 Membership, colon ideals, intersections, saturation, and standard
-monomials of zero-dimensional ideals.  S-pairs wait in a heap keyed by
-their lcm; each new basis element goes through the Gebauer-Moeller update,
-which drops the pairs its criteria make redundant.  Reductions keep their
-working terms in a heap front.
+monomials of zero-dimensional ideals.
+
+Bases are built incrementally by signatures (Eder and Perry, F5C, JSC 45,
+2010; Roune and Stillman, ISSAC 2012).  The generators are taken by
+ascending head, and each is reduced by a minimal Groebner basis G of those
+before it.  The elements the i-th generator adds carry signatures x^t e_i,
+and their S-pairs are processed by increasing t (position over term).  A t
+that the head of an element of G or the signature of an earlier zero
+reduction divides belongs to a syzygy and is skipped.  Otherwise t is
+rewritten to the element whose signature divides it and whose multiple has
+the smallest head, and that multiple is reduced regularly: an element of G
+divides freely, an element of this step only when the signature of its
+multiple lies below t.  A multiple whose head nothing divides regularly is
+dropped unreduced, so that pairs which would reduce to zero are proven
+useless before any work.  Tail reduction and making the basis monic happen
+once, at the end.  Reductions keep their working terms in a heap front.
 
 Inside the reduction kernel a monomial is one int (Monagan and Pearce,
 "Sparse polynomial division using a heap", JSC 46, 2011; `_Packing`).  The
@@ -14,9 +26,9 @@ comparison is the term order, a product is a sum, a divides b iff
 ((b | G) - a) & G == G for the guard mask G, and a new term overflows its
 fields iff te & G.  The field width comes from the input's largest
 exponent; a term that overflows restarts the whole computation at double
-the width (`_widening`).  Exponent tuples are packed and unpacked only at
-the `SparsePoly` boundary: input records, the final basis, remainders and
-quotients.
+the width (`_widening`).  Signatures are packed monomials tested the same
+way.  Exponent tuples are packed and unpacked only at the `SparsePoly`
+boundary: input records, the final basis, remainders and quotients.
 
 Reduction runs on primitive integer polynomials: basis elements are split
 into head and tail once (an `Ideal` keeps these divisor records, with their
@@ -171,12 +183,16 @@ def _divisor_records(basis, packing):
     return [_record(_primitive(packing.packed(g.terms))[0]) for g in basis if g.terms]
 
 
-def _reduce(work, front, divisors, guard):
+def _reduce(work, front, divisors, guard, signed=(), limit=None):
     """Pseudo-reduce the integer working terms by the divisor records: each
     term is divided by the first divisor whose head divides it, after the
     working terms and the remainder are scaled so that the division is exact
-    on integers.  Returns the primitive remainder r and the positive ints
-    lam, content with content * r = lam * (the normal form of the input)."""
+    on integers.  A reduction at signature `limit` also tries the `signed`
+    records (head, head coefficient, tail, signature) after the divisors;
+    such a record divides a term e only when the signature of its multiple,
+    (e - head) + signature, lies below the limit, so the reduction is regular.
+    Returns the primitive remainder r and the positive ints lam, content
+    with content * r = lam * (the normal form of the input)."""
     remainder = {}
     lam = 1
     while work:
@@ -184,18 +200,27 @@ def _reduce(work, front, divisors, guard):
         eg = e | guard
         for he, hc, tail in divisors:
             if (eg - he) & guard == guard:
-                g = gcd(c, hc)
-                m, q = hc // g, c // g
-                if m < 0:
-                    m, q = -m, -q
-                if m != 1:
-                    work = {t: v * m for t, v in work.items()}
-                    remainder = {t: v * m for t, v in remainder.items()}
-                    lam *= m
-                _subtract(work, front, q, e - he, tail, guard)
                 break
         else:
-            remainder[e] = c
+            for he, hc, tail, sig in signed:
+                if (eg - he) & guard == guard:
+                    t = e - he + sig
+                    if t & guard:
+                        raise _Overflow
+                    if t < limit:
+                        break
+            else:
+                remainder[e] = c
+                continue
+        g = gcd(c, hc)
+        m, q = hc // g, c // g
+        if m < 0:
+            m, q = -m, -q
+        if m != 1:
+            work = {t: v * m for t, v in work.items()}
+            remainder = {t: v * m for t, v in remainder.items()}
+            lam *= m
+        _subtract(work, front, q, e - he, tail, guard)
     r, _, content = _primitive(remainder)
     return r, lam, content
 
@@ -252,91 +277,76 @@ def buchberger(generators: list[SparsePoly], order: TermOrder) -> list[SparsePol
 def _buchberger(generators, packing):
     """buchberger at one packing; raises _Overflow."""
     guard, pack, unpack = packing.guard, packing.pack, packing.unpack
-    basis = _divisor_records(generators, packing)
 
     def reduced(rec, divisors):
         return _reduce(*_front(dict([rec[:2]] + rec[2])), divisors, guard)[0]
 
-    # interreduce the input to cut pair churn; one element at a time so the
-    # span is preserved at every step.  Afterwards no head divides another.
-    changed = True
-    while changed:
-        changed = False
-        for i, rec in enumerate(basis):
-            r = reduced(rec, basis[:i] + basis[i + 1:])
-            if r != dict([rec[:2]] + rec[2]):
-                changed = True
-                if r:
-                    basis[i] = _record(r)
-                else:
-                    basis.pop(i)
-                break
+    def shifted(shift, m):
+        """The packed monomial shift + m; raises _Overflow if it overflows."""
+        t = shift + m
+        if t & guard:
+            raise _Overflow
+        return t
 
-    heads: list[int] = []
-    exps: list[tuple[int, ...]] = []  # the heads unpacked, for lcms
-    active: list[int] = []  # basis indices whose head no later head divides
-    pairs: list = []  # heap of (packed lcm, i, j) with i < j
-
-    def coprime(g, new):
-        return not any(map(min, exps[g], exps[new]))
-
-    def lcm_of(g, new):
-        return pack(tuple(map(max, exps[g], exps[new])))
-
-    def update(new: int):
-        """Gebauer-Moeller: add the pairs of `new` that criteria M and F keep,
-        drop old pairs by criterion B, retire elements `new` makes redundant."""
-        h = heads[new]
-        cands = [(lcm_of(g, new), g) for g in active]
-        kept = []
-        for n, (l, g) in enumerate(cands):
-            if coprime(g, new) or not (
-                any(_divides(l2, l, guard) for l2, _ in cands[n + 1:])
-                or any(_divides(l2, l, guard) for l2, _ in kept)
-            ):
-                kept.append((l, g))
-        pairs[:] = [
-            p for p in pairs
-            if not _divides(h, p[0], guard)
-            or lcm_of(p[1], new) == p[0]
-            or lcm_of(p[2], new) == p[0]
-        ]
-        pairs.extend((l, g, new) for l, g in kept if not coprime(g, new))
-        heapify(pairs)
-        active[:] = [g for g in active if not _divides(h, heads[g], guard)]
-        active.append(new)
-
-    def add(rec):
-        heads.append(rec[0])
-        exps.append(unpack(rec[0]))
-        update(len(heads) - 1)
-
-    for rec in basis:
-        add(rec)
-    while pairs:
-        l, i, j = heappop(pairs)
-        # the S-polynomial (c_j/gamma) x^(l-h_i) b_i - (c_i/gamma) x^(l-h_j) b_j,
-        # whose heads cancel, built from the two tails
-        hi, ci, ti = basis[i]
-        hj, cj, tj = basis[j]
-        gamma = gcd(ci, cj)
-        work, front = {}, []
-        _subtract(work, front, -(cj // gamma), l - hi, ti, guard)
-        _subtract(work, front, ci // gamma, l - hj, tj, guard)
-        r = _reduce(work, front, [basis[k] for k in active], guard)[0]
+    exps = {}  # the heads unpacked, for lcms
+    basis = []  # a minimal Groebner basis of the generators taken so far
+    for rec in sorted(_divisor_records(generators, packing), key=itemgetter(0)):
+        r = reduced(rec, basis)
         if not r:
             continue
-        basis.append(_record(r))
-        add(basis[-1])
+        heads = [g[0] for g in basis]  # the principal syzygies x^h e_i
+        step = []  # (head, head coefficient, tail, signature) of this generator's elements
+        syzygies = []  # signatures of zero reductions
+        pending = []  # heap of S-pair signatures
 
-    # the active elements form a minimal basis; tail-reduce and make monic.
-    # Each result is the unique reduced element with its head, whatever the
-    # order of the divisors, so they can be sorted first.
-    keep = sorted((basis[k] for k in active), key=itemgetter(0))
+        def add(rec, sig):
+            h = rec[0]
+            eh = exps[h] = unpack(h)
+            for g in heads:
+                heappush(pending, shifted(pack(tuple(map(max, eh, exps[g]))) - h, sig))
+            for g, _, _, gsig in step:
+                l = pack(tuple(map(max, eh, exps[g])))
+                t, u = shifted(l - h, sig), shifted(l - g, gsig)
+                if t != u:
+                    heappush(pending, max(t, u))
+            step.append(rec + (sig,))
+
+        add(_record(r), 0)
+        while pending:
+            t = heappop(pending)
+            while pending and pending[0] == t:
+                heappop(pending)
+            if any(_divides(s, t, guard) for s in heads) or any(
+                    _divides(s, t, guard) for s in syzygies):
+                continue
+            # rewrite: of the elements whose signature divides t, the one
+            # whose multiple has the smallest head
+            h, hc, tail, sig = min((b for b in step if _divides(b[3], t, guard)),
+                                   key=lambda b: t - b[3] + b[0])
+            # a multiple whose head nothing divides regularly is singular
+            # top-reducible: reducing it would add nothing
+            top = shifted(t - sig, h)
+            if not (any(_divides(g, top, guard) for g in heads) or any(
+                    _divides(b[0], top, guard) and shifted(top - b[0], b[3]) < t
+                    for b in step)):
+                continue
+            work, front = {}, []
+            _subtract(work, front, -1, t - sig, [(h, hc)] + tail, guard)
+            r = _reduce(work, front, basis, guard, step, t)[0]
+            if r:
+                add(_record(r), t)
+            else:
+                syzygies.append(t)
+        kept = []  # a minimal basis: by ascending head, drop every head a kept one divides
+        for rec in sorted(basis + [b[:3] for b in step], key=itemgetter(0)):
+            if not any(_divides(g[0], rec[0], guard) for g in kept):
+                kept.append(rec)
+        basis = kept
+
     out = []
     vs = generators[0].vars
-    for i, rec in enumerate(keep):
-        r = reduced(rec, keep[:i] + keep[i + 1:])
+    for i, rec in enumerate(basis):
+        r = reduced(rec, basis[:i] + basis[i + 1:])
         hc = r[rec[0]]
         out.append(SparsePoly._clean(vs, {unpack(m): exact_ratio(c, hc) for m, c in r.items()}))
     return out

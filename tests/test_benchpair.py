@@ -1,6 +1,6 @@
 """tools/benchpair.py with a stubbed runner: pairing, medians, the JSON
-report, and the export of a revision of a throwaway repository.  The benchmark
-itself never runs here."""
+report, and the export of a revision and the copy of the working tree of a
+throwaway repository.  The benchmark itself never runs here."""
 
 import json
 import shutil
@@ -100,7 +100,7 @@ def test_export_of_a_revision_holds_its_committed_files_only(tmp_path):
     (repo / "f.txt").write_text("change\n")
     (repo / "untracked.txt").write_text("not committed\n")
     dest = tmp_path / "export" / "parent"
-    benchpair.export_revision("HEAD", dest, repo=repo)
+    benchpair.export_revision("HEAD", dest, repo)
     assert sorted(p.name for p in dest.iterdir()) == ["f.txt"]
     assert (dest / "f.txt").read_text() == "parent\n"
     # the repository itself is untouched: no worktree, same working files
@@ -112,12 +112,20 @@ def test_export_of_a_revision_holds_its_committed_files_only(tmp_path):
 
 def _stub_main(monkeypatch, tmp_path, runner):
     """benchpair.main with `runner` in place of perfbench, no git, and
-    tmp_path as the checkout that receives BENCH_<pr>.json."""
+    tmp_path as the checkout that receives BENCH_<pr>.json and whose files
+    make the change tree."""
     shutil.copy(benchpair.ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
     monkeypatch.setattr(benchpair, "ROOT", tmp_path)
     monkeypatch.setattr(benchpair, "_git", lambda *args: "")
-    monkeypatch.setattr(benchpair, "export_revision", lambda rev, dest: Path(dest).mkdir(parents=True))
+    monkeypatch.setattr(benchpair, "export_revision",
+                        lambda rev, dest, repo: Path(dest).mkdir(parents=True))
+    monkeypatch.setattr(benchpair, "copy_working_tree",
+                        lambda dest, repo: shutil.copytree(repo, dest))
     monkeypatch.setattr(benchpair, "run_perfbench", runner)
+
+
+def _is_change(tree):
+    return Path(tree).name == "change"
 
 
 def test_pairs_must_be_a_positive_integer(monkeypatch, tmp_path, capsys):
@@ -138,7 +146,7 @@ def test_a_failing_run_is_reported_and_writes_no_report(monkeypatch, tmp_path, c
     stub = StubRunner()
 
     def runner(tree, workload, seed, seconds):
-        if workload == "ore" and seed == 102 and tree == benchpair.ROOT:
+        if workload == "ore" and seed == 102 and _is_change(tree):
             stderr = "".join(f"line {i}\n" for i in range(30)) + "KeyError: 'x'\n"
             raise subprocess.CalledProcessError(3, ["perfbench/run.py"], output="", stderr=stderr)
         return stub(tree, workload, seed, seconds)
@@ -160,7 +168,7 @@ def test_a_run_with_wrong_answers_is_a_failed_run(monkeypatch, tmp_path, capsys)
 
     def runner(tree, workload, seed, seconds):
         result = stub(tree, workload, seed, seconds)
-        if workload == "artinian" and seed == 102 and tree == benchpair.ROOT:
+        if workload == "artinian" and seed == 102 and _is_change(tree):
             result = dict(result, correct=False, failed=2)
         return result
 
@@ -179,7 +187,7 @@ def test_meta_records_source_size_and_bytecode_caching(monkeypatch, tmp_path):
     stub = StubRunner()
     _stub_main(monkeypatch, tmp_path, stub)
 
-    def export(rev, dest):
+    def export(rev, dest, repo):
         (Path(dest) / "src" / "pkg").mkdir(parents=True)
         (Path(dest) / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
         (Path(dest) / "src" / "notes.txt").write_text("not python\n" * 50)
@@ -198,3 +206,46 @@ def test_meta_records_source_size_and_bytecode_caching(monkeypatch, tmp_path):
         meta = json.loads((tmp_path / "BENCH_t.json").read_text())["meta"]
         assert meta["src_lines"] == {"parent": 2, "change": 5}
         assert meta["bytecode_caching_off"] is off
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_change_runs_in_a_copy_of_the_working_tree_without_bytecode(monkeypatch, tmp_path):
+    # a stale __pycache__ in the working tree would let the change skip compiling
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    shutil.copy(benchpair.ROOT / "BENCHMARK.json", repo / "BENCHMARK.json")
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "pkg" / "mod.py").write_text("VALUE = 'parent'\n")
+    (repo / "gone.py").write_text("")
+    git("add", ".")
+    git("commit", "-q", "-m", "parent")
+    (repo / "pkg" / "mod.py").write_text("VALUE = 'change'\n")
+    (repo / "pkg" / "new.py").write_text("")
+    (repo / "gone.py").unlink()
+    cache = repo / "pkg" / "__pycache__" / "mod.cpython-311.pyc"
+    cache.parent.mkdir()
+    cache.write_bytes(b"stale")
+    seen = {}
+
+    def runner(tree, workload, seed, seconds):
+        files = sorted(p.relative_to(tree).as_posix() for p in Path(tree).rglob("*") if p.is_file())
+        seen[Path(tree).name] = (Path(tree), (Path(tree) / "pkg" / "mod.py").read_text(), files)
+        return _result(1.0, 1.0)
+
+    monkeypatch.setattr(benchpair, "ROOT", repo)
+    monkeypatch.setattr(benchpair, "run_perfbench", runner)
+    assert benchpair.main(["--pr", "t", "--pairs", "1", "--workload", "ore"]) == 0
+    tree, text, files = seen["change"]
+    assert text == "VALUE = 'change'\n"
+    assert files == [".gitignore", "BENCHMARK.json", "pkg/mod.py", "pkg/new.py"]
+    assert tree.parent == seen["parent"][0].parent and not tree.exists()
+    assert seen["parent"][1:] == ("VALUE = 'parent'\n",
+                                  [".gitignore", "BENCHMARK.json", "gone.py", "pkg/mod.py"])
+    # the working tree itself is left as it was
+    assert cache.read_bytes() == b"stale" and not (repo / "gone.py").exists()

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -345,23 +347,42 @@ def _same_basis(a, b):
 
 ORACLE_ORDERS = {
     "grevlex": (GREVLEX, (2, 3, 4)),
-    "lex": (LEX, (2, 3)),
+    "lex": (LEX, (2, 3, 4)),
     "lex-priority": (TermOrder("lex", priority=(1, 0, 2)), (3,)),
     "elim": (_BlockElimOrder(1), (2, 3, 4)),
 }
+
+
+def _edge_systems():
+    """Corners of the loop over generators, which takes them by ascending head:
+    repeated generators, one already in the ideal of those before it, the
+    unit ideal, principal ideals, and exponents from 120 up, where fields
+    start 16 bits wide; under grevlex the last system widens them because an
+    S-pair signature overflows, although no term does."""
+    f, g = x ** 2 * y - 3 * x + 1, x * y ** 2 + 2 * y - 1
+    return [
+        [f, g, f, 2 * g], [f, g, f * g], [x * y - 1, x], [f, g, 3 * one],
+        [f], [f, x * f, f * g],
+        [x ** 120 * y - y ** 3, x * y ** 125 - x ** 2],
+        [x ** 7540 * y ** 130 + x ** 130, y ** 4810 - x ** 130 * y ** 4290],
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_ORDERS))
 def test_buchberger_matches_reference(name):
     order, sizes = ORACLE_ORDERS[name]
     rng = random.Random(f"buchberger {name}")
+    systems = _edge_systems() if 2 in sizes else []
     for n in sizes:
         for trial in range(12):
             # without constant terms the ideal is rarely the unit ideal
             gens = [_random_poly(rng, n, 3 if n < 4 else 2, rng.randint(2, 4), min_deg=trial % 2)
                     for _ in range(rng.randint(2, n + 1))]
-            got = buchberger(gens, order)
-            assert _same_basis(got, ref_buchberger(gens, order)), (n, gens)
+            systems.append(gens)
+    for gens in systems:
+        got = buchberger(gens, order)
+        assert _same_basis(got, ref_buchberger(gens, order)), gens
+        assert _same_basis(got, old_buchberger(gens, order)), gens
 
 
 def _cyclic(n):
@@ -532,6 +553,26 @@ def test_large_named_systems_match_reference(system):
     assert _same_basis(buchberger(gens, GREVLEX), ref_buchberger(gens, GREVLEX))
 
 
+# sha256 fingerprints (first 16 hex digits) of the reduced grevlex bases,
+# recorded from the Gebauer-Moeller pair loop that preceded the signature loop
+PINNED_FINGERPRINTS = {"cyclic-6": "96156034378101bb", "katsura-6": "2508c2d6e64271ea"}
+
+
+def _fingerprint(basis):
+    canon = sorted(repr(sorted((e, str(Fraction(c))) for e, c in g.terms.items())) for g in basis)
+    return hashlib.sha256("\n".join(canon).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("system", sorted(PINNED_FINGERPRINTS))
+def test_cyclic_6_and_katsura_6_are_pinned_and_fast(system):
+    # the Gebauer-Moeller loop took 7-10 s on cyclic-6 (x86_64, CPython 3.11)
+    gens = _cyclic(6) if system == "cyclic-6" else _katsura(6)
+    start = time.perf_counter()
+    basis = buchberger(gens, GREVLEX)
+    assert time.perf_counter() - start < 5.0
+    assert _fingerprint(basis) == PINNED_FINGERPRINTS[system]
+
+
 def test_ideal_reduce_builds_divisor_records_once_per_order(monkeypatch):
     builds = []
     real = groebner._divisor_records
@@ -640,6 +681,20 @@ def test_overflowing_term_restarts_at_double_width(monkeypatch):
     assert [g.to_str(LEX) for g in got] == ["y^1001 - 1", "x - y^20"]
     assert widths == [8, 16]
     assert _same_basis(got, old_buchberger(gens, LEX))
+    # in the first two no term overflows the starting width, only an S-pair
+    # signature; in the third the head of the multiple that a signature is
+    # rewritten to overflows, which must be found before the multiple is
+    # judged singular; in the last the signature of a multiple in a regular
+    # reduction overflows before any term does
+    for gens, order, want in (
+        ([x ** 58 * y + x, y ** 37 - x * y ** 33], GREVLEX, [8, 16]),
+        ([x ** 7540 * y ** 130 + x ** 130, y ** 4810 - x ** 130 * y ** 4290], GREVLEX, [16, 32]),
+        ([x ** 51 * y ** 25 + 1, x ** 62 * y + x * y ** 54], GREVLEX, [8, 16]),
+        ([x * y - x ** 32 * y ** 22, x ** 33 - x ** 26 * y], LEX, [8, 16]),
+    ):
+        del widths[:]
+        assert _same_basis(buchberger(gens, order), old_buchberger(gens, order))
+        assert widths == want
     # reduce_poly and divide_exact widen the same way
     del widths[:]
     assert reduce_poly(x ** 7, [x - y ** 30], LEX) == y ** 210

@@ -6,8 +6,12 @@ Usage, from the root of a checkout:
     python3 tools/benchpair.py --pr N --parent main --pairs 5
 
 The committed files of the parent revision are exported with `git archive`
-into a temporary directory, which is removed afterwards; the export leaves
-nothing behind in the repository.  Each pair runs `perfbench/run.py
+into a temporary directory, and the working tree's files that git tracks or
+would track (`git ls-files --cached --others --exclude-standard`, so
+uncommitted edits and new files but nothing ignored, such as a
+`__pycache__`) are copied beside them, so that neither side starts with
+bytecode compiled by earlier runs.  The directory is removed afterwards and
+nothing is left behind in the repository.  Each pair runs `perfbench/run.py
 --trace 0` once on the parent and once on the working tree with the same
 seed and the run length `BENCHMARK.json` declares, and alternates which
 side runs first, so that drift on a shared host favours neither.  Pair k
@@ -145,13 +149,27 @@ def _git(*args):
                           check=True).stdout.strip()
 
 
-def export_revision(rev, dest, repo=ROOT):
+def export_revision(rev, dest, repo):
     """Write the files `rev` of `repo` commits into the new directory `dest`."""
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=repo,
                              capture_output=True, check=True).stdout
     Path(dest).mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def copy_working_tree(dest, repo):
+    """Copy into the new directory `dest` the working-tree files of `repo`
+    that are tracked or untracked but not ignored; a tracked file deleted in
+    the working tree is left out."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=repo, capture_output=True, check=True).stdout
+    Path(dest).mkdir(parents=True)
+    for name in os.fsdecode(listed).split("\0"):
+        source = Path(repo, name)
+        if name and source.is_file():
+            Path(dest, name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, Path(dest, name))
 
 
 def _print_table(summary):
@@ -194,10 +212,11 @@ def main(argv=None):
     }
     tmp = Path(tempfile.mkdtemp(prefix="benchpair-"))
     try:
-        export_revision(args.parent, tmp / "parent")
-        meta["src_lines"] = {"parent": src_lines(tmp / "parent"), "change": src_lines(ROOT)}
-        runs = run_pairs(run_perfbench, {"parent": tmp / "parent", "change": ROOT}, workloads,
-                         args.pairs, args.seed, seconds,
+        export_revision(args.parent, tmp / "parent", ROOT)
+        copy_working_tree(tmp / "change", ROOT)
+        trees = {side: tmp / side for side in SIDES}
+        meta["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        runs = run_pairs(run_perfbench, trees, workloads, args.pairs, args.seed, seconds,
                          log=lambda line: print(line, flush=True))
     except RunFailed as exc:
         tail = exc.stderr.splitlines()[-STDERR_TAIL_LINES:]
