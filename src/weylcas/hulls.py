@@ -23,11 +23,10 @@ generator.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from . import linalg, univar
 from .artin import ArtinAlgebra, LocalFactor, decompose_local
-from .groebner import Ideal
+from .groebner import Ideal, ideal_power
 from .poly import SparsePoly
 
 
@@ -221,16 +220,6 @@ def hull_multiplicity(ext: CurveExtension) -> HullMultiplicityReport:
 
 # ---------- the truncated hull and the socle-growth oracle ----------
 
-def _ideal_power_gens(gens: list[SparsePoly], k: int) -> list[SparsePoly]:
-    out = []
-    for combo in combinations_with_replacement(gens, k):
-        p = combo[0]
-        for g in combo[1:]:
-            p = p * g
-        out.append(p)
-    return out
-
-
 class TruncatedHull:
     """The dual of S/m^B as a model of (0 :_E m^B) inside E = E_S(S/m).
 
@@ -244,7 +233,7 @@ class TruncatedHull:
         self.ext = ext
         self.truncation = truncation
         self.algebra = ext.quotient_algebra(
-            _ideal_power_gens(ext.maximal_ideal, truncation)
+            ideal_power(Ideal(ext.s_vars, ext.maximal_ideal), truncation).generators
         )
         self.nu_vector = self.algebra.to_vector(ext.nu_in_s())
         self.nu_matrix = self.algebra.mult_matrix(self.nu_vector)
@@ -546,31 +535,26 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
 
     # assemble the cover F = (+)_i A_i^{d_i} -> dual, then dualize
     cover_cols = []
+    dims = []  # one block of the hull per cover generator
     block_actions = [[] for _ in A.var_matrices]
     for factor, gens in zip(factors, generators_per_factor):
         restricted_vars = [factor.restrict(mv) for mv in A.var_matrices]
         for g in gens:
             for b in factor.basis_vectors:
                 cover_cols.append(linalg.mat_vec(dual_action_of(b), g))
+            dims.append(len(factor.basis_vectors))
             for vi, rv in enumerate(restricted_vars):
                 block_actions[vi].append(rv)
     if not cover_cols:
         raise RuntimeError("empty cover for a nonzero module")
     cover = linalg.transpose(cover_cols)
     e_dim = len(cover_cols)
-
-    def block_diag(blocks):
-        out = linalg.zeros(e_dim, e_dim)
-        off = 0
-        for b in blocks:
-            k = len(b)
-            for i in range(k):
-                for j in range(k):
-                    out[off + i][off + j] = b[i][j]
-            off += k
-        return out
-
-    hull_actions = [linalg.transpose(block_diag(bs)) for bs in block_actions]
+    hull_actions = [
+        linalg.transpose(linalg.block_matrix(
+            [[b if i == j else None for j in range(len(bs))] for i, b in enumerate(bs)],
+            dims, dims))
+        for bs in block_actions
+    ]
     hull_module = ArtinModule._built(A, hull_actions, e_dim)
     embedding = linalg.transpose(cover)
 

@@ -200,7 +200,7 @@ def psi_w_check(a: list[SparsePoly], e: list[SparsePoly]) -> bool:
 
 # ---------- regular sequences ----------
 
-def is_regular_sequence(a: list[SparsePoly], variables=None) -> tuple[bool, SparsePoly | None]:
+def is_regular_sequence(a: list[SparsePoly]) -> tuple[bool, SparsePoly | None]:
     """Colon-ideal test over the polynomial ring itself.
 
     True iff (a_1..a_{i-1}) : a_i = (a_1..a_{i-1}) for every i and the full
@@ -209,7 +209,7 @@ def is_regular_sequence(a: list[SparsePoly], variables=None) -> tuple[bool, Spar
     """
     if not a:
         raise ValueError("empty sequence")
-    vars_ = variables if variables is not None else a[0].vars
+    vars_ = a[0].vars
     one = SparsePoly.one(vars_)
     for i, ai in enumerate(a):
         if ai.is_zero():
@@ -266,7 +266,7 @@ def prime_avoidance_sequence(P: Ideal, g: int, seed: int = 0,
                 continue
             if member_locally(x, shifted, P):
                 continue
-            ok, _ = is_regular_sequence(chosen + [x], P.vars)
+            ok, _ = is_regular_sequence(chosen + [x])
             if not ok:
                 continue
             found = x

@@ -164,12 +164,6 @@ class DiffOp:
             return -1
         return max(sum(a) for a in self.terms)
 
-    def as_polynomial(self) -> SparsePoly:
-        """The element as a base-ring polynomial; requires operator order <= 0."""
-        if self.op_order() > 0:
-            raise ValueError("element has positive operator order")
-        return self.terms.get(self.ring.zero_alpha(), SparsePoly.zero(self.ring.vars))
-
     def _lift(self, other) -> "DiffOp":
         """A DiffOp over this ring, a polynomial or a rational as a DiffOp."""
         if isinstance(other, (int, Fraction)):

@@ -11,8 +11,10 @@ value re-parses):
 Rationals are integer literals or integer/integer; powers are
 non-negative integers.  Identifiers must be declared by the ambient ring
 context: base variables, d1..dn for the Weyl generators, X for the Ore
-variable.  Operator symbols multiply like ordinary factors and are
-normalized downstream, so "d1*x1" evaluates to x1*d1 + 1.
+variable.  The parser evaluates while it parses, with no syntax tree:
+numbers and variables are polynomials, operator symbols are operators,
+and every product is normalized as it is formed, so "d1*x1" evaluates to
+x1*d1 + 1.
 """
 
 from __future__ import annotations
@@ -73,46 +75,20 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
-# ---------- AST ----------
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    span: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    span: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-    span: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*'
-    left: object
-    right: object
-    span: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-    span: tuple[int, int]
-
-
 class _Parser:
-    def __init__(self, tokens: list[Token], known_idents):
-        self.tokens = tokens
+    """Recursive descent that evaluates as it goes: a number or a ring
+    variable is a SparsePoly, an operator symbol a DiffOp, and each rule
+    combines its operands with + - * and **, so polynomial subexpressions
+    stay polynomials and a product turns into a Leibniz expansion only
+    where an operator symbol meets a coefficient."""
+
+    def __init__(self, text: str, variables: tuple[str, ...], ring: OreRing | None = None):
+        if not text.strip():
+            raise ParseError("empty expression", (0, max(len(text), 1)))
+        self.tokens = tokenize(text)
         self.pos = 0
-        self.known = known_idents
+        self.vars = variables
+        self.ring = ring
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -132,35 +108,34 @@ class _Parser:
         return e
 
     def expr(self):
-        t = self.peek()
-        if t.kind == "-":
+        if self.peek().kind == "-":
             self.take("-")
-            first = Neg(self.term(), t.span)
+            value = -self.term()
         else:
-            first = self.term()
-        node = first
+            value = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.take(self.peek().kind)
-            rhs = self.term()
-            node = BinOp(op.kind, node, rhs, op.span)
-        return node
+            if self.take(self.peek().kind).kind == "+":
+                value = value + self.term()
+            else:
+                value = value - self.term()
+        return value
 
     def term(self):
-        node = self.factor()
+        value = self.factor()
         while self.peek().kind == "*":
-            op = self.take("*")
-            node = BinOp("*", node, self.factor(), op.span)
-        return node
+            self.take("*")
+            value = value * self.factor()
+        return value
 
     def factor(self):
         base = self.atom()
         if self.peek().kind == "^":
-            caret = self.take("^")
+            self.take("^")
             t = self.peek()
             if t.kind != "number" or "/" in t.text:
                 raise ParseError("exponent must be a non-negative integer", t.span)
             self.take("number")
-            return Pow(base, int(t.text), caret.span)
+            return base ** int(t.text)
         return base
 
     def atom(self):
@@ -169,13 +144,17 @@ class _Parser:
             self.take("number")
             if "/" in t.text:
                 num, den = t.text.split("/")
-                return Num(Fraction(int(num), int(den)), t.span)
-            return Num(Fraction(int(t.text)), t.span)
+                if int(den) == 0:
+                    raise ParseError("division by zero", t.span)
+                return SparsePoly.constant(self.vars, Fraction(int(num), int(den)))
+            return SparsePoly.constant(self.vars, int(t.text))
         if t.kind == "ident":
             self.take("ident")
-            if self.known is not None and t.text not in self.known:
-                raise ParseError(f"undeclared identifier {t.text!r}", t.span)
-            return Var(t.text, t.span)
+            if t.text in self.vars:
+                return SparsePoly.variable(self.vars, self.vars.index(t.text))
+            if self.ring is not None and t.text in self.ring.op_names:
+                return DiffOp.operator(self.ring, self.ring.op_names.index(t.text))
+            raise ParseError(f"undeclared identifier {t.text!r}", t.span)
         if t.kind == "(":
             self.take("(")
             e = self.expr()
@@ -184,55 +163,17 @@ class _Parser:
         raise ParseError(f"expected a value, found {t.text or 'end of input'}", t.span)
 
 
-def parse_expr(text: str, known_idents=None):
-    """Parse to an AST; identifiers checked against the ring context."""
-    if not text.strip():
-        raise ParseError("empty expression", (0, max(len(text), 1)))
-    return _Parser(tokenize(text), known_idents).parse()
-
-
-# ---------- evaluation ----------
-
-def evaluate_in_ring(ast, ring: OreRing) -> DiffOp:
-    """Evaluate an AST to an operator in left normal form."""
-    def ev(node) -> DiffOp:
-        if isinstance(node, Num):
-            return DiffOp.from_poly(ring, SparsePoly.constant(ring.vars, node.value))
-        if isinstance(node, Var):
-            if node.name in ring.vars:
-                return DiffOp.from_poly(
-                    ring, SparsePoly.variable(ring.vars, ring.vars.index(node.name))
-                )
-            if node.name in ring.op_names:
-                return DiffOp.operator(ring, ring.op_names.index(node.name))
-            raise ParseError(f"identifier {node.name!r} not in the ring", node.span)
-        if isinstance(node, Neg):
-            return -ev(node.operand)
-        if isinstance(node, Pow):
-            return ev(node.base) ** node.exponent
-        if isinstance(node, BinOp):
-            left, right = ev(node.left), ev(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            return left * right
-        raise TypeError(f"unknown AST node {node!r}")
-
-    return ev(ast)
-
-
 def parse_operator(text: str, ring: OreRing) -> DiffOp:
-    known = set(ring.vars) | set(ring.op_names)
-    return evaluate_in_ring(parse_expr(text, known), ring)
+    """Parse an operator over the ring, in left normal form."""
+    value = _Parser(text, ring.vars, ring).parse()
+    if isinstance(value, SparsePoly):
+        return DiffOp.from_poly(ring, value)
+    return value.to_left()
 
 
 def parse_polynomial(text: str, variables) -> SparsePoly:
     """Parse a plain polynomial over the given variables."""
-    vs = tuple(variables)
-    ring = OreRing.weyl(vs)
-    op = evaluate_in_ring(parse_expr(text, set(vs)), ring)
-    return op.as_polynomial()
+    return _Parser(text, tuple(variables)).parse()
 
 
 # ---------- printing ----------

@@ -74,8 +74,8 @@ def _pseudo_divmod(a: list, b: list) -> tuple[int, list, list]:
         q[k] = y
         for i, c in enumerate(b):
             r[i + k] -= y * c
-        _itrim(r)
-    return s, _itrim(q), r
+        trim(r)
+    return s, trim(q), r
 
 
 def divmod_poly(a: Dense, b: Dense) -> tuple[Dense, Dense]:
@@ -173,14 +173,8 @@ def crt_idempotents(moduli: list[Dense]) -> list[Dense]:
 # ones by trial division, smallest subsets first.  Polynomials in this
 # section are lists of ints, lowest degree first, with no trailing zeros.
 
-def _itrim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _imod(a: list, m: int) -> list:
-    return _itrim([c % m for c in a])
+    return trim([c % m for c in a])
 
 
 def _iadd(a: list, b: list) -> list:
@@ -189,7 +183,7 @@ def _iadd(a: list, b: list) -> list:
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    return _itrim(out)
+    return trim(out)
 
 
 def _isub(a: list, b: list) -> list:
@@ -204,7 +198,7 @@ def _imul(a: list, b: list) -> list:
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _itrim(out)
+    return trim(out)
 
 
 def _idivmod(a: list, b: list, m: int) -> tuple[list, list]:
@@ -219,8 +213,8 @@ def _idivmod(a: list, b: list, m: int) -> tuple[list, list]:
         q[k] = c
         for i, y in enumerate(b):
             r[i + k] = (r[i + k] - c * y) % m
-        _itrim(r)
-    return _itrim(q), r
+        trim(r)
+    return trim(q), r
 
 
 def _imonic(a: list, p: int) -> list:
@@ -284,7 +278,7 @@ def _equal_degree(g: list, d: int, p: int, rng: random.Random) -> list[list]:
         return [g]
     half = (p ** d - 1) // 2
     while True:
-        a = _itrim([rng.randrange(p) for _ in range(n)])
+        a = trim([rng.randrange(p) for _ in range(n)])
         if len(a) < 2:
             continue
         w = _igcd(g, _imod(_isub(_ipowmod(a, half, g, p), [1]), p), p)
@@ -356,8 +350,8 @@ def _exact_quotient(f: list, g: list) -> list | None:
         q[k] = c
         for i, y in enumerate(g):
             r[i + k] -= c * y
-        _itrim(r)
-    return _itrim(q) if not r else None
+        trim(r)
+    return trim(q) if not r else None
 
 
 def _odd_primes():
@@ -372,7 +366,7 @@ def _zassenhaus(f: list) -> list[list]:
     """Irreducible factors over Z of a primitive squarefree f of degree >= 2
     with positive leading coefficient."""
     b = f[-1]
-    df = _itrim([c * i for i, c in enumerate(f)][1:])
+    df = trim([c * i for i, c in enumerate(f)][1:])
     for p in _odd_primes():
         if b % p and len(_igcd(_imod(f, p), _imod(df, p), p)) == 1:
             break

@@ -40,6 +40,10 @@ Python ints; `old_mul` and `old_monic` are `univar`'s loops on Fractions,
 before `univar` multiplied integer polynomials.  `exact_rule` checks the
 stored form both `SparsePoly` and `linalg` keep: an int when integral, else
 a Fraction.
+`old_parse_operator` and `old_parse_polynomial` are the two-pass parser:
+a tree of `Num`/`Var`/`Neg`/`BinOp`/`Pow` nodes, then an evaluation in
+which every leaf is a `DiffOp` (a plain polynomial too, over a Weyl ring),
+before `parser` evaluated while parsing.
 All are exact
 and slow; on inputs they answer correctly the production code must give
 identical results (fractions: the same value, compared by
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -64,7 +69,8 @@ from weylcas.localcoh import (
     monomial_lcm,
     window_degrees,
 )
-from weylcas.ore import DiffOp
+from weylcas.ore import DiffOp, OreRing
+from weylcas.parser import ParseError, Token, tokenize
 from weylcas.poly import SparsePoly
 from weylcas.univar import deg, divmod_poly, squarefree_decomposition, trim
 
@@ -1516,3 +1522,156 @@ def old_buchberger(generators: list[SparsePoly], order) -> list[SparsePoly]:
         hc = r[rec[0]]
         out.append(SparsePoly(generators[0].vars, {e: Fraction(c, hc) for e, c in r.items()}))
     return out
+
+
+# ---------- the two-pass parser ----------
+
+@dataclass(frozen=True)
+class Num:
+    value: Fraction
+    span: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str
+    span: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class Neg:
+    operand: object
+    span: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class BinOp:
+    op: str  # '+', '-', '*'
+    left: object
+    right: object
+    span: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class Pow:
+    base: object
+    exponent: int
+    span: tuple[int, int]
+
+
+class _OldParser:
+    def __init__(self, tokens: list[Token], known_idents):
+        self.tokens = tokens
+        self.pos = 0
+        self.known = known_idents
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def take(self, kind: str) -> Token:
+        t = self.peek()
+        if t.kind != kind:
+            raise ParseError(f"expected {kind}, found {t.text or 'end of input'}", t.span)
+        self.pos += 1
+        return t
+
+    def parse(self):
+        e = self.expr()
+        t = self.peek()
+        if t.kind != "end":
+            raise ParseError(f"trailing input {t.text!r}", t.span)
+        return e
+
+    def expr(self):
+        t = self.peek()
+        if t.kind == "-":
+            self.take("-")
+            node = Neg(self.term(), t.span)
+        else:
+            node = self.term()
+        while self.peek().kind in ("+", "-"):
+            op = self.take(self.peek().kind)
+            node = BinOp(op.kind, node, self.term(), op.span)
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.peek().kind == "*":
+            op = self.take("*")
+            node = BinOp("*", node, self.factor(), op.span)
+        return node
+
+    def factor(self):
+        base = self.atom()
+        if self.peek().kind == "^":
+            caret = self.take("^")
+            t = self.peek()
+            if t.kind != "number" or "/" in t.text:
+                raise ParseError("exponent must be a non-negative integer", t.span)
+            self.take("number")
+            return Pow(base, int(t.text), caret.span)
+        return base
+
+    def atom(self):
+        t = self.peek()
+        if t.kind == "number":
+            self.take("number")
+            if "/" in t.text:
+                num, den = t.text.split("/")
+                return Num(Fraction(int(num), int(den)), t.span)
+            return Num(Fraction(int(t.text)), t.span)
+        if t.kind == "ident":
+            self.take("ident")
+            if t.text not in self.known:
+                raise ParseError(f"undeclared identifier {t.text!r}", t.span)
+            return Var(t.text, t.span)
+        if t.kind == "(":
+            self.take("(")
+            e = self.expr()
+            self.take(")")
+            return e
+        raise ParseError(f"expected a value, found {t.text or 'end of input'}", t.span)
+
+
+def _old_parse_expr(text: str, known_idents):
+    if not text.strip():
+        raise ParseError("empty expression", (0, max(len(text), 1)))
+    return _OldParser(tokenize(text), known_idents).parse()
+
+
+def _old_evaluate(ast, ring: OreRing) -> DiffOp:
+    def ev(node) -> DiffOp:
+        if isinstance(node, Num):
+            return DiffOp.from_poly(ring, SparsePoly.constant(ring.vars, node.value))
+        if isinstance(node, Var):
+            if node.name in ring.vars:
+                return DiffOp.from_poly(
+                    ring, SparsePoly.variable(ring.vars, ring.vars.index(node.name))
+                )
+            return DiffOp.operator(ring, ring.op_names.index(node.name))
+        if isinstance(node, Neg):
+            return -ev(node.operand)
+        if isinstance(node, Pow):
+            return ev(node.base) ** node.exponent
+        left, right = ev(node.left), ev(node.right)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        return left * right
+
+    return ev(ast)
+
+
+def old_parse_operator(text: str, ring: OreRing) -> DiffOp:
+    known = set(ring.vars) | set(ring.op_names)
+    return _old_evaluate(_old_parse_expr(text, known), ring)
+
+
+def old_parse_polynomial(text: str, variables) -> SparsePoly:
+    vs = tuple(variables)
+    ring = OreRing.weyl(vs)
+    op = _old_evaluate(_old_parse_expr(text, set(vs)), ring)
+    if op.op_order() > 0:
+        raise ValueError("element has positive operator order")
+    return op.terms.get(ring.zero_alpha(), SparsePoly.zero(vs))

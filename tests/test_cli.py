@@ -150,6 +150,14 @@ def test_usage_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_zero_denominator_is_usage_error(capsys):
+    code, out, err = run(capsys, "weyl-lnf", "1/0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "division by zero" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["lc-piece", "--ideal", "x1,x2", "--i", "5", "--degree", "-1,-1"],
     ["lc-piece", "--ideal", "x1,x2", "--i", "-1", "--degree", "-1,-1"],

@@ -7,11 +7,12 @@ from weylcas.ore import DiffOp, OreRing
 from weylcas.parser import (
     ParseError,
     diffop_to_str,
-    parse_expr,
     parse_operator,
     parse_polynomial,
 )
 from weylcas.poly import SparsePoly
+
+from oracles import old_parse_operator, old_parse_polynomial
 
 W2 = OreRing.weyl(("x1", "x2"))
 
@@ -36,7 +37,7 @@ def test_parse_leading_minus():
 
 def test_negative_power_rejected():
     with pytest.raises(ParseError):
-        parse_expr("x^-1")
+        parse_polynomial("x^-1", ("x",))
 
 
 def test_undeclared_identifier():
@@ -47,8 +48,15 @@ def test_undeclared_identifier():
 
 def test_syntax_error_has_span():
     with pytest.raises(ParseError) as err:
-        parse_expr("x + ")
+        parse_polynomial("x + ", ("x",))
     assert err.value.span == (4, 4)
+
+
+def test_zero_denominator_has_span():
+    with pytest.raises(ParseError) as err:
+        parse_operator("d1 + 3/0*x1", W2)
+    assert "division by zero" in str(err.value)
+    assert err.value.span == (5, 8)
 
 
 def test_operator_commutation_through_parser():
@@ -117,3 +125,78 @@ def test_ore_variable_parsing():
 def test_polynomial_rejects_operators():
     with pytest.raises(ParseError):
         parse_polynomial("d1*x1", ("x1",))
+
+
+X = ("x",)
+CORPUS_RINGS = [
+    OreRing.weyl(("x1",)),
+    W2,
+    OreRing.weyl(("x1", "x2", "x3")),
+    OreRing.differential_polynomial(X, [SparsePoly.one(X)]),
+    OreRing.differential_polynomial(X, [SparsePoly.variable(X, 0) ** 2]),
+]
+
+
+def _random_text(rng, idents, depth=0) -> str:
+    """An expression of the grammar: leading minus, nested parentheses,
+    powers 0..4 and rational literals over the given identifiers."""
+    def atom():
+        k = rng.randrange(4 if depth < 2 else 3)
+        if k == 0:
+            return str(rng.randint(0, 9)) if rng.random() < 0.6 else \
+                f"{rng.randint(0, 7)}/{rng.randint(1, 6)}"
+        if k < 3:
+            return rng.choice(idents)
+        return f"({_random_text(rng, idents, depth + 1)})"
+
+    def factor():
+        a = atom()
+        return f"{a}^{rng.randrange(5)}" if rng.random() < 0.3 else a
+
+    def term():
+        return "*".join(factor() for _ in range(rng.randint(1, 3 - depth)))
+
+    out = ("-" if rng.random() < 0.3 else "") + term()
+    for _ in range(rng.randrange(3 - depth)):
+        out += rng.choice((" + ", " - ")) + term()
+    return out
+
+
+FIXED_OPERATORS = {
+    1: ["d1*x1^2*d2 - (x1+1/2)^3*d1", "-(d1 - x1)^4", "x2*d2*x2^0*d1^3*(1/3 - x1)"],
+    3: ["X*x - x*X", "-(X + x)^3*X"],
+    4: ["X*x^2*X - 1/2", "((x*X)^2 - X)^2"],
+}
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS_RINGS)),
+                         ids=["weyl1", "weyl2", "weyl3", "ore-1", "ore-x^2"])
+def test_parse_operator_matches_two_pass_parser(index):
+    ring = CORPUS_RINGS[index]
+    rng = random.Random(20 + index)
+    idents = ring.vars + ring.op_names
+    texts = FIXED_OPERATORS.get(index, []) + [_random_text(rng, idents) for _ in range(150)]
+    for text in texts:
+        new, old = parse_operator(text, ring), old_parse_operator(text, ring)
+        assert new.form == old.form == "left", text
+        assert new.terms == old.terms, text
+
+
+def test_parse_polynomial_matches_two_pass_parser():
+    rng = random.Random(21)
+    for vs in [X, ("x", "y"), ("x1", "x2", "x3")]:
+        for _ in range(100):
+            text = _random_text(rng, vs)
+            new, old = parse_polynomial(text, vs), old_parse_polynomial(text, vs)
+            assert new.vars == old.vars, text
+            assert new.terms == old.terms, text
+
+
+@pytest.mark.parametrize("text", ["x1^-1", "x1 + ", "(x1", "x1)", "z*d1", "d1^1/2", "", "x1 $ 2"])
+def test_parse_errors_match_two_pass_parser(text):
+    with pytest.raises(ParseError) as new:
+        parse_operator(text, W2)
+    with pytest.raises(ParseError) as old:
+        old_parse_operator(text, W2)
+    assert str(new.value) == str(old.value)
+    assert new.value.span == old.value.span
