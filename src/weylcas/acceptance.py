@@ -459,9 +459,11 @@ def criterion_11_local_cohomology_baseline(seed: int = 0):
 
 
 def criterion_12_mayer_vietoris(seed: int = 0):
-    """Alternating sums vanish for 10 monomial pairs; the bi-principal
-    connecting map passes exactness, the Cech oracle, and derivative
-    commutation; the torsion functor is derivative-stable."""
+    """Alternating sums vanish for 10 monomial pairs.  For 3 principal
+    pairs the Mayer-Vietoris sequence on faces is exact by ranks, its
+    I + J column matches the two-generator Cech complex, and its
+    connecting map commutes with x_j from each pattern N to N - {j}.  The
+    torsion functor is derivative-stable."""
     pairs = [
         ([(1, 0)], [(0, 1)]),
         ([(2, 0)], [(0, 1)]),
@@ -482,7 +484,7 @@ def criterion_12_mayer_vietoris(seed: int = 0):
     for f, g in (((1, 0), (0, 1)), ((2, 0), (0, 1)), ((1, 0), (1, 1))):
         report = mv_connecting_biprincipal(f, g, window)
         if not report["h_oracle_matches"]:
-            return False, f"fibre/Cech oracle mismatch for {f}, {g}"
+            return False, f"sum/Cech oracle mismatch for {f}, {g}"
         if not report["long_sequence_exact"]:
             return False, f"long sequence not exact for {f}, {g}"
         if not report["delta_d_linear"]:

@@ -329,7 +329,7 @@ def cmd_lc_mv(args):
     connecting = None
     if len(i_gens) == 1 and len(j_gens) == 1:
         connecting = mv_connecting_biprincipal(i_gens[0], j_gens[0], window, nvars=n)
-        lines.append(f"fibre/Cech oracle: {connecting['h_oracle_matches']}")
+        lines.append(f"sum/Cech oracle: {connecting['h_oracle_matches']}")
         lines.append(f"long sequence exact: {connecting['long_sequence_exact']}")
         lines.append(f"delta commutes with derivatives: {connecting['delta_d_linear']}")
         payload["connecting"] = connecting

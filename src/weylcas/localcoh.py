@@ -1,43 +1,26 @@
-"""Graded local cohomology of monomial ideals through Cech complexes,
-computed once per sign pattern.
+"""Graded local cohomology of monomial ideals on faces, built once per
+sign pattern.
 
-The localization R_m at a monomial m has pieces of dimension 0 or 1: the
-piece at d is spanned by x^d iff the sign pattern N(d) = {j : d_j < 0}
-(`negative_support`) lies inside supp(m).  So every Cech complex,
-its cohomology and the Mayer-Vietoris fibres below depend on d only
-through N(d) (Mustata, "Local cohomology at monomial ideals", JSC 29,
-2000), and a window of degrees has at most 2^n distinct answers: each is
-built once per pattern, by rank arithmetic over Q on tiny matrices.
+The minimal Z^n-graded injective resolution of S = Q[x_1..x_n] is
+E^t = (+)_{|F| = t} E(S/P_F), P_F = (x_j : j in F) (Miller and Sturmfels,
+Combinatorial Commutative Algebra, ch. 11 and 13).  At a multidegree d
+the piece of E(S/P_F) is Q if F lies in the sign pattern N = N(d) =
+{j : d_j < 0} (`negative_support`) and 0 otherwise, and Gamma_I keeps
+E(S/P_F) iff I lies in P_F.  So H^i_I(S)_d is the level-i cohomology of
+the Cech cochains on the faces
 
-The Mayer-Vietoris connecting map for a pair of principal ideals is
-materialized on the homotopy-fibre complex of the difference-of-
-restrictions map u: C(f) (+) C(g) -> C(h), h = lcm(f, g).  The fibre has
-the shifted C(h) as a degreewise direct summand, which yields a genuinely
-exact long sequence
+  Sigma_N(I) = {F in N : F meets supp(g) for every generator g},
 
-  ... -> H^t(F) -> H^t_I (+) H^t_J -> H^t_{I cap J} -> H^(t+1)(F) -> ...
+an upward closed set of at most 2^|N| faces, however many generators
+there are.  A window of degrees has at most 2^n distinct answers, each
+built once by rank arithmetic over Q on tiny matrices.
 
-with the connecting map induced by the chain inclusion c |-> (0, c); the
-identification of H(F) with H_{I+J} is verified per pattern against the
-two-generator Cech complex as an independent oracle.  (A literal kernel
-complex of u cannot carry this sequence: it lives in cohomological
-degrees <= 1 while H^2_{I+J} is nonzero, and u is not piecewise
-surjective, e.g. at degree (-1,-1) for f = x, g = y.)
-
-Cohomology pieces (`CohPiece`) are read off one `linalg.Subspace` per
-level: boundaries first, then the cocycles that extend them, whose
-coordinates are the classes.
-
-Multiplication by x_j maps the piece at d to the piece at d + e_j, and
-the partial derivative d_j maps x^d to d_j * x^(d - e_j).  Both stay
-inside the pattern of d, as the identity and the scalar d_j (which is 0
-where d - e_j would leave it), except where x_j goes from d_j = -1 to 0:
-from pattern N to N - {j}.  So a map built once per pattern is D-linear
-iff it commutes with x_j from N to N - {j} for every j in N (these
-modules are Yanagawa's straight modules, Math. Proc. Camb. Phil. Soc.
-131, 2001).  On Cech chains that x_j is the
-inclusion of the active subsets of N into those of N - {j}, and the
-connecting map is checked by one such square per (N, j).
+x_j maps the piece at d to d + e_j and d_j maps x^d to d_j * x^(d - e_j),
+as the identity and the scalar d_j, except x_j from d_j = -1 to 0: from
+pattern N to N - {j}.  So a map built once per pattern is D-linear iff it
+commutes with each such x_j (Yanagawa's straight modules, Math. Proc.
+Camb. Phil. Soc. 131, 2001).  On faces that x_j is the projection that
+drops the faces containing j.
 """
 
 from __future__ import annotations
@@ -73,23 +56,52 @@ def _support(e, nvars: int) -> frozenset[int]:
     return _pattern([-x for x in e], nvars)
 
 
-def minimalize_monomials(exps: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Drop every monomial divisible by another one in the list."""
-    uniq = sorted(set(tuple(e) for e in exps))
-    return [
-        e for e in uniq
-        if not any(f != e and all(f[i] <= e[i] for i in range(len(e))) for f in uniq)
-    ]
-
-
 def monomial_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _coboundary(src, tgt, live=None):
+    """The Cech coboundary from cochains on the faces src to the faces tgt
+    one level up: F |-> sum of (-1)^k G over the G in tgt with F = G minus
+    its k-th element.  With `live`, only the faces F with live(F) move."""
+    col = {F: i for i, F in enumerate(src) if live is None or live(F)}
+    mat = linalg.zeros(len(tgt), len(src))
+    for row, G in enumerate(tgt):
+        for k in range(len(G)):
+            i = col.get(G[:k] + G[k + 1:])
+            if i is not None:
+                mat[row][i] = (-1) ** k
+    return mat
+
+
+def _restriction(src, tgt):
+    """The 0/1 matrix from cochains on the faces src to the faces tgt that
+    keeps each face in both: zero extension, or restriction."""
+    col = {F: i for i, F in enumerate(src)}
+    mat = linalg.zeros(len(tgt), len(src))
+    for row, F in enumerate(tgt):
+        if F in col:
+            mat[row][col[F]] = 1
+    return mat
+
+
+def _face_complex(N: frozenset[int], keep, nvars: int) -> dict:
+    """The faces F of N with keep(F) at levels 0..nvars, the coboundaries
+    between them and the cohomology dimensions."""
+    members = sorted(N)
+    faces = [[F for F in combinations(members, t) if keep(F)] for t in range(len(N) + 1)]
+    diffs = [_coboundary(faces[t], faces[t + 1]) for t in range(len(N))]
+    dims = [len(level) for level in faces]
+    h = [linalg.cohomology_dim(dims, diffs, t) for t in range(len(N) + 1)]
+    # no face has more than |N| elements: the levels past it are empty
+    empty = [[]] * (nvars - len(N))
+    return {"faces": faces + empty, "diffs": diffs + empty, "h": h + [0] * len(empty)}
+
+
 class CechComplex:
-    """The Cech complex on monomial generators.  Its piece at a multidegree
-    d depends only on N(d), so active subsets, differentials and
-    cohomology are built once per pattern."""
+    """H^i_I(S) for the ideal I of the monomial generators, on faces: its
+    piece at a multidegree d is the cohomology of the face complex
+    Sigma_N(I), N = N(d), which is built once per pattern."""
 
     def __init__(self, nvars: int, generators: list[tuple[int, ...]]):
         if not generators:
@@ -98,36 +110,33 @@ class CechComplex:
             if len(e) != nvars or all(x == 0 for x in e):
                 raise ValueError(f"bad monomial exponent {e}")
         self.nvars = nvars
-        self.generators = [tuple(e) for e in generators]
-        self.r = len(self.generators)
-        self._subsets = [list(combinations(range(self.r), t)) for t in range(self.r + 1)]
-        gen_supports = [_support(e, nvars) for e in self.generators]
-        self._supports = {T: frozenset().union(*(gen_supports[i] for i in T))
-                          for subs in self._subsets for T in subs}
-        # pattern -> active subsets per level, differentials, cohomology dims
+        self.r = len(generators)
+        # only the distinct supports decide which faces are kept
+        self._supports = {_support(e, nvars) for e in generators}
+        # pattern -> faces per level, coboundaries, cohomology dims
         self._patterns: dict[frozenset[int], dict] = {}
-        # degree -> its pattern, for callers that ask for every i at each d
-        self._degree_patterns: dict[tuple[int, ...], frozenset[int]] = {}
+        # degree -> the cohomology dims of its pattern, for callers that ask
+        # for every i at each d
+        self._degree_dims: dict[tuple[int, ...], list[int]] = {}
 
-    def piece_nonzero(self, T: tuple[int, ...], N: frozenset[int]) -> bool:
-        """The localization at the generators in T is nonzero at pattern N."""
-        return N <= self._supports[T]
-
-    def active_subsets(self, t: int, N: frozenset[int]) -> list[tuple[int, ...]]:
-        return self._at(N)["active"][t]
+    def meets(self, F) -> bool:
+        """F is a face of Sigma(I): it meets every support, so I is in P_F."""
+        return all(not S.isdisjoint(F) for S in self._supports)
 
     def differential(self, t: int, d: tuple[int, ...]):
-        """Matrix of C^t_d -> C^(t+1)_d in the active-subset bases."""
-        return linalg.copy(self._at(_pattern(d, self.nvars))["diffs"][t])
+        """The face coboundary from level t to t + 1 at N(d), [] if t >= n."""
+        diffs = self._at(_pattern(d, self.nvars))["diffs"]
+        return linalg.copy(diffs[t]) if t < self.nvars else []
 
     def cohomology_dim(self, i: int, d: tuple[int, ...]) -> int:
         if not 0 <= i <= self.r:
             raise ValueError(f"cohomological degree {i} out of range")
         d = tuple(d)
-        N = self._degree_patterns.get(d)
-        if N is None:
-            N = self._degree_patterns[d] = _pattern(d, self.nvars)
-        return self._at(N)["h"][i]
+        h = self._degree_dims.get(d)
+        if h is None:
+            h = self._degree_dims[d] = self._at(_pattern(d, self.nvars))["h"]
+        # no face has more than n elements, so H^i = 0 for i > n
+        return h[i] if i <= self.nvars else 0
 
     def _at(self, N: frozenset[int]) -> dict:
         if N not in self._patterns:
@@ -135,24 +144,7 @@ class CechComplex:
         return self._patterns[N]
 
     def _build(self, N: frozenset[int]) -> dict:
-        active = [[T for T in subs if self.piece_nonzero(T, N)] for subs in self._subsets]
-        diffs = [self._coboundary(active[t], active[t + 1]) for t in range(self.r)]
-        dims = [len(a) for a in active]
-        h = [linalg.cohomology_dim(dims, diffs, i) for i in range(self.r + 1)]
-        return {"active": active, "diffs": diffs, "h": h}
-
-    def _coboundary(self, src, tgt):
-        tgt_pos = {T: i for i, T in enumerate(tgt)}
-        mat = linalg.zeros(len(tgt), len(src))
-        for j, T in enumerate(src):
-            for new in range(self.r):
-                if new in T:
-                    continue
-                T2 = tuple(sorted(T + (new,)))
-                i = tgt_pos.get(T2)
-                if i is not None:
-                    mat[i][j] += (-1) ** T2.index(new)
-        return mat
+        return _face_complex(N, self.meets, self.nvars)
 
 
 def cech_cohomology_piece(generators: list[tuple[int, ...]], i: int, d: tuple[int, ...],
@@ -167,38 +159,6 @@ def window_degrees(window: list[tuple[int, int]]):
     if any(hi < lo for lo, hi in window):
         raise WindowMarginError("empty window")
     return product(*(range(lo, hi + 1) for lo, hi in window))
-
-
-def mv_dimension_check(i_gens: list[tuple[int, ...]], j_gens: list[tuple[int, ...]],
-                       window: list[tuple[int, int]], nvars: int | None = None) -> dict:
-    """Per-degree dimensions of the four Mayer-Vietoris columns and their
-    alternating sums (which vanish when the long sequence is exact)."""
-    n = nvars if nvars is not None else len(window)
-    sum_gens = minimalize_monomials(list(i_gens) + list(j_gens))
-    cap_gens = minimalize_monomials(
-        [monomial_lcm(a, b) for a in i_gens for b in j_gens]
-    )
-    complexes = {
-        "sum": CechComplex(n, sum_gens),
-        "I": CechComplex(n, list(i_gens)),
-        "J": CechComplex(n, list(j_gens)),
-        "cap": CechComplex(n, cap_gens),
-    }
-    top = max(c.r for c in complexes.values())
-    columns = {}
-    per_degree = {}
-    for d in window_degrees(window):
-        N = _pattern(d, n)
-        if N not in columns:
-            cols = {name: cech._at(N)["h"] + [0] * (top - cech.r)
-                    for name, cech in complexes.items()}
-            alt = sum((-1) ** i * (s - a - b + c)
-                      for i, (s, a, b, c) in enumerate(zip(*cols.values())))
-            columns[N] = cols, alt
-        cols, alt = columns[N]
-        per_degree[d] = {**{name: h[:] for name, h in cols.items()}, "alternating_sum": alt}
-    return {"degrees": per_degree,
-            "all_alternating_sums_zero": all(alt == 0 for _, alt in columns.values())}
 
 
 # ---------- cohomology pieces with induced maps ----------
@@ -242,203 +202,143 @@ def induced_map(source: CohPiece, target: CohPiece, chain_matrix):
     return [[c[i] for c in images] for i in range(target.h_dim)]
 
 
-# ---------- the bi-principal Mayer-Vietoris connecting map ----------
+# ---------- Mayer-Vietoris on faces ----------
 
-class BiPrincipalMV:
-    """The full connecting-map apparatus for I = (f), J = (g).  Fibres and
-    sequences are built once per sign pattern."""
+class MayerVietoris:
+    """The Mayer-Vietoris sequence of monomial ideals I and J, per pattern N.
+    P_F is prime, so Sigma_N(I + J) ("sum") is Sigma_N(I) cap Sigma_N(J)
+    and Sigma_N(I cap J) ("cap") is Sigma_N(I) cup Sigma_N(J):
 
-    def __init__(self, f: tuple[int, ...], g: tuple[int, ...], nvars: int):
+      ... -> H^t_{I+J} -> H^t_I (+) H^t_J -> H^t_{I cap J} -> H^(t+1)_{I+J} -> ...
+
+    rho^t is a |-> (a, a), pi^t is (b, c) |-> b - c, and delta^t is the
+    snake lemma's z |-> d(z restricted to Sigma_N(I)); delta^n is []."""
+
+    def __init__(self, nvars: int, i_gens: list[tuple[int, ...]],
+                 j_gens: list[tuple[int, ...]]):
         self.nvars = nvars
-        self.f = tuple(f)
-        self.g = tuple(g)
-        self.h = monomial_lcm(self.f, self.g)
-        self.cf = CechComplex(nvars, [self.f])
-        self.cg = CechComplex(nvars, [self.g])
-        self.ch = CechComplex(nvars, [self.h])
-        self.cfg = CechComplex(nvars, minimalize_monomials([self.f, self.g]))
-        self._fibres: dict[frozenset[int], tuple] = {}
+        self.I = CechComplex(nvars, list(i_gens))
+        self.J = CechComplex(nvars, list(j_gens))
+        self._patterns: dict[frozenset[int], dict] = {}
         self._sequences: dict[frozenset[int], dict] = {}
 
-    # -- complexes at a fixed pattern --
+    def _at(self, N: frozenset[int]) -> dict:
+        """The four face complexes at N, by column name."""
+        if N not in self._patterns:
+            I, J = self.I._at(N), self.J._at(N)
+            in_i = {F for level in I["faces"] for F in level}
+            in_j = {F for level in J["faces"] for F in level}
+            self._patterns[N] = {
+                "sum": _face_complex(N, (in_i & in_j).__contains__, self.nvars),
+                "I": I,
+                "J": J,
+                "cap": _face_complex(N, (in_i | in_j).__contains__, self.nvars),
+            }
+        return self._patterns[N]
 
-    def _middle(self, N):
-        """C(f) (+) C(g) at pattern N: dims and differentials."""
-        f_dims = [len(self.cf.active_subsets(t, N)) for t in range(2)]
-        g_dims = [len(self.cg.active_subsets(t, N)) for t in range(2)]
-        dims = [f_dims[t] + g_dims[t] for t in range(2)]
-        diff = linalg.block_matrix(
-            [[self.cf._at(N)["diffs"][0], None], [None, self.cg._at(N)["diffs"][0]]],
-            [f_dims[1], g_dims[1]], [f_dims[0], g_dims[0]])
-        return dims, [diff]
-
-    def _u(self, t: int, N):
-        """Difference of restrictions C^t(f) (+) C^t(g) -> C^t(h) at pattern
-        N.  Each principal complex has at most one active subset per level,
-        and an active piece of C(f) or C(g) lies in an active one of C(h)."""
-        if not self.ch.active_subsets(t, N):
-            return []
-        return [[sign for c, sign in ((self.cf, 1), (self.cg, -1))
-                 if c.active_subsets(t, N)]]
-
-    def fibre_at(self, d):
-        """The homotopy fibre F of u at degree d: F^t = M^t (+) C(h)^(t-1),
-        d(m, c) = (d m, u(m) - d c).  Built once per pattern N(d)."""
-        return self._fibre(_pattern(d, self.nvars))
-
-    def _fibre(self, N):
-        if N not in self._fibres:
-            m_dims, m_diffs = self._middle(N)
-            h_dims = [len(self.ch.active_subsets(t, N)) for t in range(2)]
-            dims = [m_dims[0], m_dims[1] + h_dims[0], h_dims[1]]
-            # d0: m |-> (d_M m, u0 m)
-            d0 = linalg.block_matrix([[m_diffs[0]], [self._u(0, N)]],
-                                     [m_dims[1], h_dims[0]], [m_dims[0]])
-            # d1: (m1, c0) |-> u1 m1 - d_C c0
-            minus_dc = [[-x for x in row] for row in self.ch._at(N)["diffs"][0]]
-            d1 = linalg.block_matrix([[self._u(1, N), minus_dc]],
-                                     [h_dims[1]], [m_dims[1], h_dims[0]])
-            self._fibres[N] = dims, [d0, d1]
-        return self._fibres[N]
-
-    # -- the long exact sequence with explicit maps --
-
-    def sequence_at(self, d):
-        """Cohomology pieces and the three induced maps at degree d.
-
-        Returns a dict with H(F), H(M), H(C) per level and matrices for
-        rho (projection), pi (difference of restrictions), delta
-        (inclusion of the shifted h-complex).  Built once per pattern N(d)."""
-        return self._sequence(_pattern(d, self.nvars))
-
-    def _sequence(self, N):
+    def _sequence(self, N: frozenset[int]) -> dict:
         if N not in self._sequences:
             self._sequences[N] = self._build_sequence(N)
         return self._sequences[N]
 
-    def _build_sequence(self, N):
-        f_dims, f_diffs = self._fibre(N)
-        m_dims, m_diffs = self._middle(N)
-        h_dims = [len(self.ch.active_subsets(t, N)) for t in range(2)]
-        h_diffs = self.ch._at(N)["diffs"]
-        HF = [CohPiece(f_dims, f_diffs, t) for t in range(3)]
-        HM = [CohPiece(m_dims, m_diffs, t) for t in range(2)]
-        HC = [CohPiece(h_dims, h_diffs, t) for t in range(2)]
-        rho, pi, delta = {}, {}, {}
-        for t in range(2):
-            # rho^t: F^t -> M^t, projection onto the middle block
-            proj = linalg.zeros(m_dims[t], f_dims[t])
-            for i in range(m_dims[t]):
-                proj[i][i] = 1
-            rho[t] = induced_map(HF[t], HM[t], proj)
-            # pi^t: M^t -> C^t
-            pi[t] = induced_map(HM[t], HC[t], self._u(t, N))
-            # delta^t: C^t -> F^(t+1), c |-> (0, c)
-            incl = linalg.zeros(f_dims[t + 1], h_dims[t])
-            offset = f_dims[t + 1] - h_dims[t]
-            for i in range(h_dims[t]):
-                incl[offset + i][i] = 1
-            delta[t] = induced_map(HC[t], HF[t + 1], incl)
-        return {"HF": HF, "HM": HM, "HC": HC, "rho": rho, "pi": pi, "delta": delta}
+    def _build_sequence(self, N: frozenset[int]) -> dict:
+        """H^t of each complex and the matrices of rho^t, pi^t, delta^t."""
+        cx = self._at(N)
+        H = {name: [CohPiece([len(f) for f in c["faces"]], c["diffs"], t)
+                    for t in range(self.nvars + 1)] for name, c in cx.items()}
+        rho, pi, delta = [], [], []
+        for t in range(self.nvars + 1):
+            def piece_map(a, b):
+                return induced_map(H[a][t], H[b][t], _restriction(cx[a]["faces"][t],
+                                                                  cx[b]["faces"][t]))
+            rho.append(piece_map("sum", "I") + piece_map("sum", "J"))
+            pi.append([b + [-x for x in c]
+                       for b, c in zip(piece_map("I", "cap"), piece_map("J", "cap"))])
+            if t < self.nvars:
+                # the snake lemma: lift z to (z on Sigma(I), -z on the rest)
+                lift = _coboundary(cx["cap"]["faces"][t], cx["sum"]["faces"][t + 1],
+                                   self.I.meets)
+                delta.append(induced_map(H["cap"][t], H["sum"][t + 1], lift))
+        delta.append([])
+        return {"H": H, "rho": rho, "pi": pi, "delta": delta}
 
-    def fibre_matches_sum_cech(self, d) -> bool:
-        """Oracle: H^t(F)_d equals the two-generator Cech cohomology of
-        (f, g) at d, for every t."""
-        f_dims, f_diffs = self.fibre_at(d)
-        for t in range(3):
-            hf = linalg.cohomology_dim(f_dims, f_diffs, t)
-            expected = self.cfg.cohomology_dim(t, d) if t <= self.cfg.r else 0
-            if hf != expected:
-                return False
-        return True
+    def exact_at(self, N: frozenset[int]) -> bool:
+        """Exactness of the long sequence at N: at every node the maps in
+        and out compose to zero and their ranks add up to its dimension."""
+        seq = self._sequence(N)
+        H = seq["H"]
+        dims = [d for t in range(self.nvars + 1)
+                for d in (H["sum"][t].h_dim, H["I"][t].h_dim + H["J"][t].h_dim, H["cap"][t].h_dim)]
+        maps = [seq[name][t] for t in range(self.nvars + 1) for name in ("rho", "pi", "delta")]
+        # ranks[k] and ranks[k + 1]: the maps into and out of node k
+        ranks = [0] + [linalg.rank(m) for m in maps]
+        return (all(ranks[k] + ranks[k + 1] == dim for k, dim in enumerate(dims))
+                and all(linalg.is_zero_matrix(linalg.mat_mul(b, a)) for a, b in zip(maps, maps[1:])))
 
-    def exact_at(self, d) -> bool:
-        """Exactness of the six-node window of the long sequence at d."""
-        seq = self.sequence_at(d)
-        nodes = []
-        # ... -> H^t(F) -> H^t(M) -> H^t(C) -> H^(t+1)(F) -> ...
-        for t in range(2):
-            prev_delta = seq["delta"][t - 1] if t >= 1 else None
-            nodes.append((prev_delta, seq["HF"][t], seq["rho"][t]))
-            nodes.append((seq["rho"][t], seq["HM"][t], seq["pi"][t]))
-            nodes.append((seq["pi"][t], seq["HC"][t], seq["delta"][t]))
-        nodes.append((seq["delta"][1], seq["HF"][2], None))
-        for incoming, piece, outgoing in nodes:
-            dim = piece.h_dim
-            rank_in = linalg.rank(incoming) if incoming is not None else 0
-            rank_out = linalg.rank(outgoing) if outgoing is not None else 0
-            if incoming is not None and outgoing is not None:
-                comp = linalg.mat_mul(outgoing, incoming)
-                if not linalg.is_zero_matrix(comp):
-                    return False
-            if rank_in + rank_out != dim:
-                return False
-        return True
-
-    # -- multiplication by x_j from pattern N to N - {j} --
-
-    @staticmethod
-    def _inclusion_on_cech(cech: CechComplex, t: int, N, N2):
-        """x_j: C^t(cech) at pattern N -> at N2 = N - {j}, the inclusion of
-        the active subsets of N into those of N2."""
-        src = cech.active_subsets(t, N)
-        tgt_pos = {T: i for i, T in enumerate(cech.active_subsets(t, N2))}
-        mat = linalg.zeros(len(tgt_pos), len(src))
-        for col, T in enumerate(src):
-            mat[tgt_pos[T]][col] = 1
-        return mat
-
-    def _inclusion_on_fibre(self, t, N, N2):
-        """x_j on F^t = C^t(f) (+) C^t(g) (+) C^(t-1)(h), block by block."""
-        parts = [(c, t) for c in (self.cf, self.cg) if t <= 1]
-        if t >= 1:
-            parts.append((self.ch, t - 1))
-        blocks = [[self._inclusion_on_cech(c, s, N, N2) if i == j else None
-                   for j, (c, s) in enumerate(parts)] for i in range(len(parts))]
-        return linalg.block_matrix(blocks, [len(c.active_subsets(s, N2)) for c, s in parts],
-                                   [len(c.active_subsets(s, N)) for c, s in parts])
-
-    def delta_commutes_with_x(self, N, j: int) -> bool:
+    def delta_commutes_with_x(self, N: frozenset[int], j: int) -> bool:
         """x_j o delta = delta o x_j on the square from pattern N to
-        N - {j}, j in N, at both levels:
+        N - {j}, j in N, at every level t:
 
-          H^t(C)_N   --delta--> H^(t+1)(F)_N
-             |x_j                   |x_j
-          H^t(C)_N-j --delta--> H^(t+1)(F)_N-j
+          H^t_(I cap J) at N   --delta--> H^(t+1)_(I+J) at N
+             |x_j                              |x_j
+          H^t_(I cap J) at N-j --delta--> H^(t+1)_(I+J) at N-j
 
-        The two sides are compared on each basis class of H^t(C)_N, so
-        zero-dimensional pieces need no matrix shapes."""
+        compared on each basis class of the top left piece."""
         N2 = N - {j}
+        cx, cx2 = self._at(N), self._at(N2)
         seq, seq2 = self._sequence(N), self._sequence(N2)
-        for t in range(2):
-            hc = seq["HC"][t]
-            x_c = induced_map(hc, seq2["HC"][t], self._inclusion_on_cech(self.ch, t, N, N2))
-            x_f = induced_map(seq["HF"][t + 1], seq2["HF"][t + 1],
-                              self._inclusion_on_fibre(t + 1, N, N2))
-            for e in (linalg.unit_vector(hc.h_dim, i) for i in range(hc.h_dim)):
-                if (linalg.mat_vec(seq2["delta"][t], linalg.mat_vec(x_c, e))
-                        != linalg.mat_vec(x_f, linalg.mat_vec(seq["delta"][t], e))):
+
+        def x_map(name, t):
+            return induced_map(seq["H"][name][t], seq2["H"][name][t],
+                               _restriction(cx[name]["faces"][t], cx2[name]["faces"][t]))
+
+        for t in range(self.nvars):
+            x_cap, x_sum, h = x_map("cap", t), x_map("sum", t + 1), seq["H"]["cap"][t].h_dim
+            for e in (linalg.unit_vector(h, i) for i in range(h)):
+                if (linalg.mat_vec(seq2["delta"][t], linalg.mat_vec(x_cap, e))
+                        != linalg.mat_vec(x_sum, linalg.mat_vec(seq["delta"][t], e))):
                     return False
         return True
+
+
+def mv_dimension_check(i_gens: list[tuple[int, ...]], j_gens: list[tuple[int, ...]],
+                       window: list[tuple[int, int]], nvars: int | None = None) -> dict:
+    """Per-degree dimensions of the four Mayer-Vietoris columns, H^0..H^n
+    of I + J ("sum"), I, J and I cap J ("cap"), and their alternating sums
+    (which vanish when the long sequence is exact)."""
+    n = nvars if nvars is not None else len(window)
+    mv = MayerVietoris(n, i_gens, j_gens)
+    columns = {}
+    per_degree = {}
+    for d in window_degrees(window):
+        N = _pattern(d, n)
+        if N not in columns:
+            cols = {name: c["h"] for name, c in mv._at(N).items()}
+            alt = sum((-1) ** i * (s - a - b + c)
+                      for i, (s, a, b, c) in enumerate(zip(*cols.values())))
+            columns[N] = cols, alt
+        cols, alt = columns[N]
+        per_degree[d] = {**{name: h[:] for name, h in cols.items()}, "alternating_sum": alt}
+    return {"degrees": per_degree,
+            "all_alternating_sums_zero": all(alt == 0 for _, alt in columns.values())}
 
 
 def mv_connecting_biprincipal(f: tuple[int, ...], g: tuple[int, ...],
                               window: list[tuple[int, int]],
                               nvars: int | None = None) -> dict:
-    """Build the fibre complex for I = (f), J = (g) and verify, once per
-    sign pattern N of the window, the fibre-vs-Cech oracle, exactness of
-    the long sequence, and the D-linearity of the connecting map: its
-    square with x_j from N to N - {j}, for every j in N."""
+    """The Mayer-Vietoris sequence of I = (f), J = (g), checked at each
+    pattern N of the window: its I + J column against the Cech complex of
+    (f, g), exactness, and each square of delta with x_j, j in N."""
     n = nvars if nvars is not None else len(window)
-    mv = BiPrincipalMV(f, g, n)
-    degree_of = {}
-    for d in window_degrees(window):
-        degree_of.setdefault(_pattern(d, n), d)
+    mv = MayerVietoris(n, [f], [g])
+    oracle = CechComplex(n, [f, g])
+    patterns = dict.fromkeys(_pattern(d, n) for d in window_degrees(window))
     return {
-        "h_oracle_matches": all(mv.fibre_matches_sum_cech(d) for d in degree_of.values()),
-        "long_sequence_exact": all(mv.exact_at(d) for d in degree_of.values()),
-        "delta_d_linear": all(mv.delta_commutes_with_x(N, j) for N in degree_of for j in N),
-        "lcm": mv.h,
+        "h_oracle_matches": all([p.h_dim for p in mv._sequence(N)["H"]["sum"]]
+                                == oracle._at(N)["h"] for N in patterns),
+        "long_sequence_exact": all(mv.exact_at(N) for N in patterns),
+        "delta_d_linear": all(mv.delta_commutes_with_x(N, j) for N in patterns for j in N),
+        "lcm": monomial_lcm(f, g),
     }
 
 

@@ -128,6 +128,7 @@ class _Parser:
         return value
 
     def factor(self):
+        first = self.peek()
         base = self.atom()
         if self.peek().kind == "^":
             self.take("^")
@@ -135,6 +136,10 @@ class _Parser:
             if t.kind != "number" or "/" in t.text:
                 raise ParseError("exponent must be a non-negative integer", t.span)
             self.take("number")
+            if first.kind == "ident" and isinstance(base, DiffOp):
+                # a bare operator symbol: its power is one term, no products
+                return DiffOp.operator(self.ring, self.ring.op_names.index(first.text),
+                                       int(t.text))
             return base ** int(t.text)
         return base
 

@@ -9,7 +9,9 @@ q(m) for the coprime parts q of the quotient minimal polynomial, and
 accepts a factor as local after three full-degree candidates above
 degree 4.  `PerDegreeCech`, `PerDegreeMV` and the `old_mv_*`/`old_gamma_*`
 functions are the local cohomology code that rebuilt every complex at each
-multidegree, before `localcoh` built them once per sign pattern;
+multidegree, on all subsets of the generators, before `localcoh` built one
+face complex per sign pattern (`minimalize_monomials` trims the generators
+of I + J and of I cap J that they build);
 `OldCohPiece` and `old_induced_map` give cohomology classes in the
 coordinates of a left nullspace of the boundary and invert a re-lifted
 basis, before `CohPiece` read classes off one `Subspace`.  The
@@ -64,11 +66,7 @@ from weylcas import linalg
 from weylcas import univar
 from weylcas.artin import LocalFactor, _assert_idempotent_system
 from weylcas.groebner import divide_exact
-from weylcas.localcoh import (
-    minimalize_monomials,
-    monomial_lcm,
-    window_degrees,
-)
+from weylcas.localcoh import monomial_lcm, window_degrees
 from weylcas.ore import DiffOp, OreRing
 from weylcas.parser import ParseError, Token, tokenize
 from weylcas.poly import SparsePoly
@@ -383,6 +381,15 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
 # The parent's `localcoh` path: every complex, fibre and sequence is rebuilt
 # for each degree of a window, and "which pieces are nonzero" is decided
 # coordinate by coordinate.  The per-pattern code must agree with it.
+
+def minimalize_monomials(exps: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Drop every monomial divisible by another one in the list."""
+    uniq = sorted(set(tuple(e) for e in exps))
+    return [
+        e for e in uniq
+        if not any(f != e and all(f[i] <= e[i] for i in range(len(e))) for f in uniq)
+    ]
+
 
 class PerDegreeCech:
     """The Cech complex on monomial generators, evaluated one multidegree

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -9,6 +10,7 @@ from oracles import (
     OldCohPiece,
     PerDegreeCech,
     PerDegreeMV,
+    minimalize_monomials,
     old_gamma_dstable_check,
     old_gamma_torsion_localization,
     old_mv_connecting_biprincipal,
@@ -17,15 +19,15 @@ from oracles import (
 from weylcas import linalg, localcoh
 from weylcas.groebner import Ideal
 from weylcas.koszul import GradedModuleModel
+from weylcas.cli import main
 from weylcas.localcoh import (
-    BiPrincipalMV,
     CechComplex,
     CohPiece,
+    MayerVietoris,
     cech_cohomology_piece,
     gamma_dstable_check,
     gamma_torsion_cyclic,
     gamma_torsion_localization,
-    minimalize_monomials,
     mv_connecting_biprincipal,
     mv_dimension_check,
     negative_support,
@@ -130,28 +132,29 @@ def test_mv_dimension_check_corpus():
 
 
 def test_connecting_iso_on_deep_piece():
-    mv = BiPrincipalMV((1, 0), (0, 1), 2)
-    seq = mv.sequence_at((-1, -1))
-    # H^1_(xy) -> H^2(F): both one-dimensional, delta nonzero
-    assert seq["HC"][1].h_dim == 1
-    assert seq["HF"][2].h_dim == 1
+    mv = MayerVietoris(2, [(1, 0)], [(0, 1)])
+    seq = mv._sequence(frozenset({0, 1}))
+    # H^1_(xy) -> H^2_(x,y): both one-dimensional, delta nonzero
+    assert seq["H"]["cap"][1].h_dim == 1
+    assert seq["H"]["sum"][2].h_dim == 1
     assert seq["delta"][1] != [[0]]
     assert any(any(c != 0 for c in row) for row in seq["delta"][1])
 
 
 def test_fibre_oracle_x_y():
-    mv = BiPrincipalMV((1, 0), (0, 1), 2)
+    # the I + J column, Sigma(x) cap Sigma(y), is the Cech complex of (x, y)
+    mv, cech = MayerVietoris(2, [(1, 0)], [(0, 1)]), CechComplex(2, [(1, 0), (0, 1)])
     for d in product(range(-3, 3), repeat=2):
-        assert mv.fibre_matches_sum_cech(d)
+        sums = mv._sequence(negative_support(d))["H"]["sum"]
+        assert [p.h_dim for p in sums] == [cech.cohomology_dim(i, d) for i in range(3)]
 
 
 def test_exactness_equal_generators():
-    mv = BiPrincipalMV((1, 0), (1, 0), 2)
-    for d in product(range(-3, 3), repeat=2):
-        assert mv.exact_at(d)
-        seq = mv.sequence_at(d)
-        for t in range(2):
-            assert all(all(c == 0 for c in row) for row in seq["delta"][t])
+    mv = MayerVietoris(2, [(1, 0)], [(1, 0)])
+    for N in _patterns(2):
+        assert mv.exact_at(N)
+        for t in range(3):
+            assert all(all(c == 0 for c in row) for row in mv._sequence(N)["delta"][t])
 
 
 @pytest.mark.parametrize("f,g", [((1, 0), (0, 1)), ((2, 0), (0, 1)), ((1, 0), (1, 1))])
@@ -272,13 +275,13 @@ def _seeded_monomial_pairs():
 
 def test_mv_connecting_reports_unchanged_by_memo(monkeypatch):
     built = []
-    build = BiPrincipalMV._build_sequence
+    build = MayerVietoris._build_sequence
 
     def counted(self, d):
         built.append((self, d))  # holds the instance, so ids stay distinct
         return build(self, d)
 
-    monkeypatch.setattr(BiPrincipalMV, "_build_sequence", counted)
+    monkeypatch.setattr(MayerVietoris, "_build_sequence", counted)
     pairs = _seeded_monomial_pairs()
     assert pairs == [(f, g) for f, g, _ in MV_REPORTS]
     for f, g, lcm in MV_REPORTS:
@@ -298,17 +301,19 @@ def test_mv_connecting_reports_unchanged_by_memo(monkeypatch):
 
 
 def test_memoised_sequence_matches_fresh_build():
-    mv = BiPrincipalMV((2, 1), (0, 2), 2)
+    mv = MayerVietoris(2, [(2, 1)], [(0, 2)])
     for N in _patterns(2):
         for j in N:
             assert mv.delta_commutes_with_x(N, j)
     for d in product(range(-3, 3), repeat=2):
-        cached = mv.sequence_at(d)
-        assert mv.sequence_at(list(d)) is cached
-        assert mv.fibre_at(d) is mv.fibre_at(list(d))
-        fresh = BiPrincipalMV((2, 1), (0, 2), 2).sequence_at(d)
-        for name in ("HF", "HM", "HC"):
-            assert [p.h_dim for p in cached[name]] == [p.h_dim for p in fresh[name]]
+        N = negative_support(d)
+        cached = mv._sequence(N)
+        assert mv._sequence(frozenset(N)) is cached
+        assert mv._at(N) is mv._at(frozenset(N))
+        fresh = MayerVietoris(2, [(2, 1)], [(0, 2)])._sequence(N)
+        for name in ("sum", "I", "J", "cap"):
+            assert ([p.h_dim for p in cached["H"][name]]
+                    == [p.h_dim for p in fresh["H"][name]])
         for name in ("rho", "pi", "delta"):
             assert cached[name] == fresh[name]
 
@@ -347,13 +352,47 @@ def _pair_corpus(seed, count, sizes=(1, 2)):
 
 
 def test_cech_matches_per_degree_oracle():
+    # the differentials live on faces, not on generator subsets, so only
+    # the dimensions compare; d o d = 0 on faces is checked above
     for n, gens in _cech_corpus():
         cech, old = CechComplex(n, gens), PerDegreeCech(n, gens)
         for d in product(*(range(lo, hi + 1) for lo, hi in _window(n))):
             for i in range(len(gens) + 1):
                 assert cech.cohomology_dim(i, d) == old.cohomology_dim(i, d), (gens, i, d)
-            for t in range(len(gens)):
-                assert cech.differential(t, d) == old.differential(t, d), (gens, t, d)
+
+
+def _face_corpus():
+    """Seeded generator lists in 1-4 variables with repeated, non-minimal
+    and non-squarefree generators, some with more generators than
+    variables."""
+    rng = random.Random(2121)
+    corpus = []
+    for k in range(40):
+        n = 1 + k % 4
+        gens = [_monomial(rng, n, top=3) for _ in range(rng.randint(1, n + 2))]
+        gens.append(rng.choice(gens))  # a repeated generator
+        base = rng.choice(gens)
+        gens.append(tuple(x + rng.randint(0, 2) for x in base))  # a multiple of one
+        corpus.append((n, gens))
+    return corpus
+
+
+def test_face_dims_match_per_degree_oracle():
+    kinds = Counter()
+    for n, gens in _face_corpus():
+        cech, old = CechComplex(n, gens), PerDegreeCech(n, gens)
+        kinds["r > n"] += len(gens) > n
+        kinds["not squarefree"] += any(x > 1 for e in gens for x in e)
+        supports = [frozenset(j for j, x in enumerate(e) if x) for e in gens]
+        for N in _patterns(n):  # N empty included
+            kinds["inside every support"] += bool(N) and all(N <= S for S in supports)
+            for d in (tuple(-1 if j in N else 0 for j in range(n)),
+                      tuple(-3 if j in N else 2 for j in range(n))):
+                dims, diffs = old.complex_at(d)
+                assert ([cech.cohomology_dim(i, d) for i in range(len(gens) + 1)]
+                        == [linalg.cohomology_dim(dims, diffs, i) for i in range(len(gens) + 1)]), \
+                    (gens, d)
+    assert all(kinds[k] for k in ("r > n", "not squarefree", "inside every support"))
 
 
 def _rank(rows):
@@ -415,10 +454,27 @@ def test_hochster_formula_on_known_pieces():
     assert _hochster_dim([(1, 0)], 1, frozenset()) == 0
 
 
+def _padded(column, length):
+    assert not any(column[length:])
+    return column[:length] + [0] * (length - len(column))
+
+
 def test_mv_dimension_check_matches_per_degree_oracle():
+    # the columns list H^0..H^n; the oracle's list H^0..H^r for the largest
+    # generator count r, so the shorter one is padded with zeros
     for n, i_gens, j_gens in _pair_corpus(11, 24, sizes=(1, 2, 3)):
         report = mv_dimension_check(i_gens, j_gens, _window(n))
-        assert report == old_mv_dimension_check(i_gens, j_gens, _window(n)), (i_gens, j_gens)
+        ref = old_mv_dimension_check(i_gens, j_gens, _window(n))
+        assert report["all_alternating_sums_zero"] == ref["all_alternating_sums_zero"]
+        assert report["degrees"].keys() == ref["degrees"].keys()
+        for d, entry in report["degrees"].items():
+            old = ref["degrees"][d]
+            assert entry["alternating_sum"] == old["alternating_sum"]
+            for name in ("sum", "I", "J", "cap"):
+                assert len(entry[name]) == n + 1
+                length = max(n + 1, len(old[name]))
+                assert _padded(entry[name], length) == _padded(old[name], length), \
+                    (i_gens, j_gens, d, name)
         # every degree has its own entry and columns, not shared ones
         ids = [id(x) for e in report["degrees"].values()
                for x in (e, e["sum"], e["I"], e["J"], e["cap"])]
@@ -432,19 +488,29 @@ def test_mv_connecting_matches_per_degree_oracle():
         ref = old_mv_connecting_biprincipal(f, g, window)
         assert {key: report[key] for key in ref} == ref, (f, g)
         assert report["delta_d_linear"], (f, g)
-        mv, old = BiPrincipalMV(f, g, n), PerDegreeMV(f, g, n)
+        mv, old = MayerVietoris(n, [f], [g]), PerDegreeMV(f, g, n)
         for d in product(*(range(lo, hi + 1) for lo, hi in window)):
-            assert mv.fibre_at(d) == old.fibre_at(d), (f, g, d)
-            seq, ref = mv.sequence_at(d), old.sequence_at(d)
-            change = {name: [_change_of_basis(ref[name][t], seq[name][t])
-                             for t in range(len(seq[name]))] for name in ("HF", "HM", "HC")}
-            # rho: H^t(F) -> H^t(M), pi: H^t(M) -> H^t(C), delta: H^t(C) -> H^(t+1)(F)
-            for name, src, tgt, shift in (("rho", "HF", "HM", 0), ("pi", "HM", "HC", 0),
-                                          ("delta", "HC", "HF", 1)):
-                for t in range(2):
-                    assert (linalg.mat_mul(ref[name][t], change[src][t])
-                            == linalg.mat_mul(change[tgt][t + shift], seq[name][t])), \
-                        (f, g, d, name, t)
+            seq, ref = mv._sequence(negative_support(d)), old.sequence_at(d)
+            H = seq["H"]
+            # the fibre F plays the part of I + J, the middle M of I (+) J
+            # and the complex C(lcm) of I cap J; past H^2(F) all are zero
+            dims = {"HF": [p.h_dim for p in H["sum"]],
+                    "HM": [a.h_dim + b.h_dim for a, b in zip(H["I"], H["J"])],
+                    "HC": [p.h_dim for p in H["cap"]]}
+            for name, pieces in dims.items():
+                assert pieces == _padded([p.h_dim for p in ref[name]], n + 1), (f, g, d, name)
+            for name in ("rho", "pi", "delta"):
+                ranks = [linalg.rank(m) for m in seq[name]]
+                assert ranks == _padded([linalg.rank(ref[name][t]) for t in range(2)], n + 1), \
+                    (f, g, d, name)
+
+
+def test_mv_on_faces_is_exact_and_d_linear_for_general_pairs():
+    for n, i_gens, j_gens in _pair_corpus(21, 40, sizes=(1, 2, 3, 4)):
+        mv = MayerVietoris(n, i_gens, j_gens)
+        for N in _patterns(n):
+            assert mv.exact_at(N), (i_gens, j_gens, N)
+            assert all(mv.delta_commutes_with_x(N, j) for j in N), (i_gens, j_gens, N)
 
 
 def _change_of_basis(old_piece, new_piece):
@@ -552,7 +618,7 @@ def test_wrong_length_is_refused(call, lengths):
 
 def test_one_build_per_sign_pattern(monkeypatch):
     builds = Counter()
-    for cls, name in ((CechComplex, "_build"), (BiPrincipalMV, "_build_sequence")):
+    for cls, name in ((CechComplex, "_build"), (MayerVietoris, "_build_sequence")):
         def counted(self, pattern, _build=getattr(cls, name)):
             builds[self] += 1
             return _build(self, pattern)
@@ -564,9 +630,9 @@ def test_one_build_per_sign_pattern(monkeypatch):
             for i in range(n + 1):
                 cech.cohomology_dim(i, d)
         assert builds[cech] == 2 ** n
-        mv = BiPrincipalMV(tuple([1] + [0] * (n - 1)), tuple([0] * (n - 1) + [2]), n)
+        mv = MayerVietoris(n, [tuple([1] + [0] * (n - 1))], [tuple([0] * (n - 1) + [2])])
         for d in window_degrees(window):
-            mv.exact_at(d)
+            mv.exact_at(negative_support(d))
         for N in _patterns(n):
             for j in N:
                 mv.delta_commutes_with_x(N, j)
@@ -579,13 +645,13 @@ def _patterns(n):
 
 def test_one_x_square_per_pattern_and_variable(monkeypatch):
     squares = []
-    square = BiPrincipalMV.delta_commutes_with_x
+    square = MayerVietoris.delta_commutes_with_x
 
     def counted(self, N, j):
         squares.append((N, j))
         return square(self, N, j)
 
-    monkeypatch.setattr(BiPrincipalMV, "delta_commutes_with_x", counted)
+    monkeypatch.setattr(MayerVietoris, "delta_commutes_with_x", counted)
     # (-2, -1) and (0, 2) reach one pattern each
     for n, window in product((1, 2, 3), [(-3, 3), (-1, 0), (-2, -1), (0, 2)]):
         squares.clear()
@@ -605,7 +671,7 @@ THREE_VARIABLE_PAIR = ((1, 1, 0), (0, 1, 1))
 def _with_delta_doubled(monkeypatch, pattern, t):
     """Every sequence built at `pattern` carries 2 * delta^t: still exact,
     but no longer the connecting map of the other patterns' squares."""
-    build = BiPrincipalMV._build_sequence
+    build = MayerVietoris._build_sequence
 
     def perturbed(self, N):
         seq = build(self, N)
@@ -613,7 +679,7 @@ def _with_delta_doubled(monkeypatch, pattern, t):
             seq["delta"][t] = [[2 * x for x in row] for row in seq["delta"][t]]
         return seq
 
-    monkeypatch.setattr(BiPrincipalMV, "_build_sequence", perturbed)
+    monkeypatch.setattr(MayerVietoris, "_build_sequence", perturbed)
 
 
 @pytest.mark.parametrize("pattern", [frozenset({0, 2}), frozenset({0, 1, 2})],
@@ -626,16 +692,17 @@ def test_perturbed_delta_is_not_d_linear(monkeypatch, pattern):
     assert not report["delta_d_linear"]
     # the perturbation keeps every rank, so only the square can see it
     assert report["h_oracle_matches"] and report["long_sequence_exact"]
-    mv = BiPrincipalMV(f, g, 3)
+    mv = MayerVietoris(3, [f], [g])
     assert not mv.delta_commutes_with_x(frozenset({0, 1, 2}), 1)
 
 
 @pytest.mark.parametrize("f,g", CRITERION_12_PAIRS)
 def test_two_variable_squares_are_degenerate(monkeypatch, f, g):
-    # no square of these pairs is nonzero on both sides, so doubling any
-    # delta goes unseen: the 3-variable pair above is the one that can fail
+    # on faces as on the old fibre, no square of these pairs is nonzero on
+    # both sides, so doubling any delta goes unseen: the 3-variable pair
+    # above is the one that can fail
     for pattern in _patterns(2):
-        for t in range(2):
+        for t in range(3):
             monkeypatch.undo()
             _with_delta_doubled(monkeypatch, pattern, t)
             assert mv_connecting_biprincipal(f, g, [(-3, 3)] * 2)["delta_d_linear"]
@@ -645,7 +712,7 @@ def test_two_variable_squares_are_degenerate(monkeypatch, f, g):
     lambda: CechComplex(1, [(-1,)]).cohomology_dim(1, (-2,)),
     lambda: CechComplex(2, [(1, -1)]).cohomology_dim(1, (-2, 0)),
     lambda: cech_cohomology_piece([(1, 0), (0, -2)], 2, (-1, -1)),
-    lambda: BiPrincipalMV((1, 0), (0, -1), 2),
+    lambda: MayerVietoris(2, [(1, 0)], [(0, -1)]),
     lambda: mv_dimension_check([(1, 0)], [(-1, 1)], [(-1, 1), (-1, 1)]),
     lambda: mv_connecting_biprincipal((1, -1), (0, 1), [(-2, 2), (-2, 2)]),
     lambda: gamma_torsion_localization((1, -1), [(1, 0)], [(-2, 2), (-2, 2)], mod_r=True),
@@ -702,3 +769,33 @@ def test_cech_reads_each_degree_pattern_once(monkeypatch):
     for bad in ((-1,), (-1, -1, 5)):
         with pytest.raises(ValueError, match="coordinates for a ring in 2 variables"):
             cech.cohomology_dim(2, bad)
+
+
+# ---------- many generators: the face complex has at most 2^n faces ----------
+
+def _timed_main(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    return code, capsys.readouterr().out, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("k", [12, 14, 20])
+def test_many_generator_piece_answers_in_a_second(capsys, k):
+    # x1^i * x2^(k-1-i), i < k: 2^k generator subsets, one face {1, 2}
+    ideal = ",".join(f"x1^{i}*x2^{k - 1 - i}" for i in range(k))
+    code, out, elapsed = _timed_main(
+        capsys, ["lc-piece", "--ideal", ideal, "--i", "2", "--degree", "-1,-1"])
+    assert code == 0 and out == "1\n"
+    assert elapsed < 1.0, elapsed
+    if k == 12:
+        old = PerDegreeCech(2, [(i, k - 1 - i) for i in range(k)])
+        assert int(out) == old.cohomology_dim(2, (-1, -1))
+
+
+def test_six_plus_six_generator_mv_answers_in_a_second(capsys):
+    i_gens = ",".join(f"x1^{i}*x2^{5 - i}*x3" for i in range(6))
+    j_gens = ",".join(f"x1^{i + 1}*x3^{6 - i}" for i in range(6))
+    code, out, elapsed = _timed_main(
+        capsys, ["lc-mv", "--i-gens", i_gens, "--j-gens", j_gens, "--window", "-1..0"])
+    assert code == 0 and out == "alternating sums vanish: True\n"
+    assert elapsed < 1.0, elapsed

@@ -182,6 +182,20 @@ def test_parse_operator_matches_two_pass_parser(index):
         assert new.terms == old.terms, text
 
 
+@pytest.mark.parametrize("index", range(len(CORPUS_RINGS)),
+                         ids=["weyl1", "weyl2", "weyl3", "ore-1", "ore-x^2"])
+def test_operator_power_matches_repeated_product(index):
+    ring = CORPUS_RINGS[index]
+    v, d = ring.vars[0], ring.op_names[-1]
+    op, x = parse_operator(d, ring), parse_operator(v, ring)
+    for e in range(13):
+        for text, expected in ((f"{d}^{e}", op ** e), (f"({d})^{e}", op ** e),
+                               (f"{v}^2*{d}^{e}", x ** 2 * op ** e)):
+            got = parse_operator(text, ring)
+            assert got.form == expected.form == "left", text
+            assert got.terms == expected.terms, text
+
+
 def test_parse_polynomial_matches_two_pass_parser():
     rng = random.Random(21)
     for vs in [X, ("x", "y"), ("x1", "x2", "x3")]:
