@@ -19,7 +19,6 @@ from .hulls import (
     TruncatedHull,
     ass_finite_x_module,
     ass_truncated_hull,
-    socle_matches_primary_annihilator,
     essential_hull,
     socle_growth_oracle,
     socle_multiplicities,

@@ -22,10 +22,10 @@ standard, and otherwise (a border monomial) one Groebner reduction, so at
 most nvars * dim reductions are made.  The standard monomials form an
 order ideal, so every product b_i * b_j = x^e of degree two or more
 follows from a product of lower degree, nf(x^e) = X_k nf(x^(e - e_k)) for
-any k with e_k > 0, memoised by exponent.  `mult`, `mult_matrix`, the
-basis traces and the trace form scale their inputs by the lcm of their
-denominators, accumulate Python ints and divide only for the answers
-(an int where integral, as everywhere in `linalg`).
+any k with e_k > 0, memoised by exponent.  `mult` and the trace form
+read the integer tensor directly; `mult_matrix` combines the basis
+multiplication matrices, which `linalg.MatrixFamily` holds over the
+tensor's denominator.  Every answer is exact, an int where integral.
 
 The Jacobson radical is computed from the trace form, which in
 characteristic zero has the radical as its kernel; residue-field
@@ -174,20 +174,17 @@ class ArtinAlgebra:
                         acc = [x + c * t for x, t in zip(acc, row[j])]
         return linalg.fraction_vector(acc, du * dv * self._den)
 
+    @functools.cached_property
+    def _multiplications(self) -> linalg.MatrixFamily:
+        """The multiplication matrices of the basis elements: column j of
+        the i-th is b_i * b_j.  Built on first use."""
+        return linalg.MatrixFamily([linalg.transpose(t) for t in self._tensor], self._den)
+
     def mult_matrix(self, v) -> list[list[Fraction]]:
         """Multiplication matrix of the element with coordinate vector v."""
         if len(v) != self.dim:
             raise ValueError(f"vector of length {len(v)} in an algebra of dimension {self.dim}")
-        nv, dv = linalg.integer_vector(v)
-        support = [(self._tensor[i], a) for i, a in enumerate(nv) if a]
-        cols = []
-        for j in range(self.dim):
-            acc = [0] * self.dim
-            for row, a in support:
-                acc = [x + a * t for x, t in zip(acc, row[j])]
-            cols.append(acc)
-        den = dv * self._den
-        return [linalg.fraction_vector(r, den) for r in zip(*cols)]
+        return self._multiplications.combine(v)
 
     # ---------- semisimplicity data ----------
 
@@ -342,19 +339,14 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
         return None  # residue field Q: already local
     one_factor = factor.to_factor_coords(factor.idempotent)
     # on the factor, multiplication by a candidate c agrees with
-    # multiplication by its component e*c; the variables act by integer
-    # rows over one common denominator
-    stacked, den = linalg.integer_matrix(
-        [row for x in algebra.var_matrices for row in factor.restrict(x)])
-    var_actions = [stacked[i:i + k] for i in range(0, len(stacked), k)]
+    # multiplication by its component e*c
+    var_actions = linalg.MatrixFamily([factor.restrict(x) for x in algebra.var_matrices])
     basis = linalg.transpose(factor.basis_vectors)
     for coeffs in _candidate_combinations(len(algebra.vars), seed, extra_trials):
-        # the candidate's action is m / den
-        m = [[sum([c * x for c, x in zip(coeffs, entries)]) for entries in zip(*rows)]
-             for rows in zip(*var_actions)]
+        a = var_actions.combine(coeffs)
         # in a commutative algebra the minimal polynomial of multiplication
         # by a is the annihilator of 1 under it
-        mu = linalg.annihilator(m, den, one_factor)
+        mu = linalg.annihilator(a, one_factor)
         parts = univar.coprime_factorization(mu)
         if len(parts) == 1:
             if univar.deg(parts[0][0]) == r:
@@ -366,7 +358,7 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
         for e in univar.crt_idempotents(moduli):
             # e(a) * 1 by Horner on vectors; the block is the kernel of
             # multiplication by 1 - e(a), the image of the idempotent
-            e_ambient = linalg.mat_vec(basis, linalg.poly_apply(e, m, den, one_factor))
+            e_ambient = linalg.mat_vec(basis, linalg.poly_apply(e, a, one_factor))
             complement = [a - b for a, b in zip(factor.idempotent, e_ambient)]
             block = linalg.nullspace(factor.restrict(algebra.mult_matrix(complement)))
             # ambient coordinates of the block basis: basis * block
@@ -389,8 +381,7 @@ def _assert_idempotent_system(algebra, factors):
         total = [a + b for a, b in zip(total, e)]
     for i, f in enumerate(factors):
         for g in factors[i + 1:]:
-            prod = algebra.mult(f.idempotent, g.idempotent)
-            if any(c != 0 for c in prod):
+            if any(algebra.mult(f.idempotent, g.idempotent)):
                 raise RuntimeError("idempotents are not orthogonal")
     if total != algebra.one():
         raise RuntimeError("idempotents do not sum to 1")

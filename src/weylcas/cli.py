@@ -52,15 +52,19 @@ def _order_from_flag(name: str) -> TermOrder:
     return LEX if name == "lex" else GREVLEX
 
 
-def _variable_count(text: str) -> int:
-    """The --vars value: a positive int, else argparse reports a usage error."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive number of variables, got {text!r}")
-    return n
+def _count(what: str, least: int = 1):
+    """An argparse type for a count of at least `least` (1 or 0): any other
+    value is a usage error that names `what`."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = least - 1
+        if n < least:
+            sign = "positive" if least else "nonnegative"
+            raise argparse.ArgumentTypeError(f"expected a {sign} {what}, got {text!r}")
+        return n
+    return parse
 
 
 def _ring_vars(args, texts) -> tuple[str, ...]:
@@ -172,6 +176,8 @@ def cmd_koszul_map(args):
             "signs": signs,
         })
         return 0
+    if not 1 <= args.k <= len(elems):
+        raise UsageError(f"degree k={args.k} out of range 1..{len(elems)}")
     mat = koszul_matrix(elems, args.k, args.convention)
     lines = [" | ".join(p.to_str(order) for p in row) for row in mat]
     _emit(args, lines, {
@@ -402,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if vars_flag:
-            p.add_argument("--vars", type=_variable_count, default=None,
+            p.add_argument("--vars", type=_count("number of variables"), default=None,
                            help="number of ring variables (default: inferred)")
 
     p = sub.add_parser("weyl-mul", help="product of two operators, left normal form")
@@ -425,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="least r with I^r s inside the left ideal S I")
     p.add_argument("--ideal", required=True)
     p.add_argument("--op", required=True)
-    p.add_argument("--rmax", type=int, default=8)
+    p.add_argument("--rmax", type=_count("power bound"), default=8)
     common(p)
     p.set_defaults(fn=cmd_weyl_star)
 
@@ -447,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="regular sequence that is part of a minimal "
                             "generating set locally at a prime")
     p.add_argument("--prime", required=True)
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--g", type=_count("sequence length", 0), required=True)
     common(p, seed=True)
     p.set_defaults(fn=cmd_koszul_primeavoid)
 
@@ -475,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", help="structural map f(y) for S = Q[y]")
     p.add_argument("--relation", help="relation h(x,y), monic in y")
     p.add_argument("--maxideal", required=True)
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--truncate", type=int, default=None)
+    p.add_argument("--kmax", type=_count("socle depth"), default=4)
+    p.add_argument("--truncate", type=_count("truncation level"), default=None)
     common(p, vars_flag=False)
     p.set_defaults(fn=cmd_hull_oracle)
 

@@ -22,6 +22,7 @@ generator.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import linalg, univar
@@ -49,7 +50,9 @@ class CurveExtension:
     Relation style: S = Q[x,y]/(h) with h monic in y.
     The maximal ideal is given by generators in the variables of S; its
     maximality is verified on construction (S/m zero-dimensional, radical
-    zero, and a single local factor).
+    zero, and a single local factor), and nu, the monic generator of
+    m cap R, is computed there from S/m.  S/nu*S and its local factors are
+    built once, on first use.
     """
 
     def __init__(self, structural_map: SparsePoly | None = None,
@@ -74,10 +77,7 @@ class CurveExtension:
             if relation.vars != (base_var, ext_var):
                 raise ValueError(f"relation must live in Q[{base_var},{ext_var}]")
             d = relation.degree_in(1)
-            lead = [c for e, c in relation.terms.items() if e[1] == d]
-            if d < 1 or any(e[0] != 0 for e, c in relation.terms.items() if e[1] == d):
-                raise ValueError("relation must be monic in the extension variable")
-            if lead != [Fraction(1)]:
+            if d < 1 or {e: c for e, c in relation.terms.items() if e[1] == d} != {(0, d): 1}:
                 raise ValueError("relation must be monic in the extension variable")
             self.relation = relation
             self.f = None
@@ -88,7 +88,9 @@ class CurveExtension:
             if g.vars != self.s_vars:
                 raise ValueError("maximal ideal generator over the wrong ring")
         self.maximal_ideal = list(maximal_ideal)
-        self.residue_field_algebra()
+        A = self.residue_field_algebra()
+        # m cap R = (nu) for the minimal polynomial nu of x in the field S/m
+        self._nu = linalg.minimal_polynomial(A.mult_matrix(A.to_vector(self.x_image())))
 
     # ---------- quotients of S ----------
 
@@ -117,26 +119,31 @@ class CurveExtension:
     # ---------- the contracted maximal ideal of R ----------
 
     def nu_dense(self) -> list[Fraction]:
-        """Monic generator of m cap R: the minimal polynomial of the image
-        of x in the field S/m."""
-        A = self.residue_field_algebra()
-        x_bar = A.to_vector(self.x_image())
-        return linalg.minimal_polynomial(A.mult_matrix(x_bar))
+        """Monic generator of m cap R, as dense coefficients."""
+        return list(self._nu)
 
     def nu_poly(self) -> SparsePoly:
         return univar.to_sparse(self.nu_dense(), (self.base_var,))
 
     def nu_in_s(self) -> SparsePoly:
         """The generator of nu*S as an element of S."""
-        n = self.nu_dense()
         if self.style == "map":
-            acc = SparsePoly.zero(self.s_vars)
-            fpow = SparsePoly.one(self.s_vars)
-            for c in n:
-                acc = acc + c * fpow
-                fpow = fpow * self.f
-            return acc
-        return univar.to_sparse(n, self.s_vars, 0)
+            # nu(f) by Horner
+            return functools.reduce(lambda acc, c: acc * self.f + c, reversed(self._nu),
+                                    SparsePoly.zero(self.s_vars))
+        return univar.to_sparse(self._nu, self.s_vars, 0)
+
+    @functools.cached_property
+    def _nu_quotient(self) -> ArtinAlgebra:
+        """S/nu*S."""
+        return self.quotient_algebra([self.nu_in_s()])
+
+    @functools.cached_property
+    def _nu_factors(self) -> tuple[list[LocalFactor], int]:
+        """The local factors of S/nu*S and the index of the one whose
+        maximal ideal pulls back into m."""
+        factors = decompose_local(self._nu_quotient)
+        return factors, matched_local_factor(self._nu_quotient, factors, self.maximal_ideal)
 
     def serialize(self) -> dict:
         out = {
@@ -164,20 +171,11 @@ def matched_local_factor(algebra: ArtinAlgebra, factors: list[LocalFactor],
                          ideal_gens: list[SparsePoly]) -> int:
     """Index of the unique factor on which every generator acts singularly
     (its maximal ideal pulls back into the given ideal)."""
-    matches = []
-    for i, factor in enumerate(factors):
-        singular_all = True
-        for g in ideal_gens:
-            m = factor.restrict(algebra.mult_matrix(algebra.to_vector(g)))
-            if linalg.rank(m) == factor.dim:
-                singular_all = False
-                break
-        if singular_all:
-            matches.append(i)
+    matches = [i for i, factor in enumerate(factors) if all(
+        linalg.rank(factor.restrict(algebra.mult_matrix(algebra.to_vector(g)))) < factor.dim
+        for g in ideal_gens)]
     if len(matches) != 1:
-        raise FactorNotFoundError(
-            f"{len(matches)} local factors match the maximal ideal"
-        )
+        raise FactorNotFoundError(f"{len(matches)} local factors match the maximal ideal")
     return matches[0]
 
 
@@ -201,11 +199,8 @@ def hull_multiplicity(ext: CurveExtension) -> HullMultiplicityReport:
     Computed as dim_K(A_1) / dim_K(R/nu) where A_1 is the local factor of
     A = S/nu*S whose maximal ideal pulls back into m.
     """
-    nu = ext.nu_dense()
-    A = ext.quotient_algebra([ext.nu_in_s()])
-    factors = decompose_local(A)
-    idx = matched_local_factor(A, factors, ext.maximal_ideal)
-    deg_nu = univar.deg(nu)
+    factors, idx = ext._nu_factors
+    deg_nu = univar.deg(ext._nu)
     dim_a1 = factors[idx].dim
     if dim_a1 % deg_nu != 0:
         raise RuntimeError("local factor dimension not divisible by deg(nu)")
@@ -235,11 +230,8 @@ class TruncatedHull:
         self.algebra = ext.quotient_algebra(
             ideal_power(Ideal(ext.s_vars, ext.maximal_ideal), truncation).generators
         )
-        self.nu_vector = self.algebra.to_vector(ext.nu_in_s())
-        self.nu_matrix = self.algebra.mult_matrix(self.nu_vector)
-        self.x_matrix = self.algebra.mult_matrix(
-            self.algebra.to_vector(ext.x_image())
-        )
+        self.nu_matrix = self.algebra.mult_matrix(self.algebra.to_vector(ext.nu_in_s()))
+        self.x_matrix = self.algebra.mult_matrix(self.algebra.to_vector(ext.x_image()))
 
     @property
     def dim(self) -> int:
@@ -258,7 +250,7 @@ class TruncatedHull:
 def maximal_ideal_stabilization_index(ext: CurveExtension) -> int:
     """Least s with m^s * (S/nu S) = m^(s+1) * (S/nu S); by Nakayama on the
     m-primary component this is the least s with m^s inside Q_1."""
-    A = ext.quotient_algebra([ext.nu_in_s()])
+    A = ext._nu_quotient
     gen_mats = [A.mult_matrix(A.to_vector(g)) for g in ext.maximal_ideal]
     current = linalg.Subspace(A.dim, [linalg.unit_vector(A.dim, i) for i in range(A.dim)])
     s = 0
@@ -281,40 +273,9 @@ def socle_growth_oracle(ext: CurveExtension, k_max: int,
     if truncation is None:
         truncation = max(12, needed)
     if truncation < needed:
-        raise TruncationError(
-            f"truncation {truncation} below the conservative bound {needed}"
-        )
+        raise TruncationError(f"truncation {truncation} below the conservative bound {needed}")
     hull = TruncatedHull(ext, truncation)
     return hull.socle_dims(k_max)
-
-
-def socle_matches_primary_annihilator(ext: CurveExtension,
-                                       truncation: int | None = None) -> bool:
-    """Inside the truncated hull, (0 :_E nu) = (0 :_E Q_1), checked as
-    equality of the subspaces nu*A_B and Q_1*A_B (double annihilators).
-
-    Q_1 is realized as nu*S plus lifts of a basis of the non-matched local
-    factors of S/nu*S.
-    """
-    s = max(1, maximal_ideal_stabilization_index(ext))
-    if truncation is None:
-        truncation = max(4, s + 1)
-    A = ext.quotient_algebra([ext.nu_in_s()])
-    factors = decompose_local(A)
-    idx = matched_local_factor(A, factors, ext.maximal_ideal)
-    hull = TruncatedHull(ext, truncation)
-    AB = hull.algebra
-    nu_span = linalg.Subspace(AB.dim, linalg.transpose(hull.nu_matrix))
-    q1_span = linalg.Subspace(AB.dim, nu_span.basis)
-    for j, factor in enumerate(factors):
-        if j == idx:
-            continue
-        for v in factor.basis_vectors:
-            lift = A.to_poly(v)  # monomial representative, lifted through S
-            m = AB.mult_matrix(AB.to_vector(lift))
-            for col in linalg.transpose(m):
-                q1_span.add(col)
-    return nu_span == q1_span
 
 
 # ---------- associated primes over R = Q[x] ----------
@@ -346,7 +307,7 @@ def ass_truncated_hull(hull: TruncatedHull) -> frozenset:
     witnesses = linalg.nullspace(nu_dual)
     if not witnesses:
         raise RuntimeError("truncated hull has no socle")
-    ann = linalg.annihilator(*linalg.integer_matrix(linalg.transpose(hull.x_matrix)), witnesses[0])
+    ann = linalg.annihilator(linalg.transpose(hull.x_matrix), witnesses[0])
     nu = hull.ext.nu_dense()
     if ann != nu:
         raise RuntimeError("socle witness annihilator differs from nu")
@@ -374,8 +335,11 @@ class ArtinModule:
                 if linalg.mat_mul(a, b) != linalg.mat_mul(b, a):
                     raise ValueError(f"the actions of {algebra.vars[j]} and {algebra.vars[i]} "
                                      "do not commute")
-        for g in algebra.ideal.groebner_basis(algebra.order):
-            if not linalg.is_zero_matrix(self._action_of_terms(g.terms.items())):
+        gb = algebra.ideal.groebner_basis(algebra.order)
+        monomials = sorted({e for g in gb for e in g.terms})
+        actions = linalg.MatrixFamily([self.monomial_action(e) for e in monomials])
+        for g in gb:
+            if not linalg.is_zero_matrix(actions.combine([g.terms.get(e, 0) for e in monomials])):
                 raise ValueError(f"{g.to_str()} in the ideal does not act as zero")
 
     def _adopt(self, algebra: ArtinAlgebra, var_actions, dim: int):
@@ -383,7 +347,6 @@ class ArtinModule:
         self.var_actions = var_actions
         self.dim = dim
         self._monomial_cache: dict[tuple, list] = {}
-        self._integer_cache: dict[tuple, tuple[list, int]] = {}  # linalg.integer_matrix of those
         return self
 
     @classmethod
@@ -416,25 +379,15 @@ class ArtinModule:
             self._monomial_cache[e] = m
         return self._monomial_cache[e]
 
+    @functools.cached_property
+    def _basis_actions(self) -> linalg.MatrixFamily:
+        """The actions of the algebra's standard monomials, built on first use."""
+        return linalg.MatrixFamily([self.monomial_action(e) for e in self.algebra.basis])
+
     def action_of_vector(self, v):
         """Action matrix of the algebra element with coordinate vector v (of
         length algebra.dim)."""
-        return self._action_of_terms(zip(self.algebra.basis, v, strict=True))
-
-    def _action_of_terms(self, terms):
-        """The action of sum c x^e over the (e, c) pairs, by integer monomial actions."""
-        actions, scalars = [], []
-        for e, c in terms:
-            if c:
-                if e not in self._integer_cache:
-                    self._integer_cache[e] = linalg.integer_matrix(self.monomial_action(e))
-                actions.append(self._integer_cache[e][0])
-                scalars.append(Fraction(c) / self._integer_cache[e][1])
-        nums, den = linalg.integer_vector(scalars)
-        acc = [[0] * self.dim for _ in range(self.dim)]
-        for s, rows in zip(nums, actions):
-            acc = [[x + s * y for x, y in zip(r1, r2)] for r1, r2 in zip(acc, rows)]
-        return [linalg.fraction_vector(row, den) for row in acc]
+        return self._basis_actions.combine(v)
 
     def socle(self) -> list:
         """Basis of the annihilator of the radical (the largest semisimple
@@ -499,10 +452,8 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
     rad = A.radical_basis()
     dual = module.dual()
     # radical subspace of the dual module
-    rad_span = linalg.Subspace(dual.dim)
-    for r in rad:
-        for col in linalg.transpose(dual.action_of_vector(r)):
-            rad_span.add(col)
+    rad_span = linalg.Subspace(
+        dual.dim, [col for r in rad for col in linalg.transpose(dual.action_of_vector(r))])
     top_dim = dual.dim - rad_span.dim
 
     basis_actions_on_dual = {}
@@ -558,16 +509,13 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
     hull_module = ArtinModule._built(A, hull_actions, e_dim)
     embedding = linalg.transpose(cover)
 
-    certificates = {}
-    certificates["embedding_injective"] = linalg.rank(embedding) == module.dim
-    linearity = all(
-        linalg.mat_mul(hull_actions[v], embedding)
-        == linalg.mat_mul(embedding, module.var_actions[v])
-        for v in range(len(A.var_matrices))
-    )
-    certificates["embedding_linear"] = linearity
     image = linalg.Subspace(e_dim, linalg.transpose(embedding))
-    certificates["essential"] = all(v in image for v in hull_module.socle())
+    certificates = {
+        "embedding_injective": linalg.rank(embedding) == module.dim,
+        "embedding_linear": all(linalg.mat_mul(h, embedding) == linalg.mat_mul(embedding, m)
+                                for h, m in zip(hull_actions, module.var_actions)),
+        "essential": all(v in image for v in hull_module.socle()),
+    }
     multiplicities = [len(g) for g in generators_per_factor]
     return HullResult(hull_module, embedding, multiplicities, certificates)
 

@@ -1,6 +1,7 @@
 """Exact linear algebra over Q: row reduction, ranks, kernels, solving,
-block assembly, the cohomology of finite complexes, `Subspace`, and
-polynomials of a matrix applied to a vector.
+block assembly, the cohomology of finite complexes, `Subspace`, linear
+combinations of fixed matrices (`MatrixFamily`), and polynomials of a
+matrix applied to a vector.
 
 Matrices are lists of rows of exact rationals and act on column vectors;
 `transpose` turns a list of columns into a matrix and back.  Every entry
@@ -10,12 +11,11 @@ scaled by the lcm of its denominators, a matrix by one
 (`integer_matrix`).  `mat_mul` and `mat_vec` multiply and add ints and
 divide once per output entry.  `rref`, `rank` and `nullspace` share one
 fraction-free echelon routine: it eliminates by cross-multiplication and
-keeps every row primitive.  `Subspace` keeps its rows the same way.  For
-an integer matrix m over a denominator den, `annihilator` (minimal
-polynomials) iterates m on integer Krylov vectors and `poly_apply` runs
-Horner on integer vectors; each rescales by powers of den once, at the
-end.  A ragged matrix, operands whose shapes do not fit, or a negative
-power raise ValueError.
+keeps every row primitive.  `Subspace` keeps its rows the same way.
+`annihilator` (minimal polynomials) iterates a matrix on integer Krylov
+vectors and `poly_apply` runs Horner on integer vectors; each scales the
+matrix once and divides once, at the end.  A ragged matrix, operands
+whose shapes do not fit, or a negative power raise ValueError.
 
 A `Subspace` keeps a growing span in a canonical echelon form and answers
 every span question asked of a set of vectors: membership, coordinates
@@ -405,15 +405,48 @@ class Subspace:
         return self._n == other._n and self._rows == other._rows
 
 
+class MatrixFamily:
+    """The matrices A_i = m_i / den, m_i in matrices, all of one shape, for
+    their combinations sum_i c_i A_i.  Each A_i is held once, flat, as ints
+    over one denominator, so a combination scales its coefficients once,
+    adds ints and divides once per entry.  An empty family combines to [].
+    Members of two shapes, or the wrong number of coefficients, raise
+    ValueError."""
+
+    def __init__(self, matrices, den: int = 1):
+        self._shape = shape(matrices[0]) if matrices else (0, 0)
+        for m in matrices:
+            if (len(m), _width(m)) != self._shape:
+                raise ValueError(f"a {shape(m)} matrix in a family of {self._shape} matrices")
+        nums, d = integer_vector([x for m in matrices for row in m for x in row])
+        size = self._shape[0] * self._shape[1]
+        self._members = [nums[i * size:(i + 1) * size] for i in range(len(matrices))]
+        self._den = d * den
+
+    def combine(self, coeffs) -> Matrix:
+        """sum_i coeffs[i] A_i."""
+        if len(coeffs) != len(self._members):
+            raise ValueError(f"{len(coeffs)} coefficients for a family of {len(self._members)} matrices")
+        nums, den = integer_vector(coeffs)
+        rows, cols = self._shape
+        acc = [0] * (rows * cols)
+        for c, member in zip(nums, self._members):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, member)]
+        entries = fraction_vector(acc, den * self._den)
+        return [entries[i * cols:(i + 1) * cols] for i in range(rows)]
+
+
 def _int_mat_vec(m: list[list[int]], w: list[int]) -> list[int]:
     support = [(j, x) for j, x in enumerate(w) if x]
     return [sum([row[j] * x for j, x in support]) for row in m]
 
 
-def annihilator(m: list[list[int]], den: int, v: Vector) -> list[Fraction]:
-    """Monic generator of {p : p(m / den) v = 0}, for an integer matrix m.
-    The first u_k = m^k v in the span of the earlier ones, sum_i c_i u_i,
-    gives p = t^k - sum_i c_i / den^(k - i) t^i."""
+def annihilator(a: Matrix, v: Vector) -> list[Fraction]:
+    """Monic generator of {p : p(a) v = 0}.  With a = m / den over the
+    integers, the first u_k = m^k v in the span of the earlier ones,
+    sum_i c_i u_i, gives p = t^k - sum_i c_i / den^(k - i) t^i."""
+    m, den = integer_matrix(a)
     krylov = Subspace(len(v))
     w = integer_vector(v)[0]
     while krylov.add(w):
@@ -424,10 +457,11 @@ def annihilator(m: list[list[int]], den: int, v: Vector) -> list[Fraction]:
             for i, c in enumerate(coords)] + [1]
 
 
-def poly_apply(coeffs, m: list[list[int]], den: int, v: Vector) -> Vector:
-    """p(m / den) v for p = coeffs (dense) and an integer matrix m: with
-    p = sum_i P_i / L t^i and v = V / dv over integers, Horner builds
-    h = sum_i P_i den^(n - i) m^i V, n = deg p, and divides by L den^n dv."""
+def poly_apply(coeffs, a: Matrix, v: Vector) -> Vector:
+    """p(a) v for p = coeffs (dense): with a = m / den, p = sum_i P_i / L t^i
+    and v = V / dv over integers, Horner builds h = sum_i P_i den^(n - i)
+    m^i V, n = deg p, and divides by L den^n dv."""
+    m, den = integer_matrix(a)
     nums, dv = integer_vector(v)
     cs, dc = integer_vector(coeffs)
     h, scale = [0] * len(nums), 1
@@ -447,10 +481,9 @@ def minimal_polynomial(a: Matrix) -> list[Fraction]:
         raise ValueError("matrix must be square")
     if n == 0:
         return [1]
-    rows, den = integer_matrix(a)
     result = [1]
     for i in range(n):
-        local = annihilator(rows, den, unit_vector(n, i))
+        local = annihilator(a, unit_vector(n, i))
         result = univar.lcm(result, local)
         if univar.deg(result) == n:
             break

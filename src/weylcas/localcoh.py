@@ -242,34 +242,38 @@ class MayerVietoris:
         return self._sequences[N]
 
     def _build_sequence(self, N: frozenset[int]) -> dict:
-        """H^t of each complex and the matrices of rho^t, pi^t, delta^t."""
-        cx = self._at(N)
+        """H^t of each complex and the matrices of rho^t, pi^t, delta^t.
+        Levels past |N| have no faces: their pieces are zero and their
+        maps [], and only levels 0..|N| are built."""
+        cx, top = self._at(N), len(N)
+        zero, empty = CohPiece([0], [], 0), [[]] * (self.nvars - top)
         H = {name: [CohPiece([len(f) for f in c["faces"]], c["diffs"], t)
-                    for t in range(self.nvars + 1)] for name, c in cx.items()}
+                    for t in range(top + 1)] + [zero] * len(empty) for name, c in cx.items()}
         rho, pi, delta = [], [], []
-        for t in range(self.nvars + 1):
+        for t in range(top + 1):
             def piece_map(a, b):
                 return induced_map(H[a][t], H[b][t], _restriction(cx[a]["faces"][t],
                                                                   cx[b]["faces"][t]))
             rho.append(piece_map("sum", "I") + piece_map("sum", "J"))
             pi.append([b + [-x for x in c]
                        for b, c in zip(piece_map("I", "cap"), piece_map("J", "cap"))])
-            if t < self.nvars:
+            if t < top:
                 # the snake lemma: lift z to (z on Sigma(I), -z on the rest)
                 lift = _coboundary(cx["cap"]["faces"][t], cx["sum"]["faces"][t + 1],
                                    self.I.meets)
                 delta.append(induced_map(H["cap"][t], H["sum"][t + 1], lift))
         delta.append([])
-        return {"H": H, "rho": rho, "pi": pi, "delta": delta}
+        return {"H": H, "rho": rho + empty, "pi": pi + empty, "delta": delta + empty}
 
     def exact_at(self, N: frozenset[int]) -> bool:
         """Exactness of the long sequence at N: at every node the maps in
-        and out compose to zero and their ranks add up to its dimension."""
+        and out compose to zero and their ranks add up to its dimension.
+        Past level |N| every node is zero."""
         seq = self._sequence(N)
-        H = seq["H"]
-        dims = [d for t in range(self.nvars + 1)
+        H, levels = seq["H"], range(len(N) + 1)
+        dims = [d for t in levels
                 for d in (H["sum"][t].h_dim, H["I"][t].h_dim + H["J"][t].h_dim, H["cap"][t].h_dim)]
-        maps = [seq[name][t] for t in range(self.nvars + 1) for name in ("rho", "pi", "delta")]
+        maps = [seq[name][t] for t in levels for name in ("rho", "pi", "delta")]
         # ranks[k] and ranks[k + 1]: the maps into and out of node k
         ranks = [0] + [linalg.rank(m) for m in maps]
         return (all(ranks[k] + ranks[k + 1] == dim for k, dim in enumerate(dims))
@@ -292,7 +296,9 @@ class MayerVietoris:
             return induced_map(seq["H"][name][t], seq2["H"][name][t],
                                _restriction(cx[name]["faces"][t], cx2[name]["faces"][t]))
 
-        for t in range(self.nvars):
+        # for t >= |N| the target H^(t+1) at N is zero, so both sides are;
+        # at N - {j} the one at t = |N| - 1 is zero-dimensional
+        for t in range(len(N)):
             x_cap, x_sum, h = x_map("cap", t), x_map("sum", t + 1), seq["H"]["cap"][t].h_dim
             for e in (linalg.unit_vector(h, i) for i in range(h)):
                 if (linalg.mat_vec(seq2["delta"][t], linalg.mat_vec(x_cap, e))

@@ -46,6 +46,8 @@ a Fraction.
 a tree of `Num`/`Var`/`Neg`/`BinOp`/`Pow` nodes, then an evaluation in
 which every leaf is a `DiffOp` (a plain polynomial too, over a Weyl ring),
 before `parser` evaluated while parsing.
+`socle_matches_primary_annihilator` checks (0 :_E nu) = (0 :_E Q_1) in a
+truncated hull; only the tests call it.
 All are exact
 and slow; on inputs they answer correctly the production code must give
 identical results (fractions: the same value, compared by
@@ -64,8 +66,14 @@ from operator import add, le, sub
 
 from weylcas import linalg
 from weylcas import univar
-from weylcas.artin import LocalFactor, _assert_idempotent_system
+from weylcas.artin import LocalFactor, _assert_idempotent_system, decompose_local
 from weylcas.groebner import divide_exact
+from weylcas.hulls import (
+    CurveExtension,
+    TruncatedHull,
+    matched_local_factor,
+    maximal_ideal_stabilization_index,
+)
 from weylcas.localcoh import monomial_lcm, window_degrees
 from weylcas.ore import DiffOp, OreRing
 from weylcas.parser import ParseError, Token, tokenize
@@ -1682,3 +1690,34 @@ def old_parse_polynomial(text: str, variables) -> SparsePoly:
     if op.op_order() > 0:
         raise ValueError("element has positive operator order")
     return op.terms.get(ring.zero_alpha(), SparsePoly.zero(vs))
+
+
+# ---------- the primary component inside a truncated hull ----------
+
+def socle_matches_primary_annihilator(ext: CurveExtension,
+                                       truncation: int | None = None) -> bool:
+    """Inside the truncated hull, (0 :_E nu) = (0 :_E Q_1), checked as
+    equality of the subspaces nu*A_B and Q_1*A_B (double annihilators).
+
+    Q_1 is realized as nu*S plus lifts of a basis of the non-matched local
+    factors of S/nu*S.
+    """
+    s = max(1, maximal_ideal_stabilization_index(ext))
+    if truncation is None:
+        truncation = max(4, s + 1)
+    A = ext.quotient_algebra([ext.nu_in_s()])
+    factors = decompose_local(A)
+    idx = matched_local_factor(A, factors, ext.maximal_ideal)
+    hull = TruncatedHull(ext, truncation)
+    AB = hull.algebra
+    nu_span = linalg.Subspace(AB.dim, linalg.transpose(hull.nu_matrix))
+    q1_span = linalg.Subspace(AB.dim, nu_span.basis)
+    for j, factor in enumerate(factors):
+        if j == idx:
+            continue
+        for v in factor.basis_vectors:
+            lift = A.to_poly(v)  # monomial representative, lifted through S
+            m = AB.mult_matrix(AB.to_vector(lift))
+            for col in linalg.transpose(m):
+                q1_span.add(col)
+    return nu_span == q1_span

@@ -176,6 +176,20 @@ def test_lc_input_errors_exit_2(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["weyl-star", "--ideal", "x1", "--op", "d1", "--rmax", "0"],
+    ["koszul-map", "--elems", "x1", "--k", "5"],
+    ["hull-oracle", "--map", "y^2", "--maxideal", "y", "--truncate", "0"],
+    ["hull-oracle", "--map", "y^2", "--maxideal", "y", "--kmax", "-1"],
+    ["koszul-primeavoid", "--prime", "x1", "--g", "-1"],
+], ids=["rmax-zero", "koszul-k-above", "truncate-zero", "kmax-negative", "g-negative"])
+def test_out_of_range_count_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error: " in err
+
+
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run(capsys, "weyl-lnf", "x1", "--frobnicate")
     assert code == 2

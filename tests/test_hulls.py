@@ -1,7 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from oracles import _quotient_projection, exact_rule, old_action_of_vector
+from oracles import (
+    _quotient_projection,
+    exact_rule,
+    old_action_of_vector,
+    socle_matches_primary_annihilator,
+)
 
 from weylcas import linalg
 from weylcas.artin import ArtinAlgebra, decompose_local
@@ -13,7 +18,6 @@ from weylcas.hulls import (
     TruncationError,
     ass_finite_x_module,
     ass_truncated_hull,
-    socle_matches_primary_annihilator,
     essential_hull,
     maximal_ideal_stabilization_index,
     socle_growth_oracle,
@@ -114,6 +118,46 @@ def test_socle_growth_matches_multiplicity_slope():
         deg_nu = len(nu) - 1
         dims = socle_growth_oracle(ext, 4)
         assert dims == [c * k * deg_nu for k in range(1, 5)], (f.to_str(), dims)
+
+
+def _count_quotients(monkeypatch):
+    """The generator lists of the quotients of S built from now on."""
+    built = []
+    quotient = CurveExtension.quotient_algebra
+
+    def counted(self, gens):
+        built.append([g.to_str() for g in gens])
+        return quotient(self, gens)
+
+    monkeypatch.setattr(CurveExtension, "quotient_algebra", counted)
+    return built
+
+
+@pytest.mark.parametrize("f,m", [(y ** 2, [y]), (y ** 2, [y ** 2 + 1]),
+                                 (y ** 3 - y ** 2 + 2, [y - 1])])
+def test_one_extension_builds_s_mod_m_and_s_mod_nu_once(monkeypatch, f, m):
+    built = _count_quotients(monkeypatch)
+    ext = map_ext(f, m)
+    report = hull_multiplicity(ext)
+    nu = ext.nu_in_s().to_str()
+    assert built == [[g.to_str() for g in m], [nu]]
+    assert report.nu.to_str() == ext.nu_poly().to_str()
+    # the socle-growth oracle reuses S/nu S and adds only S/m^B
+    socle_growth_oracle(ext, 2)
+    assert len(built) == 3 and built[:2] == [[g.to_str() for g in m], [nu]]
+
+
+def test_socle_growth_oracle_reads_no_local_factor(monkeypatch):
+    # criterion 8 compares the oracle with hull_multiplicity, so the oracle
+    # must not reuse the decomposition of S/nu S
+    ext = map_ext(y ** 3, [y])
+    built = _count_quotients(monkeypatch)
+    split = []
+    monkeypatch.setattr("weylcas.hulls.decompose_local",
+                        lambda *args: split.append(args) or decompose_local(*args))
+    assert socle_growth_oracle(ext, 3) == [3, 6, 9]
+    assert split == [] and len(built) == 2  # S/nu S and S/m^B
+    assert "_nu_factors" not in vars(ext)
 
 
 def test_truncation_error():

@@ -2,9 +2,10 @@
 
 `linalg` stores an entry as `SparsePoly` stores a coefficient: an int when
 it is integral and a Fraction otherwise.  Each seeded case below checks the
-products, the elimination, `Subspace`, the Krylov and Horner kernels, the
-integer Euclid of `univar` and the products of `ArtinAlgebra` by value
-against the Fraction loops in `oracles`, on three kinds of input: int
+products, the elimination, `Subspace`, `MatrixFamily`, the Krylov and
+Horner kernels, the integer Euclid of `univar` and the products of
+`ArtinAlgebra` by value against the Fraction loops in `oracles` (or a
+plain Fraction sum), on three kinds of input: int
 matrices, the same matrices with every entry an integral Fraction, and
 rational matrices with denominators up to 10^12.  No output may store an
 integral Fraction, and where the exact answer to integer inputs is integral
@@ -131,6 +132,49 @@ def test_subspace_matches_the_fraction_loops(kind):
             assert exact_rule([coords or [], projected])
 
 
+def _fraction_sum(coeffs, matrices, rows, cols):
+    """sum_i coeffs[i] matrices[i], entry by entry over Fractions."""
+    return [[sum((Fraction(c) * m[r][k] for c, m in zip(coeffs, matrices)), Fraction(0))
+             for k in range(cols)] for r in range(rows)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_matrix_family_matches_a_fraction_sum(kind):
+    rng = random.Random(f"family-{kind}")
+    for case in range(80):
+        rows, cols, size = rng.randint(0, 4), rng.randint(0, 4), rng.randint(1, 4)
+        matrices = [_matrix(rng, kind, rows, cols) for _ in range(size)]
+        den = rng.choice([1, 1, 3, 10 ** 12])
+        family = linalg.MatrixFamily(matrices, den)
+        scaled = [[[Fraction(x) / den for x in row] for row in m] for m in matrices]
+        for coeffs in ([_entry(rng, kind) for _ in range(size)], [0] * size,
+                       [Fraction(0)] * size):
+            combined = family.combine(coeffs)
+            assert combined == _fraction_sum(coeffs, scaled, rows, cols), (case, coeffs)
+            assert exact_rule(combined)
+            if kind != "rational" and den == 1:
+                assert _all_ints(combined)
+
+
+def test_matrix_family_edge_shapes():
+    # dimension 0: members with no rows, or rows of no entries
+    assert linalg.MatrixFamily([[], []]).combine([1, 2]) == []
+    assert linalg.MatrixFamily([[[], []]]).combine([Fraction(1, 3)]) == [[], []]
+    # an empty family has no shape and combines to []
+    assert linalg.MatrixFamily([]).combine([]) == []
+    # all-zero coefficients give a zero matrix of the members' shape
+    family = linalg.MatrixFamily([[[1, Fraction(1, 2)], [3, 4]], [[0, 1], [1, 0]]])
+    assert family.combine([0, 0]) == [[0, 0], [0, 0]]
+    assert _all_ints(family.combine([0, 0]))
+    assert family.combine([2, Fraction(-1, 3)]) == [[2, Fraction(2, 3)], [Fraction(17, 3), 8]]
+    with pytest.raises(ValueError, match="3 coefficients for a family of 2 matrices"):
+        family.combine([1, 2, 3])
+    with pytest.raises(ValueError, match="in a family of"):
+        linalg.MatrixFamily([[[1, 2]], [[1], [2]]])
+    with pytest.raises(ValueError, match="ragged"):
+        linalg.MatrixFamily([[[1, 2], [3]]])
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_krylov_and_horner_match_the_fraction_loops(kind):
     rng = random.Random(f"krylov-{kind}")
@@ -138,11 +182,10 @@ def test_krylov_and_horner_match_the_fraction_loops(kind):
         n = rng.randint(1, 5)
         a = _matrix(rng, kind, n, n)
         v = _matrix(rng, kind, 1, n)[0]
-        m, den = linalg.integer_matrix(a)
-        annihilator = linalg.annihilator(m, den, v)
+        annihilator = linalg.annihilator(a, v)
         assert annihilator == old_minimal_polynomial_of_vector(Q(a), Q([v])[0])
         p = [_entry(rng, kind) for _ in range(rng.randint(0, 4))]
-        applied = linalg.poly_apply(p, m, den, v)
+        applied = linalg.poly_apply(p, a, v)
         assert applied == old_poly_apply(p, Q(a), Q([v])[0])
         assert exact_rule([annihilator, applied])
         if kind != "rational":

@@ -1,9 +1,9 @@
 """A function in `src/weylcas` must have a caller outside the tests.
 
 Every defined name must be a dunder, be exported in `weylcas.__all__`, be
-used somewhere in `src/` other than its own `def` (as a name, an attribute
-or an import), or be named in `perfbench/*.py`, whose trace spans bind
-functions by name.  A helper that only the tests call belongs in
+used somewhere in `src/` other than its own `def` (as a name or an
+attribute; an import alone is not a use), or be named in `perfbench/*.py`,
+whose trace spans bind functions by name.  A helper that only the tests call belongs in
 `tests/oracles.py` or in the test that uses it.
 """
 
@@ -31,8 +31,6 @@ def test_every_function_in_src_has_a_caller_outside_the_tests():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
     bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
     unused = sorted(
         name for name in defined - used - set(weylcas.__all__) - set(ALLOWED)
