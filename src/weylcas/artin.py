@@ -41,7 +41,7 @@ from math import gcd, lcm
 
 from . import linalg, univar
 from .groebner import Ideal, standard_monomials
-from .poly import GREVLEX, SparsePoly, TermOrder
+from .poly import SparsePoly
 
 
 def _shift(e: tuple, k: int, step: int) -> tuple:
@@ -50,11 +50,10 @@ def _shift(e: tuple, k: int, step: int) -> tuple:
 
 
 class ArtinAlgebra:
-    def __init__(self, ideal: Ideal, order: TermOrder = GREVLEX):
+    def __init__(self, ideal: Ideal):
         self.ideal = ideal
-        self.order = order
         self.vars = ideal.vars
-        self.basis = standard_monomials(ideal, order)  # raises if not 0-dim
+        self.basis = standard_monomials(ideal)  # raises if not 0-dim
         self.dim = len(self.basis)
         self._pos = {e: i for i, e in enumerate(self.basis)}
         var_cols, var_den = self._variable_columns()
@@ -69,12 +68,11 @@ class ArtinAlgebra:
         # trace of multiplication by basis_k, times den
         self._traces = [sum(self._tensor[k][j][j] for j in range(self.dim))
                         for k in range(self.dim)]
-        self.basis_traces = linalg.fraction_vector(self._traces, self._den)
         self._radical: list | None = None
 
     @classmethod
-    def from_presentation(cls, variables, generators, order: TermOrder = GREVLEX):
-        return cls(Ideal(variables, list(generators)), order)
+    def from_presentation(cls, variables, generators):
+        return cls(Ideal(variables, list(generators)))
 
     # ---------- structure tensor ----------
 
@@ -143,7 +141,7 @@ class ArtinAlgebra:
 
     def to_vector(self, p: SparsePoly) -> list[Fraction]:
         """Coordinates of p modulo the ideal in the standard-monomial basis."""
-        nf = self.ideal.reduce(p, self.order)
+        nf = self.ideal.reduce(p)
         v = [0] * self.dim
         for e, c in nf.terms.items():
             v[self._pos[e]] = c
@@ -290,18 +288,21 @@ class LocalFactor:
         return f"LocalFactor(dim={self.dim})"
 
 
-def _candidate_combinations(nvars: int, seed: int, extra: int):
+# seeded random combinations tried after the variables themselves
+EXTRA_TRIALS = 10
+
+
+def _candidate_combinations(nvars: int, seed: int):
     """Coefficients of candidate elements over the ring variables: each
-    variable alone, then seeded random small combinations."""
+    variable alone, then EXTRA_TRIALS seeded random small combinations."""
     for i in range(nvars):
         yield [int(i == j) for j in range(nvars)]
     rng = random.Random(seed)
-    for _ in range(extra):
+    for _ in range(EXTRA_TRIALS):
         yield [rng.randint(-3, 3) for _ in range(nvars)]
 
 
-def decompose_local(algebra: ArtinAlgebra, seed: int = 0,
-                    extra_trials: int = 10) -> list[LocalFactor]:
+def decompose_local(algebra: ArtinAlgebra, seed: int = 0) -> list[LocalFactor]:
     """Complete orthogonal idempotent decomposition into local factors.
 
     Exactness of the idempotent identities (e^2 = e, pairwise products zero,
@@ -315,7 +316,7 @@ def decompose_local(algebra: ArtinAlgebra, seed: int = 0,
                         algebra.one())]
     while work:
         factor = work.pop()
-        split = _try_split(algebra, factor, seed, extra_trials)
+        split = _try_split(algebra, factor, seed)
         if split is None:
             finished.append(factor)
         else:
@@ -326,7 +327,7 @@ def decompose_local(algebra: ArtinAlgebra, seed: int = 0,
     return finished
 
 
-def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
+def _try_split(algebra, factor: LocalFactor, seed):
     """Split the factor along the CRT idempotents of the first candidate
     whose minimal polynomial has two coprime prime-power parts; None when
     the factor is certified local.  Raises RuntimeError when the candidates
@@ -342,7 +343,7 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
     # multiplication by its component e*c
     var_actions = linalg.MatrixFamily([factor.restrict(x) for x in algebra.var_matrices])
     basis = linalg.transpose(factor.basis_vectors)
-    for coeffs in _candidate_combinations(len(algebra.vars), seed, extra_trials):
+    for coeffs in _candidate_combinations(len(algebra.vars), seed):
         a = var_actions.combine(coeffs)
         # in a commutative algebra the minimal polynomial of multiplication
         # by a is the annihilator of 1 under it
@@ -369,7 +370,7 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
         return pieces
     raise RuntimeError(
         f"no split certified for a factor of dimension {k} with residue dimension {r} "
-        f"after {len(algebra.vars) + extra_trials} candidates")
+        f"after {len(algebra.vars) + EXTRA_TRIALS} candidates")
 
 
 def _assert_idempotent_system(algebra, factors):

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 when a mathematical verification fails, 2 on
-usage errors (bad flags, unparseable expressions) and on input refused as
-too costly (a factorization past its recombination budget).  Identical invocations
+Exit codes: 0 on success, 1 when a mathematical verification fails or a
+search runs out (a RuntimeError), 2 on usage errors (bad flags,
+unparseable expressions), on input the library refuses and on input
+refused as too costly (every ValueError).  Identical invocations
 (including --seed) produce byte-identical output; --json switches to a
 versioned machine-readable format ("schema": 1).
 """
@@ -18,10 +19,9 @@ import sys
 from .artin import ArtinAlgebra, decompose_local
 from .acceptance import run_all
 from .groebner import Ideal
-from .hulls import CurveExtension, socle_growth_oracle, hull_multiplicity
+from .hulls import BASE_VAR, EXT_VAR, CurveExtension, socle_growth_oracle, hull_multiplicity
 from .koszul import (
     GradedModuleModel,
-    WindowMarginError,
     build_psi_inductive,
     ext1_koszul,
     is_regular_sequence,
@@ -36,15 +36,14 @@ from .localcoh import (
     mv_dimension_check,
 )
 from .ore import OreRing, verify_star
-from .parser import ParseError, diffop_to_str, parse_operator, parse_polynomial
+from .parser import diffop_to_str, parse_operator, parse_polynomial
 from .poly import GREVLEX, LEX, TermOrder
-from .univar import RecombinationBudgetError
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -262,11 +261,11 @@ def _curve_extension(args) -> CurveExtension:
     if bool(args.map) == bool(args.relation):
         raise UsageError("give exactly one of --map or --relation")
     if args.map:
-        f = parse_polynomial(args.map, ("y",))
-        m = _parse_poly_list(args.maxideal, ("y",))
+        f = parse_polynomial(args.map, (EXT_VAR,))
+        m = _parse_poly_list(args.maxideal, (EXT_VAR,))
         return CurveExtension(structural_map=f, maximal_ideal=m)
-    h = parse_polynomial(args.relation, ("x", "y"))
-    m = _parse_poly_list(args.maxideal, ("x", "y"))
+    h = parse_polynomial(args.relation, (BASE_VAR, EXT_VAR))
+    m = _parse_poly_list(args.maxideal, (BASE_VAR, EXT_VAR))
     return CurveExtension(relation=h, maximal_ideal=m)
 
 
@@ -317,11 +316,10 @@ def cmd_lc_piece(args):
 
 def cmd_lc_mv(args):
     vars_ = _ring_vars(args, [args.i_gens, args.j_gens])
-    n = len(vars_)
     i_gens = _monomial_generators(args.i_gens, vars_)
     j_gens = _monomial_generators(args.j_gens, vars_)
-    window = _parse_window(args.window, n)
-    report = mv_dimension_check(i_gens, j_gens, window, nvars=n)
+    window = _parse_window(args.window, len(vars_))
+    report = mv_dimension_check(i_gens, j_gens, window)
     ok = report["all_alternating_sums_zero"]
     lines = [f"alternating sums vanish: {ok}"]
     payload = {
@@ -334,7 +332,7 @@ def cmd_lc_mv(args):
     }
     connecting = None
     if len(i_gens) == 1 and len(j_gens) == 1:
-        connecting = mv_connecting_biprincipal(i_gens[0], j_gens[0], window, nvars=n)
+        connecting = mv_connecting_biprincipal(i_gens[0], j_gens[0], window)
         lines.append(f"sum/Cech oracle: {connecting['h_oracle_matches']}")
         lines.append(f"long sequence exact: {connecting['long_sequence_exact']}")
         lines.append(f"delta commutes with derivatives: {connecting['delta_d_linear']}")
@@ -359,7 +357,10 @@ def cmd_lc_gamma(args):
         lines = [f"torsion submodule generated by: {', '.join(gens)}"]
         _emit(args, lines, {"command": "lc-gamma", "generators": gens})
         return 0
-    f = _monomial_exponents(_parse_poly_list(args.invert, vars_))[0]
+    inverted = _monomial_exponents(_parse_poly_list(args.invert, vars_))
+    if len(inverted) != 1:
+        raise UsageError(f"--invert takes one monomial, got {args.invert!r}")
+    f = inverted[0]
     i_gens = _monomial_exponents(i_gens_polys)
     window = _parse_window(args.window, len(vars_))
     report = gamma_dstable_check(f, i_gens, window, mod_r=args.mod_r)
@@ -552,10 +553,10 @@ def main(argv=None) -> int:
         # flush at shutdown does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ParseError, UsageError, WindowMarginError, RecombinationBudgetError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
 

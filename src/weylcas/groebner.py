@@ -419,7 +419,6 @@ class _BlockElimOrder(TermOrder):
 
     def __init__(self, n_front: int):
         self.kind = "grevlex"
-        self.priority = None
         self.n_front = n_front
 
     def rows(self, nvars):
@@ -542,14 +541,15 @@ def saturation(I: Ideal, J: Ideal) -> Ideal:
         f"saturation did not stabilize within {SATURATION_STEPS} steps")
 
 
-def standard_monomials(I: Ideal, order: TermOrder = GREVLEX) -> list[tuple[int, ...]]:
-    """Exponent vectors of the monomials outside the head ideal; requires
-    a pure-power head term for every variable (zero-dimensionality)."""
-    gb = I.groebner_basis(order)
+def standard_monomials(I: Ideal) -> list[tuple[int, ...]]:
+    """Exponent vectors of the monomials outside the grevlex head ideal,
+    in grevlex order; requires a pure-power head term for every variable
+    (zero-dimensionality)."""
+    gb = I.groebner_basis()
     n = len(I.vars)
     if any(g.is_constant() and not g.is_zero() for g in gb):
         return []
-    heads = [g.leading_term(order)[0] for g in gb]
+    heads = [g.leading_term()[0] for g in gb]
     bounds = []
     for i in range(n):
         pure = [e[i] for e in heads if all(x == 0 for j, x in enumerate(e) if j != i) and e[i] > 0]
@@ -570,7 +570,7 @@ def standard_monomials(I: Ideal, order: TermOrder = GREVLEX) -> list[tuple[int, 
             walk(prefix + [k])
 
     walk([])
-    out.sort(key=order.key)
+    out.sort(key=GREVLEX.key)
     return out
 
 

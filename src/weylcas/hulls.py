@@ -43,9 +43,14 @@ class NotMaximalError(ValueError):
     """The given ideal of S is not maximal (S/m is not a field)."""
 
 
+# the variable of the base R = Q[x] and the one the extension adjoins
+BASE_VAR, EXT_VAR = "x", "y"
+
+
 class CurveExtension:
     """A module-finite free extension of R = Q[x] with a maximal ideal.
 
+    The variables are fixed: x for the base, y for the extension.
     Map style: S = Q[y], structural map x |-> f(y) with f nonconstant.
     Relation style: S = Q[x,y]/(h) with h monic in y.
     The maximal ideal is given by generators in the variables of S; its
@@ -57,31 +62,28 @@ class CurveExtension:
 
     def __init__(self, structural_map: SparsePoly | None = None,
                  relation: SparsePoly | None = None,
-                 maximal_ideal: list[SparsePoly] | None = None,
-                 base_var: str = "x", ext_var: str = "y"):
+                 maximal_ideal: list[SparsePoly] | None = None):
         if (structural_map is None) == (relation is None):
             raise ValueError("give exactly one of structural_map or relation")
-        self.base_var = base_var
-        self.ext_var = ext_var
         if structural_map is not None:
             self.style = "map"
-            if structural_map.vars != (ext_var,):
-                raise ValueError(f"structural map must live in Q[{ext_var}]")
+            if structural_map.vars != (EXT_VAR,):
+                raise ValueError(f"structural map must live in Q[{EXT_VAR}]")
             if structural_map.total_degree() < 1:
                 raise ValueError("structural map must be nonconstant")
             self.f = structural_map
             self.relation = None
-            self.s_vars = (ext_var,)
+            self.s_vars = (EXT_VAR,)
         else:
             self.style = "relation"
-            if relation.vars != (base_var, ext_var):
-                raise ValueError(f"relation must live in Q[{base_var},{ext_var}]")
+            if relation.vars != (BASE_VAR, EXT_VAR):
+                raise ValueError(f"relation must live in Q[{BASE_VAR},{EXT_VAR}]")
             d = relation.degree_in(1)
             if d < 1 or {e: c for e, c in relation.terms.items() if e[1] == d} != {(0, d): 1}:
                 raise ValueError("relation must be monic in the extension variable")
             self.relation = relation
             self.f = None
-            self.s_vars = (base_var, ext_var)
+            self.s_vars = (BASE_VAR, EXT_VAR)
         if not maximal_ideal:
             raise ValueError("a maximal ideal is required")
         for g in maximal_ideal:
@@ -123,7 +125,7 @@ class CurveExtension:
         return list(self._nu)
 
     def nu_poly(self) -> SparsePoly:
-        return univar.to_sparse(self.nu_dense(), (self.base_var,))
+        return univar.to_sparse(self.nu_dense(), (BASE_VAR,))
 
     def nu_in_s(self) -> SparsePoly:
         """The generator of nu*S as an element of S."""
@@ -147,8 +149,8 @@ class CurveExtension:
 
     def serialize(self) -> dict:
         out = {
-            "base_var": self.base_var,
-            "ext_var": self.ext_var,
+            "base_var": BASE_VAR,
+            "ext_var": EXT_VAR,
             "maximal_ideal": [g.to_str() for g in self.maximal_ideal],
         }
         if self.style == "map":
@@ -159,7 +161,7 @@ class CurveExtension:
 
     def __repr__(self):
         if self.style == "map":
-            return (f"CurveExtension({self.base_var} -> {self.f.to_str()}, "
+            return (f"CurveExtension({BASE_VAR} -> {self.f.to_str()}, "
                     f"m = ({', '.join(g.to_str() for g in self.maximal_ideal)}))")
         return (f"CurveExtension({self.relation.to_str()} = 0, "
                 f"m = ({', '.join(g.to_str() for g in self.maximal_ideal)}))")
@@ -335,7 +337,7 @@ class ArtinModule:
                 if linalg.mat_mul(a, b) != linalg.mat_mul(b, a):
                     raise ValueError(f"the actions of {algebra.vars[j]} and {algebra.vars[i]} "
                                      "do not commute")
-        gb = algebra.ideal.groebner_basis(algebra.order)
+        gb = algebra.ideal.groebner_basis()
         monomials = sorted({e for g in gb for e in g.terms})
         actions = linalg.MatrixFamily([self.monomial_action(e) for e in monomials])
         for g in gb:

@@ -235,13 +235,17 @@ def member_locally(f: SparsePoly, L: Ideal, P: Ideal) -> bool:
     return not all(P.contains(g) for g in colon.groebner_basis())
 
 
-def prime_avoidance_sequence(P: Ideal, g: int, seed: int = 0,
-                             trials: int = 200, coeff_bound: int = 5):
+# random candidates tried for each position of the sequence
+AVOIDANCE_TRIALS = 200
+
+
+def prime_avoidance_sequence(P: Ideal, g: int, seed: int = 0):
     """A regular sequence x_1..x_g in P whose images are part of a minimal
     generating set of P R_P.
 
-    Candidates are random small-integer combinations of the generators of P
-    (caller asserts primality and height >= g); every accepted element is
+    Candidates are random combinations of the generators of P with
+    coefficients in -5..5, at most AVOIDANCE_TRIALS per position (caller
+    asserts primality and height >= g); every accepted element is
     verified deterministically: x_i must avoid (x_1..x_{i-1}) + P^2 locally
     at P, and the accumulated sequence must pass the colon-ideal regularity
     test.  Returns (sequence, trial_indices).
@@ -255,8 +259,8 @@ def prime_avoidance_sequence(P: Ideal, g: int, seed: int = 0,
     for i in range(g):
         shifted = ideal_sum(Ideal(P.vars, chosen), ideal_power(P, 2))
         found = None
-        for t in range(trials):
-            coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in gens]
+        for t in range(AVOIDANCE_TRIALS):
+            coeffs = [rng.randint(-5, 5) for _ in gens]
             if all(c == 0 for c in coeffs):
                 continue
             x = SparsePoly.zero(P.vars)
@@ -274,7 +278,7 @@ def prime_avoidance_sequence(P: Ideal, g: int, seed: int = 0,
             break
         if found is None:
             raise SearchExhaustedError(
-                f"no candidate for position {i + 1} within {trials} trials"
+                f"no candidate for position {i + 1} within {AVOIDANCE_TRIALS} trials"
             )
         chosen.append(found)
     return chosen, trial_log

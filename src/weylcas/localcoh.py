@@ -147,10 +147,8 @@ class CechComplex:
         return _face_complex(N, self.meets, self.nvars)
 
 
-def cech_cohomology_piece(generators: list[tuple[int, ...]], i: int, d: tuple[int, ...],
-                          nvars: int | None = None) -> int:
-    cech = CechComplex(nvars if nvars is not None else len(d), list(generators))
-    return cech.cohomology_dim(i, d)
+def cech_cohomology_piece(generators: list[tuple[int, ...]], i: int, d: tuple[int, ...]) -> int:
+    return CechComplex(len(d), list(generators)).cohomology_dim(i, d)
 
 
 def window_degrees(window: list[tuple[int, int]]):
@@ -308,11 +306,12 @@ class MayerVietoris:
 
 
 def mv_dimension_check(i_gens: list[tuple[int, ...]], j_gens: list[tuple[int, ...]],
-                       window: list[tuple[int, int]], nvars: int | None = None) -> dict:
+                       window: list[tuple[int, int]]) -> dict:
     """Per-degree dimensions of the four Mayer-Vietoris columns, H^0..H^n
     of I + J ("sum"), I, J and I cap J ("cap"), and their alternating sums
-    (which vanish when the long sequence is exact)."""
-    n = nvars if nvars is not None else len(window)
+    (which vanish when the long sequence is exact).  The ring has one
+    variable per window coordinate."""
+    n = len(window)
     mv = MayerVietoris(n, i_gens, j_gens)
     columns = {}
     per_degree = {}
@@ -330,12 +329,11 @@ def mv_dimension_check(i_gens: list[tuple[int, ...]], j_gens: list[tuple[int, ..
 
 
 def mv_connecting_biprincipal(f: tuple[int, ...], g: tuple[int, ...],
-                              window: list[tuple[int, int]],
-                              nvars: int | None = None) -> dict:
+                              window: list[tuple[int, int]]) -> dict:
     """The Mayer-Vietoris sequence of I = (f), J = (g), checked at each
     pattern N of the window: its I + J column against the Cech complex of
     (f, g), exactness, and each square of delta with x_j, j in N."""
-    n = nvars if nvars is not None else len(window)
+    n = len(window)
     mv = MayerVietoris(n, [f], [g])
     oracle = CechComplex(n, [f, g])
     patterns = dict.fromkeys(_pattern(d, n) for d in window_degrees(window))

@@ -13,68 +13,41 @@ from typing import Iterable, Mapping
 
 
 class TermOrder:
-    """A monomial order: graded reverse lex or lex, with a variable priority.
+    """A monomial order, graded reverse lex or lex, with the first variable
+    the most significant."""
 
-    ``priority`` is a permutation of variable indices; position 0 is the most
-    significant variable.  The default priority is the natural one
-    (first variable largest).
-    """
-
-    def __init__(self, kind: str = "grevlex", priority: tuple[int, ...] | None = None):
+    def __init__(self, kind: str = "grevlex"):
         if kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown term order kind {kind!r}")
-        if priority is not None:
-            priority = tuple(priority)
-            if sorted(priority) != list(range(len(priority))):
-                raise ValueError("priority is not a permutation of the variables")
         self.kind = kind
-        self.priority = priority
 
     def key(self, exponents: tuple[int, ...]) -> tuple[int, ...]:
         """Sort key, a flat int tuple: larger key means larger monomial.
 
-        Lex gives the exponents in priority order; grevlex gives the total
-        degree, then the negated exponents from the least significant
-        variable up."""
-        p = self.priority
-        if p is not None and len(p) != len(exponents):
-            raise ValueError(f"priority {p} does not fit {len(exponents)} variables")
+        Lex gives the exponents themselves; grevlex gives the total degree,
+        then the negated exponents from the last variable up."""
         if self.kind == "lex":
-            return exponents if p is None else tuple([exponents[i] for i in p])
-        if p is None:
-            return (sum(exponents),) + tuple([-x for x in reversed(exponents)])
-        return (sum(exponents),) + tuple([-exponents[i] for i in reversed(p)])
+            return exponents
+        return (sum(exponents),) + tuple([-x for x in reversed(exponents)])
 
     def rows(self, nvars: int) -> list[tuple[int, ...]]:
         """The order as weight rows, most significant first: each row is
         the variables whose exponents it sums, and monomials compare as
-        their row sums do, lexicographically.  Lex gives the exponents in
-        priority order; grevlex gives the partial degrees deg, deg minus
-        the least significant exponent, and so on down to the most
-        significant exponent alone."""
-        p = self.priority
-        if p is None:
-            p = tuple(range(nvars))
-        elif len(p) != nvars:
-            raise ValueError(f"priority {p} does not fit {nvars} variables")
+        their row sums do, lexicographically.  Lex gives the exponents one
+        by one; grevlex gives the partial degrees deg, deg minus the last
+        exponent, and so on down to the first exponent alone."""
         if self.kind == "lex":
-            return [(i,) for i in p]
-        return [p[:k] for k in range(nvars, 0, -1)]
+            return [(i,) for i in range(nvars)]
+        return [tuple(range(k)) for k in range(nvars, 0, -1)]
 
     def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.kind == other.kind
-            and self.priority == other.priority
-        )
+        return type(other) is type(self) and self.kind == other.kind
 
     def __hash__(self):
-        return hash((self.kind, self.priority))
+        return hash(self.kind)
 
     def __repr__(self):
-        if self.priority is None:
-            return f"TermOrder({self.kind!r})"
-        return f"TermOrder({self.kind!r}, priority={self.priority})"
+        return f"TermOrder({self.kind!r})"
 
 
 GREVLEX = TermOrder("grevlex")
@@ -203,9 +176,6 @@ class SparsePoly:
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
 
-    def coeff(self, exponents) -> int | Fraction:
-        return self.terms.get(tuple(exponents), 0)
-
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -323,24 +293,6 @@ class SparsePoly:
             e2[index] = k - 1
             out[tuple(e2)] = c * k
         return SparsePoly._clean(self.vars, out)
-
-    def substitute(self, index: int, value: "SparsePoly") -> "SparsePoly":
-        """Substitute a polynomial for one variable (value over the same ring)."""
-        self._check_same_ring(value)
-        out = SparsePoly.zero(self.vars)
-        powers: dict[int, SparsePoly] = {0: SparsePoly.one(self.vars)}
-
-        def power(k: int) -> SparsePoly:
-            if k not in powers:
-                powers[k] = power(k - 1) * value
-            return powers[k]
-
-        for e, c in self.terms.items():
-            rest = list(e)
-            k = rest[index]
-            rest[index] = 0
-            out = out + SparsePoly.monomial(self.vars, rest, c) * power(k)
-        return out
 
     def extend(self, variables) -> "SparsePoly":
         """Embed into a larger ring; self.vars must be a subset of variables."""

@@ -5,14 +5,13 @@ import pytest
 
 from oracles import (
     exact_rule,
-    old_basis_traces,
     old_decompose_local,
     old_mult,
     old_mult_matrix,
     old_radical_basis,
     old_structure_table,
 )
-from weylcas import linalg
+from weylcas import artin, linalg
 from weylcas.artin import ArtinAlgebra, LocalFactor, decompose_local
 from weylcas.groebner import Ideal, NotZeroDimensionalError
 from weylcas.poly import SparsePoly
@@ -171,13 +170,14 @@ def test_full_degree_irreducible_certifies_a_field(degree):
     assert not A.radical_basis() and len(decompose_local(A)) == 1
 
 
-def test_no_certified_split_raises():
+def test_no_certified_split_raises(monkeypatch):
     # Q(sqrt2) x Q(sqrt2): the variables have irreducible minimal
     # polynomials of degree 2 < 4, and without random combinations nothing
     # splits or certifies the algebra as local
+    monkeypatch.setattr(artin, "EXTRA_TRIALS", 0)
     A = ArtinAlgebra.from_presentation(XY, [x2 ** 2 - 2, y2 ** 2 - 2])
     with pytest.raises(RuntimeError, match="no split certified"):
-        decompose_local(A, extra_trials=0)
+        decompose_local(A)
 
 
 def eisenstein_monic(rng, degree):
@@ -295,7 +295,6 @@ def test_products_match_one_reduction_per_product():
     for A in product_corpus():
         table = old_structure_table(A)
         assert A.table == table and exact_rule(A.table)
-        assert A.basis_traces == old_basis_traces(table) and exact_rule(A.basis_traces)
         assert A.radical_basis() == old_radical_basis(table)
         for i, m in enumerate(A.var_matrices):
             x = A.to_vector(SparsePoly.variable(A.vars, i))

@@ -190,6 +190,37 @@ def test_out_of_range_count_exits_2(capsys, argv):
     assert "error: " in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["koszul-map", "--elems", "x1", "--inductive"],
+    ["hull-oracle", "--map", "y^2", "--maxideal", "y", "--truncate", "1"],
+    ["artin-decompose", "--ideal", "0", "--vars", "1"],
+    ["weyl-star", "--ideal", "0", "--op", "d1"],
+    ["hull-mult", "--map", "y^2", "--maxideal", "y^2"],
+    ["hull-mult", "--relation", "x-y", "--maxideal", "y"],
+    ["koszul-ext1", "--elems", "x1+1"],
+    ["lc-gamma", "--ideal", "0", "--quotient", "x1"],
+    ["lc-gamma", "--ideal", "x1", "--invert", "x1,x2", "--window", "0..0"],
+], ids=["inductive-one-element", "truncate-below-bound", "not-zero-dimensional",
+        "star-zero-ideal", "not-maximal", "relation-not-monic", "inhomogeneous-element",
+        "colon-by-zero", "invert-two-monomials"])
+def test_refused_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["koszul-primeavoid", "--prime", "x1", "--g", "2"],
+    ["weyl-star", "--ideal", "x1", "--op", "d1^3", "--rmax", "2"],
+], ids=["primeavoid-exhausted", "star-bound-not-found"])
+def test_exhausted_search_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run(capsys, "weyl-lnf", "x1", "--frobnicate")
     assert code == 2

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from weylcas import koszul
 from weylcas.groebner import Ideal, ideal_power
 from weylcas.koszul import (
     GradedModuleModel,
@@ -220,10 +221,11 @@ def test_prime_avoidance_deterministic():
     assert log1 == log2
 
 
-def test_prime_avoidance_exhaustion():
+def test_prime_avoidance_exhaustion(monkeypatch):
+    monkeypatch.setattr(koszul, "AVOIDANCE_TRIALS", 10)
     P = Ideal(XYZ, [x])
-    with pytest.raises(SearchExhaustedError):
-        prime_avoidance_sequence(P, 2, seed=0, trials=10)
+    with pytest.raises(SearchExhaustedError, match="within 10 trials"):
+        prime_avoidance_sequence(P, 2, seed=0)
 
 
 # ---------- graded models and Ext^1 ----------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylcas.poly import GREVLEX, LEX, SparsePoly, TermOrder
+from weylcas.poly import GREVLEX, LEX, SparsePoly
 
 XY = ("x", "y")
 
@@ -76,11 +76,6 @@ def test_leibniz_rule_specific():
     assert lhs == p.partial(0) * q + p * q.partial(0)
 
 
-def test_substitute():
-    p = x ** 2 + y
-    assert p.substitute(0, y) == y ** 2 + y
-
-
 def test_grevlex_vs_lex_leading_term():
     p = x * y ** 2 + x ** 2
     # grevlex: x*y^2 (degree 3) beats x^2
@@ -90,34 +85,16 @@ def test_grevlex_vs_lex_leading_term():
 
 
 def test_lex_priority_permutation():
-    order = TermOrder("lex", priority=(1, 0))  # y > x
-    p = x ** 3 + y
-    assert p.leading_term(order)[0] == (0, 1)
-
-
-def test_priority_not_a_permutation_rejected_at_construction():
-    for bad in [(0, 0), (1, 2), (0, 2, 2), (-1, 0)]:
-        with pytest.raises(ValueError, match="permutation"):
-            TermOrder("lex", priority=bad)
-        with pytest.raises(ValueError, match="permutation"):
-            TermOrder("grevlex", priority=bad)
-
-
-def test_priority_length_mismatch_raises_from_key():
-    for kind in ("lex", "grevlex"):
-        order = TermOrder(kind, priority=(1, 0))
-        with pytest.raises(ValueError):
-            order.key((1, 2, 3))
-        with pytest.raises(ValueError):
-            order.key((1,))
+    YX = ("y", "x")  # the ring's variable order makes y > x
+    p = SparsePoly.variable(YX, 1) ** 3 + SparsePoly.variable(YX, 0)
+    assert p.leading_term(LEX)[0] == (1, 0)
 
 
 def _nested_key(order, e):
     """The nested sort key TermOrder used before its keys were flattened."""
-    p = order.priority if order.priority is not None else tuple(range(len(e)))
     if order.kind == "lex":
-        return tuple(e[i] for i in p)
-    return (sum(e), tuple(-e[i] for i in reversed(p)))
+        return tuple(e)
+    return (sum(e), tuple(-x for x in reversed(e)))
 
 
 def _nested_elim_key(n_front, e):
@@ -136,10 +113,6 @@ def test_flat_keys_sort_like_nested_keys():
         (GREVLEX, lambda e: _nested_key(GREVLEX, e)),
         (LEX, lambda e: _nested_key(LEX, e)),
     ]
-    for kind in ("lex", "grevlex"):
-        for perm in [(1, 0, 2), (2, 0, 1), (2, 1, 0)]:
-            order = TermOrder(kind, priority=perm)
-            orders.append((order, lambda e, order=order: _nested_key(order, e)))
     for n_front in (1, 2):
         orders.append((_BlockElimOrder(n_front), lambda e, k=n_front: _nested_elim_key(k, e)))
     for order, nested in orders:
@@ -153,7 +126,6 @@ def test_flat_keys_sort_like_nested_keys():
 def test_flat_key_shapes():
     assert GREVLEX.key((1, 2, 3)) == (6, -3, -2, -1)
     assert LEX.key((1, 2, 3)) == (1, 2, 3)
-    assert TermOrder("lex", priority=(2, 0, 1)).key((1, 2, 3)) == (3, 1, 2)
 
 
 def test_to_str_round_shape():

@@ -1,19 +1,24 @@
 """A function in `src/weylcas` must have a caller outside the tests.
 
 Every defined name must be a dunder, be exported in `weylcas.__all__`, be
-used somewhere in `src/` other than its own `def` (as a name or an
-attribute; an import alone is not a use), or be named in `perfbench/*.py`,
-whose trace spans bind functions by name.  A helper that only the tests call belongs in
+used in `src/`, or be named by the benchmark in `perfbench/*.py`.  In
+`src/` a function counts as used through a name or an attribute other than
+its own `def`, and a method (a `def` directly in a class body) only through
+an attribute; an import alone is not a use.  In `perfbench/` a name counts
+only where it names the weylcas object: imported from `weylcas`, an
+attribute of anything but the benchmark's own polynomial module `Q`, or a
+function in the span table of `perfbench/spans.py`, whose trace spans bind
+functions by name.  A helper that only the tests call belongs in
 `tests/oracles.py` or in the test that uses it.
 """
 
 import ast
-import re
 from pathlib import Path
 
 import weylcas
 
 ROOT = Path(__file__).resolve().parents[1]
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # public API reached only from outside the package, with the reason
 ALLOWED = {
@@ -21,21 +26,47 @@ ALLOWED = {
 }
 
 
-def test_every_function_in_src_has_a_caller_outside_the_tests():
-    defined, used = set(), set()
+def _src_uses():
+    """The functions and the methods defined in `src/weylcas`, and the
+    names and the attributes read there."""
+    functions, methods, names, attributes = set(), set(), set(), set()
     for path in sorted((ROOT / "src" / "weylcas").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.add(node.name)
+        tree = ast.parse(path.read_text(), str(path))
+        in_class = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                    for n in c.body if isinstance(n, DEFS)}
+        for node in ast.walk(tree):
+            if isinstance(node, DEFS):
+                (methods if id(node) in in_class else functions).add(node.name)
             elif isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
-    unused = sorted(
-        name for name in defined - used - set(weylcas.__all__) - set(ALLOWED)
-        if not (name.startswith("__") and name.endswith("__"))
-        and not re.search(rf"\b{re.escape(name)}\b", bench))
-    assert unused == []
-    assert set(ALLOWED) <= defined, "the allowlist names a function that is gone"
+                attributes.add(node.attr)
+    return functions, methods, names, attributes
 
+
+def _bench_uses():
+    """The weylcas names that `perfbench/*.py` reaches."""
+    used = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weylcas"):
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and not (
+                    isinstance(node.value, ast.Name) and node.value.id == "Q"):
+                used.add(node.attr)
+            elif (path.name == "spans.py" and isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] in (["SPANNED"], ["COUNTED"])):
+                for _, _, qualified in ast.literal_eval(node.value):
+                    used.update(qualified.split("."))
+    return used
+
+
+def test_every_function_in_src_has_a_caller_outside_the_tests():
+    functions, methods, names, attributes = _src_uses()
+    used_elsewhere = _bench_uses() | set(weylcas.__all__) | set(ALLOWED)
+    unreached = ({f for f in functions if f not in names | attributes}
+                 | {m for m in methods if m not in attributes})
+    unused = sorted(name for name in unreached - used_elsewhere
+                    if not (name.startswith("__") and name.endswith("__")))
+    assert unused == []
+    assert set(ALLOWED) <= functions | methods, "the allowlist names a function that is gone"
