@@ -18,7 +18,7 @@ import sys
 
 from .artin import ArtinAlgebra, decompose_local
 from .acceptance import run_all
-from .groebner import Ideal
+from .groebner import Ideal, saturation
 from .hulls import BASE_VAR, EXT_VAR, CurveExtension, socle_growth_oracle, hull_multiplicity
 from .koszul import (
     GradedModuleModel,
@@ -31,7 +31,6 @@ from .koszul import (
 from .localcoh import (
     CechComplex,
     gamma_dstable_check,
-    gamma_torsion_cyclic,
     mv_connecting_biprincipal,
     mv_dimension_check,
 )
@@ -352,7 +351,9 @@ def cmd_lc_gamma(args):
     i_gens_polys = _parse_poly_list(args.ideal, vars_)
     if args.quotient:
         J = Ideal(vars_, _parse_poly_list(args.quotient, vars_))
-        sat = gamma_torsion_cyclic(J, Ideal(vars_, i_gens_polys))
+        # Gamma_I(R/J) = (J : I^infinity)/J: the image of the saturation
+        # generates the torsion submodule
+        sat = saturation(J, Ideal(vars_, i_gens_polys))
         gens = [g.to_str() for g in sat.groebner_basis()] or ["0"]
         lines = [f"torsion submodule generated by: {', '.join(gens)}"]
         _emit(args, lines, {"command": "lc-gamma", "generators": gens})

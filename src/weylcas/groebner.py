@@ -1,7 +1,9 @@
 """Buchberger's algorithm and the ideal operations built on it.
 
 Membership, colon ideals, intersections, saturation, and standard
-monomials of zero-dimensional ideals.
+monomials of zero-dimensional ideals.  Saturation is one elimination of a
+tag variable per generator (Rabinowitsch; Cox, Little and O'Shea, Ideals,
+Varieties, and Algorithms, ch. 4 sec. 4), with no iteration cap.
 
 Bases are built incrementally by signatures (Eder and Perry, F5C, JSC 45,
 2010; Roune and Stillman, ISSAC 2012).  The generators are taken by
@@ -41,6 +43,7 @@ over Q.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 from math import gcd, lcm
@@ -51,10 +54,6 @@ from .poly import GREVLEX, SparsePoly, TermOrder, exact_ratio
 
 class NotZeroDimensionalError(ValueError):
     """The ideal has no pure-power head term for some variable."""
-
-
-class SaturationDivergedError(RuntimeError):
-    """Saturation failed to stabilize within the iteration cap."""
 
 
 class _Overflow(Exception):
@@ -402,12 +401,6 @@ class Ideal:
         gb = self.groebner_basis()
         return len(gb) == 1 and gb[0].is_constant() and not gb[0].is_zero()
 
-    def includes(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.generators)
-
-    def equals(self, other: "Ideal") -> bool:
-        return self.includes(other) and other.includes(self)
-
     def __repr__(self):
         return f"Ideal({', '.join(g.to_str() for g in self.generators) or '0'})"
 
@@ -415,7 +408,7 @@ class Ideal:
 class _BlockElimOrder(TermOrder):
     """Eliminate the first `n_front` variables: compare their total degree
     first (grevlex among them), then grevlex on the rest.  Internal helper
-    for intersections; not part of the public order kinds."""
+    for `_eliminate_tag`; not part of the public order kinds."""
 
     def __init__(self, n_front: int):
         self.kind = "grevlex"
@@ -444,26 +437,31 @@ class _BlockElimOrder(TermOrder):
         return f"_BlockElimOrder({self.n_front})"
 
 
+def _eliminate_tag(vs, pairs) -> Ideal:
+    """The ideal of Q[vs] that the elements a + t*b, for the pairs (a, b)
+    over Q[vs], generate in Q[t, vs] cut down to Q[vs], for a fresh tag
+    variable t: the t-free elements of its reduced basis under an order
+    that eliminates t."""
+    tag = "_t0"
+    while tag in vs:
+        tag += "_"
+    big_vars = (tag,) + vs
+    t = SparsePoly.variable(big_vars, 0)
+    gb = buchberger([a.extend(big_vars) + t * b.extend(big_vars) for a, b in pairs],
+                    _BlockElimOrder(1))
+    return Ideal(vs, [SparsePoly(vs, {e[1:]: c for e, c in g.terms.items()})
+                      for g in gb if all(e[0] == 0 for e in g.terms)])
+
+
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J by the single-tag-variable elimination trick."""
+    """I cap J = (t*I + (1 - t)*J) cap Q[x]."""
     if I.vars != J.vars:
         raise ValueError("ideals over different rings")
     if I.is_zero() or J.is_zero():
         return Ideal(I.vars, [])
-    tag = "_t0"
-    while tag in I.vars:
-        tag += "_"
-    big_vars = (tag,) + I.vars
-    t = SparsePoly.variable(big_vars, 0)
-    one_minus_t = SparsePoly.one(big_vars) - t
-    gens = [t * g.extend(big_vars) for g in I.generators]
-    gens += [one_minus_t * g.extend(big_vars) for g in J.generators]
-    gb = buchberger(gens, _BlockElimOrder(1))
-    kept = []
-    for g in gb:
-        if all(e[0] == 0 for e in g.terms):
-            kept.append(SparsePoly(I.vars, {e[1:]: c for e, c in g.terms.items()}))
-    return Ideal(I.vars, kept)
+    zero = SparsePoly.zero(I.vars)
+    return _eliminate_tag(I.vars, [(zero, g) for g in I.generators]
+                          + [(h, -h) for h in J.generators])
 
 
 def divide_exact(f: SparsePoly, g: SparsePoly, order: TermOrder = GREVLEX) -> SparsePoly | None:
@@ -515,30 +513,23 @@ def quotient_by_element(I: Ideal, f: SparsePoly) -> Ideal:
 
 def quotient_by_ideal(I: Ideal, J: Ideal) -> Ideal:
     """(I : J) as the intersection of single-element quotients."""
-    gens = [g for g in J.generators if not g.is_zero()]
-    if not gens:
+    if not J.generators:
         raise ValueError("colon by the zero ideal")
-    result = quotient_by_element(I, gens[0])
-    for g in gens[1:]:
-        result = intersect(result, quotient_by_element(I, g))
-    return result
-
-
-SATURATION_STEPS = 64
+    return reduce(intersect, (quotient_by_element(I, g) for g in J.generators))
 
 
 def saturation(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J^infinity): iterate single-step quotients until two consecutive
-    iterates agree (mutual inclusion).  Stops after SATURATION_STEPS steps
-    as a bug guard."""
-    current = I
-    for _ in range(SATURATION_STEPS):
-        step = quotient_by_ideal(current, J)
-        if step.equals(current):
-            return current
-        current = step
-    raise SaturationDivergedError(
-        f"saturation did not stabilize within {SATURATION_STEPS} steps")
+    """(I : J^infinity) as the intersection, over the generators g of J, of
+    (I : g^infinity) = (I + (1 - t*g)) cap Q[x] (Rabinowitsch; Cox, Little
+    and O'Shea, ch. 4 sec. 4): one elimination per generator, with no
+    iteration cap."""
+    if not J.generators:
+        raise ValueError("colon by the zero ideal")
+    if J.vars != I.vars:
+        raise ValueError("generator over the wrong ring")
+    one, zero = SparsePoly.one(I.vars), SparsePoly.zero(I.vars)
+    return reduce(intersect, (_eliminate_tag(I.vars, [(f, zero) for f in I.generators]
+                                             + [(one, -g)]) for g in J.generators))
 
 
 def standard_monomials(I: Ideal) -> list[tuple[int, ...]]:

@@ -182,11 +182,10 @@ def matched_local_factor(algebra: ArtinAlgebra, factors: list[LocalFactor],
 
 
 class HullMultiplicityReport:
-    def __init__(self, multiplicity, nu, factor_dims, matched_index, residue_dims):
+    def __init__(self, multiplicity, nu, factor_dims, residue_dims):
         self.multiplicity = multiplicity
         self.nu = nu
         self.factor_dims = factor_dims
-        self.matched_index = matched_index
         self.residue_dims = residue_dims
 
     def __repr__(self):
@@ -210,7 +209,6 @@ def hull_multiplicity(ext: CurveExtension) -> HullMultiplicityReport:
         multiplicity=dim_a1 // deg_nu,
         nu=ext.nu_poly(),
         factor_dims=[f.dim for f in factors],
-        matched_index=idx,
         residue_dims=[f.residue_dim for f in factors],
     )
 
@@ -228,7 +226,6 @@ class TruncatedHull:
         if truncation < 1:
             raise TruncationError("truncation level must be >= 1")
         self.ext = ext
-        self.truncation = truncation
         self.algebra = ext.quotient_algebra(
             ideal_power(Ideal(ext.s_vars, ext.maximal_ideal), truncation).generators
         )
@@ -426,16 +423,16 @@ class ArtinModule:
 
 
 class HullResult:
-    def __init__(self, module: ArtinModule, embedding, multiplicities, certificates):
+    def __init__(self, module: ArtinModule, multiplicities, certificates):
         self.module = module
-        self.embedding = embedding  # dim(E) x dim(M) matrix
         self.multiplicities = multiplicities
         self.certificates = certificates
 
 
 def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
-                   factors: list[LocalFactor] | None = None) -> HullResult:
-    """Injective hull of a finite module over an Artinian algebra, with an
+                   factors: list[LocalFactor]) -> HullResult:
+    """Injective hull of a finite module over an Artinian algebra, whose
+    local factors (`decompose_local`) are `factors`, checked against an
     explicit essential embedding.
 
     The hull is the dual of a projective cover of the dual module: each
@@ -449,8 +446,6 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
     if module.dim == 0:
         raise ValueError("hull of the zero module")
     A = algebra
-    if factors is None:
-        factors = decompose_local(A)
     rad = A.radical_basis()
     dual = module.dual()
     # radical subspace of the dual module
@@ -519,7 +514,7 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
         "essential": all(v in image for v in hull_module.socle()),
     }
     multiplicities = [len(g) for g in generators_per_factor]
-    return HullResult(hull_module, embedding, multiplicities, certificates)
+    return HullResult(hull_module, multiplicities, certificates)
 
 
 def socle_multiplicities(algebra: ArtinAlgebra, module: ArtinModule,

@@ -123,7 +123,7 @@ def _poly_mat_mul(a, b):
     return out
 
 
-def build_psi_inductive(a: list[SparsePoly], r: int | None = None):
+def build_psi_inductive(a: list[SparsePoly]):
     """The degree-2 map in row convention, assembled by the block recursion:
     a first band pairing a_1 against a_2..a_r over the same map for the tail.
 
@@ -131,11 +131,8 @@ def build_psi_inductive(a: list[SparsePoly], r: int | None = None):
     the exterior-algebra construction matching inductive row i up to
     signs[i].
     """
-    if r is None:
-        r = len(a)
-    if r < 2:
+    if len(a) < 2:
         raise ValueError("need at least two elements")
-    a = a[:r]
     vars_ = a[0].vars
     zero = SparsePoly.zero(vars_)
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from . import linalg
-from .groebner import Ideal, saturation
 from .koszul import WindowMarginError
 
 
@@ -347,12 +346,6 @@ def mv_connecting_biprincipal(f: tuple[int, ...], g: tuple[int, ...],
 
 
 # ---------- torsion functors ----------
-
-def gamma_torsion_cyclic(J: Ideal, I: Ideal) -> Ideal:
-    """Gamma_I(R/J) for cyclic modules: (J : I^infinity)/J, returned as the
-    saturation ideal whose image generates the torsion submodule."""
-    return saturation(J, I)
-
 
 def gamma_torsion_localization(f: tuple[int, ...], i_gens: list[tuple[int, ...]],
                                window: list[tuple[int, int]],

@@ -42,6 +42,9 @@ Python ints; `old_mul` and `old_monic` are `univar`'s loops on Fractions,
 before `univar` multiplied integer polynomials.  `exact_rule` checks the
 stored form both `SparsePoly` and `linalg` keep: an int when integral, else
 a Fraction.
+`old_saturation` iterates `quotient_by_ideal` until two iterates are
+`same_ideal` (mutual inclusion, `ideal_includes`), before `groebner`
+saturated by one tag-variable elimination per generator.
 `old_parse_operator` and `old_parse_polynomial` are the two-pass parser:
 a tree of `Num`/`Var`/`Neg`/`BinOp`/`Pow` nodes, then an evaluation in
 which every leaf is a `DiffOp` (a plain polynomial too, over a Weyl ring),
@@ -67,7 +70,7 @@ from operator import add, le, sub
 from weylcas import linalg
 from weylcas import univar
 from weylcas.artin import LocalFactor, _assert_idempotent_system, decompose_local
-from weylcas.groebner import divide_exact
+from weylcas.groebner import Ideal, divide_exact, quotient_by_ideal
 from weylcas.hulls import (
     CurveExtension,
     TruncatedHull,
@@ -1537,6 +1540,30 @@ def old_buchberger(generators: list[SparsePoly], order) -> list[SparsePoly]:
         hc = r[rec[0]]
         out.append(SparsePoly(generators[0].vars, {e: Fraction(c, hc) for e, c in r.items()}))
     return out
+
+
+# ---------- saturation by a fixed-point loop ----------
+
+def ideal_includes(I: Ideal, J: Ideal) -> bool:
+    """Whether J lies in I: every generator of J reduces to zero modulo I."""
+    return all(I.contains(g) for g in J.generators)
+
+
+def same_ideal(I: Ideal, J: Ideal) -> bool:
+    """Whether I and J are the same ideal, by mutual inclusion."""
+    return ideal_includes(I, J) and ideal_includes(J, I)
+
+
+def old_saturation(I: Ideal, J: Ideal) -> Ideal:
+    """(I : J^infinity): iterate (I : J) until two consecutive iterates
+    agree (mutual inclusion); raises RuntimeError after 64 steps."""
+    current = I
+    for _ in range(64):
+        step = quotient_by_ideal(current, J)
+        if same_ideal(step, current):
+            return current
+        current = step
+    raise RuntimeError("saturation did not stabilize within 64 steps")
 
 
 # ---------- the two-pass parser ----------

@@ -238,7 +238,7 @@ def test_hull_of_socle_is_dual_of_algebra():
     sub = M.submodule_closure(soc)
     # the socle as a module in its own right: restrict actions
     socmod = ArtinModule(A, [[[Fraction(0)]]], 1)
-    result = essential_hull(A, socmod)
+    result = essential_hull(A, socmod, decompose_local(A))
     assert result.module.dim == 2
     assert result.certificates["essential"]
     assert result.certificates["embedding_injective"]
@@ -248,7 +248,7 @@ def test_hull_of_socle_is_dual_of_algebra():
 def test_hull_of_regular_module_self_dual_case():
     A = dual_numbers()
     M = ArtinModule.regular(A)
-    result = essential_hull(A, M)
+    result = essential_hull(A, M, decompose_local(A))
     assert result.module.dim == 2
     assert all(result.certificates.values())
 
@@ -257,7 +257,7 @@ def test_hull_semisimple_point():
     A = ArtinAlgebra.from_presentation(Y, [y ** 2 - 1])
     # simple module at y = 1: one-dimensional, y acts by 1
     M = ArtinModule(A, [[[Fraction(1)]]], 1)
-    result = essential_hull(A, M)
+    result = essential_hull(A, M, decompose_local(A))
     assert result.module.dim == 1
     assert all(result.certificates.values())
 
@@ -279,7 +279,7 @@ def test_hull_direct_sum_multiplicity_two():
         [_block_diag(reg.var_actions[0], reg.var_actions[0])],
         4,
     )
-    result = essential_hull(A, two)
+    result = essential_hull(A, two, decompose_local(A))
     assert result.module.dim == 4
     assert result.multiplicities == [2]
     assert all(result.certificates.values())
@@ -302,7 +302,7 @@ def test_ass_preserved_by_hull():
     A = ArtinAlgebra.from_presentation(Y, [y ** 3 - y ** 2])
     a_r = A.to_vector(y)  # distinguished image of x
     M = ArtinModule.regular(A)
-    hull = essential_hull(A, M)
+    hull = essential_hull(A, M, decompose_local(A))
     ass_m = ass_finite_x_module(M.action_of_vector(a_r))
     ass_e = ass_finite_x_module(hull.module.action_of_vector(a_r))
     assert ass_m == ass_e
@@ -314,7 +314,7 @@ def test_indecomposable_hull_unique_prime():
     # maximal associated prime, already associated to the module
     A = ArtinAlgebra.from_presentation(Y, [y ** 3])
     M = ArtinModule.regular(A)
-    hull = essential_hull(A, M)
+    hull = essential_hull(A, M, decompose_local(A))
     a_r = A.to_vector(y)
     ass_e = ass_finite_x_module(hull.module.action_of_vector(a_r))
     ass_m = ass_finite_x_module(M.action_of_vector(a_r))
@@ -328,7 +328,7 @@ def test_quotient_module_construction():
     sub = M.submodule_closure([A.to_vector(y ** 2)])
     Q = M.quotient_by(sub)
     assert Q.dim == 2
-    hull = essential_hull(A, Q)
+    hull = essential_hull(A, Q, decompose_local(A))
     assert all(hull.certificates.values())
 
 
@@ -438,7 +438,7 @@ def test_artin_module_refuses_actions_where_the_ideal_does_not_act_as_zero():
         ArtinModule(A, [linalg.identity(2), linalg.zeros(2, 2)], 2)
     # x acts as 0 and y as a nonzero nilpotent: a module, the simple one twice over
     M = ArtinModule(A, [linalg.zeros(2, 2), [[0, 0], [1, 0]]], 2)
-    assert essential_hull(A, M).certificates == {
+    assert essential_hull(A, M, decompose_local(A)).certificates == {
         "embedding_injective": True, "embedding_linear": True, "essential": True}
 
 

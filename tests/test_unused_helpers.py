@@ -10,6 +10,11 @@ attribute of anything but the benchmark's own polynomial module `Q`, or a
 function in the span table of `perfbench/spans.py`, whose trace spans bind
 functions by name.  A helper that only the tests call belongs in
 `tests/oracles.py` or in the test that uses it.
+
+Likewise an attribute that `src/weylcas` stores through `self.<name> =`
+must be read somewhere in `src/` or `perfbench/*.py` (again not as an
+attribute of `Q`): a value that only the tests read is computed for them
+alone.
 """
 
 import ast
@@ -24,6 +29,10 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 ALLOWED = {
     "from_presentation": "public constructor of ArtinAlgebra from variables and generators",
 }
+
+
+def _is_name(node, name):
+    return isinstance(node, ast.Name) and node.id == name
 
 
 def _src_uses():
@@ -51,8 +60,7 @@ def _bench_uses():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weylcas"):
                 used.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Attribute) and not (
-                    isinstance(node.value, ast.Name) and node.value.id == "Q"):
+            elif isinstance(node, ast.Attribute) and not _is_name(node.value, "Q"):
                 used.add(node.attr)
             elif (path.name == "spans.py" and isinstance(node, ast.Assign)
                   and [getattr(t, "id", None) for t in node.targets] in (["SPANNED"], ["COUNTED"])):
@@ -70,3 +78,18 @@ def test_every_function_in_src_has_a_caller_outside_the_tests():
                     if not (name.startswith("__") and name.endswith("__")))
     assert unused == []
     assert set(ALLOWED) <= functions | methods, "the allowlist names a function that is gone"
+
+
+def test_every_attribute_stored_in_src_is_read_outside_the_tests():
+    stored, read = set(), set()
+    for path in sorted((ROOT / "src" / "weylcas").glob("*.py")) + sorted(
+            (ROOT / "perfbench").glob("*.py")):
+        in_src = path.parent.name == "weylcas"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load) and not _is_name(node.value, "Q"):
+                read.add(node.attr)
+            elif in_src and isinstance(node.ctx, ast.Store) and _is_name(node.value, "self"):
+                stored.add(node.attr)
+    assert sorted(stored - read) == []
