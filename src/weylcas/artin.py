@@ -1,18 +1,23 @@
 """Finite-dimensional commutative algebras and their local decomposition.
 
 An ArtinAlgebra is a quotient Q[vars]/I for a zero-dimensional ideal I,
-presented by its standard-monomial basis and multiplication data.  The
-decomposition into local factors tries candidate elements a of each factor:
-first the images of the ring variables, then seeded random combinations of
-them.  The minimal polynomial mu of a factors completely over Q (see
+presented by its standard-monomial basis and multiplication data.  A local
+factor is eA for its idempotent e, and the decomposition A = (+) e_i A
+runs in the coordinates of A throughout.  Each factor eA is split by
+candidate elements a acting on A: first the images of the ring variables,
+then seeded random combinations of them.  A is commutative, so p(a) kills
+eA exactly when p(a) e = 0: the minimal polynomial mu of multiplication
+by a on eA is the annihilator of e.  mu factors completely over Q (see
 univar); if mu = prod q_i^m_i has two or more distinct prime factors, the
-CRT idempotents e_i(t) (e_i = 1 mod q_i^m_i, 0 mod the other prime powers)
-evaluated at a split the factor into the images of the e_i(a).  If mu is a
-power of one irreducible q of degree equal to the residue dimension, the
-semisimple quotient is the field Q[t]/(q) and the factor is certified
-local.  Over an infinite field a generic combination does one or the
-other; a factor where every candidate fails both raises RuntimeError
-rather than being returned as local.
+CRT idempotents c_i(t) (c_i = 1 mod q_i^m_i, 0 mod the other prime powers)
+give the idempotents e_i = c_i(a) e, and e_i A is spanned by the products
+of e_i with a basis of eA; each factor keeps the echelon basis of its span
+in primitive integer rows (for A, the unit vectors).  If mu is a power of
+one irreducible q of degree equal to the residue dimension, the semisimple
+quotient is the field Q[t]/(q) and the factor is certified local.  Over an
+infinite field a generic combination does one or the other; a factor where
+every candidate fails both raises RuntimeError rather than being returned
+as local.
 
 The structure constants are one integer tensor over one common
 denominator: the coordinates of b_i * b_j are tensor[i][j] / den.  It is
@@ -29,7 +34,7 @@ tensor's denominator.  Every answer is exact, an int where integral.
 
 The Jacobson radical is computed from the trace form, which in
 characteristic zero has the radical as its kernel; residue-field
-dimensions follow without any factorization.
+dimensions follow without any factorization, from Rad(eA) = eA cap Rad(A).
 """
 
 from __future__ import annotations
@@ -210,79 +215,38 @@ class ArtinAlgebra:
 
 
 class LocalFactor:
-    """One local factor of an ArtinAlgebra: an ideal direct summand with its
-    identity idempotent."""
+    """One local factor eA of an ArtinAlgebra A, for its identity
+    idempotent e: an ideal direct summand, spanned by basis_vectors in
+    ambient coordinates."""
 
     def __init__(self, algebra: ArtinAlgebra, basis_vectors, idempotent):
         self.algebra = algebra
-        self.basis_vectors = basis_vectors  # ambient coordinates, one per factor basis elt
+        self.basis_vectors = basis_vectors
         self.idempotent = idempotent
         self.dim = len(basis_vectors)
-        self._is_full = self.dim == algebra.dim and all(
-            v == linalg.unit_vector(algebra.dim, i) for i, v in enumerate(basis_vectors)
-        )
-        self._span = None  # built on the first solve; a full factor needs none
-        self._radical: list | None = None
 
-    def _coords(self, ambient_vector):
-        if self._span is None:
-            self._span = linalg.Subspace(self.algebra.dim, self.basis_vectors)
-        return self._span.coords(ambient_vector)
+    @functools.cached_property
+    def _span(self) -> linalg.Subspace:
+        return linalg.Subspace(self.algebra.dim, self.basis_vectors)
 
     def restrict(self, ambient_matrix) -> list[list[Fraction]]:
         """Restriction of an ambient multiplication operator to the factor,
-        in factor coordinates.  A matrix that is not dim x dim for the
-        algebra raises ValueError."""
-        if self._is_full:
-            n = self.dim
-            if len(ambient_matrix) != n or any(len(row) != n for row in ambient_matrix):
-                raise ValueError(f"matrix of shape {linalg.shape(ambient_matrix)} "
-                                 f"on an algebra of dimension {n}")
-            return [row[:] for row in ambient_matrix]
+        in the coordinates of basis_vectors.  A matrix that is not dim x dim
+        for the algebra raises ValueError."""
         cols = []
         for v in self.basis_vectors:
-            c = self._coords(linalg.mat_vec(ambient_matrix, v))
+            c = self._span.coords(linalg.mat_vec(ambient_matrix, v))
             if c is None:
                 raise RuntimeError("factor subspace is not invariant")
             cols.append(c)
         return linalg.transpose(cols)
 
-    def to_factor_coords(self, ambient_vector):
-        if self._is_full:
-            if len(ambient_vector) != self.dim:
-                raise ValueError(f"vector of length {len(ambient_vector)} "
-                                 f"in an algebra of dimension {self.dim}")
-            return ambient_vector[:]
-        c = self._coords(ambient_vector)
-        if c is None:
-            raise ValueError("vector outside the factor")
-        return c
-
-    def radical_basis_factor(self) -> list[list[Fraction]]:
-        """Radical of the factor, in factor coordinates, computed once.
-
-        For an ideal direct summand the radical is the intersection with the
-        ambient radical, so one subspace intersection suffices."""
-        if self._radical is None:
-            self._radical = self._intersect_radical()
-        return self._radical
-
-    def _intersect_radical(self) -> list[list[Fraction]]:
-        ambient_rad = self.algebra.radical_basis()
-        if self.dim == 0 or not ambient_rad:
-            return []
-        if self.dim == self.algebra.dim:
-            return [self.to_factor_coords(v) for v in ambient_rad]
-        # solve Rad * u = B * v; the v-parts form a factor-coordinate basis
-        stacked = linalg.transpose(
-            ambient_rad + [[-c for c in b] for b in self.basis_vectors]
-        )
-        kernel = linalg.nullspace(stacked)
-        return [v[len(ambient_rad):] for v in kernel]
-
-    @property
+    @functools.cached_property
     def residue_dim(self) -> int:
-        return self.dim - len(self.radical_basis_factor())
+        """dim eA - dim Rad(eA).  Rad(eA) = eA cap Rad(A), so this is
+        dim(eA + Rad(A)) - dim Rad(A), with no product taken."""
+        rad = self.algebra.radical_basis()
+        return linalg.rank(self.basis_vectors + rad) - len(rad)
 
     def __repr__(self):
         return f"LocalFactor(dim={self.dim})"
@@ -310,13 +274,14 @@ def decompose_local(algebra: ArtinAlgebra, seed: int = 0) -> list[LocalFactor]:
     """
     if algebra.dim == 0:
         return []
+    variables = linalg.MatrixFamily(algebra.var_matrices)
     finished: list[LocalFactor] = []
     work = [LocalFactor(algebra,
                         [linalg.unit_vector(algebra.dim, i) for i in range(algebra.dim)],
                         algebra.one())]
     while work:
         factor = work.pop()
-        split = _try_split(algebra, factor, seed)
+        split = _try_split(algebra, variables, factor, seed)
         if split is None:
             finished.append(factor)
         else:
@@ -327,27 +292,24 @@ def decompose_local(algebra: ArtinAlgebra, seed: int = 0) -> list[LocalFactor]:
     return finished
 
 
-def _try_split(algebra, factor: LocalFactor, seed):
-    """Split the factor along the CRT idempotents of the first candidate
+def _try_split(algebra, variables: linalg.MatrixFamily, factor: LocalFactor, seed):
+    """Split the factor eA along the CRT idempotents of the first candidate
     whose minimal polynomial has two coprime prime-power parts; None when
     the factor is certified local.  Raises RuntimeError when the candidates
     run out without either."""
     k = factor.dim
     if k == 1:
         return None
-    r = k - len(factor.radical_basis_factor())
+    r = factor.residue_dim
     if r == 1:
         return None  # residue field Q: already local
-    one_factor = factor.to_factor_coords(factor.idempotent)
-    # on the factor, multiplication by a candidate c agrees with
-    # multiplication by its component e*c
-    var_actions = linalg.MatrixFamily([factor.restrict(x) for x in algebra.var_matrices])
+    e = factor.idempotent
     basis = linalg.transpose(factor.basis_vectors)
     for coeffs in _candidate_combinations(len(algebra.vars), seed):
-        a = var_actions.combine(coeffs)
-        # in a commutative algebra the minimal polynomial of multiplication
-        # by a is the annihilator of 1 under it
-        mu = linalg.annihilator(a, one_factor)
+        a = variables.combine(coeffs)
+        # p(a) kills eA iff p(a) e = 0, so the minimal polynomial of
+        # multiplication by a on eA is the annihilator of e
+        mu = linalg.annihilator(a, e)
         parts = univar.coprime_factorization(mu)
         if len(parts) == 1:
             if univar.deg(parts[0][0]) == r:
@@ -356,15 +318,14 @@ def _try_split(algebra, factor: LocalFactor, seed):
             continue
         moduli = [functools.reduce(univar.mul, [q] * mult) for q, mult in parts]
         pieces = []
-        for e in univar.crt_idempotents(moduli):
-            # e(a) * 1 by Horner on vectors; the block is the kernel of
-            # multiplication by 1 - e(a), the image of the idempotent
-            e_ambient = linalg.mat_vec(basis, linalg.poly_apply(e, a, one_factor))
-            complement = [a - b for a, b in zip(factor.idempotent, e_ambient)]
-            block = linalg.nullspace(factor.restrict(algebra.mult_matrix(complement)))
-            # ambient coordinates of the block basis: basis * block
-            ambient = linalg.mat_mul(basis, linalg.transpose(block))
-            pieces.append((linalg.transpose(ambient), e_ambient))
+        for c in univar.crt_idempotents(moduli):
+            # e_i = c(a) e, and e_i A = e_i (eA) is spanned by the e_i b_j
+            e_i = linalg.poly_apply(c, a, e)
+            images = linalg.mat_mul(algebra.mult_matrix(e_i), basis)
+            # kept as the echelon basis of their span, in primitive integer
+            # rows: sparser and smaller than the images for later products
+            rows, pivots = linalg.rref(linalg.transpose(images))
+            pieces.append(([linalg.integer_vector(row)[0] for row in rows[:len(pivots)]], e_i))
         if sum(len(b) for b, _ in pieces) != k:
             raise RuntimeError("idempotent split lost dimensions")
         return pieces

@@ -395,7 +395,8 @@ class Ideal:
                 width = 2 * cached[0].width
 
     def is_zero(self) -> bool:
-        return not self.groebner_basis()
+        # no zero generator is kept
+        return not self.generators
 
     def contains_one(self) -> bool:
         gb = self.groebner_basis()
@@ -497,6 +498,8 @@ def _divide_exact(f, g, packing):
 
 def quotient_by_element(I: Ideal, f: SparsePoly) -> Ideal:
     """(I : f) via (I cap (f)) / f."""
+    if f.vars != I.vars:
+        raise ValueError("generator over the wrong ring")
     if f.is_zero():
         raise ValueError("colon by zero")
     if I.is_zero():

@@ -172,9 +172,11 @@ class CurveExtension:
 def matched_local_factor(algebra: ArtinAlgebra, factors: list[LocalFactor],
                          ideal_gens: list[SparsePoly]) -> int:
     """Index of the unique factor on which every generator acts singularly
-    (its maximal ideal pulls back into the given ideal)."""
+    (its maximal ideal pulls back into the given ideal): g is singular on
+    eA when (ge)A = g(eA) has dimension below that of eA."""
     matches = [i for i, factor in enumerate(factors) if all(
-        linalg.rank(factor.restrict(algebra.mult_matrix(algebra.to_vector(g)))) < factor.dim
+        linalg.rank(algebra.mult_matrix(algebra.mult(factor.idempotent, algebra.to_vector(g))))
+        < factor.dim
         for g in ideal_gens)]
     if len(matches) != 1:
         raise FactorNotFoundError(f"{len(matches)} local factors match the maximal ideal")

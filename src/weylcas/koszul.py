@@ -412,5 +412,6 @@ def _level_one_window(a, model, window, convention):
             blocks = [[None if p.is_zero() else model.mult_matrix(p, piece[subsets[src][j]])
                        for j, p in enumerate(row)] for row in mat]
             diffs.append(linalg.block_matrix(blocks, dims[tgt], dims[src]))
-        out[d] = linalg.cohomology_dim([sum(ds) for ds in dims], diffs, 1)
+        out[d] = linalg.cohomology_dim([sum(ds) for ds in dims],
+                                       [linalg.rank(m) for m in diffs], 1)
     return out

@@ -243,20 +243,21 @@ def rank(a: Matrix) -> int:
     return len(_echelon(_integer_rows(a), False))
 
 
-def cohomology_dim(dims: list[int], diffs: list[Matrix], t: int) -> int:
+def cohomology_dim(dims: list[int], ranks: list[int], t: int) -> int:
     """Dimension of the homology at level t of a finite complex.
 
-    dims[t] is the dimension of level t and diffs[t] the map between levels
-    t and t + 1, in either direction (only its rank counts), so chain and
-    cochain complexes both fit.  A level past the last map is an end of the
-    complex; a level outside dims raises ValueError.
+    dims[t] is the dimension of level t and ranks[t] the rank of the map
+    between levels t and t + 1, in either direction, so chain and cochain
+    complexes both fit, and a caller that asks for every level ranks each
+    map once.  A level past the last map is an end of the complex; a level
+    outside dims raises ValueError.
     """
     if not 0 <= t < len(dims):
         raise ValueError(f"level {t} of a complex with levels 0..{len(dims) - 1}")
     if not dims[t]:
         return 0
-    out_rank = rank(diffs[t]) if t < len(diffs) else 0
-    in_rank = rank(diffs[t - 1]) if t >= 1 else 0
+    out_rank = ranks[t] if t < len(ranks) else 0
+    in_rank = ranks[t - 1] if t >= 1 else 0
     return dims[t] - out_rank - in_rank
 
 

@@ -91,7 +91,8 @@ def _face_complex(N: frozenset[int], keep, nvars: int) -> dict:
     faces = [[F for F in combinations(members, t) if keep(F)] for t in range(len(N) + 1)]
     diffs = [_coboundary(faces[t], faces[t + 1]) for t in range(len(N))]
     dims = [len(level) for level in faces]
-    h = [linalg.cohomology_dim(dims, diffs, t) for t in range(len(N) + 1)]
+    ranks = [linalg.rank(m) for m in diffs]
+    h = [linalg.cohomology_dim(dims, ranks, t) for t in range(len(N) + 1)]
     # no face has more than |N| elements: the levels past it are empty
     empty = [[]] * (nvars - len(N))
     return {"faces": faces + empty, "diffs": diffs + empty, "h": h + [0] * len(empty)}

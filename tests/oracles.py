@@ -7,9 +7,14 @@ radicals; squarefree remainders of degree >= 5 without a rational root are
 kept whole.  `old_decompose_local` splits a factor by stable kernels of
 q(m) for the coprime parts q of the quotient minimal polynomial, and
 accepts a factor as local after three full-degree candidates above
-degree 4.  `PerDegreeCech`, `PerDegreeMV` and the `old_mv_*`/`old_gamma_*`
-functions are the local cohomology code that rebuilt every complex at each
-multidegree, on all subsets of the generators, before `localcoh` built one
+degree 4; it works in factor coordinates, through `factor_coords` (the
+coordinates of an ambient vector over the factor basis, through a
+`Subspace`) and `factor_radical` (the factor's radical, as the kernel of
+the ambient radical against the factor basis), before `decompose_local`
+split each factor eA in ambient coordinates.  `PerDegreeCech`,
+`PerDegreeMV` and the `old_mv_*`/`old_gamma_*` functions are the local
+cohomology code that rebuilt every complex at each multidegree, on all
+subsets of the generators, before `localcoh` built one
 face complex per sign pattern (`minimalize_monomials` trims the generators
 of I + J and of I cap J that they build);
 `OldCohPiece` and `old_induced_map` give cohomology classes in the
@@ -319,16 +324,36 @@ def _to_ambient(factor: LocalFactor, factor_vector: list) -> list:
     return out
 
 
+def factor_coords(factor: LocalFactor, ambient_vector: list) -> list:
+    """Coordinates of an ambient vector over factor.basis_vectors, through
+    a Subspace; a vector outside the factor raises ValueError."""
+    c = linalg.Subspace(factor.algebra.dim, factor.basis_vectors).coords(ambient_vector)
+    if c is None:
+        raise ValueError("vector outside the factor")
+    return c
+
+
+def factor_radical(factor: LocalFactor) -> list:
+    """Radical of the factor in factor coordinates: for an ideal direct
+    summand, its intersection with the ambient radical, read off the
+    kernel of [Rad | -B]."""
+    ambient_rad = factor.algebra.radical_basis()
+    if factor.dim == 0 or not ambient_rad:
+        return []
+    stacked = linalg.transpose(ambient_rad + [[-c for c in b] for b in factor.basis_vectors])
+    return [v[len(ambient_rad):] for v in linalg.nullspace(stacked)]
+
+
 def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
     k = factor.dim
     if k == 1:
         return None
-    rad = factor.radical_basis_factor()
+    rad = factor_radical(factor)
     r = k - len(rad)
     if r == 1:
         return None  # residue field Q: already local
     project, complement = _quotient_projection(rad, k)
-    one_factor = factor.to_factor_coords(factor.idempotent)
+    one_factor = factor_coords(factor, factor.idempotent)
     mult_idem = algebra.mult_matrix(factor.idempotent)
     stubborn_full_degree = 0
     for cand in _candidate_elements(algebra, seed, extra_trials):
@@ -467,7 +492,7 @@ class PerDegreeCech:
         if not 0 <= i <= self.r:
             raise ValueError(f"cohomological degree {i} out of range")
         dims, diffs = self.complex_at(d)
-        return linalg.cohomology_dim(dims, diffs, i)
+        return linalg.cohomology_dim(dims, [linalg.rank(m) for m in diffs], i)
 
 
 def old_mv_dimension_check(i_gens: list[tuple[int, ...]], j_gens: list[tuple[int, ...]],
@@ -696,7 +721,7 @@ class PerDegreeMV:
         (f, g) at d, for every t."""
         f_dims, f_diffs = self.fibre_at(d)
         for t in range(3):
-            hf = linalg.cohomology_dim(f_dims, f_diffs, t)
+            hf = linalg.cohomology_dim(f_dims, [linalg.rank(m) for m in f_diffs], t)
             expected = self.cfg.cohomology_dim(t, d) if t <= self.cfg.r else 0
             if hf != expected:
                 return False

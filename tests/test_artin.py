@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     exact_rule,
+    factor_radical,
     old_decompose_local,
     old_mult,
     old_mult_matrix,
@@ -12,7 +13,7 @@ from oracles import (
     old_structure_table,
 )
 from weylcas import artin, linalg
-from weylcas.artin import ArtinAlgebra, LocalFactor, decompose_local
+from weylcas.artin import ArtinAlgebra, decompose_local
 from weylcas.groebner import Ideal, NotZeroDimensionalError
 from weylcas.poly import SparsePoly
 
@@ -158,9 +159,9 @@ def test_degree_five_and_six_products_split(poly, dims, residues):
 def test_factor_radical_is_computed_once():
     A = ArtinAlgebra.from_presentation(X, [(xv ** 2 + 1) ** 2 * (xv ** 3 - 2) * xv ** 2])
     for f in decompose_local(A):
-        rad = f.radical_basis_factor()
-        assert f.radical_basis_factor() is rad
-        assert rad == LocalFactor(A, f.basis_vectors, f.idempotent).radical_basis_factor()
+        # decompose_local read every residue dimension above 1; it is kept
+        assert f.dim == 1 or "residue_dim" in vars(f)
+        assert f.residue_dim == f.dim - len(factor_radical(f))
     assert sorted(f.residue_dim for f in decompose_local(A)) == [1, 2, 3]
 
 @pytest.mark.parametrize("degree", [5, 6, 7])
@@ -226,7 +227,10 @@ def known_corpus():
 
 
 def snapshot(factors):
-    return [(f.dim, f.idempotent, f.basis_vectors) for f in factors]
+    """Dimensions, idempotents and spans: the basis of a span is not
+    compared."""
+    return [(f.dim, f.idempotent, linalg.Subspace(f.algebra.dim, f.basis_vectors))
+            for f in factors]
 
 
 def test_same_factors_as_kernel_powers_where_those_are_right():
@@ -249,6 +253,18 @@ def test_same_factors_as_kernel_powers_where_those_are_right():
             assert snapshot(new) == snapshot(old)
             checked += 1
     assert checked >= 25
+
+
+def test_every_factor_is_fixed_by_its_idempotent():
+    # a factor is eA: e v = v for each of its basis vectors, kept as
+    # integer rows
+    for A, _ in known_corpus():
+        factors = decompose_local(A)
+        assert sum(f.dim for f in factors) == A.dim
+        for f in factors:
+            assert len(f.basis_vectors) == f.dim
+            assert all(A.mult(f.idempotent, v) == v for v in f.basis_vectors)
+            assert all(type(x) is int for v in f.basis_vectors for x in v)
 
 
 # ---------- the structure tensor against one reduction per product ----------
@@ -375,20 +391,14 @@ def test_to_poly_refuses_a_vector_of_the_wrong_length():
 
 
 def test_factor_coordinates_refuse_input_of_the_wrong_length():
-    """The whole-algebra factor checks lengths itself; a proper factor
-    refuses through its subspace and mat_vec."""
+    """Every factor refuses through its subspace and mat_vec."""
     whole = decompose_local(ArtinAlgebra.from_presentation(X, [xv ** 3]))[0]
-    assert whole._is_full
     proper = max(decompose_local(ArtinAlgebra.from_presentation(X, [xv ** 2 * (xv - 1)])),
                  key=lambda f: f.dim)
-    assert proper.dim == 2 and not proper._is_full
+    assert whole.dim == 3 and proper.dim == 2
     for factor in (whole, proper):
-        for v in ([1, 0], [1, 0, 0, 7]):
-            with pytest.raises(ValueError):
-                factor.to_factor_coords(v)
         for m in ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]):
             with pytest.raises(ValueError):
                 factor.restrict(m)
-    assert whole.to_factor_coords([1, 0, 7]) == [1, 0, 7]
     assert whole.restrict(linalg.identity(3)) == linalg.identity(3)
     assert proper.restrict(linalg.identity(3)) == linalg.identity(2)

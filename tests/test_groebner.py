@@ -22,6 +22,7 @@ from weylcas.groebner import (
     ideal_power,
     intersect,
     quotient_by_element,
+    quotient_by_ideal,
     reduce_poly,
     saturation,
     standard_monomials,
@@ -183,6 +184,38 @@ def test_saturation_refuses_a_zero_ideal_and_another_ring():
     XYZ = ("x", "y", "z")
     with pytest.raises(ValueError, match="wrong ring"):
         saturation(ideal(x ** 2 * y), Ideal(XYZ, [SparsePoly.variable(XYZ, 0)]))
+
+
+def test_colon_refuses_another_ring_before_answering_zero():
+    # once answered Ideal(0) for the zero ideal I
+    X0, X01 = ("x0",), ("x0", "x1")
+    x0 = SparsePoly.variable(X0, 0)
+    for I in (Ideal(X01, []), Ideal(X01, [SparsePoly.variable(X01, 1)])):
+        with pytest.raises(ValueError, match="generator over the wrong ring"):
+            quotient_by_ideal(I, Ideal(X0, [x0]))
+        with pytest.raises(ValueError, match="generator over the wrong ring"):
+            quotient_by_element(I, x0)
+    assert quotient_by_element(ideal(), x).generators == []
+
+
+def test_intersect_and_saturation_run_only_their_eliminations(monkeypatch):
+    # an Ideal keeps no zero generator, so telling a zero ideal needs no basis
+    calls = []
+    original = groebner.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    meet = intersect(ideal(x), ideal(y))
+    assert len(calls) == 1
+    calls.clear()
+    sat = saturation(ideal(x * y), ideal(x, y))
+    assert len(calls) == 3
+    assert gb_strings(meet) == gb_strings(sat) == ["x*y"]
+    assert ideal().is_zero() and Ideal(XY, [SparsePoly.zero(XY)]).is_zero()
+    assert not ideal(x).is_zero()
 
 
 def test_standard_monomials_univariate():

@@ -55,24 +55,28 @@ def test_block_matrix_rejects_misshaped_block():
         linalg.block_matrix([[None]], [1, 1], [1])
 
 
+def ranks(diffs):
+    return [linalg.rank(m) for m in diffs]
+
+
 def test_cohomology_dim_levels():
     # 0 -> Q --(1,1)--> Q^2 --(1,-1)--> Q -> 0 is exact
     dims = [1, 2, 1]
     diffs = [F([[1], [1]]), F([[1, -1]])]
-    assert [linalg.cohomology_dim(dims, diffs, t) for t in range(3)] == [0, 0, 0]
+    assert [linalg.cohomology_dim(dims, ranks(diffs), t) for t in range(3)] == [0, 0, 0]
     # Q --0--> Q^2 --(1,0)--> Q: the first level keeps its kernel, the last
     # level its cokernel, and the middle level one class
     diffs = [F([[0], [0]]), F([[1, 0]])]
-    assert [linalg.cohomology_dim(dims, diffs, t) for t in range(3)] == [1, 1, 0]
+    assert [linalg.cohomology_dim(dims, ranks(diffs), t) for t in range(3)] == [1, 1, 0]
     diffs = [F([[1], [0]]), F([[0, 0]])]
-    assert [linalg.cohomology_dim(dims, diffs, t) for t in range(3)] == [0, 1, 1]
+    assert [linalg.cohomology_dim(dims, ranks(diffs), t) for t in range(3)] == [0, 1, 1]
 
 
 def test_cohomology_dim_zero_dimensional_level():
     # Q -> 0 -> Q: the zero level contributes nothing, whatever its maps
     dims = [1, 0, 1]
     diffs = [[], F([[]])]
-    assert [linalg.cohomology_dim(dims, diffs, t) for t in range(3)] == [1, 0, 1]
+    assert [linalg.cohomology_dim(dims, ranks(diffs), t) for t in range(3)] == [1, 0, 1]
     # a complex with a single level and no maps
     assert linalg.cohomology_dim([3], [], 0) == 3
 
@@ -331,7 +335,7 @@ def test_cohomology_dim_matches_oracle_ranks():
         for t in range(len(dims)):
             expected = dims[t] and dims[t] - (old_rank(Q(diffs[t])) if t < len(diffs) else 0) \
                 - (old_rank(Q(diffs[t - 1])) if t else 0)
-            assert linalg.cohomology_dim(dims, diffs, t) == expected
+            assert linalg.cohomology_dim(dims, ranks(diffs), t) == expected
 
 
 @pytest.mark.parametrize("ragged", [[[0, 2], [2]], [[1], [1, 1]], [[1, 1], [1]], [[], [1]]])
@@ -413,7 +417,7 @@ def test_solve_refuses_right_side_of_wrong_length():
 def test_cohomology_dim_refuses_level_outside_the_complex():
     for t in (-1, 2):
         with pytest.raises(ValueError, match=f"level {t} of a complex with levels 0..1"):
-            linalg.cohomology_dim([1, 1], [[[1]]], t)
+            linalg.cohomology_dim([1, 1], [1], t)
 
 
 # ---------- integer Subspace, Krylov and Horner against the Fraction oracles ----------
