@@ -5,6 +5,12 @@ monomials of zero-dimensional ideals.  Saturation is one elimination of a
 tag variable per generator (Rabinowitsch; Cox, Little and O'Shea, Ideals,
 Varieties, and Algorithms, ch. 4 sec. 4), with no iteration cap.
 
+An order is its weight rows (`TermOrder`).  Bases can be grevlex or lex;
+the eliminations use `_TAG_ELIMINATION`, the tag variable first and then
+grevlex on the rest.  Reduction modulo an `Ideal`, membership and exact
+division always use grevlex, since their answers do not depend on the
+order.
+
 Bases are built incrementally by signatures (Eder and Perry, F5C, JSC 45,
 2010; Roune and Stillman, ISSAC 2012).  The generators are taken by
 ascending head, and each is reduced by a minimal Groebner basis G of those
@@ -364,35 +370,35 @@ class Ideal:
                 gens.append(g)
         self.generators = gens
         self._gb_cache: dict[TermOrder, list[SparsePoly]] = {}
-        # the packing and divisor records of each cached basis, built on
+        # the packing and divisor records of the grevlex basis, built on
         # first reduction and again only when a reduction needs wider fields
-        self._records_cache: dict[TermOrder, tuple[_Packing, list]] = {}
+        self._records_cache: tuple[_Packing, list] | None = None
 
     def groebner_basis(self, order: TermOrder = GREVLEX) -> list[SparsePoly]:
         if order not in self._gb_cache:
             self._gb_cache[order] = buchberger(self.generators, order)
         return self._gb_cache[order]
 
-    def contains(self, f: SparsePoly, order: TermOrder = GREVLEX) -> bool:
+    def contains(self, f: SparsePoly) -> bool:
         if f.is_zero() and f.vars == self.vars:
             return True
-        return self.reduce(f, order).is_zero()
+        return self.reduce(f).is_zero()
 
-    def reduce(self, f: SparsePoly, order: TermOrder = GREVLEX) -> SparsePoly:
+    def reduce(self, f: SparsePoly) -> SparsePoly:
+        """The normal form of f modulo the grevlex basis."""
         if f.vars != self.vars:
             raise ValueError(f"variable lists differ: {self.vars} vs {f.vars}")
         width = _width([f])
         while True:
-            cached = self._records_cache.get(order)
-            if cached is None or cached[0].width < width:
-                basis = self.groebner_basis(order)
-                packing = _Packing(order, len(self.vars), max(width, _width(basis)))
-                cached = self._records_cache[order] = (
-                    packing, _divisor_records(basis, packing))
+            if self._records_cache is None or self._records_cache[0].width < width:
+                basis = self.groebner_basis()
+                packing = _Packing(GREVLEX, len(self.vars), max(width, _width(basis)))
+                self._records_cache = (packing, _divisor_records(basis, packing))
+            packing, divisors = self._records_cache
             try:
-                return _normal_form(f, cached[1], cached[0])
+                return _normal_form(f, divisors, packing)
             except _Overflow:
-                width = 2 * cached[0].width
+                width = 2 * packing.width
 
     def is_zero(self) -> bool:
         # no zero generator is kept
@@ -406,36 +412,9 @@ class Ideal:
         return f"Ideal({', '.join(g.to_str() for g in self.generators) or '0'})"
 
 
-class _BlockElimOrder(TermOrder):
-    """Eliminate the first `n_front` variables: compare their total degree
-    first (grevlex among them), then grevlex on the rest.  Internal helper
-    for `_eliminate_tag`; not part of the public order kinds."""
-
-    def __init__(self, n_front: int):
-        self.kind = "grevlex"
-        self.n_front = n_front
-
-    def rows(self, nvars):
-        k = self.n_front
-        return ([tuple(range(j)) for j in range(k, 0, -1)]
-                + [tuple(range(k, j)) for j in range(nvars, k, -1)])
-
-    def key(self, exponents):
-        front = exponents[: self.n_front]
-        back = exponents[self.n_front:]
-        return (
-            (sum(front),) + tuple([-x for x in reversed(front)])
-            + (sum(back),) + tuple([-x for x in reversed(back)])
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, _BlockElimOrder) and self.n_front == other.n_front
-
-    def __hash__(self):
-        return hash(("elim", self.n_front))
-
-    def __repr__(self):
-        return f"_BlockElimOrder({self.n_front})"
+# the tag variable, first, alone; then grevlex on the rest
+_TAG_ELIMINATION = TermOrder(
+    "tag-elimination", lambda n: [(0,)] + [tuple(range(1, k)) for k in range(n, 1, -1)])
 
 
 def _eliminate_tag(vs, pairs) -> Ideal:
@@ -449,7 +428,7 @@ def _eliminate_tag(vs, pairs) -> Ideal:
     big_vars = (tag,) + vs
     t = SparsePoly.variable(big_vars, 0)
     gb = buchberger([a.extend(big_vars) + t * b.extend(big_vars) for a, b in pairs],
-                    _BlockElimOrder(1))
+                    _TAG_ELIMINATION)
     return Ideal(vs, [SparsePoly(vs, {e[1:]: c for e, c in g.terms.items()})
                       for g in gb if all(e[0] == 0 for e in g.terms)])
 
@@ -465,14 +444,15 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
                           + [(h, -h) for h in J.generators])
 
 
-def divide_exact(f: SparsePoly, g: SparsePoly, order: TermOrder = GREVLEX) -> SparsePoly | None:
-    """f / g when g divides f exactly, else None."""
+def divide_exact(f: SparsePoly, g: SparsePoly) -> SparsePoly | None:
+    """f / g when g divides f exactly, else None.  The quotient does not
+    depend on the order; the division runs under grevlex."""
     f._check_same_ring(g)
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
         return SparsePoly.zero(f.vars)
-    return _widening(lambda width: _divide_exact(f, g, _Packing(order, len(f.vars), width)),
+    return _widening(lambda width: _divide_exact(f, g, _Packing(GREVLEX, len(f.vars), width)),
                      [f, g])
 
 

@@ -125,6 +125,8 @@ class CechComplex:
 
     def differential(self, t: int, d: tuple[int, ...]):
         """The face coboundary from level t to t + 1 at N(d), [] if t >= n."""
+        if t < 0:
+            raise ValueError(f"face level {t} out of range")
         diffs = self._at(_pattern(d, self.nvars))["diffs"]
         return linalg.copy(diffs[t]) if t < self.nvars else []
 

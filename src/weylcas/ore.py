@@ -513,12 +513,11 @@ def verify_star(I: Ideal, s: DiffOp, r_max: int) -> int:
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    gens = [g for g in I.generators if not g.is_zero()]
-    if not gens:
+    if I.is_zero():
         raise ValueError("(*) needs a nonzero ideal")
     for r in range(1, r_max + 1):
         ok = True
-        for combo in combinations_with_replacement(gens, r):
+        for combo in combinations_with_replacement(I.generators, r):
             b = SparsePoly.one(s.ring.vars)
             for g in combo:
                 b = b * g

@@ -9,49 +9,43 @@ so two equal polynomials have identical term maps.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 
 class TermOrder:
-    """A monomial order, graded reverse lex or lex, with the first variable
-    the most significant."""
+    """A monomial order given by its weight rows, most significant first.
+    Each row is the variables whose exponents it sums, and monomials compare
+    as their row sums do, lexicographically; the first variable is the most
+    significant.  `rows(nvars)` is the constructor's rule, computed once per
+    number of variables.  The orders are module values compared by identity:
+    GREVLEX, LEX and the tag elimination of `groebner`."""
 
-    def __init__(self, kind: str = "grevlex"):
-        if kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown term order kind {kind!r}")
-        self.kind = kind
+    __slots__ = ("name", "_rule", "_rows")
+
+    def __init__(self, name: str, rows: Callable[[int], list[tuple[int, ...]]]):
+        self.name = name
+        self._rule = rows
+        self._rows: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+    def rows(self, nvars: int) -> tuple[tuple[int, ...], ...]:
+        rows = self._rows.get(nvars)
+        if rows is None:
+            rows = self._rows[nvars] = tuple(self._rule(nvars))
+        return rows
 
     def key(self, exponents: tuple[int, ...]) -> tuple[int, ...]:
-        """Sort key, a flat int tuple: larger key means larger monomial.
-
-        Lex gives the exponents themselves; grevlex gives the total degree,
-        then the negated exponents from the last variable up."""
-        if self.kind == "lex":
-            return exponents
-        return (sum(exponents),) + tuple([-x for x in reversed(exponents)])
-
-    def rows(self, nvars: int) -> list[tuple[int, ...]]:
-        """The order as weight rows, most significant first: each row is
-        the variables whose exponents it sums, and monomials compare as
-        their row sums do, lexicographically.  Lex gives the exponents one
-        by one; grevlex gives the partial degrees deg, deg minus the last
-        exponent, and so on down to the first exponent alone."""
-        if self.kind == "lex":
-            return [(i,) for i in range(nvars)]
-        return [tuple(range(k)) for k in range(nvars, 0, -1)]
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
+        """Sort key, the flat int tuple of row sums: larger key means larger
+        monomial."""
+        return tuple([sum([exponents[i] for i in row]) for row in self.rows(len(exponents))])
 
     def __repr__(self):
-        return f"TermOrder({self.kind!r})"
+        return f"TermOrder({self.name!r})"
 
 
-GREVLEX = TermOrder("grevlex")
-LEX = TermOrder("lex")
+# lex: the exponents one by one; grevlex: the partial degrees deg, deg minus
+# the last exponent, and so on down to the first exponent alone
+GREVLEX = TermOrder("grevlex", lambda n: [tuple(range(k)) for k in range(n, 0, -1)])
+LEX = TermOrder("lex", lambda n: [(i,) for i in range(n)])
 
 
 def _as_fraction(c) -> int | Fraction:

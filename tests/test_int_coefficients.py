@@ -161,9 +161,9 @@ def test_groebner_outputs_match_the_fraction_kernel(kind, order):
         r = reduce_poly(f, gb, order)
         assert r == old_reduce_poly(f, gb, order)
         g = _poly(rng, kind, 2, 2)
-        q = divide_exact(f * g, g, order)
+        q = divide_exact(f * g, g)
         assert q == old_divide_exact(f * g, g, order) == f
-        assert divide_exact(f * g + 1, g, order) == old_divide_exact(f * g + 1, g, order)
+        assert divide_exact(f * g + 1, g) == old_divide_exact(f * g + 1, g, order)
         for p in [*gb, r, q]:
             assert _stored_rule(p)
         if kind == "integer":

@@ -822,3 +822,12 @@ def test_six_plus_six_generator_mv_answers_in_a_second(capsys):
         capsys, ["lc-mv", "--i-gens", i_gens, "--j-gens", j_gens, "--window", "-1..0"])
     assert code == 0 and out == "alternating sums vanish: True\n"
     assert elapsed < 1.0, elapsed
+
+
+def test_negative_face_level_is_refused():
+    # a negative level would index the coboundaries from the end: level -1
+    # read as the coboundary from level 1
+    cech = CechComplex(2, [(1, 1)])
+    with pytest.raises(ValueError, match="face level -1 out of range"):
+        cech.differential(-1, (-1, -1))
+    assert cech.differential(1, (-1, -1)) == [[-1, 1]]

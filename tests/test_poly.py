@@ -92,13 +92,14 @@ def test_lex_priority_permutation():
 
 def _nested_key(order, e):
     """The nested sort key TermOrder used before its keys were flattened."""
-    if order.kind == "lex":
+    if order is LEX:
         return tuple(e)
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-def _nested_elim_key(n_front, e):
-    front, back = e[:n_front], e[n_front:]
+def _nested_elim_key(e):
+    """The nested key of the block order that eliminates the first variable."""
+    front, back = e[:1], e[1:]
     return (sum(front), tuple(-x for x in reversed(front)),
             sum(back), tuple(-x for x in reversed(back)))
 
@@ -106,26 +107,30 @@ def _nested_elim_key(n_front, e):
 def test_flat_keys_sort_like_nested_keys():
     from itertools import product
 
-    from weylcas.groebner import _BlockElimOrder
+    from weylcas.groebner import _TAG_ELIMINATION
 
-    exps = [e for e in product(range(5), repeat=3) if sum(e) <= 4]
     orders = [
         (GREVLEX, lambda e: _nested_key(GREVLEX, e)),
         (LEX, lambda e: _nested_key(LEX, e)),
+        (_TAG_ELIMINATION, _nested_elim_key),
     ]
-    for n_front in (1, 2):
-        orders.append((_BlockElimOrder(n_front), lambda e, k=n_front: _nested_elim_key(k, e)))
-    for order, nested in orders:
-        flat = [order.key(e) for e in exps]
-        assert all(type(k) is tuple and all(type(x) is int for x in k) for k in flat)
-        assert sorted(exps, key=order.key) == sorted(exps, key=nested), order
-        # no two monomials share a key: the order is total
-        assert len(set(flat)) == len(exps)
+    for n in (2, 3, 4):
+        exps = [e for e in product(range(5), repeat=n) if sum(e) <= 4]
+        for order, nested in orders:
+            flat = [order.key(e) for e in exps]
+            assert all(type(k) is tuple and all(type(x) is int for x in k) for k in flat)
+            assert sorted(exps, key=order.key) == sorted(exps, key=nested), (order, n)
+            # no two monomials share a key: the order is total
+            assert len(set(flat)) == len(exps)
 
 
 def test_flat_key_shapes():
-    assert GREVLEX.key((1, 2, 3)) == (6, -3, -2, -1)
+    from weylcas.groebner import _TAG_ELIMINATION
+
+    # one entry per weight row: the sum of the exponents the row names
+    assert GREVLEX.key((1, 2, 3)) == (6, 3, 1)
     assert LEX.key((1, 2, 3)) == (1, 2, 3)
+    assert _TAG_ELIMINATION.key((1, 2, 3)) == (1, 5, 2)
 
 
 def test_to_str_round_shape():
