@@ -15,7 +15,8 @@ membership of f in an ideal L "locally at P" is the colon statement
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import add
 
 from . import linalg
 from .groebner import (
@@ -61,10 +62,7 @@ def koszul_matrix(a: list[SparsePoly], k: int, convention: str = "right") -> lis
     mat = [[zero for _ in cols_idx] for _ in rows_idx]
     for j, T in enumerate(cols_idx):
         for pos, elem in enumerate(T):
-            S = tuple(t for t in T if t != elem)
-            sign = -1 if pos % 2 else 1
-            entry = a[elem] if sign == 1 else -a[elem]
-            mat[row_pos[S]][j] = mat[row_pos[S]][j] + entry
+            mat[row_pos[T[:pos] + T[pos + 1:]]][j] = -a[elem] if pos % 2 else a[elem]
     if convention == "right":
         return [list(r) for r in zip(*mat)]
     return mat
@@ -84,10 +82,6 @@ class KoszulComplex:
         self.convention = convention
         self._matrices: dict[int, list[list[SparsePoly]]] = {}
 
-    @property
-    def length(self) -> int:
-        return len(self.elements)
-
     def matrix(self, k: int) -> list[list[SparsePoly]]:
         if k not in self._matrices:
             self._matrices[k] = koszul_matrix(self.elements, k, self.convention)
@@ -96,31 +90,14 @@ class KoszulComplex:
     def composes_to_zero(self) -> bool:
         """d o d = 0 symbolically in every pair of consecutive degrees."""
         zero = SparsePoly.zero(self.elements[0].vars)
-        for k in range(2, self.length + 1):
-            if self.convention == "left":
-                prod = _poly_mat_mul(self.matrix(k - 1), self.matrix(k))
-            else:
-                prod = _poly_mat_mul(self.matrix(k), self.matrix(k - 1))
-            if any(entry != zero for row in prod for entry in row):
-                return False
+        for k in range(2, len(self.elements) + 1):
+            first, second = (k - 1, k) if self.convention == "left" else (k, k - 1)
+            columns = list(zip(*self.matrix(second)))
+            for row in self.matrix(first):
+                for col in columns:
+                    if not sum((x * y for x, y in zip(row, col)), zero).is_zero():
+                        return False
         return True
-
-
-def _poly_mat_mul(a, b):
-    if not a or not b:
-        return []
-    vars_ = next(e for row in a for e in row).vars
-    zero = SparsePoly.zero(vars_)
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            acc = zero
-            for t in range(len(b)):
-                acc = acc + row[t] * b[t][j]
-            out_row.append(acc)
-        out.append(out_row)
-    return out
 
 
 def build_psi_inductive(a: list[SparsePoly]):
@@ -288,8 +265,11 @@ class GradedModuleModel:
     dimension 0 or 1: the polynomial ring R, nonzero exactly at d >= 0,
     and the top local cohomology H^n_m(R) of the maximal monomial ideal,
     nonzero exactly at d <= -1 (for one variable, K[x, 1/x]/K[x]).
-    Multiplication by a variable shifts the multidegree and truncates
-    outside the region."""
+    Multiplication by a monomial x^e sends the basis element of multidegree
+    m to that of m + e, or to 0 outside the region, so the pieces are the
+    whole model: `piece(t)` lists the basis of total degree t with each
+    multidegree's position in it, and `_level_one_window` writes the
+    Koszul differentials straight from those positions."""
 
     def __init__(self, variables, top: bool):
         self.vars = tuple(variables)
@@ -304,13 +284,10 @@ class GradedModuleModel:
     def top_local_cohomology(cls, variables) -> "GradedModuleModel":
         return cls(variables, True)
 
-    def basis_of_total_degree(self, t: int) -> list[tuple[int, ...]]:
-        """Multidegrees in the region with coordinate sum t, listed once
-        per model and t; the list is shared, so callers must not change it."""
-        return self._piece(t)[0]
-
-    def _piece(self, t: int) -> tuple[list, dict]:
-        """The basis of total degree t and each multidegree's position in it."""
+    def piece(self, t: int) -> tuple[list, dict]:
+        """The multidegrees in the region with coordinate sum t and each
+        one's position in that list, built once per model and t; both are
+        shared, so callers must not change them."""
         piece = self._pieces.get(t)
         if piece is None:
             n = len(self.vars)
@@ -322,25 +299,6 @@ class GradedModuleModel:
                 basis = [tuple(-1 - f for f in e) for e in _compositions(s, n)] if s >= 0 else []
             piece = self._pieces[t] = (basis, {m: i for i, m in enumerate(basis)})
         return piece
-
-    def mult_matrix(self, p: SparsePoly, source_degree: int):
-        """Matrix of multiplication by the homogeneous polynomial p from the
-        total-degree piece at source_degree to the shifted piece."""
-        if p.vars != self.vars:
-            raise ValueError("polynomial over the wrong ring")
-        if not p.is_homogeneous():
-            raise ValueError("multiplier must be homogeneous")
-        shift = p.total_degree()
-        src = self.basis_of_total_degree(source_degree)
-        tgt, tgt_pos = self._piece(source_degree + shift)
-        mat = linalg.zeros(len(tgt), len(src))
-        for j, m in enumerate(src):
-            for e, c in p.terms.items():
-                out = tuple(x + y for x, y in zip(m, e))
-                i = tgt_pos.get(out)
-                if i is not None:
-                    mat[i][j] += c
-        return mat
 
 
 def _compositions(total: int, parts: int):
@@ -393,25 +351,45 @@ def _level_one_window(a, model, window, convention):
 
     "right" gives the Hom-Koszul cochain complex, whose level-k piece at d
     is (+)_T E_{d + deg a_T} over k-subsets T; "left" gives K(a; R), whose
-    piece is (+)_T R_{d - deg a_T}.  Each polynomial entry p of the Koszul
-    matrix becomes multiplication by p out of the piece of its column
-    subset.  A one-element sequence has no level 2.
+    piece is (+)_T R_{d - deg a_T}.  Each nonzero entry p of the Koszul
+    matrix is multiplication by p from the piece of its block column into
+    that of its block row: a term c x^e of p puts c at the row of m + e
+    and the column of m, for each basis element m of the source piece
+    whose shift stays in the region.  Scaling each a_i by a nonzero
+    constant gives an isomorphic complex, so each a_i is first cleared of
+    denominators and every differential is ranked as integer rows.  A
+    one-element sequence has no level 2.
     """
     sign = 1 if convention == "right" else -1
     degs = [f.total_degree() for f in a]
+    a = [SparsePoly(f.vars, dict(zip(f.terms, linalg.integer_vector(list(f.terms.values()))[0])))
+         for f in a]
     levels = range(min(len(a), 2) + 1)
     subsets = [_subsets(len(a), k) for k in levels]
-    mats = [koszul_matrix(a, k, convention) for k in levels[1:]]
+    # per differential: its target and source levels and, for each nonzero
+    # entry, the block row, the block column and the entry's terms
+    diffs = [((k, k - 1) if convention == "right" else (k - 1, k),
+              [(i, j, list(p.terms.items()))
+               for i, row in enumerate(koszul_matrix(a, k, convention))
+               for j, p in enumerate(row) if not p.is_zero()])
+             for k in levels[1:]]
     out = {}
     for d in range(window[0], window[1] + 1):
-        piece = {T: d + sign * sum(degs[i] for i in T) for subs in subsets for T in subs}
-        dims = [[len(model.basis_of_total_degree(piece[T])) for T in subs] for subs in subsets]
-        diffs = []
-        for k, mat in enumerate(mats, start=1):
-            tgt, src = (k, k - 1) if convention == "right" else (k - 1, k)
-            blocks = [[None if p.is_zero() else model.mult_matrix(p, piece[subsets[src][j]])
-                       for j, p in enumerate(row)] for row in mat]
-            diffs.append(linalg.block_matrix(blocks, dims[tgt], dims[src]))
-        out[d] = linalg.cohomology_dim([sum(ds) for ds in dims],
-                                       [linalg.rank(m) for m in diffs], 1)
+        pieces = [[model.piece(d + sign * sum(degs[i] for i in T)) for T in subs]
+                  for subs in subsets]
+        starts = [list(accumulate((len(basis) for basis, _ in level), initial=0))
+                  for level in pieces]
+        ranks = []
+        for (tgt, src), entries in diffs:
+            row_at, col_at = starts[tgt], starts[src]
+            rows = linalg.zeros(row_at[-1], col_at[-1])
+            for i, j, terms in entries:
+                basis, pos = pieces[src][j][0], pieces[tgt][i][1]
+                for e, c in terms:
+                    for col, m in enumerate(basis, col_at[j]):
+                        r = pos.get(tuple(map(add, m, e)))
+                        if r is not None:
+                            rows[row_at[i] + r][col] = c
+            ranks.append(linalg.integer_rank(rows))
+        out[d] = linalg.cohomology_dim([level[-1] for level in starts], ranks, 1)
     return out

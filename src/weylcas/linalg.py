@@ -243,6 +243,11 @@ def rank(a: Matrix) -> int:
     return len(_echelon(_integer_rows(a), False))
 
 
+def integer_rank(m: list[list[int]]) -> int:
+    """The rank of the integer rows m, primitive or not; reduces m in place."""
+    return len(_echelon(m, False))
+
+
 def cohomology_dim(dims: list[int], ranks: list[int], t: int) -> int:
     """Dimension of the homology at level t of a finite complex.
 

@@ -9,6 +9,7 @@ so two equal polynomials have identical term maps.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 
@@ -16,27 +17,42 @@ class TermOrder:
     """A monomial order given by its weight rows, most significant first.
     Each row is the variables whose exponents it sums, and monomials compare
     as their row sums do, lexicographically; the first variable is the most
-    significant.  `rows(nvars)` is the constructor's rule, computed once per
-    number of variables.  The orders are module values compared by identity:
-    GREVLEX, LEX and the tag elimination of `groebner`."""
+    significant.  `rows(nvars)` is the constructor's rule, computed and
+    checked once per number of variables: the rows name variables in range
+    and their weight matrix (how often each row names each variable) has
+    full rank, so no two monomials tie.  The orders are module values
+    compared by identity: GREVLEX, LEX and the tag elimination of `groebner`."""
 
-    __slots__ = ("name", "_rule", "_rows")
+    __slots__ = ("name", "_rule", "_rows", "_getters")
 
     def __init__(self, name: str, rows: Callable[[int], list[tuple[int, ...]]]):
         self.name = name
         self._rule = rows
         self._rows: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._getters: dict[int, list[tuple[Callable, bool]]] = {}
 
     def rows(self, nvars: int) -> tuple[tuple[int, ...], ...]:
         rows = self._rows.get(nvars)
         if rows is None:
-            rows = self._rows[nvars] = tuple(self._rule(nvars))
+            rows = tuple(self._rule(nvars))
+            from . import linalg  # linalg builds on this module
+            if not all(0 <= i < nvars for row in rows for i in row):
+                raise ValueError(f"order {self.name!r} names a variable outside 0..{nvars - 1}")
+            if linalg.rank([[row.count(i) for i in range(nvars)] for row in rows]) < nvars:
+                raise ValueError(f"order {self.name!r} ties distinct monomials in {nvars} variables")
+            self._rows[nvars] = rows
         return rows
 
     def key(self, exponents: tuple[int, ...]) -> tuple[int, ...]:
         """Sort key, the flat int tuple of row sums: larger key means larger
         monomial."""
-        return tuple([sum([exponents[i] for i in row]) for row in self.rows(len(exponents))])
+        getters = self._getters.get(len(exponents))
+        if getters is None:
+            # per row a getter, and whether it picks a tuple to sum
+            getters = self._getters[len(exponents)] = [
+                (itemgetter(*row) if row else lambda e: (), len(row) != 1)
+                for row in self.rows(len(exponents))]
+        return tuple([sum(get(exponents)) if many else get(exponents) for get, many in getters])
 
     def __repr__(self):
         return f"TermOrder({self.name!r})"

@@ -54,6 +54,11 @@ saturated by one tag-variable elimination per generator.
 a tree of `Num`/`Var`/`Neg`/`BinOp`/`Pow` nodes, then an evaluation in
 which every leaf is a `DiffOp` (a plain polynomial too, over a Weyl ring),
 before `parser` evaluated while parsing.
+`old_level_one_window` expands each Koszul entry through
+`old_model_mult_matrix`, one dense block per entry and degree, and
+assembles the blocks with `linalg.block_matrix` before ranking them, as
+`koszul` did before it wrote each differential straight from the model's
+position maps.
 `socle_matches_primary_annihilator` checks (0 :_E nu) = (0 :_E Q_1) in a
 truncated hull; only the tests call it.
 All are exact
@@ -82,6 +87,7 @@ from weylcas.hulls import (
     matched_local_factor,
     maximal_ideal_stabilization_index,
 )
+from weylcas.koszul import koszul_matrix
 from weylcas.localcoh import monomial_lcm, window_degrees
 from weylcas.ore import DiffOp, OreRing
 from weylcas.parser import ParseError, Token, tokenize
@@ -1773,3 +1779,47 @@ def socle_matches_primary_annihilator(ext: CurveExtension,
             for col in linalg.transpose(m):
                 q1_span.add(col)
     return nu_span == q1_span
+
+
+def old_model_mult_matrix(model, p: SparsePoly, source_degree: int) -> list:
+    """Matrix of multiplication by the homogeneous polynomial p from the
+    model's total-degree piece at source_degree to the shifted piece."""
+    if p.vars != model.vars:
+        raise ValueError("polynomial over the wrong ring")
+    if not p.is_homogeneous():
+        raise ValueError("multiplier must be homogeneous")
+    shift = p.total_degree()
+    src = model.piece(source_degree)[0]
+    tgt, tgt_pos = model.piece(source_degree + shift)
+    mat = linalg.zeros(len(tgt), len(src))
+    for j, m in enumerate(src):
+        for e, c in p.terms.items():
+            out = tuple(x + y for x, y in zip(m, e))
+            i = tgt_pos.get(out)
+            if i is not None:
+                mat[i][j] += c
+    return mat
+
+
+def old_level_one_window(a, model, window, convention):
+    """`koszul._level_one_window` by dense blocks: each polynomial entry p
+    of the Koszul matrix becomes multiplication by p out of the piece of
+    its column subset, and the blocks are assembled and ranked over Q."""
+    sign = 1 if convention == "right" else -1
+    degs = [f.total_degree() for f in a]
+    levels = range(min(len(a), 2) + 1)
+    subsets = [list(combinations(range(len(a)), k)) for k in levels]
+    mats = [koszul_matrix(a, k, convention) for k in levels[1:]]
+    out = {}
+    for d in range(window[0], window[1] + 1):
+        piece = {T: d + sign * sum(degs[i] for i in T) for subs in subsets for T in subs}
+        dims = [[len(model.piece(piece[T])[0]) for T in subs] for subs in subsets]
+        diffs = []
+        for k, mat in enumerate(mats, start=1):
+            tgt, src = (k, k - 1) if convention == "right" else (k - 1, k)
+            blocks = [[None if p.is_zero() else old_model_mult_matrix(model, p, piece[subsets[src][j]])
+                       for j, p in enumerate(row)] for row in mat]
+            diffs.append(linalg.block_matrix(blocks, dims[tgt], dims[src]))
+        out[d] = linalg.cohomology_dim([sum(ds) for ds in dims],
+                                       [linalg.rank(m) for m in diffs], 1)
+    return out

@@ -22,6 +22,8 @@ from weylcas.koszul import (
 )
 from weylcas.poly import SparsePoly
 
+from oracles import old_level_one_window
+
 XYZ = ("x", "y", "z")
 x = SparsePoly.variable(XYZ, 0)
 y = SparsePoly.variable(XYZ, 1)
@@ -76,6 +78,15 @@ def test_d_compose_d_zero(g):
     a = random_polys(100 + g, g)
     assert KoszulComplex(a, "right").composes_to_zero()
     assert KoszulComplex(a, "left").composes_to_zero()
+
+
+@pytest.mark.parametrize("convention", ["right", "left"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_flipped_sign_breaks_d_compose_d(convention, k):
+    complex_ = KoszulComplex([x, y, z + x], convention)
+    d = complex_.matrix(k)
+    d[-1][-1] = -d[-1][-1]
+    assert not complex_.composes_to_zero()
 
 
 def test_matrix_sizes_binomial():
@@ -232,25 +243,28 @@ def test_prime_avoidance_exhaustion(monkeypatch):
 
 def test_model_pieces():
     R1 = GradedModuleModel.polynomial(("x",))
-    assert R1.basis_of_total_degree(3) == [(3,)]
-    assert R1.basis_of_total_degree(-1) == []
+    assert R1.piece(3) == ([(3,)], {(3,): 0})
+    assert R1.piece(-1) == ([], {})
     E1 = GradedModuleModel.top_local_cohomology(("x",))
-    assert E1.basis_of_total_degree(-1) == [(-1,)]
-    assert E1.basis_of_total_degree(0) == []
+    assert E1.piece(-1) == ([(-1,)], {(-1,): 0})
+    assert E1.piece(0) == ([], {})
     E2 = GradedModuleModel.top_local_cohomology(("x", "y"))
-    assert len(E2.basis_of_total_degree(-2)) == 1
-    assert len(E2.basis_of_total_degree(-4)) == 3
+    assert len(E2.piece(-2)[0]) == 1
+    assert len(E2.piece(-4)[0]) == 3
 
 
 def test_model_pieces_are_listed_once_per_total_degree():
     for model, in_region in ((GradedModuleModel.polynomial(XYZ), lambda x: x >= 0),
                              (GradedModuleModel.top_local_cohomology(XYZ), lambda x: x <= -1)):
         for t in range(-7, 5):
-            piece = model.basis_of_total_degree(t)
-            assert model.basis_of_total_degree(t) is piece
-            # every multidegree of the region with coordinate sum t, once
-            assert sorted(piece) == [d for d in product(range(-9, 9), repeat=3)
+            piece = model.piece(t)
+            assert model.piece(t) is piece
+            basis, position = piece
+            # every multidegree of the region with coordinate sum t, once,
+            # and each one's position in the list
+            assert sorted(basis) == [d for d in product(range(-9, 9), repeat=3)
                                      if sum(d) == t and all(map(in_region, d))]
+            assert position == {d: i for i, d in enumerate(basis)}
 
 
 def test_ext1_polynomial_ring_not_injective():
@@ -390,3 +404,73 @@ def test_h1_vanishes_exactly_on_regular_triples():
         assert ok == all(v == 0 for v in h1.values()), a
         seen.add(ok)
     assert seen == {True, False}
+
+
+# ---------- the Koszul window against the dense-block oracle ----------
+
+def fraction_form(rng, vars_, deg):
+    """A form of degree deg with two or three terms, one coefficient of
+    which is not an integer."""
+    monomials = monomials_of_degree(len(vars_), deg)
+    picked = rng.sample(monomials, rng.randint(2, min(3, len(monomials))))
+    terms = {e: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) for e in picked}
+    terms[picked[0]] = Fraction(rng.choice([-5, 1, 7]), rng.choice([2, 3, 6]))
+    return SparsePoly(vars_, terms)
+
+
+def fraction_sequence(rng, vars_, shared):
+    """1-3 forms of distinct degrees 1-3 with non-integer coefficients;
+    with shared, the forms of degree 2 and 3 have a common linear factor,
+    so that a pair of them is not regular."""
+    factor = fraction_form(rng, vars_, 1)
+    return [factor * fraction_form(rng, vars_, deg - 1) if shared and deg > 1
+            else fraction_form(rng, vars_, deg)
+            for deg in rng.sample(range(1, 4), rng.randint(1, 3))]
+
+
+def test_window_matches_dense_block_oracle():
+    rng = random.Random(67)
+    nonzero = 0
+    for case in range(12):
+        vars_ = XYZ[: 2 + case % 2]
+        a = fraction_sequence(rng, vars_, shared=case % 4 > 1)
+        top = sum(f.total_degree() for f in a) + 1
+        window = (-top - len(vars_), top)  # crosses 0 for every model
+        for top_model in (False, True):
+            model = GradedModuleModel(vars_, top_model)
+            for convention in ("right", "left"):
+                old = old_level_one_window(a, model, window, convention)
+                assert koszul._level_one_window(a, model, window, convention) == old, a
+                if convention == "right":
+                    assert ext1_koszul(a, model, window) == old, a
+                elif not top_model:
+                    assert koszul_h1_window(a, window) == old, a
+                nonzero += any(old.values())
+    # the corpus is not all regular sequences: some answers are nonzero
+    assert nonzero >= 8
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ext1_koszul([x + y], GradedModuleModel.top_local_cohomology(XYZ), (2, 1)),
+    lambda: koszul_h1_window([x + y, z], (0, -1)),
+    lambda: ext1_koszul([x + y], GradedModuleModel.top_local_cohomology(("x", "y")), (-3, 3)),
+    lambda: ext1_koszul([x + y], GradedModuleModel.polynomial(("u", "v", "w")), (-3, 3)),
+], ids=["ext1-empty-window", "h1-empty-window", "ext1-model-in-2-variables",
+        "ext1-model-over-other-names"])
+def test_window_and_oracle_refuse_alike(monkeypatch, call):
+    new = _outcome(call)
+    monkeypatch.setattr(koszul, "_level_one_window", old_level_one_window)
+    old = _outcome(call)
+    assert new == old
+    kind, message = new
+    if "window" in message:
+        assert kind is koszul.WindowMarginError and message == "empty window"
+    else:
+        assert kind is ValueError and message == "sequence over the wrong ring"

@@ -616,7 +616,7 @@ def test_model_pieces_are_a_pattern():
                                 frozenset(range(n)))):
             for t in range(-6, 5):
                 box = product(range(-abs(t) - n, abs(t) + n + 1), repeat=n)
-                assert sorted(model.basis_of_total_degree(t)) == sorted(
+                assert sorted(model.piece(t)[0]) == sorted(
                     d for d in box if sum(d) == t and negative_support(d) == pattern)
 
 

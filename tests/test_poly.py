@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylcas.poly import GREVLEX, LEX, SparsePoly
+from weylcas.poly import GREVLEX, LEX, SparsePoly, TermOrder
 
 XY = ("x", "y")
 
@@ -131,6 +131,59 @@ def test_flat_key_shapes():
     assert GREVLEX.key((1, 2, 3)) == (6, 3, 1)
     assert LEX.key((1, 2, 3)) == (1, 2, 3)
     assert _TAG_ELIMINATION.key((1, 2, 3)) == (1, 5, 2)
+
+
+def test_keys_are_the_row_sums():
+    from itertools import product
+
+    from weylcas.groebner import _TAG_ELIMINATION
+
+    # one-variable, longer and empty rows alike, for any variable count
+    padded = TermOrder("lex with a zero row", lambda n: [()] + [(i,) for i in range(n)])
+    for order in (GREVLEX, LEX, _TAG_ELIMINATION, padded):
+        for n in (1, 2, 3, 4):
+            rows = order.rows(n)
+            for e in product(range(3), repeat=n):
+                assert order.key(e) == tuple(sum(e[i] for i in row) for row in rows)
+
+
+def test_library_orders_pass_the_row_check():
+    from weylcas.groebner import _TAG_ELIMINATION
+
+    for order in (GREVLEX, LEX, _TAG_ELIMINATION):
+        for n in range(1, 7):
+            assert len(order.rows(n)) >= 1
+
+
+@pytest.mark.parametrize("rule,match", [
+    # one total-degree row ties x with y: buchberger([x - y, xy - 1]) used
+    # to return the non-reduced basis ['-x + y', 'x^2 - 1']
+    (lambda n: [tuple(range(n))], "'bad' ties distinct monomials in 2 variables"),
+    # used to raise IndexError
+    (lambda n: [(i,) for i in range(n)] + [(n,)], "'bad' names a variable outside 0..1"),
+    (lambda n: [(-1,)] + [(i,) for i in range(n)], "'bad' names a variable outside 0..1"),
+], ids=["total-degree-only", "index-past-the-end", "negative-index"])
+def test_rows_that_are_not_a_monomial_order_are_refused(rule, match):
+    from weylcas.groebner import buchberger
+
+    order = TermOrder("bad", rule)
+    xx, yy = SparsePoly.variable(XY, 0), SparsePoly.variable(XY, 1)
+    with pytest.raises(ValueError, match=match):
+        buchberger([xx - yy, xx * yy - 1], order)
+    # nothing is cached: the check runs again, and key refuses too
+    with pytest.raises(ValueError, match=match):
+        order.key((1, 0))
+
+
+def test_a_row_counts_a_variable_as_often_as_it_names_it():
+    # the third row weighs y twice: it is the sum of the first two, so x z
+    # and y tie (both weigh (1, 1, 2)), although the 0/1 supports of the
+    # three rows are independent
+    tied = TermOrder("tied", lambda n: [(0, 1), (1, 2), (0, 1, 1, 2)])
+    with pytest.raises(ValueError, match="'tied' ties distinct monomials in 3 variables"):
+        tied.rows(3)
+    doubled = TermOrder("doubled", lambda n: [(0, 0, 1), (0,)])
+    assert doubled.key((1, 2)) == (4, 1) and doubled.rows(2) == ((0, 0, 1), (0,))
 
 
 def test_to_str_round_shape():
