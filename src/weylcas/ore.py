@@ -2,16 +2,21 @@
 
 Elements are kept in left normal form (polynomial coefficients to the left
 of the operator monomials) or right normal form (coefficients to the
-right); each abstract element has exactly one of each.  Products and
-conversions all go through one closed formula, the Leibniz rule
+right); each abstract element has exactly one of each.  Products, both
+normal forms, the action on polynomials and the (*) test all move op^alpha
+past one monomial x^e at a time, by the Leibniz rule
 
-    op^alpha * psi  =  sum_{beta <= alpha} C(alpha, beta) delta^(alpha-beta)(psi) op^beta
-    psi * op^alpha  =  sum_{beta <= alpha} (-1)^|alpha-beta| C(alpha, beta) op^beta delta^(alpha-beta)(psi)
+    op^alpha * x^e  =  sum_{beta <= alpha} C(alpha, beta) delta^(alpha-beta)(x^e) op^beta
+    x^e * op^alpha  =  sum_{beta <= alpha} (-1)^|alpha-beta| C(alpha, beta) op^beta delta^(alpha-beta)(x^e)
 
-where delta_k is the partial derivative for a Weyl generator and the
-attached derivation for the Ore variable.  The formula is exact because
-the Weyl derivations commute and an Ore ring has a single operator.  The
-acceptance battery checks it against the bare rewrite rule
+and add the terms into one flat {(beta, exponent): coefficient} map, which
+is regrouped into polynomial coefficients once per operation.  The leaf is
+the table of derivatives delta_k^i(x^e).  For a Weyl generator it is the
+falling factorial e_k!/(e_k - i)! x^(e - i u_k), with u_k the k-th unit
+vector, so the Weyl kernel works on integers alone; for the Ore variable
+the attached derivation is iterated on the monomial.  The formula is exact
+because the Weyl derivations commute and an Ore ring has a single
+operator.  The acceptance battery checks it against the bare rewrite rule
 op_k * a -> a * op_k + delta_k(a).
 """
 
@@ -20,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
+from operator import add
 
 from .groebner import Ideal, divide_exact
 from .poly import GREVLEX, SparsePoly, TermOrder, power_by_squaring
@@ -66,16 +72,30 @@ class OreRing:
         """The derivation attached to operator symbol k, applied to p."""
         if self.kind == "weyl":
             return p.partial(k)
-        # Leibniz extension of the generator rule
+        # Leibniz extension of the generator rule: sum_i (dp/dx_i) delta(x_i)
         out = SparsePoly.zero(self.vars)
-        for e, c in p.terms.items():
-            for i, exp in enumerate(e):
-                if exp == 0 or self.delta_on_vars[i].is_zero():
-                    continue
-                shifted = list(e)
-                shifted[i] = exp - 1
-                out = out + SparsePoly.monomial(self.vars, shifted, c * exp) * self.delta_on_vars[i]
+        for i, d in enumerate(self.delta_on_vars):
+            out = out + p.partial(i) * d
         return out
+
+    def derivatives(self, k: int, e: tuple[int, ...], top: int) -> list[dict]:
+        """delta_k^i(x^e) for i = 0..top as term maps, cut before the first
+        zero: the falling factorial e_k!/(e_k - i)! x^(e - i u_k) for a
+        Weyl generator, the attached derivation iterated on x^e for X."""
+        table = [{e: 1}]
+        if self.kind == "weyl":
+            head, ek, tail, c = e[:k], e[k], e[k + 1:], 1
+            for i in range(1, min(top, ek) + 1):
+                c *= ek - i + 1
+                table.append({head + (ek - i,) + tail: c})
+            return table
+        p = SparsePoly._clean(self.vars, table[0])
+        for _ in range(top):
+            p = self.delta(k, p)
+            if p.is_zero():
+                break
+            table.append(p.terms)
+        return table
 
     def zero_alpha(self) -> tuple[int, ...]:
         return (0,) * self.n_ops
@@ -133,6 +153,19 @@ class DiffOp:
                 _add_term(cleaned, a, c)
         self.terms = cleaned
 
+    @classmethod
+    def _from_flat(cls, ring: OreRing, flat: dict, form: str) -> "DiffOp":
+        """The operator of a flat {(alpha, exponent): coeff} map, zeros
+        dropped; trusted like SparsePoly._clean, so nothing is checked."""
+        terms: dict = {}
+        for (alpha, e), c in flat.items():
+            if c:
+                terms.setdefault(alpha, {})[e] = c
+        op = object.__new__(cls)
+        op.ring, op.form = ring, form
+        op.terms = {alpha: SparsePoly._clean(ring.vars, t) for alpha, t in terms.items()}
+        return op
+
     # ---------- constructors ----------
 
     @classmethod
@@ -180,23 +213,17 @@ class DiffOp:
 
     def to_left(self) -> "DiffOp":
         """Left normal form of the same abstract element."""
-        if self.form == "left":
-            return self
-        out: dict = {}
-        for alpha, psi in self.terms.items():
-            for beta, c in _leibniz(self.ring, alpha, psi, 1).items():
-                _add_term(out, beta, c)
-        return DiffOp(self.ring, out, "left")
+        return self if self.form == "left" else self._flip("left", 1)
 
     def to_right(self) -> "DiffOp":
         """Right normal form of the same abstract element."""
-        if self.form == "right":
-            return self
-        out: dict = {}
-        for alpha, phi in self.terms.items():
-            for beta, c in _leibniz(self.ring, alpha, phi, -1).items():
-                _add_term(out, beta, c)
-        return DiffOp(self.ring, out, "right")
+        return self if self.form == "right" else self._flip("right", -1)
+
+    def _flip(self, form: str, sign: int) -> "DiffOp":
+        out, moved = {}, {}
+        for alpha, c in self.terms.items():
+            _add_moved(out, self.ring, alpha, c, sign, None, None, moved)
+        return DiffOp._from_flat(self.ring, out, form)
 
     # ---------- arithmetic ----------
 
@@ -222,13 +249,12 @@ class DiffOp:
         if isinstance(other, (int, Fraction)):
             return DiffOp(self.ring, {a: c * other for a, c in self.terms.items()}, self.form)
         a, b = self.to_left(), self._lift(other).to_left()
-        out: dict = {}
-        for alpha, phi in a.terms.items():
-            for beta, psi in b.terms.items():
-                # phi * op^alpha * psi * op^beta = sum phi * c * op^(gamma + beta)
-                for gamma, c in _leibniz(self.ring, alpha, psi, 1).items():
-                    _add_term(out, tuple(g + e for g, e in zip(gamma, beta)), phi * c)
-        return DiffOp(self.ring, out, "left")
+        out, moved = {}, {}
+        for beta, psi in b.terms.items():
+            for alpha, phi in a.terms.items():
+                # phi * op^alpha * psi * op^beta
+                _add_moved(out, self.ring, alpha, psi, 1, phi.terms, beta, moved)
+        return DiffOp._from_flat(self.ring, out, "left")
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -244,7 +270,11 @@ class DiffOp:
         return DiffOp.one(self.ring) if k == 0 else power_by_squaring(self, k).to_left()
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = SparsePoly.constant(self.ring.vars, other)
         if isinstance(other, SparsePoly):
+            if other.vars != self.ring.vars:
+                return False
             other = DiffOp.from_poly(self.ring, other)
         if not isinstance(other, DiffOp):
             return NotImplemented
@@ -255,6 +285,9 @@ class DiffOp:
 
     def __hash__(self):
         a = self.to_left()
+        if not any(map(any, a.terms)):
+            # equal to its coefficient polynomial, so it hashes as that
+            return hash(a.terms.get(a.ring.zero_alpha(), SparsePoly.zero(a.ring.vars)))
         return hash((a.ring, frozenset((k, v) for k, v in a.terms.items())))
 
     # ---------- module action ----------
@@ -269,14 +302,22 @@ class DiffOp:
         if isinstance(m, SparsePoly):
             if m.vars != self.ring.vars:
                 raise ValueError("module element over the wrong ring")
-            out = SparsePoly.zero(self.ring.vars)
+            out = {}
             for alpha, phi in left.terms.items():
-                v = m
-                for k, p in enumerate(alpha):
-                    for _ in range(p):
-                        v = self.ring.delta(k, v)
-                out = out + phi * v
-            return out
+                for e, c in m.terms.items():
+                    # delta^alpha(c x^e), one operator at a time: a Weyl step
+                    # maps one monomial to one and an Ore ring has one step,
+                    # so no two terms of a step share a key
+                    terms = {e: c}
+                    for k, a in enumerate(alpha):
+                        if a:
+                            terms = {g: w * v for f, w in terms.items() for d in
+                                     self.ring.derivatives(k, f, a)[a:] for g, v in d.items()}
+                    for f, v in terms.items():
+                        for h, w in phi.terms.items():
+                            key = tuple(map(add, f, h))
+                            out[key] = out.get(key, 0) + v * w
+            return SparsePoly._clean(m.vars, {e: c for e, c in out.items() if c})
         if isinstance(m, LocalizedFraction):
             if self.ring.kind != "weyl":
                 raise ValueError("fractions only carry a Weyl action")
@@ -303,25 +344,49 @@ class DiffOp:
         return f"DiffOp({self.to_str()}, form={self.form})"
 
 
-def _leibniz(ring: OreRing, alpha: tuple, psi: SparsePoly, sign: int) -> dict:
-    """The Leibniz expansion of op^alpha past psi, as {beta: coeff}.
-
-    With sign +1 this is the left normal form of op^alpha * psi; with sign
-    -1 it is the right normal form of psi * op^alpha.  One operator at a
-    time, each coefficient c becomes sum_i C(a_k, i) sign^i delta_k^i(c)
-    at beta_k = a_k - i, with the powers delta_k^i(c) built iteratively.
-    """
-    partial = {(): psi}
+def _move(ring: OreRing, alpha: tuple, e: tuple, sign: int) -> dict:
+    """op^alpha moved past x^e, as {(beta, exponent): coeff}: with sign +1
+    the left normal form of op^alpha * x^e, with sign -1 the right normal
+    form of x^e * op^alpha.  One operator at a time, each term c x^f becomes
+    sum_i C(a_k, i) sign^i c delta_k^i(x^f) at beta_k = a_k - i.  Distinct
+    terms have distinct i, so no two terms of the result share a key."""
+    out = {((), e): 1}
     for k, a in enumerate(alpha):
+        if not a:
+            out = {(head + (0,), f): c for (head, f), c in out.items()}
+            continue
         nxt = {}
-        for head, c in partial.items():
-            for i in range(a + 1):
-                if c.is_zero():
-                    break
-                nxt[head + (a - i,)] = c * (sign ** i * comb(a, i))
-                c = ring.delta(k, c)
-        partial = nxt
-    return partial
+        for (head, f), c in out.items():
+            for i, d in enumerate(ring.derivatives(k, f, a)):
+                w = c * comb(a, i) if sign > 0 or i % 2 == 0 else -c * comb(a, i)
+                beta = head + (a - i,)
+                for g, v in d.items():
+                    nxt[beta, g] = w * v
+        out = nxt
+    return out
+
+
+def _add_moved(out: dict, ring: OreRing, alpha: tuple, p: SparsePoly, sign: int,
+               factor: dict | None, shift: tuple | None, moved: dict):
+    """Add to the flat map out the terms of op^alpha moved past p (`_move`
+    with this sign, term by term), each times every term of the term map
+    factor (1 when None) and with op^shift on its operator side (none when
+    None).  moved memoises `_move` by (alpha, e) for one call and one sign."""
+    for e, c in p.terms.items():
+        m = moved.get((alpha, e))
+        if m is None:
+            m = moved[alpha, e] = _move(ring, alpha, e, sign)
+        for (gamma, f), v in m.items():
+            if shift is not None:
+                gamma = tuple(map(add, gamma, shift))
+            cv = c * v
+            if factor is None:
+                key = (gamma, f)
+                out[key] = out.get(key, 0) + cv
+                continue
+            for h, d in factor.items():
+                key = (gamma, tuple(map(add, f, h)))
+                out[key] = out.get(key, 0) + cv * d
 
 
 class LocalizedFraction:
@@ -501,8 +566,9 @@ def in_left_ideal_si(t: DiffOp, I: Ideal) -> bool:
     turns the noncommutative membership question into commutative Groebner
     membership.
     """
-    right = t.to_right()
-    return all(I.contains(psi) for psi in right.terms.values())
+    # the coefficients of least degree, the likeliest outside I, go first
+    coeffs = sorted(t.to_right().terms.values(), key=SparsePoly.total_degree)
+    return all(I.contains(psi) for psi in coeffs)
 
 
 def verify_star(I: Ideal, s: DiffOp, r_max: int) -> int:
@@ -515,16 +581,27 @@ def verify_star(I: Ideal, s: DiffOp, r_max: int) -> int:
         raise ValueError("r_max must be >= 1")
     if I.is_zero():
         raise ValueError("(*) needs a nonzero ideal")
+    gens, left, moved = I.generators, s.to_left(), {}
+    # the product b of a multiset of generators, by their sorted indices,
+    # is built from the longest known prefix
+    products = {(): SparsePoly.one(s.ring.vars)}
+
+    def right_form(combo):
+        """The right form of b*s, with the kernel memoised across products."""
+        k = len(combo)
+        while combo[:k] not in products:
+            k -= 1
+        b = products[combo[:k]]
+        for j in range(k, len(combo)):
+            b = products[combo[:j + 1]] = b * gens[combo[j]]
+        out: dict = {}
+        for alpha, phi in left.terms.items():
+            _add_moved(out, s.ring, alpha, b * phi, -1, None, None, moved)
+        return DiffOp._from_flat(s.ring, out, "right")
+
     for r in range(1, r_max + 1):
-        ok = True
-        for combo in combinations_with_replacement(I.generators, r):
-            b = SparsePoly.one(s.ring.vars)
-            for g in combo:
-                b = b * g
-            if not in_left_ideal_si(DiffOp.from_poly(s.ring, b) * s, I):
-                ok = False
-                break
-        if ok:
+        if all(in_left_ideal_si(right_form(combo), I)
+               for combo in combinations_with_replacement(range(len(gens)), r)):
             return r
     raise StarBoundNotFoundError(
         f"no exponent r <= {r_max} works; the theoretical bound is operator order + 1"

@@ -59,6 +59,10 @@ before `parser` evaluated while parsing.
 assembles the blocks with `linalg.block_matrix` before ranking them, as
 `koszul` did before it wrote each differential straight from the model's
 position maps.
+`old_leibniz` expands op^alpha past a whole coefficient polynomial, and
+`old_diffop_mul`, `old_to_left`, `old_to_right`, `old_apply` and
+`old_verify_star` are the Weyl and Ore arithmetic built on it, before
+`ore` moved op^alpha past one monomial at a time into a flat term map.
 `socle_matches_primary_annihilator` checks (0 :_E nu) = (0 :_E Q_1) in a
 truncated hull; only the tests call it.
 All are exact
@@ -74,7 +78,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from operator import add, le, sub
 
 from weylcas import linalg
@@ -89,7 +93,7 @@ from weylcas.hulls import (
 )
 from weylcas.koszul import koszul_matrix
 from weylcas.localcoh import monomial_lcm, window_degrees
-from weylcas.ore import DiffOp, OreRing
+from weylcas.ore import DiffOp, OreRing, StarBoundNotFoundError
 from weylcas.parser import ParseError, Token, tokenize
 from weylcas.poly import SparsePoly
 from weylcas.univar import deg, divmod_poly, squarefree_decomposition, trim
@@ -1823,3 +1827,97 @@ def old_level_one_window(a, model, window, convention):
         out[d] = linalg.cohomology_dim([sum(ds) for ds in dims],
                                        [linalg.rank(m) for m in diffs], 1)
     return out
+
+
+# ---------- Weyl and Ore arithmetic ----------
+# The parent's `ore` code: op^alpha expanded past a whole polynomial
+# coefficient, once per pair of terms, with every result built through the
+# validating constructors; the action by repeated `ring.delta` on whole
+# polynomials; and (*) tested by rebuilding b*s and its right form for
+# every product b of r generators.
+
+def old_leibniz(ring: OreRing, alpha: tuple, psi: SparsePoly, sign: int) -> dict:
+    """The Leibniz expansion of op^alpha past psi, as {beta: coeff}: with
+    sign +1 the left normal form of op^alpha * psi, with sign -1 the right
+    normal form of psi * op^alpha."""
+    partial = {(): psi}
+    for k, a in enumerate(alpha):
+        nxt = {}
+        for head, c in partial.items():
+            for i in range(a + 1):
+                if c.is_zero():
+                    break
+                nxt[head + (a - i,)] = c * (sign ** i * math.comb(a, i))
+                c = ring.delta(k, c)
+        partial = nxt
+    return partial
+
+
+def _old_add_term(terms: dict, alpha: tuple, coeff: SparsePoly):
+    acc = terms.get(alpha)
+    s = coeff if acc is None else acc + coeff
+    if s.is_zero():
+        terms.pop(alpha, None)
+    else:
+        terms[alpha] = s
+
+
+def _old_normal_form(op: DiffOp, form: str) -> DiffOp:
+    if op.form == form:
+        return op
+    out: dict = {}
+    for alpha, c in op.terms.items():
+        for beta, d in old_leibniz(op.ring, alpha, c, 1 if form == "left" else -1).items():
+            _old_add_term(out, beta, d)
+    return DiffOp(op.ring, out, form)
+
+
+def old_to_left(op: DiffOp) -> DiffOp:
+    return _old_normal_form(op, "left")
+
+
+def old_to_right(op: DiffOp) -> DiffOp:
+    return _old_normal_form(op, "right")
+
+
+def old_diffop_mul(a: DiffOp, b: DiffOp) -> DiffOp:
+    a, b = old_to_left(a), old_to_left(b)
+    out: dict = {}
+    for alpha, phi in a.terms.items():
+        for beta, psi in b.terms.items():
+            # phi * op^alpha * psi * op^beta = sum phi * c * op^(gamma + beta)
+            for gamma, c in old_leibniz(a.ring, alpha, psi, 1).items():
+                _old_add_term(out, tuple(g + e for g, e in zip(gamma, beta)), phi * c)
+    return DiffOp(a.ring, out, "left")
+
+
+def old_apply(op: DiffOp, m: SparsePoly) -> SparsePoly:
+    out = SparsePoly.zero(op.ring.vars)
+    for alpha, phi in old_to_left(op).terms.items():
+        v = m
+        for k, p in enumerate(alpha):
+            for _ in range(p):
+                v = op.ring.delta(k, v)
+        out = out + phi * v
+    return out
+
+
+def old_verify_star(I: Ideal, s: DiffOp, r_max: int) -> int:
+    if r_max < 1:
+        raise ValueError("r_max must be >= 1")
+    if I.is_zero():
+        raise ValueError("(*) needs a nonzero ideal")
+    for r in range(1, r_max + 1):
+        ok = True
+        for combo in combinations_with_replacement(I.generators, r):
+            b = SparsePoly.one(s.ring.vars)
+            for g in combo:
+                b = b * g
+            right = old_to_right(old_diffop_mul(DiffOp.from_poly(s.ring, b), s))
+            if not all(I.contains(psi) for psi in right.terms.values()):
+                ok = False
+                break
+        if ok:
+            return r
+    raise StarBoundNotFoundError(
+        f"no exponent r <= {r_max} works; the theoretical bound is operator order + 1")
