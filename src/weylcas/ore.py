@@ -18,6 +18,10 @@ the attached derivation is iterated on the monomial.  The formula is exact
 because the Weyl derivations commute and an Ore ring has a single
 operator.  The acceptance battery checks it against the bare rewrite rule
 op_k * a -> a * op_k + delta_k(a).
+
+The Weyl algebra acts on a localization R_f by the quotient rule, and a
+fraction num/base^power keeps one presentation over its base: the base
+monic and the power least, with no gcd taken.
 """
 
 from __future__ import annotations
@@ -390,15 +394,14 @@ def _add_moved(out: dict, ring: OreRing, alpha: tuple, p: SparsePoly, sign: int,
 
 
 class LocalizedFraction:
-    """num / base^power over Q[vars]; the base is a fixed nonconstant poly.
+    """num / base^power over Q[vars], an element of the localization R_base.
 
-    Canonicalization divides out whole base factors, cancels the monomial
-    gcd when the denominator is a monomial, and handles fractions that live
-    in one variable by the gcd of num and base: when it is constant the
-    base is made monic and stays unexpanded, so derivatives only raise the
-    power; otherwise the full gcd with base^power is cancelled and the
-    denominator rebased into one monic polynomial with power 1.  General
-    denominators are compared by cross-multiplication.
+    Over its base a fraction has one presentation: the base made monic by
+    its grevlex leading coefficient, and the power least, so the base does
+    not divide num when power > 0 (power 0 means base 1).  No gcd is taken,
+    so x / x^2 stays over x^2.  Derivatives keep the base, a polynomial
+    added joins it, and fractions over other bases compare by
+    cross-multiplication.
     """
 
     __slots__ = ("num", "base", "power")
@@ -434,11 +437,13 @@ class LocalizedFraction:
             return other
         if other.is_zero():
             return self
-        if self.base == other.base:
+        # an operand of power 0 is a polynomial and joins the other's base
+        base = other.base if self.power == 0 else self.base
+        if other.power == 0 or other.base == base:
             k = max(self.power, other.power)
-            num = (self.num * self.base ** (k - self.power)
-                   + other.num * other.base ** (k - other.power))
-            return LocalizedFraction(num, self.base, k)
+            num = (self.num * base ** (k - self.power)
+                   + other.num * base ** (k - other.power))
+            return LocalizedFraction(num, base, k)
         num = (self.num * other.base ** other.power
                + other.num * self.base ** self.power)
         denom = self.base ** self.power * other.base ** other.power
@@ -486,73 +491,22 @@ class LocalizedFraction:
         return f"LocalizedFraction({self.to_str()})"
 
 
-def _monomial_of(p: SparsePoly):
-    if len(p.terms) != 1:
-        return None
-    return next(iter(p.terms.items()))
-
-
 def _simplify_fraction(num: SparsePoly, base: SparsePoly, power: int):
-    vars_ = num.vars
-    if num.is_zero():
-        return num, SparsePoly.one(vars_), 0
-    if power == 0 or base.is_constant():
-        if power > 0:
-            num = num * (Fraction(1) / base.constant_value() ** power)
-        return num, SparsePoly.one(vars_), 0
-    # strip whole base factors
+    """num / base^power in the one presentation `LocalizedFraction` keeps."""
+    one = SparsePoly.one(num.vars)
+    if num.is_zero() or power == 0:
+        return num, one, 0
+    lead = base.leading_term()[1]
+    if lead != 1:
+        num, base = num * (Fraction(1) / lead ** power), base * (Fraction(1) / lead)
+    if base == one:
+        return num, one, 0
     while power > 0:
         q = divide_exact(num, base)
         if q is None:
             break
         num, power = q, power - 1
-    if power == 0:
-        return num, SparsePoly.one(vars_), 0
-    mono = _monomial_of(base)
-    if mono is not None:
-        be, bc = mono
-        denom_exp = tuple(x * power for x in be)
-        content = tuple(min(e[i] for e in num.terms) for i in range(len(vars_)))
-        cancel = tuple(min(c, d) for c, d in zip(content, denom_exp))
-        if any(cancel):
-            num = SparsePoly(vars_, {
-                tuple(a - b for a, b in zip(e, cancel)): c for e, c in num.terms.items()
-            })
-            denom_exp = tuple(d - c for d, c in zip(denom_exp, cancel))
-        num = num * (Fraction(1) / bc ** power)
-        if not any(denom_exp):
-            return num, SparsePoly.one(vars_), 0
-        return num, SparsePoly.monomial(vars_, denom_exp), 1
-    active = [i for i in range(len(vars_)) if base.degree_in(i) > 0]
-    if len(active) == 1 and all(
-        all(x == 0 for j, x in enumerate(e) if j != active[0]) for e in num.terms
-    ):
-        from . import univar
-
-        i = active[0]
-        dn = univar.from_sparse(num, i)
-        db = univar.from_sparse(base, i)
-        if univar.deg(univar.gcd(dn, db)) == 0:
-            # every prime factor of base^power divides base, so nothing
-            # cancels: make the base monic and keep the power unexpanded
-            lead = db[-1]
-            if lead != 1:
-                num, base = num * (Fraction(1) / lead ** power), base * (Fraction(1) / lead)
-            return num, base, power
-        dd = univar.from_sparse(base ** power, i)
-        g = univar.gcd(dn, dd)
-        if univar.deg(g) > 0:
-            dn = univar.divmod_poly(dn, g)[0]
-            dd = univar.divmod_poly(dd, g)[0]
-        lead = dd[-1]
-        dn = univar.scale(dn, Fraction(1) / lead)
-        dd = univar.scale(dd, Fraction(1) / lead)
-        num = univar.to_sparse(dn, vars_, i)
-        new_base = univar.to_sparse(dd, vars_, i)
-        if new_base == SparsePoly.one(vars_):
-            return num, SparsePoly.one(vars_), 0
-        return num, new_base, 1
-    return num, base, power
+    return (num, base, power) if power else (num, one, 0)
 
 
 # ---------- left-ideal membership and assumption (*) ----------

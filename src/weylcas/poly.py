@@ -286,7 +286,10 @@ class SparsePoly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        if len(self.terms) > 1 or any(map(any, self.terms)):
+            return hash((self.vars, frozenset(self.terms.items())))
+        # a constant equals its int or Fraction value, so it hashes as that
+        return hash(self.constant_value())
 
     # ---------- calculus ----------
 

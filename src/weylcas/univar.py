@@ -434,17 +434,7 @@ def rational_roots(a: Dense) -> list[Fraction]:
     return sorted(roots, key=lambda x: (abs(x.numerator), x.denominator, x < 0))
 
 
-# ---------- conversions to/from SparsePoly ----------
-
-def from_sparse(p: SparsePoly, index: int = 0) -> Dense:
-    """Dense coefficients of p, which must only involve variable `index`."""
-    out = [0] * (p.degree_in(index) + 1 if not p.is_zero() else 0)
-    for e, c in p.terms.items():
-        if any(x != 0 for i, x in enumerate(e) if i != index):
-            raise ValueError("polynomial is not univariate in the given variable")
-        out[e[index]] = c
-    return trim(out)
-
+# ---------- conversion to SparsePoly ----------
 
 def to_sparse(c: Dense, variables, index: int = 0) -> SparsePoly:
     vs = tuple(variables)

@@ -22,9 +22,11 @@ coordinates of a left nullspace of the boundary and invert a re-lifted
 basis, before `CohPiece` read classes off one `Subspace`.  The
 `old_*` span helpers, `OldColumnSolver` and `KrylovReducer` answered span
 questions one fresh row reduction at a time, before `linalg.Subspace`.
-`old_simplify_fraction` canonicalizes a univariate fraction by expanding
-base^power and rebasing it into one polynomial with power 1, before the
-coprime case kept the monic base unexpanded; `old_diffop_power` multiplies
+`old_simplify_fraction` cancels the monomial gcd of a fraction over a
+monomial and reduces a univariate fraction by its gcd with base^power
+(through `from_sparse`, its dense coefficients), rebased into one
+polynomial with power 1, before `ore` kept one presentation per base: the
+base monic and the power least; `old_diffop_power` multiplies
 k times, before square-and-multiply.  `old_rref` eliminates over
 `Fraction`s, and `old_rank`, `old_nullspace` and `old_solve` read their
 answers off it, before `linalg` eliminated on integer rows; `old_mat_mul`
@@ -952,6 +954,16 @@ def old_minimal_polynomial_of_vector(a: list, v: list) -> list[Fraction]:
 # The parent's `ore` code: every univariate fraction rebased into one
 # expanded denominator, and powers of an operator as k-fold products.
 
+def from_sparse(p: SparsePoly, index: int = 0) -> list:
+    """Dense coefficients of p, which must only involve variable `index`."""
+    out = [0] * (p.degree_in(index) + 1 if not p.is_zero() else 0)
+    for e, c in p.terms.items():
+        if any(x != 0 for i, x in enumerate(e) if i != index):
+            raise ValueError("polynomial is not univariate in the given variable")
+        out[e[index]] = c
+    return trim(out)
+
+
 def old_simplify_fraction(num: SparsePoly, base: SparsePoly, power: int):
     vars_ = num.vars
     if num.is_zero():
@@ -987,8 +999,8 @@ def old_simplify_fraction(num: SparsePoly, base: SparsePoly, power: int):
         all(x == 0 for j, x in enumerate(e) if j != active[0]) for e in num.terms
     ):
         i = active[0]
-        dn = univar.from_sparse(num, i)
-        dd = univar.from_sparse(base ** power, i)
+        dn = from_sparse(num, i)
+        dd = from_sparse(base ** power, i)
         g = univar.gcd(dn, dd)
         if univar.deg(g) > 0:
             dn = univar.divmod_poly(dn, g)[0]

@@ -15,7 +15,7 @@ from oracles import (
 )
 
 from weylcas.acceptance import _rewrite_normal_form
-from weylcas.groebner import Ideal
+from weylcas.groebner import Ideal, divide_exact
 from weylcas.ore import (
     DiffOp,
     LocalizedFraction,
@@ -234,7 +234,7 @@ def test_fraction_normalization():
     # x^2 / x^1 -> x
     f = LocalizedFraction(x * x, x, 1)
     assert f.power == 0 and f.num == x
-    # univariate gcd cancellation with rebase
+    # the base divides the numerator once
     g = LocalizedFraction(x ** 2 - 1, (x - 1) * (x + 1), 1)
     assert g.power == 0 and g.num == one
 
@@ -337,24 +337,28 @@ def _fraction_cases(rng):
 
 
 def test_fraction_canonical_form_matches_old_path():
-    rng = random.Random(43)
-    coprime = 0
+    rng, scales = random.Random(43), random.Random(44)
+    stripped = 0
     for label, num, base, power in _fraction_cases(rng):
         f = LocalizedFraction(num, base, power)
         new = (f.num, f.base, f.power)
         old = old_simplify_fraction(num, base, power)
         assert _same_value(new, old), label
         assert _same_value(new, (num, base, power)), label
-        if new != old:
-            # only a coprime univariate fraction reads differently: the
-            # base made monic, its power unexpanded (whole factors of the
-            # base still divide out first)
-            coprime += 1
-            lead = max(base.terms.items())[1]
-            assert label in ("univariate", "shared")
-            assert f.base == base * (Fraction(1) / lead) and 1 <= f.power <= power
-            assert old == (f.num, f.base ** f.power, 1)
-    assert coprime >= 20
+        # the one presentation over this base: the base made monic, then
+        # whole base factors divided out; power 0 means base 1
+        if f.power > 0:
+            lead = base.leading_term()[1]
+            assert f.base == base * (Fraction(1) / lead), label
+            assert divide_exact(f.num, f.base) is None, label
+        else:
+            assert f.base == SparsePoly.one(XY), label
+        stripped += f.power < power
+        # the same value over a multiple of the base reads the same
+        j, c = scales.randint(0, 2), Fraction(-1, 2)
+        g = LocalizedFraction(num * base ** j * c ** (power + j), base * c, power + j)
+        assert (g.num, g.base, g.power) == new, label
+    assert stripped >= 10
 
 
 def test_derivatives_of_inverse_powers_keep_the_base():
@@ -376,14 +380,72 @@ def test_derivatives_of_inverse_powers_keep_the_base():
 
 def test_shared_factor_still_cancels():
     one = SparsePoly.one(("x",))
-    # (x-1)(x+2) / ((x-1)(x+3))^2 = (x+2) / ((x-1)(x+3)^2)
-    f = LocalizedFraction((x - one) * (x + 2 * one), (x - one) * (x + 3 * one), 2)
-    assert f.num == x + 2 * one
-    assert f.base == (x - one) * (x + 3 * one) ** 2 and f.power == 1
+    # (x-1)(x+2) / ((x-1)(x+3))^2 = (x+2) / ((x-1)(x+3)^2) keeps its base:
+    # no gcd is taken, and the base does not divide the numerator
+    base = (x - one) * (x + 3 * one)
+    f = LocalizedFraction((x - one) * (x + 2 * one), base, 2)
+    assert (f.num, f.base, f.power) == ((x - one) * (x + 2 * one), base, 2)
+    assert f == LocalizedFraction(x + 2 * one, (x - one) * (x + 3 * one) ** 2, 1)
     # a derivative whose numerator shares the base's factor x - 1
     g = LocalizedFraction((x - one) ** 2, (x - one) * (x + one), 1)
-    assert g.num == x - one and g.base == x + one and g.power == 1
-    assert d.apply(g) == LocalizedFraction(2 * one, x + one, 2)
+    assert (g.num, g.base, g.power) == ((x - one) ** 2, x ** 2 - one, 1)
+    dg = d.apply(g)
+    assert dg == LocalizedFraction(2 * one, x + one, 2)
+    assert (dg.num, dg.base, dg.power) == (2 * (x - one) ** 2, x ** 2 - one, 2)
+    # a whole factor of the base divides out, and all of them leave a polynomial
+    h = LocalizedFraction((x - one) ** 3 * (x + one) ** 2, x ** 2 - one, 3)
+    assert (h.num, h.base, h.power) == (x - one, x ** 2 - one, 1)
+    h = LocalizedFraction(2 * (x ** 2 - one) ** 2, x ** 2 - one, 2)
+    assert (h.num, h.base, h.power) == (2 * one, one, 0)
+
+
+def test_nothing_but_whole_base_factors_cancels():
+    one = SparsePoly.one(("x",))
+    # x / x^2 stays over x^2; the monomial gcd is not cancelled
+    f = LocalizedFraction(x, x ** 2, 1)
+    assert (f.num, f.base, f.power) == (x, x ** 2, 1)
+    assert f == LocalizedFraction(one, x, 1)
+    # a constant base folds into the numerator
+    f = LocalizedFraction(x, 2 * one, 3)
+    assert (f.num, f.base, f.power) == (x * Fraction(1, 8), one, 0)
+    # a multivariate base is made monic by its grevlex leading coefficient
+    v = ("x", "y")
+    xs, ys = SparsePoly.variable(v, 0), SparsePoly.variable(v, 1)
+    f = LocalizedFraction(ys, 2 * xs * ys - 4 * xs + 6, 2)
+    assert (f.num, f.base, f.power) == (ys * Fraction(1, 4), xs * ys - 2 * xs + 3, 2)
+
+
+def test_a_polynomial_joins_the_fraction_base():
+    # once f + x came out over the expanded base x^2 + 2x + 1 with power 1
+    one = SparsePoly.one(("x",))
+    f = LocalizedFraction(one, x + one, 2)
+    p = LocalizedFraction.from_poly(x)
+    for total in (f + p, p + f):
+        assert (total.num, total.base, total.power) == (x ** 3 + 2 * x ** 2 + x + one, x + one, 2)
+    # as (1 + d) applied to f keeps it
+    g = (DiffOp.one(W1) + d).apply(f)
+    assert (g.num, g.base, g.power) == (x - one, x + one, 3)
+
+
+def test_apply_module_axiom_on_fractions():
+    rng = random.Random(29)
+    ring = OreRing.weyl(("x", "y"))
+    xs, ys = SparsePoly.variable(ring.vars, 0), SparsePoly.variable(ring.vars, 1)
+    one = SparsePoly.one(ring.vars)
+    bases = [xs ** 2, xs + one, 2 * xs - 3 * one, (xs + one) ** 2, xs * ys + xs + one]
+    cases = 0
+    for base in bases:
+        for power in (1, 2, 3):
+            for _ in range(4):
+                s = random_diffop(rng, ring, 2, 2, 2)
+                t = random_diffop(rng, ring, 2, 2, 2)
+                f = LocalizedFraction(random_poly(rng, ring.vars, 2, 3), base, power)
+                a, b = (s * t).apply(f), s.apply(t.apply(f))
+                assert a == b
+                # both sides sit over the same base, so they read the same
+                assert (a.num, a.base, a.power) == (b.num, b.base, b.power)
+                cases += 1
+    assert cases == 60
 
 
 def test_a_non_rational_operand_raises_type_error():
@@ -492,3 +554,11 @@ def test_rationals_compare_and_hash_as_constant_polynomials():
         assert value == poly
         assert hash(value) == hash(poly)
     assert len({DiffOp.one(W1), one}) == 1
+
+
+def test_a_constant_operator_hashes_as_its_value():
+    for ring in (W1, OreRing.weyl(("x", "y"))):
+        for c in (1, Fraction(-5, 3), 0):
+            value = DiffOp.one(ring) * c
+            assert value == c and hash(value) == hash(c)
+            assert len({value, c}) == 1

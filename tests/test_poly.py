@@ -243,3 +243,14 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
             assert len(log) == (max(k.bit_length(), 1) - 1) + max(bin(k).count("1") - 1, 0)
             if k == 2:
                 assert log == [len(b.terms) ** 2]
+
+
+def test_a_constant_hashes_as_its_value():
+    # once SparsePoly.one(v) == 1 while len({SparsePoly.one(v), 1}) == 2
+    for v in (("x",), ("x", "y")):
+        for c in (1, -7, Fraction(3, 4), 0):
+            p = SparsePoly.constant(v, c)
+            assert p == c and hash(p) == hash(c)
+            assert len({p, c}) == 1
+    x = SparsePoly.variable(("x",), 0)
+    assert {x + 1 - x: "one"}[1] == "one"
