@@ -27,10 +27,13 @@ standard, and otherwise (a border monomial) one Groebner reduction, so at
 most nvars * dim reductions are made.  The standard monomials form an
 order ideal, so every product b_i * b_j = x^e of degree two or more
 follows from a product of lower degree, nf(x^e) = X_k nf(x^(e - e_k)) for
-any k with e_k > 0, memoised by exponent.  `mult` and the trace form
-read the integer tensor directly; `mult_matrix` combines the basis
-multiplication matrices, which `linalg.MatrixFamily` holds over the
-tensor's denominator.  Every answer is exact, an int where integral.
+any k with e_k > 0, memoised by exponent.  Products and the trace form
+read the tensor directly, and multiplication matrices combine the basis
+ones, which `linalg.MatrixFamily` holds over the tensor's denominator.
+A matrix stays integer rows over one denominator (see linalg) from a
+candidate's matrix to each piece's echelon basis and in the idempotent
+checks; Fractions appear only in values handed out (`var_matrices`,
+`table`, `mult`, `mult_matrix`, idempotents), an int where integral.
 
 The Jacobson radical is computed from the trace form, which in
 characteristic zero has the radical as its kernel; residue-field
@@ -62,13 +65,14 @@ class ArtinAlgebra:
         self.dim = len(self.basis)
         self._pos = {e: i for i, e in enumerate(self.basis)}
         var_cols, var_den = self._variable_columns()
-        self.var_matrices = []
+        self._vars = []  # scaled: (integer rows, var_den)
         for cols in var_cols:
             m = linalg.zeros(self.dim, self.dim)
             for j, col in enumerate(cols):
                 for r, c in col:
                     m[r][j] = c
-            self.var_matrices.append([linalg.fraction_vector(row, var_den) for row in m])
+            self._vars.append((m, var_den))
+        self.var_matrices = [linalg.fraction_matrix(m, d) for m, d in self._vars]
         self._den, self._tensor = self._structure_tensor(var_cols, var_den)
         # trace of multiplication by basis_k, times den
         self._traces = [sum(self._tensor[k][j][j] for j in range(self.dim))
@@ -140,7 +144,7 @@ class ArtinAlgebra:
     def table(self) -> list[list[list[Fraction]]]:
         """Structure constants as Fractions: table[i][j] holds the
         coordinates of basis_i * basis_j.  Built on first access."""
-        return [[linalg.fraction_vector(t, self._den) for t in row] for row in self._tensor]
+        return [linalg.fraction_matrix(row, self._den) for row in self._tensor]
 
     # ---------- vector encoding ----------
 
@@ -165,8 +169,11 @@ class ArtinAlgebra:
         """Coordinates of the product of the elements with coordinates u and v."""
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError(f"vectors of length {len(u)}, {len(v)} in an algebra of dimension {self.dim}")
-        nu, du = linalg.integer_vector(u)
-        nv, dv = linalg.integer_vector(v)
+        (nu, du), (nv, dv) = linalg.integer_vector(u), linalg.integer_vector(v)
+        return linalg.fraction_vector(self._product(nu, nv), du * dv * self._den)
+
+    def _product(self, nu: list[int], nv: list[int]) -> list[int]:
+        """den times the product of the integer vectors nu and nv."""
         acc = [0] * self.dim
         for i, a in enumerate(nu):
             if a:
@@ -175,19 +182,19 @@ class ArtinAlgebra:
                     if b:
                         c = a * b
                         acc = [x + c * t for x, t in zip(acc, row[j])]
-        return linalg.fraction_vector(acc, du * dv * self._den)
+        return acc
 
     @functools.cached_property
     def _multiplications(self) -> linalg.MatrixFamily:
         """The multiplication matrices of the basis elements: column j of
         the i-th is b_i * b_j.  Built on first use."""
-        return linalg.MatrixFamily([linalg.transpose(t) for t in self._tensor], self._den)
+        return linalg.MatrixFamily([(linalg.transpose(t), self._den) for t in self._tensor])
 
     def mult_matrix(self, v) -> list[list[Fraction]]:
         """Multiplication matrix of the element with coordinate vector v."""
         if len(v) != self.dim:
             raise ValueError(f"vector of length {len(v)} in an algebra of dimension {self.dim}")
-        return self._multiplications.combine(v)
+        return linalg.fraction_matrix(*self._multiplications.combine(v))
 
     # ---------- semisimplicity data ----------
 
@@ -229,17 +236,19 @@ class LocalFactor:
     def _span(self) -> linalg.Subspace:
         return linalg.Subspace(self.algebra.dim, self.basis_vectors)
 
-    def restrict(self, ambient_matrix) -> list[list[Fraction]]:
-        """Restriction of an ambient multiplication operator to the factor,
-        in the coordinates of basis_vectors.  A matrix that is not dim x dim
-        for the algebra raises ValueError."""
+    def restrict(self, ambient_matrix, den: int = 1) -> tuple[list[list[int]], int]:
+        """Restriction of ambient_matrix / den to the factor, in the
+        coordinates of basis_vectors, as integer rows over one denominator.
+        A matrix that is not dim x dim for the algebra raises ValueError."""
+        m, d = linalg.integer_matrix(ambient_matrix)
         cols = []
         for v in self.basis_vectors:
-            c = self._span.coords(linalg.mat_vec(ambient_matrix, v))
+            c = self._span.coords(linalg.mat_vec(m, v))
             if c is None:
                 raise RuntimeError("factor subspace is not invariant")
             cols.append(c)
-        return linalg.transpose(cols)
+        rows, d_cols = linalg.integer_matrix(linalg.transpose(cols))
+        return rows, d_cols * d * den
 
     @functools.cached_property
     def residue_dim(self) -> int:
@@ -274,7 +283,7 @@ def decompose_local(algebra: ArtinAlgebra, seed: int = 0) -> list[LocalFactor]:
     """
     if algebra.dim == 0:
         return []
-    variables = linalg.MatrixFamily(algebra.var_matrices)
+    variables = linalg.MatrixFamily(algebra._vars)
     finished: list[LocalFactor] = []
     work = [LocalFactor(algebra,
                         [linalg.unit_vector(algebra.dim, i) for i in range(algebra.dim)],
@@ -306,10 +315,10 @@ def _try_split(algebra, variables: linalg.MatrixFamily, factor: LocalFactor, see
     e = factor.idempotent
     basis = linalg.transpose(factor.basis_vectors)
     for coeffs in _candidate_combinations(len(algebra.vars), seed):
-        a = variables.combine(coeffs)
-        # p(a) kills eA iff p(a) e = 0, so the minimal polynomial of
-        # multiplication by a on eA is the annihilator of e
-        mu = linalg.annihilator(a, e)
+        m, den = variables.combine(coeffs)
+        # a = m / den; p(a) kills eA iff p(a) e = 0, so the minimal
+        # polynomial of multiplication by a on eA is the annihilator of e
+        mu = linalg.annihilator(m, e, den)
         parts = univar.coprime_factorization(mu)
         if len(parts) == 1:
             if univar.deg(parts[0][0]) == r:
@@ -320,12 +329,11 @@ def _try_split(algebra, variables: linalg.MatrixFamily, factor: LocalFactor, see
         pieces = []
         for c in univar.crt_idempotents(moduli):
             # e_i = c(a) e, and e_i A = e_i (eA) is spanned by the e_i b_j
-            e_i = linalg.poly_apply(c, a, e)
-            images = linalg.mat_mul(algebra.mult_matrix(e_i), basis)
-            # kept as the echelon basis of their span, in primitive integer
-            # rows: sparser and smaller than the images for later products
-            rows, pivots = linalg.rref(linalg.transpose(images))
-            pieces.append(([linalg.integer_vector(row)[0] for row in rows[:len(pivots)]], e_i))
+            e_i = linalg.poly_apply(c, m, e, den)
+            # the images span e_i A up to one scalar; kept as the echelon basis
+            # of their span in primitive integer rows, sparser for later products
+            images = linalg.mat_mul(algebra._multiplications.combine(e_i)[0], basis)
+            pieces.append((linalg.echelon_rows(linalg.transpose(images))[0], e_i))
         if sum(len(b) for b, _ in pieces) != k:
             raise RuntimeError("idempotent split lost dimensions")
         return pieces
@@ -335,17 +343,14 @@ def _try_split(algebra, variables: linalg.MatrixFamily, factor: LocalFactor, see
 
 
 def _assert_idempotent_system(algebra, factors):
-    total = [0] * algebra.dim
-    for f in factors:
-        e = f.idempotent
-        if algebra.mult(e, e) != e:
+    """The products on integers: with e = n / d, e^2 = e is n n = d den n."""
+    scaled = [linalg.integer_vector(f.idempotent) for f in factors]
+    for i, (n, d) in enumerate(scaled):
+        if algebra._product(n, n) != [x * d * algebra._den for x in n]:
             raise RuntimeError("idempotent fails e^2 = e")
-        total = [a + b for a, b in zip(total, e)]
-    for i, f in enumerate(factors):
-        for g in factors[i + 1:]:
-            if any(algebra.mult(f.idempotent, g.idempotent)):
-                raise RuntimeError("idempotents are not orthogonal")
-    if total != algebra.one():
+        if any(any(algebra._product(n, other)) for other, _ in scaled[i + 1:]):
+            raise RuntimeError("idempotents are not orthogonal")
+    if [sum(col) for col in zip(*[f.idempotent for f in factors])] != algebra.one():
         raise RuntimeError("idempotents do not sum to 1")
     if sum(f.dim for f in factors) != algebra.dim:
         raise RuntimeError("factor dimensions do not sum to the algebra dimension")

@@ -10,7 +10,10 @@ content of the main multiplicity formula.
 
 Hull models use Matlis-dual bookkeeping only: the truncated hull is the
 dual of S/m^B, with (0 : nu^k) dimensions read off as corank of matrix
-powers.  Base rings with more than one variable are deliberately not
+powers.  Module actions are held as integer rows over one denominator
+(see linalg), and socles, spans, ranks and hull certificates are computed
+on them; Fractions appear only in values handed out, such as `var_actions`
+and `action_of_vector`.  Base rings with more than one variable are deliberately not
 supported; the one-variable case already exercises multiplicity, socle
 growth, and residue-field extensions, and higher-dimensional bases add
 representation cost without new structural content.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import lcm
 
 from . import linalg, univar
 from .artin import ArtinAlgebra, LocalFactor, decompose_local
@@ -175,8 +179,8 @@ def matched_local_factor(algebra: ArtinAlgebra, factors: list[LocalFactor],
     (its maximal ideal pulls back into the given ideal): g is singular on
     eA when (ge)A = g(eA) has dimension below that of eA."""
     matches = [i for i, factor in enumerate(factors) if all(
-        linalg.rank(algebra.mult_matrix(algebra.mult(factor.idempotent, algebra.to_vector(g))))
-        < factor.dim
+        linalg.rank(algebra._multiplications.combine(
+            algebra.mult(factor.idempotent, algebra.to_vector(g)))[0]) < factor.dim
         for g in ideal_gens)]
     if len(matches) != 1:
         raise FactorNotFoundError(f"{len(matches)} local factors match the maximal ideal")
@@ -252,7 +256,7 @@ def maximal_ideal_stabilization_index(ext: CurveExtension) -> int:
     """Least s with m^s * (S/nu S) = m^(s+1) * (S/nu S); by Nakayama on the
     m-primary component this is the least s with m^s inside Q_1."""
     A = ext._nu_quotient
-    gen_mats = [A.mult_matrix(A.to_vector(g)) for g in ext.maximal_ideal]
+    gen_mats = [A._multiplications.combine(A.to_vector(g))[0] for g in ext.maximal_ideal]
     current = linalg.Subspace(A.dim, [linalg.unit_vector(A.dim, i) for i in range(A.dim)])
     s = 0
     while True:
@@ -323,72 +327,77 @@ class ArtinModule:
     Anything but one dim x dim action per variable, actions that do not
     commute, or an element of the ideal's Groebner basis that does not act
     as zero raises ValueError.  The regular module, duals, quotients and
-    hulls are modules by construction and skip these costly checks."""
+    hulls are modules by construction and skip these costly checks.  Each
+    action is also held scaled, as (integer rows, denominator)."""
 
     def __init__(self, algebra: ArtinAlgebra, var_actions, dim: int):
         if len(var_actions) != len(algebra.vars) or any(
                 len(m) != dim or any(len(row) != dim for row in m) for m in var_actions):
             raise ValueError(f"{len(algebra.vars)} actions of shape {dim}x{dim} expected, got "
                              f"{[linalg.shape(m) for m in var_actions]}")
-        self._adopt(algebra, var_actions, dim)
-        for i, a in enumerate(var_actions):
-            for j, b in enumerate(var_actions[:i]):
+        self._adopt(algebra, var_actions, dim, [linalg.integer_matrix(m) for m in var_actions])
+        for i, (a, _) in enumerate(self._actions):
+            for j, (b, _) in enumerate(self._actions[:i]):
                 if linalg.mat_mul(a, b) != linalg.mat_mul(b, a):
                     raise ValueError(f"the actions of {algebra.vars[j]} and {algebra.vars[i]} "
                                      "do not commute")
         gb = algebra.ideal.groebner_basis()
         monomials = sorted({e for g in gb for e in g.terms})
-        actions = linalg.MatrixFamily([self.monomial_action(e) for e in monomials])
+        actions = linalg.MatrixFamily([self._monomial(e) for e in monomials])
         for g in gb:
-            if not linalg.is_zero_matrix(actions.combine([g.terms.get(e, 0) for e in monomials])):
+            if not linalg.is_zero_matrix(actions.combine([g.terms.get(e, 0) for e in monomials])[0]):
                 raise ValueError(f"{g.to_str()} in the ideal does not act as zero")
 
-    def _adopt(self, algebra: ArtinAlgebra, var_actions, dim: int):
+    def _adopt(self, algebra: ArtinAlgebra, var_actions, dim: int, scaled):
         self.algebra = algebra
         self.var_actions = var_actions
         self.dim = dim
-        self._monomial_cache: dict[tuple, list] = {}
+        self._actions = scaled
+        self._monomials: dict[tuple, tuple[list, int]] = {}
         return self
 
     @classmethod
-    def _built(cls, algebra: ArtinAlgebra, var_actions, dim: int) -> "ArtinModule":
-        """A module by construction, taken without the checks of __init__."""
-        return cls.__new__(cls)._adopt(algebra, var_actions, dim)
+    def _built(cls, algebra: ArtinAlgebra, scaled, dim: int) -> "ArtinModule":
+        """A module by construction from its scaled actions, unchecked."""
+        return cls.__new__(cls)._adopt(
+            algebra, [linalg.fraction_matrix(m, d) for m, d in scaled], dim, scaled)
 
     @classmethod
     def regular(cls, algebra: ArtinAlgebra) -> "ArtinModule":
-        return cls._built(algebra, [linalg.copy(m) for m in algebra.var_matrices], algebra.dim)
+        return cls.__new__(cls)._adopt(
+            algebra, [linalg.copy(m) for m in algebra.var_matrices], algebra.dim, algebra._vars)
 
     def dual(self) -> "ArtinModule":
         return ArtinModule._built(
-            self.algebra,
-            [linalg.transpose(m) for m in self.var_actions],
-            self.dim,
-        )
+            self.algebra, [(linalg.transpose(m), d) for m, d in self._actions], self.dim)
 
-    def monomial_action(self, exponents):
-        """Action of x^e, built as x_i times the cached action of x^(e - e_i)
-        for the last variable x_i in e: one product per new monomial."""
+    def _monomial(self, exponents) -> tuple[list, int]:
+        """Action of x^e in scaled form, built as x_i times the cached action
+        of x^(e - e_i) for the last variable x_i in e: one product of
+        integer rows per new monomial."""
         e = tuple(exponents)
-        if e not in self._monomial_cache:
+        if e not in self._monomials:
             i = max((j for j, k in enumerate(e) if k), default=None)
             if i is None:
-                m = linalg.identity(self.dim)
+                self._monomials[e] = linalg.identity(self.dim), 1
             else:
-                prefix = e[:i] + (e[i] - 1,) + e[i + 1:]
-                m = linalg.mat_mul(self.var_actions[i], self.monomial_action(prefix))
-            self._monomial_cache[e] = m
-        return self._monomial_cache[e]
+                (m, d), (p, dp) = self._actions[i], self._monomial(e[:i] + (e[i] - 1,) + e[i + 1:])
+                self._monomials[e] = linalg.mat_mul(m, p), d * dp
+        return self._monomials[e]
+
+    def monomial_action(self, exponents):
+        """Action of x^e."""
+        return linalg.fraction_matrix(*self._monomial(exponents))
 
     @functools.cached_property
     def _basis_actions(self) -> linalg.MatrixFamily:
         """The actions of the algebra's standard monomials, built on first use."""
-        return linalg.MatrixFamily([self.monomial_action(e) for e in self.algebra.basis])
+        return linalg.MatrixFamily([self._monomial(e) for e in self.algebra.basis])
 
     def action_of_vector(self, v):
         """Action matrix of the algebra element with coordinate vector v (of
         length algebra.dim)."""
-        return self._basis_actions.combine(v)
+        return linalg.fraction_matrix(*self._basis_actions.combine(v))
 
     def socle(self) -> list:
         """Basis of the annihilator of the radical (the largest semisimple
@@ -396,7 +405,7 @@ class ArtinModule:
         rad = self.algebra.radical_basis()
         if not rad:
             return [linalg.unit_vector(self.dim, i) for i in range(self.dim)]
-        return linalg.nullspace([row for r in rad for row in self.action_of_vector(r)])
+        return linalg.nullspace([row for r in rad for row in self._basis_actions.combine(r)[0]])
 
     def submodule_closure(self, vectors) -> list:
         """Basis of the A-submodule generated by the given vectors."""
@@ -421,7 +430,8 @@ class ArtinModule:
                  if extended.add(e)][::-1]
         new_actions = [linalg.transpose([span.project(linalg.mat_vec(m, e)) for e in lifts])
                        for m in self.var_actions]
-        return ArtinModule._built(self.algebra, new_actions, len(lifts))
+        return ArtinModule._built(self.algebra, [linalg.integer_matrix(m) for m in new_actions],
+                                  len(lifts))
 
 
 class HullResult:
@@ -443,79 +453,68 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
     multiplicities of M.  Certificates: the embedding is injective and
     A-linear, and soc(E) lands inside the image (essentiality).  E is
     injective by construction: each block is the K-dual of a projective
-    local factor.
+    local factor.  No span or certificate changes when a generator, or all
+    actions of the factors' integer basis vectors at once, are scaled.
     """
     if module.dim == 0:
         raise ValueError("hull of the zero module")
     A = algebra
-    rad = A.radical_basis()
     dual = module.dual()
+    dual_action_of = functools.cache(lambda v: dual._basis_actions.combine(v)[0])
     # radical subspace of the dual module
-    rad_span = linalg.Subspace(
-        dual.dim, [col for r in rad for col in linalg.transpose(dual.action_of_vector(r))])
+    rad_span = linalg.Subspace(dual.dim, [col for r in A.radical_basis()
+                                          for col in linalg.transpose(dual_action_of(tuple(r)))])
     top_dim = dual.dim - rad_span.dim
-
-    basis_actions_on_dual = {}
-
-    def dual_action_of(ambient_vec):
-        key = tuple(ambient_vec)
-        if key not in basis_actions_on_dual:
-            basis_actions_on_dual[key] = dual.action_of_vector(ambient_vec)
-        return basis_actions_on_dual[key]
-
-    generators_per_factor: list[list] = []
+    # the cover F = (+)_i A_i^{d_i} -> dual, dualized: the embedding's rows
+    # are the images b g of the generators g, and the hull has one block
+    # per generator, on which the variables act as on its factor
+    embedding, blocks, multiplicities = [], [], []
     for factor in factors:
-        e_act = dual_action_of(factor.idempotent)
+        e_act = dual_action_of(tuple(factor.idempotent))
         # K-dimension of the factor component of dual/rad(dual)
         target_dim = linalg.Subspace(
             top_dim, [rad_span.project(col) for col in linalg.transpose(e_act)]).dim
         gens = []
         covered = linalg.Subspace(top_dim)
-        for j in range(dual.dim):
+        for candidate in linalg.transpose(e_act):
             if covered.dim >= target_dim:
                 break
-            candidate = linalg.mat_vec(e_act, linalg.unit_vector(dual.dim, j))
             if rad_span.project(candidate) in covered:
                 continue
             gens.append(candidate)
             # enlarge by the K-span of the A-orbit of the image
             for b in factor.basis_vectors:
-                covered.add(rad_span.project(linalg.mat_vec(dual_action_of(b), candidate)))
-        generators_per_factor.append(gens)
-
-    # assemble the cover F = (+)_i A_i^{d_i} -> dual, then dualize
-    cover_cols = []
-    dims = []  # one block of the hull per cover generator
-    block_actions = [[] for _ in A.var_matrices]
-    for factor, gens in zip(factors, generators_per_factor):
-        restricted_vars = [factor.restrict(mv) for mv in A.var_matrices]
+                covered.add(rad_span.project(linalg.mat_vec(dual_action_of(tuple(b)), candidate)))
+        restricted = [factor.restrict(*var) for var in A._vars]
         for g in gens:
-            for b in factor.basis_vectors:
-                cover_cols.append(linalg.mat_vec(dual_action_of(b), g))
-            dims.append(len(factor.basis_vectors))
-            for vi, rv in enumerate(restricted_vars):
-                block_actions[vi].append(rv)
-    if not cover_cols:
+            embedding += [linalg.mat_vec(dual_action_of(tuple(b)), g) for b in factor.basis_vectors]
+            blocks.append(restricted)
+        multiplicities.append(len(gens))
+    if not embedding:
         raise RuntimeError("empty cover for a nonzero module")
-    cover = linalg.transpose(cover_cols)
-    e_dim = len(cover_cols)
-    hull_actions = [
-        linalg.transpose(linalg.block_matrix(
-            [[b if i == j else None for j in range(len(bs))] for i, b in enumerate(bs)],
-            dims, dims))
-        for bs in block_actions
-    ]
+    e_dim = len(embedding)
+    hull_actions = []
+    for k in range(len(A.vars)):
+        # the transposed blocks down the diagonal, over their lcm
+        den = lcm(*[r[k][1] for r in blocks])
+        action, start = linalg.zeros(e_dim, e_dim), 0
+        for b, d in (r[k] for r in blocks):
+            for i, row in enumerate(linalg.transpose(b), start):
+                action[i][start:start + len(row)] = [x * (den // d) for x in row]
+            start += len(b)
+        hull_actions.append((action, den))
     hull_module = ArtinModule._built(A, hull_actions, e_dim)
-    embedding = linalg.transpose(cover)
 
     image = linalg.Subspace(e_dim, linalg.transpose(embedding))
     certificates = {
         "embedding_injective": linalg.rank(embedding) == module.dim,
-        "embedding_linear": all(linalg.mat_mul(h, embedding) == linalg.mat_mul(embedding, m)
-                                for h, m in zip(hull_actions, module.var_actions)),
+        # (h / dh) E = E (m / dm) on integers
+        "embedding_linear": all(
+            [[x * dm for x in row] for row in linalg.mat_mul(h, embedding)]
+            == [[x * dh for x in row] for row in linalg.mat_mul(embedding, m)]
+            for (h, dh), (m, dm) in zip(hull_actions, module._actions)),
         "essential": all(v in image for v in hull_module.socle()),
     }
-    multiplicities = [len(g) for g in generators_per_factor]
     return HullResult(hull_module, multiplicities, certificates)
 
 
@@ -526,7 +525,7 @@ def socle_multiplicities(algebra: ArtinAlgebra, module: ArtinModule,
     soc = module.socle()
     out = []
     for factor in factors:
-        e_act = module.action_of_vector(factor.idempotent)
+        e_act = module._basis_actions.combine(factor.idempotent)[0]
         comp_dim = linalg.Subspace(module.dim, [linalg.mat_vec(e_act, v) for v in soc]).dim
         k_i = factor.residue_dim
         if comp_dim % k_i != 0:

@@ -1,21 +1,21 @@
 """Exact linear algebra over Q: row reduction, ranks, kernels, solving,
-block assembly, the cohomology of finite complexes, `Subspace`, linear
-combinations of fixed matrices (`MatrixFamily`), and polynomials of a
-matrix applied to a vector.
+the cohomology of finite complexes, `Subspace`, linear combinations of
+fixed matrices (`MatrixFamily`) and polynomials of a matrix on a vector.
 
 Matrices are lists of rows of exact rationals and act on column vectors;
 `transpose` turns a list of columns into a matrix and back.  Every entry
 returned is stored as a `SparsePoly` coefficient is: an int when integral,
-else a Fraction.  All arithmetic runs on Python ints: a vector or row is
-scaled by the lcm of its denominators, a matrix by one
-(`integer_matrix`).  `mat_mul` and `mat_vec` multiply and add ints and
-divide once per output entry.  `rref`, `rank` and `nullspace` share one
-fraction-free echelon routine: it eliminates by cross-multiplication and
-keeps every row primitive.  `Subspace` keeps its rows the same way.
-`annihilator` (minimal polynomials) iterates a matrix on integer Krylov
-vectors and `poly_apply` runs Horner on integer vectors; each scales the
-matrix once and divides once, at the end.  A ragged matrix, operands
-whose shapes do not fit, or a negative power raise ValueError.
+else a Fraction.  All arithmetic runs on Python ints.  Inside the library
+a rational matrix travels scaled, as integer rows m over one denominator d
+(`integer_matrix`, `MatrixFamily.combine`), and the kernels take integer
+rows as they are: products of integer rows are integer rows, `rref`,
+`rank`, `nullspace` and `Subspace` do not depend on d, and `annihilator`
+and `poly_apply` take d as an argument.  Fractions are built only where a
+value leaves the library (`fraction_vector`, `fraction_matrix`).  `rref`,
+`rank` and `nullspace` share one fraction-free echelon routine: it
+eliminates by cross-multiplication and keeps every row primitive, as
+`Subspace` keeps its rows.  A ragged matrix, operands whose shapes do not
+fit, or a negative power raise ValueError.
 
 A `Subspace` keeps a growing span in a canonical echelon form and answers
 every span question asked of a set of vectors: membership, coordinates
@@ -25,6 +25,7 @@ over the accepted vectors, projection modulo the span, and equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .poly import exact_ratio
@@ -74,45 +75,33 @@ def integer_vector(v: Vector) -> tuple[list[int], int]:
 
 def integer_matrix(a: Matrix) -> tuple[list[list[int]], int]:
     """a (int or Fraction entries) as integer rows over one common
-    denominator, and that denominator."""
+    denominator, and that denominator; a matrix of ints comes back as is."""
+    if set(map(type, chain.from_iterable(a))) <= {int}:
+        return a, 1
     den = lcm(*[x.denominator for row in a for x in row])
     return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
 
 
 def fraction_vector(nums: list[int], den: int) -> Vector:
-    """The exact entries nums[i] / den."""
-    return list(nums) if den == 1 else [exact_ratio(x, den) for x in nums]
+    """The exact entries nums[i] / den, as a new list: their gcd with den is
+    divided out once, so a den that divides them all builds no Fraction."""
+    if den == 1:
+        return list(nums)
+    g = gcd(den, *nums)
+    if g == abs(den):
+        return [x // den for x in nums]
+    return [exact_ratio(x // g, den // g) for x in nums]
+
+
+def fraction_matrix(rows: list[list[int]], den: int) -> Matrix:
+    """The exact matrix rows / den, as new rows."""
+    return [fraction_vector(row, den) for row in rows]
 
 
 def transpose(a: Matrix) -> Matrix:
     """The transpose; a ragged matrix raises ValueError."""
     _width(a)
     return [list(col) for col in zip(*a)]
-
-
-def block_matrix(blocks: list[list[Matrix | None]], row_dims: list[int],
-                 col_dims: list[int]) -> Matrix:
-    """The matrix with blocks[i][j] at block row i and block column j.
-
-    None stands for a zero block.  Every other block must be
-    row_dims[i] x col_dims[j]; a block with no rows is [] whatever its width.
-    A grid or block of the wrong shape raises ValueError.
-    """
-    out = zeros(sum(row_dims), sum(col_dims))
-    r0 = 0
-    for block_row, rows in zip(blocks, row_dims, strict=True):
-        c0 = 0
-        for b, cols in zip(block_row, col_dims, strict=True):
-            if b is not None:
-                if len(b) != rows:
-                    raise ValueError(f"block with {len(b)} rows, expected {rows}x{cols}")
-                for i, row in enumerate(b, r0):
-                    if len(row) != cols:
-                        raise ValueError(f"block row of length {len(row)}, expected {rows}x{cols}")
-                    out[i][c0:c0 + cols] = row
-            c0 += cols
-        r0 += rows
-    return out
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -125,37 +114,33 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         return zeros(ra, cb)
     if ca != rb:
         raise ValueError(f"shape mismatch {ra}x{ca} * {rb}x{cb}")
-    # b over one common denominator and each row of a over its own; each
-    # row of the product combines the rows of b that its nonzero entries
-    # pick, and only nonzero entries of those rows are multiplied
-    b_int, den_b = integer_matrix(b)
-    b_support = [[(k, y) for k, y in enumerate(row) if y] for row in b_int]
+    # each row of the product combines the rows of b that its nonzero
+    # entries pick, and only nonzero entries of those rows are multiplied
+    (ma, da), (mb, db) = integer_matrix(a), integer_matrix(b)
+    b_support = [[(k, y) for k, y in enumerate(row) if y] for row in mb]
     out = []
-    for row in a:
-        nums, den = integer_vector(row)
+    for row in ma:
         acc = [0] * cb
-        for j, x in enumerate(nums):
+        for x, support in zip(row, b_support):
             if x:
-                for k, y in b_support[j]:
+                for k, y in support:
                     acc[k] += x * y
-        out.append(fraction_vector(acc, den * den_b))
-    return out
+        out.append(acc)
+    return out if da * db == 1 else fraction_matrix(out, da * db)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     for row in a:
         if len(row) != len(v):
             raise ValueError(f"shape mismatch {len(a)}x{len(row)} * vector of length {len(v)}")
+    m, den = integer_matrix(a)
     nums, den_v = integer_vector(v)
-    support = [(j, x) for j, x in enumerate(nums) if x]
-    out = []
-    for row in a:
-        # the row's entries on the support of v, over their own lcm
-        picked = [(row[j], x) for j, x in support]
-        den = lcm(*[y.denominator for y, _ in picked])
-        total = sum([y.numerator * (den // y.denominator) * x for y, x in picked])
-        out.append(exact_ratio(total, den * den_v))
-    return out
+    return fraction_vector(_int_mat_vec(m, nums), den * den_v)
+
+
+def _int_mat_vec(m: list[list[int]], w: list[int]) -> list[int]:
+    support = [(j, x) for j, x in enumerate(w) if x]
+    return [sum([row[j] * x for j, x in support]) for row in m]
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
@@ -200,7 +185,8 @@ def _echelon(m: list[list[int]], reduced: bool) -> list[int]:
     and the entries stay small.  Afterwards the first len(pivots) rows are
     the pivot rows, in order, and the rest are zero.  With reduced, the
     rows are also cleared above each pivot: pivot row i is then its entry
-    at pivots[i] times row i of the reduced row echelon form.
+    at pivots[i] times row i of the reduced row echelon form.  Rows are
+    replaced, never changed in place, so m may hold the caller's rows.
     """
     rows = len(m)
     cols = len(m[0]) if m else 0
@@ -228,13 +214,20 @@ def _echelon(m: list[list[int]], reduced: bool) -> list[int]:
     return pivots
 
 
+def echelon_rows(a: Matrix) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows of the reduced row echelon form of a as primitive
+    integer rows positive at their pivots, and the pivot columns."""
+    m = _integer_rows(a)
+    pivots = _echelon(m, True)
+    return [row if row[c] > 0 else [-x for x in row] for row, c in zip(m, pivots)], pivots
+
+
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns.  A ragged
     matrix raises ValueError."""
-    m = _integer_rows(a)
-    pivots = _echelon(m, True)
-    out = [fraction_vector(row, row[c]) for row, c in zip(m, pivots)]
-    out += [[0] * len(row) for row in m[len(pivots):]]
+    rows, pivots = echelon_rows(a)
+    out = [fraction_vector(row, row[c]) for row, c in zip(rows, pivots)]
+    out += [[0] * len(row) for row in a[len(pivots):]]
     return out, pivots
 
 
@@ -412,25 +405,25 @@ class Subspace:
 
 
 class MatrixFamily:
-    """The matrices A_i = m_i / den, m_i in matrices, all of one shape, for
-    their combinations sum_i c_i A_i.  Each A_i is held once, flat, as ints
-    over one denominator, so a combination scales its coefficients once,
-    adds ints and divides once per entry.  An empty family combines to [].
-    Members of two shapes, or the wrong number of coefficients, raise
-    ValueError."""
+    """The matrices A_i = m_i / d_i, given as pairs (m_i, d_i) of integer
+    rows of one shape and a denominator, for their combinations sum_i c_i
+    A_i.  Each A_i is held once, flat, over the lcm of the d_i, so a
+    combination scales its coefficients once and adds ints.  An empty
+    family combines to [].  Members of two shapes, or the wrong number of
+    coefficients, raise ValueError."""
 
-    def __init__(self, matrices, den: int = 1):
-        self._shape = shape(matrices[0]) if matrices else (0, 0)
-        for m in matrices:
+    def __init__(self, members):
+        self._shape = shape(members[0][0]) if members else (0, 0)
+        for m, _ in members:
             if (len(m), _width(m)) != self._shape:
                 raise ValueError(f"a {shape(m)} matrix in a family of {self._shape} matrices")
-        nums, d = integer_vector([x for m in matrices for row in m for x in row])
-        size = self._shape[0] * self._shape[1]
-        self._members = [nums[i * size:(i + 1) * size] for i in range(len(matrices))]
-        self._den = d * den
+        self._den = lcm(*[d for _, d in members])
+        self._members = [list(chain.from_iterable(m)) if d == self._den else
+                         [x * (self._den // d) for row in m for x in row] for m, d in members]
 
-    def combine(self, coeffs) -> Matrix:
-        """sum_i coeffs[i] A_i."""
+    def combine(self, coeffs) -> tuple[list[list[int]], int]:
+        """sum_i coeffs[i] A_i in scaled form: integer rows over the
+        denominator of the coefficients times the family's."""
         if len(coeffs) != len(self._members):
             raise ValueError(f"{len(coeffs)} coefficients for a family of {len(self._members)} matrices")
         nums, den = integer_vector(coeffs)
@@ -439,41 +432,44 @@ class MatrixFamily:
         for c, member in zip(nums, self._members):
             if c:
                 acc = [x + c * y for x, y in zip(acc, member)]
-        entries = fraction_vector(acc, den * self._den)
-        return [entries[i * cols:(i + 1) * cols] for i in range(rows)]
+        return [acc[i * cols:(i + 1) * cols] for i in range(rows)], den * self._den
 
 
-def _int_mat_vec(m: list[list[int]], w: list[int]) -> list[int]:
-    support = [(j, x) for j, x in enumerate(w) if x]
-    return [sum([row[j] * x for j, x in support]) for row in m]
+def _acting(a: Matrix, v: Vector) -> tuple[list[list[int]], int]:
+    """integer_matrix(a) for a square matrix a of v's size; else ValueError."""
+    if len(a) != len(v) or _width(a) != len(v):
+        raise ValueError(f"a {shape(a)} matrix acting on a vector of length {len(v)}")
+    return integer_matrix(a)
 
 
-def annihilator(a: Matrix, v: Vector) -> list[Fraction]:
-    """Monic generator of {p : p(a) v = 0}.  With a = m / den over the
-    integers, the first u_k = m^k v in the span of the earlier ones,
-    sum_i c_i u_i, gives p = t^k - sum_i c_i / den^(k - i) t^i."""
-    m, den = integer_matrix(a)
+def annihilator(a: Matrix, v: Vector, den: int = 1) -> list[Fraction]:
+    """Monic generator of {p : p(a / den) v = 0}.  With a / den = m / d over
+    the integers, the first u_k = m^k v in the span of the earlier ones,
+    sum_i c_i u_i, gives p = t^k - sum_i c_i / d^(k - i) t^i."""
+    m, d = _acting(a, v)
+    d *= den
     krylov = Subspace(len(v))
     w = integer_vector(v)[0]
     while krylov.add(w):
         w = _int_mat_vec(m, w)
     coords = krylov.coords(w)
     k = len(coords)
-    return [exact_ratio(-c.numerator, c.denominator * den ** (k - i))
+    return [exact_ratio(-c.numerator, c.denominator * d ** (k - i))
             for i, c in enumerate(coords)] + [1]
 
 
-def poly_apply(coeffs, a: Matrix, v: Vector) -> Vector:
-    """p(a) v for p = coeffs (dense): with a = m / den, p = sum_i P_i / L t^i
-    and v = V / dv over integers, Horner builds h = sum_i P_i den^(n - i)
-    m^i V, n = deg p, and divides by L den^n dv."""
-    m, den = integer_matrix(a)
+def poly_apply(coeffs, a: Matrix, v: Vector, den: int = 1) -> Vector:
+    """p(a / den) v for p = coeffs (dense): with a / den = m / d, p = sum_i
+    P_i / L t^i and v = V / dv over integers, Horner builds h = sum_i P_i
+    d^(n - i) m^i V, n = deg p, and divides by L d^n dv."""
+    m, d = _acting(a, v)
+    d *= den
     nums, dv = integer_vector(v)
     cs, dc = integer_vector(coeffs)
     h, scale = [0] * len(nums), 1
     for i, c in enumerate(reversed(cs)):
         if i:
-            scale *= den
+            scale *= d
         h = [x + c * scale * y for x, y in zip(_int_mat_vec(m, h), nums)]
     return fraction_vector(h, dc * scale * dv)
 

@@ -58,9 +58,10 @@ which every leaf is a `DiffOp` (a plain polynomial too, over a Weyl ring),
 before `parser` evaluated while parsing.
 `old_level_one_window` expands each Koszul entry through
 `old_model_mult_matrix`, one dense block per entry and degree, and
-assembles the blocks with `linalg.block_matrix` before ranking them, as
+assembles the blocks with `block_matrix` before ranking them, as
 `koszul` did before it wrote each differential straight from the model's
-position maps.
+position maps.  `block_matrix` was `linalg`'s until its last library
+caller, the hull's block diagonal, placed its scaled blocks itself.
 `old_leibniz` expands op^alpha past a whole coefficient polynomial, and
 `old_diffop_mul`, `old_to_left`, `old_to_right`, `old_apply` and
 `old_verify_star` are the Weyl and Ore arithmetic built on it, before
@@ -99,6 +100,30 @@ from weylcas.ore import DiffOp, OreRing, StarBoundNotFoundError
 from weylcas.parser import ParseError, Token, tokenize
 from weylcas.poly import SparsePoly
 from weylcas.univar import deg, divmod_poly, squarefree_decomposition, trim
+
+
+def block_matrix(blocks: list, row_dims: list[int], col_dims: list[int]) -> list:
+    """The matrix with blocks[i][j] at block row i and block column j.
+
+    None stands for a zero block.  Every other block must be
+    row_dims[i] x col_dims[j]; a block with no rows is [] whatever its width.
+    A grid or block of the wrong shape raises ValueError.
+    """
+    out = linalg.zeros(sum(row_dims), sum(col_dims))
+    r0 = 0
+    for block_row, rows in zip(blocks, row_dims, strict=True):
+        c0 = 0
+        for b, cols in zip(block_row, col_dims, strict=True):
+            if b is not None:
+                if len(b) != rows:
+                    raise ValueError(f"block with {len(b)} rows, expected {rows}x{cols}")
+                for i, row in enumerate(b, r0):
+                    if len(row) != cols:
+                        raise ValueError(f"block row of length {len(row)}, expected {rows}x{cols}")
+                    out[i][c0:c0 + cols] = row
+            c0 += cols
+        r0 += rows
+    return out
 
 
 def exact_rule(values) -> bool:
@@ -370,7 +395,7 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
     stubborn_full_degree = 0
     for cand in _candidate_elements(algebra, seed, extra_trials):
         local_elt = linalg.mat_vec(mult_idem, cand)
-        m = factor.restrict(algebra.mult_matrix(local_elt))
+        m = linalg.fraction_matrix(*factor.restrict(algebra.mult_matrix(local_elt)))
         # the induced action on the (etale) quotient has squarefree min poly
         m_ss = linalg.transpose(
             [project([m[rr][c] for rr in range(k)]) for c in complement]
@@ -657,7 +682,7 @@ class PerDegreeMV:
         f_dims = [self.cf.level_dim(t, d) for t in range(2)]
         g_dims = [self.cg.level_dim(t, d) for t in range(2)]
         dims = [f_dims[t] + g_dims[t] for t in range(2)]
-        diff = linalg.block_matrix(
+        diff = block_matrix(
             [[self.cf.differential(0, d), None], [None, self.cg.differential(0, d)]],
             [f_dims[1], g_dims[1]], [f_dims[0], g_dims[0]])
         return dims, [diff]
@@ -666,7 +691,7 @@ class PerDegreeMV:
         """Difference of restrictions on level t at degree d."""
         uf = self._restriction(self.cf, t, d)
         ug = _negated(self._restriction(self.cg, t, d))
-        return linalg.block_matrix([[uf, ug]], [self.ch.level_dim(t, d)],
+        return block_matrix([[uf, ug]], [self.ch.level_dim(t, d)],
                                    [self.cf.level_dim(t, d), self.cg.level_dim(t, d)])
 
     def fibre_at(self, d):
@@ -682,11 +707,11 @@ class PerDegreeMV:
         h_dims = [self.ch.level_dim(t, d) for t in range(2)]
         dims = [m_dims[0], m_dims[1] + h_dims[0], h_dims[1]]
         # d0: m |-> (d_M m, u0 m)
-        d0 = linalg.block_matrix([[m_diffs[0]], [self.u_at(0, d)]],
+        d0 = block_matrix([[m_diffs[0]], [self.u_at(0, d)]],
                                  [m_dims[1], h_dims[0]], [m_dims[0]])
         # d1: (m1, c0) |-> u1 m1 - d_C c0
         minus_dc = _negated(self.ch.differential(0, d))
-        d1 = linalg.block_matrix([[self.u_at(1, d), minus_dc]],
+        d1 = block_matrix([[self.u_at(1, d), minus_dc]],
                                  [h_dims[1]], [m_dims[1], h_dims[0]])
         return dims, [d0, d1]
 
@@ -1835,7 +1860,7 @@ def old_level_one_window(a, model, window, convention):
             tgt, src = (k, k - 1) if convention == "right" else (k - 1, k)
             blocks = [[None if p.is_zero() else old_model_mult_matrix(model, p, piece[subsets[src][j]])
                        for j, p in enumerate(row)] for row in mat]
-            diffs.append(linalg.block_matrix(blocks, dims[tgt], dims[src]))
+            diffs.append(block_matrix(blocks, dims[tgt], dims[src]))
         out[d] = linalg.cohomology_dim([sum(ds) for ds in dims],
                                        [linalg.rank(m) for m in diffs], 1)
     return out

@@ -400,5 +400,7 @@ def test_factor_coordinates_refuse_input_of_the_wrong_length():
         for m in ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]):
             with pytest.raises(ValueError):
                 factor.restrict(m)
-    assert whole.restrict(linalg.identity(3)) == linalg.identity(3)
-    assert proper.restrict(linalg.identity(3)) == linalg.identity(2)
+    assert whole.restrict(linalg.identity(3)) == (linalg.identity(3), 1)
+    assert proper.restrict(linalg.identity(3)) == (linalg.identity(2), 1)
+    # the scaled form: the restriction of (m / den) is the restriction of m over den
+    assert proper.restrict(linalg.identity(3), 6) == (linalg.identity(2), 6)

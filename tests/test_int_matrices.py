@@ -145,34 +145,43 @@ def test_matrix_family_matches_a_fraction_sum(kind):
         rows, cols, size = rng.randint(0, 4), rng.randint(0, 4), rng.randint(1, 4)
         matrices = [_matrix(rng, kind, rows, cols) for _ in range(size)]
         den = rng.choice([1, 1, 3, 10 ** 12])
-        family = linalg.MatrixFamily(matrices, den)
+        members = [linalg.integer_matrix(m) for m in matrices]
+        family = linalg.MatrixFamily([(m, d * den) for m, d in members])
         scaled = [[[Fraction(x) / den for x in row] for row in m] for m in matrices]
         for coeffs in ([_entry(rng, kind) for _ in range(size)], [0] * size,
                        [Fraction(0)] * size):
-            combined = family.combine(coeffs)
+            nums, combined_den = family.combine(coeffs)
+            assert _all_ints(nums)
+            combined = linalg.fraction_matrix(nums, combined_den)
             assert combined == _fraction_sum(coeffs, scaled, rows, cols), (case, coeffs)
             assert exact_rule(combined)
             if kind != "rational" and den == 1:
                 assert _all_ints(combined)
 
 
+def _combined(family, coeffs):
+    return linalg.fraction_matrix(*family.combine(coeffs))
+
+
 def test_matrix_family_edge_shapes():
     # dimension 0: members with no rows, or rows of no entries
-    assert linalg.MatrixFamily([[], []]).combine([1, 2]) == []
-    assert linalg.MatrixFamily([[[], []]]).combine([Fraction(1, 3)]) == [[], []]
+    assert _combined(linalg.MatrixFamily([([], 1), ([], 1)]), [1, 2]) == []
+    assert _combined(linalg.MatrixFamily([([[], []], 1)]), [Fraction(1, 3)]) == [[], []]
     # an empty family has no shape and combines to []
-    assert linalg.MatrixFamily([]).combine([]) == []
+    assert linalg.MatrixFamily([]).combine([]) == ([], 1)
     # all-zero coefficients give a zero matrix of the members' shape
-    family = linalg.MatrixFamily([[[1, Fraction(1, 2)], [3, 4]], [[0, 1], [1, 0]]])
-    assert family.combine([0, 0]) == [[0, 0], [0, 0]]
-    assert _all_ints(family.combine([0, 0]))
-    assert family.combine([2, Fraction(-1, 3)]) == [[2, Fraction(2, 3)], [Fraction(17, 3), 8]]
+    family = linalg.MatrixFamily([([[2, 1], [6, 8]], 2), ([[0, 1], [1, 0]], 1)])
+    assert _combined(family, [0, 0]) == [[0, 0], [0, 0]]
+    assert _all_ints(_combined(family, [0, 0]))
+    assert _combined(family, [2, Fraction(-1, 3)]) == [[2, Fraction(2, 3)], [Fraction(17, 3), 8]]
+    # the denominator is the coefficients' times the lcm of the members'
+    assert family.combine([2, Fraction(-1, 3)]) == ([[12, 4], [34, 48]], 6)
     with pytest.raises(ValueError, match="3 coefficients for a family of 2 matrices"):
         family.combine([1, 2, 3])
     with pytest.raises(ValueError, match="in a family of"):
-        linalg.MatrixFamily([[[1, 2]], [[1], [2]]])
+        linalg.MatrixFamily([([[1, 2]], 1), ([[1], [2]], 1)])
     with pytest.raises(ValueError, match="ragged"):
-        linalg.MatrixFamily([[[1, 2], [3]]])
+        linalg.MatrixFamily([([[1, 2], [3]], 1)])
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -7,6 +7,7 @@ from oracles import (
     OldColumnSolver,
     OldSubspace,
     _quotient_projection,
+    block_matrix,
     exact_rule,
     old_column_space_contains,
     old_independent_columns,
@@ -31,28 +32,28 @@ def F(rows):
 def test_block_matrix_places_blocks_and_zero_fills():
     a = F([[1, 2]])
     b = F([[3], [4]])
-    out = linalg.block_matrix([[a, None], [None, b]], [1, 2], [2, 1])
+    out = block_matrix([[a, None], [None, b]], [1, 2], [2, 1])
     assert out == F([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
 
 
 def test_block_matrix_empty_blocks():
     # a block with no rows is [] whatever its width; one with no columns is
     # a list of empty rows
-    out = linalg.block_matrix([[[[]], F([[5]])], [[[], []], None]], [1, 2], [0, 1])
+    out = block_matrix([[[[]], F([[5]])], [[[], []], None]], [1, 2], [0, 1])
     assert out == F([[5], [0], [0]])
-    out = linalg.block_matrix([[[], []], [None, F([[7]])]], [0, 1], [2, 1])
+    out = block_matrix([[[], []], [None, F([[7]])]], [0, 1], [2, 1])
     assert out == F([[0, 0, 7]])
-    assert linalg.block_matrix([[[]]], [0], [3]) == []
-    assert linalg.block_matrix([[None, None]], [2], [0, 0]) == [[], []]
+    assert block_matrix([[[]]], [0], [3]) == []
+    assert block_matrix([[None, None]], [2], [0, 0]) == [[], []]
 
 
 def test_block_matrix_rejects_misshaped_block():
     with pytest.raises(ValueError, match="expected 1x2"):
-        linalg.block_matrix([[F([[1, 2, 3]])]], [1], [2])
+        block_matrix([[F([[1, 2, 3]])]], [1], [2])
     with pytest.raises(ValueError, match="expected 2x1"):
-        linalg.block_matrix([[F([[1]])]], [2], [1])
+        block_matrix([[F([[1]])]], [2], [1])
     with pytest.raises(ValueError):
-        linalg.block_matrix([[None]], [1, 1], [1])
+        block_matrix([[None]], [1, 1], [1])
 
 
 def ranks(diffs):
