@@ -23,8 +23,12 @@ the smallest head, and that multiple is reduced regularly: an element of G
 divides freely, an element of this step only when the signature of its
 multiple lies below t.  A multiple whose head nothing divides regularly is
 dropped unreduced, so that pairs which would reduce to zero are proven
-useless before any work.  Tail reduction and making the basis monic happen
-once, at the end.  Reductions keep their working terms in a heap front.
+useless before any work.  G is fixed within a step, so all reductions of a
+step share one memo of each monomial's first divisor in G.  Tail reduction
+and making the basis monic happen once, at the end, on the tails alone: each
+is reduced by the whole basis with one memo, since a head divides no term
+below it.  An eliminated ideal starts with its grevlex basis in place
+(`_eliminate_tag`).  Reductions keep their working terms in a heap front.
 
 Inside the reduction kernel a monomial is one int (Monagan and Pearce,
 "Sparse polynomial division using a heap", JSC 46, 2011; `_Packing`).  The
@@ -34,9 +38,10 @@ comparison is the term order, a product is a sum, a divides b iff
 ((b | G) - a) & G == G for the guard mask G, and a new term overflows its
 fields iff te & G.  The field width comes from the input's largest
 exponent; a term that overflows restarts the whole computation at double
-the width (`_widening`).  Signatures are packed monomials tested the same
-way.  Exponent tuples are packed and unpacked only at the `SparsePoly`
-boundary: input records, the final basis, remainders and quotients.
+the width (`_widening`); every caller shares one packing per order, variable
+count and width.  Signatures are packed monomials tested the same way.
+Exponent tuples are packed and unpacked only at the `SparsePoly` boundary:
+input records, the final basis, remainders and quotients.
 
 Reduction runs on primitive integer polynomials: basis elements are split
 into head and tail once (an `Ideal` keeps these divisor records, with their
@@ -49,7 +54,7 @@ over Q.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 from math import gcd, lcm
@@ -100,6 +105,10 @@ class _Packing:
     def packed(self, terms) -> dict:
         pack = self.pack
         return {pack(e): c for e, c in terms.items()}
+
+
+# one packing per (order, nvars, width), shared: packings never change
+_packing = lru_cache(maxsize=64)(_Packing)
 
 
 def _width(polys) -> int:
@@ -188,11 +197,13 @@ def _divisor_records(basis, packing):
     return [_record(_primitive(packing.packed(g.terms))[0]) for g in basis if g.terms]
 
 
-def _reduce(work, front, divisors, guard, signed=(), limit=None):
+def _reduce(work, front, divisors, guard, memo, signed=(), limit=None):
     """Pseudo-reduce the integer working terms by the divisor records: each
     term is divided by the first divisor whose head divides it, after the
     working terms and the remainder are scaled so that the division is exact
-    on integers.  A reduction at signature `limit` also tries the `signed`
+    on integers.  `memo` maps a packed monomial to its first divisor, or
+    False if none divides it; it may be shared by reductions by the same
+    divisors.  A reduction at signature `limit` also tries the `signed`
     records (head, head coefficient, tail, signature) after the divisors;
     such a record divides a term e only when the signature of its multiple,
     (e - head) + signature, lies below the limit, so the reduction is regular.
@@ -202,11 +213,19 @@ def _reduce(work, front, divisors, guard, signed=(), limit=None):
     lam = 1
     while work:
         e, c = _pop_head(work, front)
-        eg = e | guard
-        for he, hc, tail in divisors:
-            if (eg - he) & guard == guard:
-                break
+        d = memo.get(e)
+        if d is None:
+            eg = e | guard
+            for d in divisors:
+                if (eg - d[0]) & guard == guard:
+                    break
+            else:
+                d = False
+            memo[e] = d
+        if d:
+            he, hc, tail = d
         else:
+            eg = e | guard
             for he, hc, tail, sig in signed:
                 if (eg - he) & guard == guard:
                     t = e - he + sig
@@ -226,8 +245,10 @@ def _reduce(work, front, divisors, guard, signed=(), limit=None):
             remainder = {t: v * m for t, v in remainder.items()}
             lam *= m
         _subtract(work, front, q, e - he, tail, guard)
-    r, _, content = _primitive(remainder)
-    return r, lam, content
+    content = gcd(*remainder.values()) or 1
+    if content != 1:
+        remainder = {e: c // content for e, c in remainder.items()}
+    return remainder, lam, content
 
 
 def _normal_form(f, divisors, packing):
@@ -236,7 +257,7 @@ def _normal_form(f, divisors, packing):
     if not divisors or not f.terms:
         return f
     ints, den, num = _primitive(packing.packed(f.terms))
-    r, lam, content = _reduce(*_front(ints), divisors, packing.guard)
+    r, lam, content = _reduce(*_front(ints), divisors, packing.guard, {})
     if r == ints:  # no term was divisible
         return f
     # content * num * r = lam * den * (normal form of f)
@@ -253,7 +274,7 @@ def reduce_poly(f: SparsePoly, basis: list[SparsePoly], order: TermOrder) -> Spa
         f._check_same_ring(g)
 
     def run(width):
-        packing = _Packing(order, len(f.vars), width)
+        packing = _packing(order, len(f.vars), width)
         return _normal_form(f, _divisor_records(basis, packing), packing)
 
     return _widening(run, [f, *basis])
@@ -275,16 +296,13 @@ def buchberger(generators: list[SparsePoly], order: TermOrder) -> list[SparsePol
     if not any(g.terms for g in generators):
         return []
     nvars = len(generators[0].vars)
-    return _widening(lambda width: _buchberger(generators, _Packing(order, nvars, width)),
+    return _widening(lambda width: _buchberger(generators, _packing(order, nvars, width)),
                      generators)
 
 
 def _buchberger(generators, packing):
     """buchberger at one packing; raises _Overflow."""
     guard, pack, unpack = packing.guard, packing.pack, packing.unpack
-
-    def reduced(rec, divisors):
-        return _reduce(*_front(dict([rec[:2]] + rec[2])), divisors, guard)[0]
 
     def shifted(shift, m):
         """The packed monomial shift + m; raises _Overflow if it overflows."""
@@ -296,7 +314,8 @@ def _buchberger(generators, packing):
     exps = {}  # the heads unpacked, for lcms
     basis = []  # a minimal Groebner basis of the generators taken so far
     for rec in sorted(_divisor_records(generators, packing), key=itemgetter(0)):
-        r = reduced(rec, basis)
+        memo = {}  # first divisors in basis, which this step does not change
+        r = _reduce(*_front(dict([rec[:2]] + rec[2])), basis, guard, memo)[0]
         if not r:
             continue
         heads = [g[0] for g in basis]  # the principal syzygies x^h e_i
@@ -337,7 +356,7 @@ def _buchberger(generators, packing):
                 continue
             work, front = {}, []
             _subtract(work, front, -1, t - sig, [(h, hc)] + tail, guard)
-            r = _reduce(work, front, basis, guard, step, t)[0]
+            r = _reduce(work, front, basis, guard, memo, step, t)[0]
             if r:
                 add(_record(r), t)
             else:
@@ -349,11 +368,12 @@ def _buchberger(generators, packing):
         basis = kept
 
     out = []
-    vs = generators[0].vars
-    for i, rec in enumerate(basis):
-        r = reduced(rec, basis[:i] + basis[i + 1:])
-        hc = r[rec[0]]
-        out.append(SparsePoly._clean(vs, {unpack(m): exact_ratio(c, hc) for m, c in r.items()}))
+    memo = {}  # the tails by the whole basis: a head divides no term below it
+    for he, hc, tail in basis:
+        r, lam, content = _reduce(*_front(dict(tail)), basis, guard, memo)
+        terms = {unpack(he): 1}
+        terms.update((unpack(m), exact_ratio(c * content, hc * lam)) for m, c in r.items())
+        out.append(SparsePoly._clean(generators[0].vars, terms))
     return out
 
 
@@ -392,7 +412,7 @@ class Ideal:
         while True:
             if self._records_cache is None or self._records_cache[0].width < width:
                 basis = self.groebner_basis()
-                packing = _Packing(GREVLEX, len(self.vars), max(width, _width(basis)))
+                packing = _packing(GREVLEX, len(self.vars), max(width, _width(basis)))
                 self._records_cache = (packing, _divisor_records(basis, packing))
             packing, divisors = self._records_cache
             try:
@@ -421,7 +441,11 @@ def _eliminate_tag(vs, pairs) -> Ideal:
     """The ideal of Q[vs] that the elements a + t*b, for the pairs (a, b)
     over Q[vs], generate in Q[t, vs] cut down to Q[vs], for a fresh tag
     variable t: the t-free elements of its reduced basis under an order
-    that eliminates t."""
+    that eliminates t.  They are a Groebner basis of that ideal under the
+    restricted order (Cox, Little and O'Shea, ch. 3 sec. 1, Thm. 2), which
+    on t-free monomials is grevlex; as part of a reduced basis they are
+    reduced, and they come by ascending head.  So they are the grevlex basis
+    that `buchberger` would return, and the Ideal starts with it cached."""
     tag = "_t0"
     while tag in vs:
         tag += "_"
@@ -429,8 +453,11 @@ def _eliminate_tag(vs, pairs) -> Ideal:
     t = SparsePoly.variable(big_vars, 0)
     gb = buchberger([a.extend(big_vars) + t * b.extend(big_vars) for a, b in pairs],
                     _TAG_ELIMINATION)
-    return Ideal(vs, [SparsePoly(vs, {e[1:]: c for e, c in g.terms.items()})
-                      for g in gb if all(e[0] == 0 for e in g.terms)])
+    basis = [SparsePoly._clean(vs, {e[1:]: c for e, c in g.terms.items()})
+             for g in gb if all(e[0] == 0 for e in g.terms)]
+    ideal = Ideal(vs, basis)
+    ideal._gb_cache[GREVLEX] = list(basis)
+    return ideal
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -452,7 +479,7 @@ def divide_exact(f: SparsePoly, g: SparsePoly) -> SparsePoly | None:
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
         return SparsePoly.zero(f.vars)
-    return _widening(lambda width: _divide_exact(f, g, _Packing(GREVLEX, len(f.vars), width)),
+    return _widening(lambda width: _divide_exact(f, g, _packing(GREVLEX, len(f.vars), width)),
                      [f, g])
 
 
@@ -544,7 +571,7 @@ def standard_monomials(I: Ideal) -> list[tuple[int, ...]]:
             walk(prefix + [k])
 
     walk([])
-    out.sort(key=GREVLEX.key)
+    out.sort(key=GREVLEX.key_for(n))
     return out
 
 

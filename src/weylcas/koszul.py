@@ -15,6 +15,7 @@ membership of f in an ideal L "locally at P" is the colon statement
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import add
 
@@ -301,13 +302,13 @@ class GradedModuleModel:
         return piece
 
 
-def _compositions(total: int, parts: int):
+@lru_cache(maxsize=256)
+def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """The `parts`-tuples summing to `total`, first entry slowest; shared."""
     if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return ((total,),)
+    return tuple([(first,) + rest for first in range(total + 1)
+                  for rest in _compositions(total - first, parts - 1)])
 
 
 def ext1_koszul(a: list[SparsePoly], model: GradedModuleModel,

@@ -199,7 +199,7 @@ def diffop_to_str(op: DiffOp, order: TermOrder = GREVLEX) -> str:
         return "0"
     ring = op.ring
     parts = []
-    for alpha in sorted(op.terms, key=order.key, reverse=True):
+    for alpha in sorted(op.terms, key=order.key_for(ring.n_ops), reverse=True):
         coeff = op.terms[alpha]
         ops = []
         for k, e in enumerate(alpha):

@@ -9,7 +9,6 @@ so two equal polynomials have identical term maps.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 
@@ -23,13 +22,13 @@ class TermOrder:
     full rank, so no two monomials tie.  The orders are module values
     compared by identity: GREVLEX, LEX and the tag elimination of `groebner`."""
 
-    __slots__ = ("name", "_rule", "_rows", "_getters")
+    __slots__ = ("name", "_rule", "_rows", "_keys")
 
     def __init__(self, name: str, rows: Callable[[int], list[tuple[int, ...]]]):
         self.name = name
         self._rule = rows
         self._rows: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._getters: dict[int, list[tuple[Callable, bool]]] = {}
+        self._keys: dict[int, Callable[[tuple[int, ...]], tuple[int, ...]]] = {}
 
     def rows(self, nvars: int) -> tuple[tuple[int, ...], ...]:
         rows = self._rows.get(nvars)
@@ -43,16 +42,16 @@ class TermOrder:
             self._rows[nvars] = rows
         return rows
 
-    def key(self, exponents: tuple[int, ...]) -> tuple[int, ...]:
-        """Sort key, the flat int tuple of row sums: larger key means larger
-        monomial."""
-        getters = self._getters.get(len(exponents))
-        if getters is None:
-            # per row a getter, and whether it picks a tuple to sum
-            getters = self._getters[len(exponents)] = [
-                (itemgetter(*row) if row else lambda e: (), len(row) != 1)
-                for row in self.rows(len(exponents))]
-        return tuple([sum(get(exponents)) if many else get(exponents) for get, many in getters])
+    def key_for(self, nvars: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        """Sort key of exponent tuples of length nvars, the flat int tuple of
+        row sums (larger key, larger monomial): one expression per count,
+        written once from the checked weight matrix, so from range(nvars)."""
+        key = self._keys.get(nvars)
+        if key is None:
+            sums = ["+".join(f"e[{i}]" for i in range(nvars) for _ in range(row.count(i))) or "0"
+                    for row in self.rows(nvars)]
+            key = self._keys[nvars] = eval(f"lambda e: ({''.join(s + ', ' for s in sums)})", {})
+        return key
 
     def __repr__(self):
         return f"TermOrder({self.name!r})"
@@ -204,11 +203,12 @@ class SparsePoly:
     def leading_term(self, order: TermOrder = GREVLEX) -> tuple[tuple[int, ...], int | Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=order.key)
+        e = max(self.terms, key=order.key_for(len(self.vars)))
         return e, self.terms[e]
 
     def sorted_terms(self, order: TermOrder = GREVLEX) -> list[tuple[tuple[int, ...], int | Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        key = order.key_for(len(self.vars))
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def _check_same_ring(self, other: "SparsePoly"):
         if not isinstance(other, SparsePoly):

@@ -1428,7 +1428,7 @@ def old_partial(a: dict, index: int) -> dict:
 
 # ---------- the Groebner reduction kernel on exponent tuples ----------
 # The parent's integer reduction core: monomials are exponent tuples, each
-# new term pays a `TermOrder.key` call for its heap entry, and every head
+# new term pays a `TermOrder` key call for its heap entry, and every head
 # test compares tuples slot by slot.
 
 def _old_divides(e1, e2):
@@ -1506,7 +1506,7 @@ def old_reduce(work, front, key, divisors):
 
 
 def old_reduce_poly(f: SparsePoly, basis: list[SparsePoly], order) -> SparsePoly:
-    key = order.key
+    key = order.key_for(len(f.vars))
     divisors = _old_divisor_records(basis, key)
     if not divisors or not f.terms:
         return f
@@ -1519,7 +1519,7 @@ def old_reduce_poly(f: SparsePoly, basis: list[SparsePoly], order) -> SparsePoly
 def old_divide_exact(f: SparsePoly, g: SparsePoly, order) -> SparsePoly | None:
     if f.is_zero():
         return SparsePoly.zero(f.vars)
-    key = order.key
+    key = order.key_for(len(f.vars))
     he, hc = g.leading_term(order)
     tail = [(ge, gc) for ge, gc in g.terms.items() if ge != he]
     quotient = {}
@@ -1535,7 +1535,7 @@ def old_divide_exact(f: SparsePoly, g: SparsePoly, order) -> SparsePoly | None:
 
 
 def old_buchberger(generators: list[SparsePoly], order) -> list[SparsePoly]:
-    key = order.key
+    key = order.key_for(len(generators[0].vars))
     basis = _old_divisor_records(generators, key)
     if not basis:
         return []

@@ -213,7 +213,10 @@ def test_intersect_and_saturation_run_only_their_eliminations(monkeypatch):
     calls.clear()
     sat = saturation(ideal(x * y), ideal(x, y))
     assert len(calls) == 3
+    calls.clear()
+    # an eliminated ideal starts with its grevlex basis
     assert gb_strings(meet) == gb_strings(sat) == ["x*y"]
+    assert calls == []
     assert ideal().is_zero() and Ideal(XY, [SparsePoly.zero(XY)]).is_zero()
     assert not ideal(x).is_zero()
 
@@ -297,7 +300,7 @@ def ref_reduce_poly(f, basis, order):
     remainder = {}
     work = dict(f.terms)
     while work:
-        e = max(work, key=order.key)
+        e = max(work, key=order.key_for(len(f.vars)))
         c = work.pop(e)
         for g, (he, hc) in zip(basis, heads):
             if _ref_divides(he, e):
@@ -323,7 +326,7 @@ def ref_divide_exact(f, g, order=GREVLEX):
     work = dict(f.terms)
     he, hc = g.leading_term(order)
     while work:
-        e = max(work, key=order.key)
+        e = max(work, key=order.key_for(len(f.vars)))
         if not _ref_divides(he, e):
             return None
         shift = _ref_sub(e, he)
@@ -368,13 +371,14 @@ def ref_buchberger(generators, order):
     if not basis:
         return []
     heads = [g.leading_term(order)[0] for g in basis]
+    key = order.key_for(len(heads[0]))
     pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
 
     def lcm_of(i, j):
         return _ref_lcm(heads[i], heads[j])
 
     while pending:
-        i, j = min(pending, key=lambda p: order.key(lcm_of(*p)))
+        i, j = min(pending, key=lambda p: key(lcm_of(*p)))
         pending.discard((i, j))
         l = lcm_of(i, j)
         if l == tuple(a + b for a, b in zip(heads[i], heads[j])):
@@ -412,7 +416,7 @@ def ref_buchberger(generators, order):
         r = ref_reduce_poly(g, keep[:i] + keep[i + 1:], order)
         _, lc = r.leading_term(order)
         reduced.append(r * (Fraction(1) / lc))
-    reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]))
+    reduced.sort(key=lambda g: key(g.leading_term(order)[0]))
     return reduced
 
 
@@ -626,7 +630,7 @@ def test_pseudo_remainder_is_a_primitive_positive_multiple():
         packing = _Packing(GREVLEX, n, groebner._width([f, *basis]))
         ints, den, num = _primitive(packing.packed(f.terms))
         divisors = [_record(_primitive(packing.packed(g.terms))[0]) for g in basis]
-        r, lam, content = _reduce(*_front(ints), divisors, packing.guard)
+        r, lam, content = _reduce(*_front(ints), divisors, packing.guard, {})
         assert all(isinstance(c, int) for c in r.values())
         assert lam > 0 and content > 0
         scale = Fraction(lam * den, content * num)
@@ -709,7 +713,7 @@ def test_packing_is_the_term_order(name):
             top = (1 << (width - 1)) - 1
             exps = [tuple(rng.choice([0, 1, 2, top // 2, top]) for _ in range(n))
                     for _ in range(60)]
-            assert sorted(exps, key=packing.pack) == sorted(exps, key=order.key)
+            assert sorted(exps, key=packing.pack) == sorted(exps, key=order.key_for(n))
             for a in exps[:20]:
                 assert packing.unpack(packing.pack(a)) == a
                 for b in exps[:20]:
@@ -753,14 +757,16 @@ def _four_variables():
 
 
 def test_overflowing_term_restarts_at_double_width(monkeypatch):
+    # every packing the library asks for goes through the shared factory,
+    # whether or not it is new
     widths = []
-    real = groebner._Packing
+    real = groebner._packing
 
     def recording(order, nvars, width):
         widths.append(width)
         return real(order, nvars, width)
 
-    monkeypatch.setattr(groebner, "_Packing", recording)
+    monkeypatch.setattr(groebner, "_packing", recording)
     gens = [x - y ** 20, x ** 50 * y - 1]
     got = buchberger(gens, LEX)
     assert [g.to_str(LEX) for g in got] == ["y^1001 - 1", "x - y^20"]
@@ -801,6 +807,119 @@ def test_ideal_reduce_widens_its_cached_records():
     assert I._records_cache[0].width == 2 * narrow
     assert I.reduce(X ** 100 * Y ** 100 * Z ** 100 * W) == W ** 301
     assert I.contains(X ** 50 * Y ** 50 * Z ** 50 - W ** 150)
+
+
+# ---------- work done once: tails, divisor memos, packings, seeded bases ----------
+
+def _closing_pass_changes(gens, order, monkeypatch):
+    """buchberger(gens, order) and how many tails its closing pass changed:
+    the pass is the last reduction of each element, by the final basis."""
+    calls = []
+    real = groebner._reduce
+
+    def recording(work, front, *args):
+        before = dict(work)
+        out = real(work, front, *args)
+        calls.append(out[0] != before or out[1] != 1)
+        return out
+
+    monkeypatch.setattr(groebner, "_reduce", recording)
+    basis = buchberger(gens, order)
+    monkeypatch.setattr(groebner, "_reduce", real)
+    return basis, sum(calls[len(calls) - len(basis):])
+
+
+def test_basis_with_tails_reduced_once_matches_the_tuple_kernel(monkeypatch):
+    # a tail term that only a head added later divides is reduced in the
+    # closing pass alone; the corpus holds such inputs under every order,
+    # and inputs that widen the fields
+    rng = random.Random("tails once")
+    changed = Counter()
+    for name, order in sorted(ORACLE_ORDERS.items()):
+        systems = [[x ** 2 - y, x * y - 1], [x ** 3 - y ** 2, x * y - x - 1],
+                   [x - y ** 20, x ** 50 * y - 1], [x ** 58 * y + x, y ** 37 - x * y ** 33]]
+        for trial in range(24):
+            n = 2 + trial % 3
+            systems.append([_random_poly(rng, n, 3 if n < 4 else 2, rng.randint(2, 4),
+                                         min_deg=trial % 2) for _ in range(rng.randint(2, n + 1))])
+        for gens in systems:
+            got, tails = _closing_pass_changes(gens, order, monkeypatch)
+            want = old_buchberger(gens, order)
+            assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]
+            assert all(g.leading_term(order)[1] == 1 for g in got)
+            changed[name] += tails > 0
+    assert min(changed.values()) >= 3, changed
+
+
+def test_normal_forms_share_no_memo_and_match_the_tuple_kernel():
+    rng = random.Random("normal forms")
+    for trial in range(30):
+        n = 2 + trial % 3
+        gens = [_random_poly(rng, n, 2, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        ideal = Ideal(_names(n), gens)
+        basis = ideal.groebner_basis()
+        for order in (GREVLEX, LEX, _TAG_ELIMINATION):
+            f = _random_poly(rng, n, 4, 6)
+            assert reduce_poly(f, gens, order).terms == old_reduce_poly(f, gens, order).terms
+        for _ in range(3):
+            f = _random_poly(rng, n, 4, 6)
+            want = old_reduce_poly(f, basis, GREVLEX)
+            assert ideal.reduce(f).terms == want.terms
+            assert reduce_poly(f, basis, GREVLEX).terms == want.terms
+        assert set(vars(ideal)) == {"vars", "generators", "_gb_cache", "_records_cache"}
+
+
+def test_eliminated_ideals_keep_their_grevlex_basis(monkeypatch):
+    # the t-free part of the elimination basis is the reduced grevlex basis,
+    # element for element and term for term, so no second run is needed
+    rng = random.Random("seeded bases")
+    calls = []
+    real = groebner.buchberger
+
+    def counting(gens, order):
+        calls.append(order)
+        return real(gens, order)
+
+    nonmonomial = 0
+    for trial in range(40):
+        n = 2 + trial % 2
+        vs = _names(n)
+        I = Ideal(vs, [_random_poly(rng, n, 2, rng.randint(1, 3)) for _ in range(rng.randint(1, 2))])
+        J = Ideal(vs, [_random_poly(rng, n, 2, rng.randint(1, 2)) for _ in range(rng.randint(1, 2))])
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        results = [intersect(I, J), saturation(I, J), quotient_by_ideal(I, J)]
+        monkeypatch.setattr(groebner, "buchberger", real)
+        for K in results:
+            if GREVLEX not in K._gb_cache:  # a colon by one generator is not an elimination
+                continue
+            seeded = K.groebner_basis()
+            assert [list(g.terms.items()) for g in seeded] == \
+                [list(g.terms.items()) for g in buchberger(K.generators, GREVLEX)]
+            nonmonomial += any(len(g.terms) > 1 for g in seeded)
+        assert GREVLEX in results[0]._gb_cache and GREVLEX in results[1]._gb_cache
+        assert GREVLEX not in calls  # every basis the operations read was seeded
+        del calls[:]
+    assert nonmonomial >= 20
+
+
+def test_one_packing_per_order_count_and_width(monkeypatch):
+    for order in (GREVLEX, LEX, _TAG_ELIMINATION):
+        assert groebner._packing(order, 3, 8) is groebner._packing(order, 3, 8)
+        assert groebner._packing(order, 3, 8) is not groebner._packing(order, 3, 16)
+    assert groebner._packing(GREVLEX, 2, 8) is not groebner._packing(LEX, 2, 8)
+    # the library's callers share them too
+    seen = []
+    real = groebner._packing
+
+    def recording(*key):
+        seen.append(real(*key))
+        return seen[-1]
+
+    monkeypatch.setattr(groebner, "_packing", recording)
+    reduce_poly(x ** 3, [x - y], GREVLEX)
+    divide_exact(x ** 2 - y ** 2, x - y)
+    Ideal(XY, [x * y - 1]).reduce(x ** 2 * y)  # its buchberger and its records
+    assert len(seen) == 4 and all(p is seen[0] for p in seen)
 
 
 def test_huge_exponents_are_exact():
