@@ -30,10 +30,9 @@ follows from a product of lower degree, nf(x^e) = X_k nf(x^(e - e_k)) for
 any k with e_k > 0, memoised by exponent.  Products and the trace form
 read the tensor directly, and multiplication matrices combine the basis
 ones, which `linalg.MatrixFamily` holds over the tensor's denominator.
-A matrix stays integer rows over one denominator (see linalg) from a
-candidate's matrix to each piece's echelon basis and in the idempotent
-checks; Fractions appear only in values handed out (`var_matrices`,
-`table`, `mult`, `mult_matrix`, idempotents), an int where integral.
+Every matrix, the variables' included, is held once, as integer rows over
+one denominator (see linalg), and so are the restrictions to a factor;
+Fractions appear only in `table`, `mult` and idempotents.
 
 The Jacobson radical is computed from the trace form, which in
 characteristic zero has the radical as its kernel; residue-field
@@ -72,7 +71,6 @@ class ArtinAlgebra:
                 for r, c in col:
                     m[r][j] = c
             self._vars.append((m, var_den))
-        self.var_matrices = [linalg.fraction_matrix(m, d) for m, d in self._vars]
         self._den, self._tensor = self._structure_tensor(var_cols, var_den)
         # trace of multiplication by basis_k, times den
         self._traces = [sum(self._tensor[k][j][j] for j in range(self.dim))
@@ -190,12 +188,6 @@ class ArtinAlgebra:
         the i-th is b_i * b_j.  Built on first use."""
         return linalg.MatrixFamily([(linalg.transpose(t), self._den) for t in self._tensor])
 
-    def mult_matrix(self, v) -> list[list[Fraction]]:
-        """Multiplication matrix of the element with coordinate vector v."""
-        if len(v) != self.dim:
-            raise ValueError(f"vector of length {len(v)} in an algebra of dimension {self.dim}")
-        return linalg.fraction_matrix(*self._multiplications.combine(v))
-
     # ---------- semisimplicity data ----------
 
     def trace_gram(self) -> list[list[int]]:
@@ -240,15 +232,10 @@ class LocalFactor:
         """Restriction of ambient_matrix / den to the factor, in the
         coordinates of basis_vectors, as integer rows over one denominator.
         A matrix that is not dim x dim for the algebra raises ValueError."""
-        m, d = linalg.integer_matrix(ambient_matrix)
-        cols = []
-        for v in self.basis_vectors:
-            c = self._span.coords(linalg.mat_vec(m, v))
-            if c is None:
-                raise RuntimeError("factor subspace is not invariant")
-            cols.append(c)
-        rows, d_cols = linalg.integer_matrix(linalg.transpose(cols))
-        return rows, d_cols * d * den
+        cols = [self._span.coords(linalg.mat_vec(ambient_matrix, v)) for v in self.basis_vectors]
+        if None in cols:
+            raise RuntimeError("factor subspace is not invariant")
+        return linalg.integer_columns(cols, den)
 
     @functools.cached_property
     def residue_dim(self) -> int:

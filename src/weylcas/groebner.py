@@ -450,9 +450,10 @@ def _eliminate_tag(vs, pairs) -> Ideal:
     while tag in vs:
         tag += "_"
     big_vars = (tag,) + vs
-    t = SparsePoly.variable(big_vars, 0)
-    gb = buchberger([a.extend(big_vars) + t * b.extend(big_vars) for a, b in pairs],
-                    _TAG_ELIMINATION)
+    # a + t*b written directly: the terms of a at t-degree 0 and of b at 1
+    gb = buchberger([SparsePoly._clean(big_vars, {(0,) + e: c for e, c in a.terms.items()}
+                                       | {(1,) + e: c for e, c in b.terms.items()})
+                     for a, b in pairs], _TAG_ELIMINATION)
     basis = [SparsePoly._clean(vs, {e[1:]: c for e, c in g.terms.items()})
              for g in gb if all(e[0] == 0 for e in g.terms)]
     ideal = Ideal(vs, basis)

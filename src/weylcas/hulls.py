@@ -10,13 +10,14 @@ content of the main multiplicity formula.
 
 Hull models use Matlis-dual bookkeeping only: the truncated hull is the
 dual of S/m^B, with (0 : nu^k) dimensions read off as corank of matrix
-powers.  Module actions are held as integer rows over one denominator
-(see linalg), and socles, spans, ranks and hull certificates are computed
-on them; Fractions appear only in values handed out, such as `var_actions`
-and `action_of_vector`.  Base rings with more than one variable are deliberately not
-supported; the one-variable case already exercises multiplicity, socle
-growth, and residue-field extensions, and higher-dimensional bases add
-representation cost without new structural content.
+powers.  Module, hull and nu actions are held once, as integer rows over
+one denominator (see linalg), and socles, spans, ranks and certificates
+are computed on them; Fractions appear only in values handed out:
+`action_of_vector`, `monomial_action` and `nu_dense`.  Base rings with
+more than one variable are deliberately not supported; the one-variable
+case already exercises multiplicity, socle growth, and residue-field
+extensions, and higher-dimensional bases add representation cost without
+new structural content.  A truncation above MAX_TRUNCATION is refused.
 
 Associated primes of finite R-modules are computed, never assumed: over
 Q[x] a prime is recorded by the dense coefficient tuple of its monic
@@ -40,7 +41,7 @@ class FactorNotFoundError(RuntimeError):
 
 
 class TruncationError(ValueError):
-    """The truncation level cannot support the requested socle depth."""
+    """The truncation level is outside 1..MAX_TRUNCATION or too low for the socle depth."""
 
 
 class NotMaximalError(ValueError):
@@ -49,6 +50,9 @@ class NotMaximalError(ValueError):
 
 # the variable of the base R = Q[x] and the one the extension adjoins
 BASE_VAR, EXT_VAR = "x", "y"
+
+# the deepest truncated hull (x -> y^2 at (y) to depth 60: 0.5 s on a 2-cpu x86_64)
+MAX_TRUNCATION = 120
 
 
 class CurveExtension:
@@ -95,8 +99,11 @@ class CurveExtension:
                 raise ValueError("maximal ideal generator over the wrong ring")
         self.maximal_ideal = list(maximal_ideal)
         A = self.residue_field_algebra()
-        # m cap R = (nu) for the minimal polynomial nu of x in the field S/m
-        self._nu = linalg.minimal_polynomial(A.mult_matrix(A.to_vector(self.x_image())))
+        # m cap R = (nu) for the minimal polynomial nu of x in the field S/m:
+        # for the action M_x = X / d of x, p(M_x) 1 = p(x), and p(x) = 0 makes
+        # p(M_x) = 0, so nu is the annihilator of 1, one Krylov sequence
+        x_action, d = A._multiplications.combine(A.to_vector(self.x_image()))
+        self._nu = linalg.annihilator(x_action, A.one(), d)
 
     # ---------- quotients of S ----------
 
@@ -229,14 +236,13 @@ class TruncatedHull:
     """
 
     def __init__(self, ext: CurveExtension, truncation: int):
-        if truncation < 1:
-            raise TruncationError("truncation level must be >= 1")
+        if not 1 <= truncation <= MAX_TRUNCATION:
+            raise TruncationError(f"truncation level {truncation} outside 1..{MAX_TRUNCATION}")
         self.ext = ext
-        self.algebra = ext.quotient_algebra(
-            ideal_power(Ideal(ext.s_vars, ext.maximal_ideal), truncation).generators
-        )
-        self.nu_matrix = self.algebra.mult_matrix(self.algebra.to_vector(ext.nu_in_s()))
-        self.x_matrix = self.algebra.mult_matrix(self.algebra.to_vector(ext.x_image()))
+        A = self.algebra = ext.quotient_algebra(
+            ideal_power(Ideal(ext.s_vars, ext.maximal_ideal), truncation).generators)
+        self.nu_action = A._multiplications.combine(A.to_vector(ext.nu_in_s()))
+        self.x_action = A._multiplications.combine(A.to_vector(ext.x_image()))
 
     @property
     def dim(self) -> int:
@@ -245,10 +251,11 @@ class TruncatedHull:
     def socle_dims(self, k_max: int) -> list[int]:
         """dim (0 :_E nu^k) for k = 1..k_max."""
         out = []
-        power = linalg.identity(self.dim)
+        nu, power = self.nu_action[0], linalg.identity(self.dim)
         for _ in range(k_max):
-            power = linalg.mat_mul(power, self.nu_matrix)
-            out.append(self.dim - linalg.rank(power))
+            # nu^k with each row scaled to a primitive integer row: its rank
+            power = linalg.primitive_rows(linalg.mat_mul(power, nu))
+            out.append(self.dim - linalg.integer_rank(power[:]))
         return out
 
 
@@ -279,8 +286,7 @@ def socle_growth_oracle(ext: CurveExtension, k_max: int,
         truncation = max(12, needed)
     if truncation < needed:
         raise TruncationError(f"truncation {truncation} below the conservative bound {needed}")
-    hull = TruncatedHull(ext, truncation)
-    return hull.socle_dims(k_max)
+    return TruncatedHull(ext, truncation).socle_dims(k_max)
 
 
 # ---------- associated primes over R = Q[x] ----------
@@ -305,14 +311,14 @@ def ass_truncated_hull(hull: TruncatedHull) -> frozenset:
     verified by nilpotency of nu and a socle witness with annihilator nu."""
     if hull.dim == 0:
         return frozenset()
-    power = linalg.mat_pow(hull.nu_matrix, hull.dim)
-    if not linalg.is_zero_matrix(power):
+    nu_action, (x_action, x_den) = hull.nu_action[0], hull.x_action
+    # nilpotency, the kernel and the annihilator do not depend on the scale
+    if not linalg.is_zero_matrix(linalg.mat_pow(nu_action, hull.dim)):
         raise RuntimeError("hull element not annihilated by a power of nu")
-    nu_dual = linalg.transpose(hull.nu_matrix)
-    witnesses = linalg.nullspace(nu_dual)
+    witnesses = linalg.nullspace(linalg.transpose(nu_action))
     if not witnesses:
         raise RuntimeError("truncated hull has no socle")
-    ann = linalg.annihilator(linalg.transpose(hull.x_matrix), witnesses[0])
+    ann = linalg.annihilator(linalg.transpose(x_action), witnesses[0], x_den)
     nu = hull.ext.nu_dense()
     if ann != nu:
         raise RuntimeError("socle witness annihilator differs from nu")
@@ -327,15 +333,16 @@ class ArtinModule:
     Anything but one dim x dim action per variable, actions that do not
     commute, or an element of the ideal's Groebner basis that does not act
     as zero raises ValueError.  The regular module, duals, quotients and
-    hulls are modules by construction and skip these costly checks.  Each
-    action is also held scaled, as (integer rows, denominator)."""
+    hulls are modules by construction and skip these costly checks.  The
+    actions are held once, scaled, as (integer rows, denominator)."""
 
-    def __init__(self, algebra: ArtinAlgebra, var_actions, dim: int):
-        if len(var_actions) != len(algebra.vars) or any(
-                len(m) != dim or any(len(row) != dim for row in m) for m in var_actions):
+    def __init__(self, algebra: ArtinAlgebra, actions, dim: int):
+        if len(actions) != len(algebra.vars) or any(
+                len(m) != dim or any(len(row) != dim for row in m) for m in actions):
             raise ValueError(f"{len(algebra.vars)} actions of shape {dim}x{dim} expected, got "
-                             f"{[linalg.shape(m) for m in var_actions]}")
-        self._adopt(algebra, var_actions, dim, [linalg.integer_matrix(m) for m in var_actions])
+                             f"{[linalg.shape(m) for m in actions]}")
+        self.algebra, self.dim, self._monomials = algebra, dim, {}
+        self._actions = [linalg.integer_matrix(m) for m in actions]
         for i, (a, _) in enumerate(self._actions):
             for j, (b, _) in enumerate(self._actions[:i]):
                 if linalg.mat_mul(a, b) != linalg.mat_mul(b, a):
@@ -348,24 +355,16 @@ class ArtinModule:
             if not linalg.is_zero_matrix(actions.combine([g.terms.get(e, 0) for e in monomials])[0]):
                 raise ValueError(f"{g.to_str()} in the ideal does not act as zero")
 
-    def _adopt(self, algebra: ArtinAlgebra, var_actions, dim: int, scaled):
-        self.algebra = algebra
-        self.var_actions = var_actions
-        self.dim = dim
-        self._actions = scaled
-        self._monomials: dict[tuple, tuple[list, int]] = {}
-        return self
-
     @classmethod
     def _built(cls, algebra: ArtinAlgebra, scaled, dim: int) -> "ArtinModule":
         """A module by construction from its scaled actions, unchecked."""
-        return cls.__new__(cls)._adopt(
-            algebra, [linalg.fraction_matrix(m, d) for m, d in scaled], dim, scaled)
+        module = cls.__new__(cls)
+        module.algebra, module.dim, module._actions, module._monomials = algebra, dim, scaled, {}
+        return module
 
     @classmethod
     def regular(cls, algebra: ArtinAlgebra) -> "ArtinModule":
-        return cls.__new__(cls)._adopt(
-            algebra, [linalg.copy(m) for m in algebra.var_matrices], algebra.dim, algebra._vars)
+        return cls._built(algebra, algebra._vars, algebra.dim)
 
     def dual(self) -> "ArtinModule":
         return ArtinModule._built(
@@ -412,7 +411,7 @@ class ArtinModule:
         span = linalg.Subspace(self.dim)
         frontier = [v for v in vectors if span.add(v)]
         while frontier:
-            images = [linalg.mat_vec(m, v) for m in self.var_actions for v in frontier]
+            images = [linalg.mat_vec(m, v, d) for m, d in self._actions for v in frontier]
             frontier = [w for w in images if span.add(w)]
         return span.basis
 
@@ -420,18 +419,17 @@ class ArtinModule:
         """Quotient module by an action-stable subspace; a subspace that
         some variable moves out of itself raises ValueError."""
         span = linalg.Subspace(self.dim, subspace_cols)
-        if any(linalg.mat_vec(m, v) not in span for m in self.var_actions for v in span.basis):
+        if any(linalg.mat_vec(m, v) not in span for m, _ in self._actions for v in span.basis):
             raise ValueError("subspace is not stable under the action")
         # e_c lies in the span plus the later unit vectors exactly when c is
         # a pivot column, so this keeps the non-pivot unit vectors: they
         # project to the unit vectors of the quotient
         extended = linalg.Subspace(self.dim, span.basis)
-        lifts = [e for e in (linalg.unit_vector(self.dim, c) for c in reversed(range(self.dim)))
-                 if extended.add(e)][::-1]
-        new_actions = [linalg.transpose([span.project(linalg.mat_vec(m, e)) for e in lifts])
-                       for m in self.var_actions]
-        return ArtinModule._built(self.algebra, [linalg.integer_matrix(m) for m in new_actions],
-                                  len(lifts))
+        lifts = [c for c in reversed(range(self.dim))
+                 if extended.add(linalg.unit_vector(self.dim, c))][::-1]
+        columns = [(linalg.transpose(m), d) for m, d in self._actions]  # m e_c is column c
+        return ArtinModule._built(self.algebra, [linalg.integer_columns(
+            [span.project(cols[c]) for c in lifts], d) for cols, d in columns], len(lifts))
 
 
 class HullResult:
@@ -453,8 +451,10 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
     multiplicities of M.  Certificates: the embedding is injective and
     A-linear, and soc(E) lands inside the image (essentiality).  E is
     injective by construction: each block is the K-dual of a projective
-    local factor.  No span or certificate changes when a generator, or all
-    actions of the factors' integer basis vectors at once, are scaled.
+    local factor.  No span or certificate changes when a generator, a
+    projection modulo the radical, or all actions of the factors' integer
+    basis vectors at once, are scaled, so projections enter by their
+    numerators.
     """
     if module.dim == 0:
         raise ValueError("hull of the zero module")
@@ -473,18 +473,18 @@ def essential_hull(algebra: ArtinAlgebra, module: ArtinModule,
         e_act = dual_action_of(tuple(factor.idempotent))
         # K-dimension of the factor component of dual/rad(dual)
         target_dim = linalg.Subspace(
-            top_dim, [rad_span.project(col) for col in linalg.transpose(e_act)]).dim
+            top_dim, [rad_span.project(col)[0] for col in linalg.transpose(e_act)]).dim
         gens = []
         covered = linalg.Subspace(top_dim)
         for candidate in linalg.transpose(e_act):
             if covered.dim >= target_dim:
                 break
-            if rad_span.project(candidate) in covered:
+            if rad_span.project(candidate)[0] in covered:
                 continue
             gens.append(candidate)
             # enlarge by the K-span of the A-orbit of the image
             for b in factor.basis_vectors:
-                covered.add(rad_span.project(linalg.mat_vec(dual_action_of(tuple(b)), candidate)))
+                covered.add(rad_span.project(linalg.mat_vec(dual_action_of(tuple(b)), candidate))[0])
         restricted = [factor.restrict(*var) for var in A._vars]
         for g in gens:
             embedding += [linalg.mat_vec(dual_action_of(tuple(b)), g) for b in factor.basis_vectors]

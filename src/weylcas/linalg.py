@@ -7,19 +7,21 @@ Matrices are lists of rows of exact rationals and act on column vectors;
 returned is stored as a `SparsePoly` coefficient is: an int when integral,
 else a Fraction.  All arithmetic runs on Python ints.  Inside the library
 a rational matrix travels scaled, as integer rows m over one denominator d
-(`integer_matrix`, `MatrixFamily.combine`), and the kernels take integer
-rows as they are: products of integer rows are integer rows, `rref`,
-`rank`, `nullspace` and `Subspace` do not depend on d, and `annihilator`
-and `poly_apply` take d as an argument.  Fractions are built only where a
-value leaves the library (`fraction_vector`, `fraction_matrix`).  `rref`,
-`rank` and `nullspace` share one fraction-free echelon routine: it
-eliminates by cross-multiplication and keeps every row primitive, as
+(`integer_matrix`, `MatrixFamily.combine`, `integer_columns`), and the
+kernels take integer rows as they are: products of integer rows are
+integer rows, `rref`, `rank`, `nullspace` and `Subspace` do not depend on
+d, and `mat_vec`, `annihilator` and `poly_apply` take d as an argument.
+Fractions are built only where a value leaves the library
+(`fraction_vector`, `fraction_matrix`).  `rref`, `rank` and `nullspace`
+share one fraction-free echelon routine: it eliminates by
+cross-multiplication and keeps every row primitive (`primitive_rows`), as
 `Subspace` keeps its rows.  A ragged matrix, operands whose shapes do not
 fit, or a negative power raise ValueError.
 
 A `Subspace` keeps a growing span in a canonical echelon form and answers
-every span question asked of a set of vectors: membership, coordinates
-over the accepted vectors, projection modulo the span, and equality.
+every span question asked of a set of vectors: membership, equality, and
+coordinates over the accepted vectors and projection modulo the span, both
+as (integer numerators, denominator), the scale unique only up to value.
 """
 
 from __future__ import annotations
@@ -98,6 +100,13 @@ def fraction_matrix(rows: list[list[int]], den: int) -> Matrix:
     return [fraction_vector(row, den) for row in rows]
 
 
+def integer_columns(cols, den: int) -> tuple[list[list[int]], int]:
+    """The matrix with column j nums_j / (d_j den), for the pairs (nums_j,
+    d_j) in cols, as integer rows over their one denominator."""
+    common = lcm(*[d for _, d in cols])
+    return transpose([[x * (common // d) for x in nums] for nums, d in cols]), common * den
+
+
 def transpose(a: Matrix) -> Matrix:
     """The transpose; a ragged matrix raises ValueError."""
     _width(a)
@@ -129,13 +138,13 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out if da * db == 1 else fraction_matrix(out, da * db)
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
+def mat_vec(a: Matrix, v: Vector, den: int = 1) -> Vector:
     for row in a:
         if len(row) != len(v):
             raise ValueError(f"shape mismatch {len(a)}x{len(row)} * vector of length {len(v)}")
-    m, den = integer_matrix(a)
+    m, d = integer_matrix(a)
     nums, den_v = integer_vector(v)
-    return fraction_vector(_int_mat_vec(m, nums), den * den_v)
+    return fraction_vector(_int_mat_vec(m, nums), d * den * den_v)
 
 
 def _int_mat_vec(m: list[list[int]], w: list[int]) -> list[int]:
@@ -149,8 +158,7 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
         raise ValueError("matrix must be square")
     if k < 0:
         raise ValueError(f"negative power {k}")
-    result = identity(n)
-    base = copy(a)
+    result, base = identity(n), a
     while k:
         if k & 1:
             result = mat_mul(result, base)
@@ -169,7 +177,7 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // content for x in row] if content > 1 else row
 
 
-def _integer_rows(a: Matrix) -> list[list[int]]:
+def primitive_rows(a: Matrix) -> list[list[int]]:
     """Each row of a (int or Fraction entries) scaled by the lcm of its
     denominators and made primitive.  A ragged matrix raises ValueError."""
     _width(a)
@@ -217,7 +225,7 @@ def _echelon(m: list[list[int]], reduced: bool) -> list[int]:
 def echelon_rows(a: Matrix) -> tuple[list[list[int]], list[int]]:
     """The nonzero rows of the reduced row echelon form of a as primitive
     integer rows positive at their pivots, and the pivot columns."""
-    m = _integer_rows(a)
+    m = primitive_rows(a)
     pivots = _echelon(m, True)
     return [row if row[c] > 0 else [-x for x in row] for row, c in zip(m, pivots)], pivots
 
@@ -233,7 +241,7 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
 def rank(a: Matrix) -> int:
     """The rank of a; a ragged matrix raises ValueError."""
-    return len(_echelon(_integer_rows(a), False))
+    return len(_echelon(primitive_rows(a), False))
 
 
 def integer_rank(m: list[list[int]]) -> int:
@@ -262,7 +270,7 @@ def cohomology_dim(dims: list[int], ranks: list[int], t: int) -> int:
 def nullspace(a: Matrix) -> list[Vector]:
     """Basis of {v : a v = 0}, one vector per free column.  A ragged
     matrix raises ValueError."""
-    m = _integer_rows(a)
+    m = primitive_rows(a)
     cols = len(m[0]) if m else 0
     pivots = _echelon(m, True)
     free = [c for c in range(cols) if c not in pivots]
@@ -388,15 +396,17 @@ class Subspace:
     def __contains__(self, v: Vector) -> bool:
         return not any(self._reduce(v, False)[0])
 
-    def coords(self, v: Vector) -> Vector | None:
-        """The coordinates of v over basis, or None when v is outside."""
+    def coords(self, v: Vector) -> tuple[list[int], int] | None:
+        """The coordinates of v over basis as (integer numerators, positive
+        denominator), or None when v is outside."""
         r, e, w, d = self._reduce(v, True)
-        return None if any(r) else fraction_vector(w, d * e)
+        return None if any(r) else (w, d * e)
 
-    def project(self, v: Vector) -> Vector:
-        """The non-pivot coordinates of v modulo the subspace."""
+    def project(self, v: Vector) -> tuple[list[int], int]:
+        """The non-pivot coordinates of v modulo the subspace, as (integer
+        numerators, positive denominator)."""
         r, e, _, _ = self._reduce(v, False)
-        return fraction_vector([x for j, x in enumerate(r) if j not in self._rows], e)
+        return [x for j, x in enumerate(r) if j not in self._rows], e
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -452,10 +462,9 @@ def annihilator(a: Matrix, v: Vector, den: int = 1) -> list[Fraction]:
     w = integer_vector(v)[0]
     while krylov.add(w):
         w = _int_mat_vec(m, w)
-    coords = krylov.coords(w)
-    k = len(coords)
-    return [exact_ratio(-c.numerator, c.denominator * d ** (k - i))
-            for i, c in enumerate(coords)] + [1]
+    nums, dc = krylov.coords(w)
+    k = len(nums)
+    return [exact_ratio(-c, dc * d ** (k - i)) for i, c in enumerate(nums)] + [1]
 
 
 def poly_apply(coeffs, a: Matrix, v: Vector, den: int = 1) -> Vector:
@@ -481,8 +490,6 @@ def minimal_polynomial(a: Matrix) -> list[Fraction]:
     n, m = shape(a)
     if n != m:
         raise ValueError("matrix must be square")
-    if n == 0:
-        return [1]
     result = [1]
     for i in range(n):
         local = annihilator(a, unit_vector(n, i))

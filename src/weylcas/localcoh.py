@@ -191,7 +191,8 @@ class CohPiece:
         coords = self._span.coords(vector)
         if coords is None:
             raise RuntimeError("vector is not a cocycle")
-        return coords[self._b:]
+        nums, den = coords
+        return linalg.fraction_vector(nums[self._b:], den)
 
 
 def induced_map(source: CohPiece, target: CohPiece, chain_matrix):

@@ -307,22 +307,6 @@ class SparsePoly:
             out[tuple(e2)] = c * k
         return SparsePoly._clean(self.vars, out)
 
-    def extend(self, variables) -> "SparsePoly":
-        """Embed into a larger ring; self.vars must be a subset of variables."""
-        vs = tuple(variables)
-        pos = []
-        for v in self.vars:
-            if v not in vs:
-                raise ValueError(f"variable {v} missing from {vs}")
-            pos.append(vs.index(v))
-        out = {}
-        for e, c in self.terms.items():
-            e2 = [0] * len(vs)
-            for i, x in enumerate(e):
-                e2[pos[i]] = x
-            out[tuple(e2)] = c
-        return SparsePoly(vs, out)
-
     # ---------- printing ----------
 
     def to_str(self, order: TermOrder = GREVLEX) -> str:

@@ -68,6 +68,11 @@ caller, the hull's block diagonal, placed its scaled blocks itself.
 `ore` moved op^alpha past one monomial at a time into a flat term map.
 `socle_matches_primary_annihilator` checks (0 :_E nu) = (0 :_E Q_1) in a
 truncated hull; only the tests call it.
+`var_matrices`, `mult_matrix`, `var_actions`, `nu_matrix` and
+`subspace_coords` read the library's scaled matrices and coordinate pairs
+as Fraction values, as the library once stored them;
+`old_submodule_closure` grows a submodule with those Fraction actions and
+an `OldSubspace`, before `ArtinModule` held its actions scaled only.
 All are exact
 and slow; on inputs they answer correctly the production code must give
 identical results (fractions: the same value, compared by
@@ -132,6 +137,46 @@ def exact_rule(values) -> bool:
     return all(exact_rule(x) if isinstance(x, list)
                else type(x) is int or (type(x) is Fraction and x.denominator != 1)
                for x in values)
+
+
+# ---------- Fraction views of the scaled form ----------
+
+def var_matrices(algebra) -> list:
+    """The multiplication matrices of an ArtinAlgebra's variables."""
+    return [linalg.fraction_matrix(m, d) for m, d in algebra._vars]
+
+
+def mult_matrix(algebra, v) -> list:
+    """The multiplication matrix of the algebra element with coordinates v."""
+    return linalg.fraction_matrix(*algebra._multiplications.combine(v))
+
+
+def var_actions(module) -> list:
+    """The actions of an ArtinModule's variables."""
+    return [linalg.fraction_matrix(m, d) for m, d in module._actions]
+
+
+def nu_matrix(hull) -> list:
+    """The action of nu on a TruncatedHull."""
+    return linalg.fraction_matrix(*hull.nu_action)
+
+
+def subspace_coords(span, v) -> list | None:
+    """The coordinates of v over span.basis as exact values, or None."""
+    coords = span.coords(v)
+    return None if coords is None else linalg.fraction_vector(*coords)
+
+
+def old_submodule_closure(module, vectors) -> list:
+    """The vectors `submodule_closure` accepts, found with the Fraction
+    actions and an `OldSubspace`."""
+    span = OldSubspace(module.dim)
+    frontier = [v for v in vectors if span.add(v)]
+    actions = var_actions(module)
+    while frontier:
+        images = [old_mat_vec(m, v) for m in actions for v in frontier]
+        frontier = [w for w in images if span.add(w)]
+    return span.basis
 
 
 def eval_at(a: list, x: Fraction) -> Fraction:
@@ -364,7 +409,7 @@ def _to_ambient(factor: LocalFactor, factor_vector: list) -> list:
 def factor_coords(factor: LocalFactor, ambient_vector: list) -> list:
     """Coordinates of an ambient vector over factor.basis_vectors, through
     a Subspace; a vector outside the factor raises ValueError."""
-    c = linalg.Subspace(factor.algebra.dim, factor.basis_vectors).coords(ambient_vector)
+    c = subspace_coords(linalg.Subspace(factor.algebra.dim, factor.basis_vectors), ambient_vector)
     if c is None:
         raise ValueError("vector outside the factor")
     return c
@@ -391,11 +436,11 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
         return None  # residue field Q: already local
     project, complement = _quotient_projection(rad, k)
     one_factor = factor_coords(factor, factor.idempotent)
-    mult_idem = algebra.mult_matrix(factor.idempotent)
+    mult_idem = mult_matrix(algebra, factor.idempotent)
     stubborn_full_degree = 0
     for cand in _candidate_elements(algebra, seed, extra_trials):
         local_elt = linalg.mat_vec(mult_idem, cand)
-        m = linalg.fraction_matrix(*factor.restrict(algebra.mult_matrix(local_elt)))
+        m = linalg.fraction_matrix(*factor.restrict(mult_matrix(algebra, local_elt)))
         # the induced action on the (etale) quotient has squarefree min poly
         m_ss = linalg.transpose(
             [project([m[rr][c] for rr in range(k)]) for c in complement]
@@ -589,7 +634,7 @@ class OldCohPiece:
         self._z_span = linalg.Subspace(self.ambient_dim, self.z_cols)
         beta_cols = []
         for b in b_cols:
-            coords = self._z_span.coords(b)
+            coords = subspace_coords(self._z_span, b)
             if coords is None:
                 raise RuntimeError("boundary outside the cocycles")
             beta_cols.append(coords)
@@ -605,7 +650,7 @@ class OldCohPiece:
         """H-coordinates of an ambient cocycle."""
         if self.h_dim == 0:
             return []
-        coords = self._z_span.coords(vector)
+        coords = subspace_coords(self._z_span, vector)
         if coords is None:
             raise RuntimeError("vector is not a cocycle")
         return [sum((q[i] * coords[i] for i in range(len(coords))), Fraction(0))
@@ -1809,14 +1854,14 @@ def socle_matches_primary_annihilator(ext: CurveExtension,
     idx = matched_local_factor(A, factors, ext.maximal_ideal)
     hull = TruncatedHull(ext, truncation)
     AB = hull.algebra
-    nu_span = linalg.Subspace(AB.dim, linalg.transpose(hull.nu_matrix))
+    nu_span = linalg.Subspace(AB.dim, linalg.transpose(nu_matrix(hull)))
     q1_span = linalg.Subspace(AB.dim, nu_span.basis)
     for j, factor in enumerate(factors):
         if j == idx:
             continue
         for v in factor.basis_vectors:
             lift = A.to_poly(v)  # monomial representative, lifted through S
-            m = AB.mult_matrix(AB.to_vector(lift))
+            m = mult_matrix(AB, AB.to_vector(lift))
             for col in linalg.transpose(m):
                 q1_span.add(col)
     return nu_span == q1_span

@@ -9,6 +9,7 @@ import pytest
 
 import weylcas
 from weylcas.cli import main
+from weylcas.hulls import MAX_TRUNCATION
 
 
 def run(capsys, *argv):
@@ -208,6 +209,19 @@ def test_refused_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kmax", ["61", "150", "400"])
+def test_hull_oracle_above_the_truncation_limit_exits_2(capsys, kmax):
+    # --kmax 400 once ran for more than a minute; depth k needs truncation 2k here
+    code, out, err = run(capsys, "hull-oracle", "--map", "y^2", "--maxideal", "y", "--kmax", kmax)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: truncation level {2 * int(kmax)} outside 1..{MAX_TRUNCATION}\n"
+    code, out, err = run(capsys, "hull-oracle", "--map", "y^2", "--maxideal", "y", "--kmax", "3",
+                         "--truncate", str(2 * int(kmax)))
+    assert (code, out) == (2, "")
+    assert f"outside 1..{MAX_TRUNCATION}" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,16 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 from oracles import (
     _quotient_projection,
     exact_rule,
+    mult_matrix,
     old_action_of_vector,
     socle_matches_primary_annihilator,
+    var_actions,
+    var_matrices,
 )
 
 from weylcas import linalg
 from weylcas.artin import ArtinAlgebra, decompose_local
 from weylcas.hulls import (
+    MAX_TRUNCATION,
     ArtinModule,
     CurveExtension,
     NotMaximalError,
@@ -165,6 +170,28 @@ def test_truncation_error():
         socle_growth_oracle(map_ext(y ** 3, [y]), 6, truncation=10)
 
 
+def test_truncation_above_the_limit_is_refused_before_anything_is_built(monkeypatch):
+    # x -> y^2 at m = (y) to depth 150 once ran for seconds, and to 400 for over a minute
+    ext = map_ext(y ** 2, [y])
+    monkeypatch.setattr("weylcas.hulls.ideal_power", lambda *args: pytest.fail("built"))
+    for truncation in (MAX_TRUNCATION + 1, 800):
+        with pytest.raises(TruncationError, match=f"level {truncation} outside 1..{MAX_TRUNCATION}"):
+            TruncatedHull(ext, truncation)
+    with pytest.raises(TruncationError, match="level 0 outside"):
+        TruncatedHull(ext, 0)
+    # depth k needs truncation 2k here
+    for k_max in (MAX_TRUNCATION // 2 + 1, 150, 400):
+        with pytest.raises(TruncationError, match=f"outside 1..{MAX_TRUNCATION}"):
+            socle_growth_oracle(ext, k_max)
+
+
+def test_truncation_at_the_limit_is_accepted():
+    hull = TruncatedHull(map_ext(y, [y]), MAX_TRUNCATION)
+    assert hull.dim == MAX_TRUNCATION
+    assert hull.socle_dims(3) == [1, 2, 3]
+    assert socle_growth_oracle(map_ext(y ** 2, [y]), 3, truncation=MAX_TRUNCATION) == [2, 4, 6]
+
+
 def test_socle_primary_annihilator_corpus():
     for f, m, _, _ in CORPUS:
         assert socle_matches_primary_annihilator(map_ext(f, m))
@@ -181,7 +208,7 @@ def test_ass_simple_quotient():
     # S/m over R: killed by nu, nonzero
     ext = map_ext(y ** 2, [y])
     A = ext.residue_field_algebra()
-    x_act = A.mult_matrix(A.to_vector(ext.x_image()))
+    x_act = mult_matrix(A, A.to_vector(ext.x_image()))
     assert ass_finite_x_module(x_act) == frozenset({(Fraction(0), Fraction(1))})
 
 
@@ -276,7 +303,7 @@ def test_hull_direct_sum_multiplicity_two():
     reg = ArtinModule.regular(A)
     two = ArtinModule(
         A,
-        [_block_diag(reg.var_actions[0], reg.var_actions[0])],
+        [_block_diag(var_actions(reg)[0], var_actions(reg)[0])],
         4,
     )
     result = essential_hull(A, two, decompose_local(A))
@@ -355,9 +382,9 @@ def test_quotient_by_matches_rref_projection_oracle():
         project, complement = _quotient_projection(sub, A.dim)
         expected = [linalg.transpose([project(linalg.mat_vec(m, linalg.unit_vector(A.dim, c)))
                                       for c in complement])
-                    for m in M.var_actions]
+                    for m in var_actions(M)]
         Q = M.quotient_by(sub)
-        assert Q.var_actions == expected
+        assert var_actions(Q) == expected
         dims.append(Q.dim)
     assert dims == [2, 4, 3, 4, 1]
 
@@ -383,7 +410,7 @@ def test_monomial_action_prefix_cache_matches_products_from_identity():
             m = linalg.identity(M.dim)
             for i, k in enumerate(e):
                 for _ in range(k):
-                    m = linalg.mat_mul(M.var_actions[i], m)
+                    m = linalg.mat_mul(var_actions(M)[i], m)
             assert M.monomial_action(e) == m
 
 
@@ -425,7 +452,7 @@ def test_artin_module_refuses_actions_of_the_wrong_count_or_shape():
                          ([linalg.identity(4), [[1, 0, 0, 0]] * 3 + [[1]]], 4)):
         with pytest.raises(ValueError):
             ArtinModule(A, actions, dim)
-    M = ArtinModule(A, A.var_matrices, 4)
+    M = ArtinModule(A, var_matrices(A), 4)
     assert M.action_of_vector(A.one()) == linalg.identity(4)
 
 
@@ -449,3 +476,48 @@ def test_artin_module_refuses_actions_that_do_not_commute():
     A = ArtinAlgebra.from_presentation(XY, [xx ** 2, yy ** 2])
     with pytest.raises(ValueError, match="the actions of x and y do not commute"):
         ArtinModule(A, [[[0, 1], [0, 0]], [[0, 0], [1, 0]]], 2)
+
+
+# ---------- nu from one Krylov sequence ----------
+
+def _seeded_extensions():
+    """Map-style extensions at rational points and at irreducible
+    quadratics, and relation-style ones at rational points and at points
+    over Q(sqrt(2)), all seeded."""
+    rng = random.Random("nu-krylov")
+    XYv = ("x", "y")
+    xx, yy = SparsePoly.variable(XYv, 0), SparsePoly.variable(XYv, 1)
+    out = []
+    for _ in range(12):
+        f = sum((rng.randint(-3, 3) * y ** k for k in range(rng.randint(1, 4))),
+                SparsePoly.zero(Y)) + rng.choice([1, 2, -1]) * y ** rng.randint(1, 4)
+        if f.total_degree() < 1:
+            f = f + y
+        r = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+        m = rng.choice([[y - r], [y ** 2 - rng.choice([2, 3, 5])], [y ** 2 + y + 1]])
+        out.append(map_ext(f, m))
+    for _ in range(6):
+        a, b = Fraction(rng.randint(-3, 3), rng.choice([1, 2])), rng.randint(-3, 3)
+        c1, c2 = rng.randint(-2, 2), rng.choice([1, -1, 2])
+        # y^2 + c1 x y + c2 x^3 + c0 with (a, b) on the curve
+        h = yy ** 2 + c1 * xx * yy + c2 * xx ** 3
+        h = h - (b ** 2 + c1 * a * b + c2 * a ** 3)
+        out.append(CurveExtension(relation=h, maximal_ideal=[xx - a, yy - b]))
+        # (y - x)(y + c) + e (x^2 - 2) vanishes on m = (x^2 - 2, y - x)
+        h = (yy - xx) * (yy + rng.randint(-3, 3)) + rng.randint(1, 3) * (xx ** 2 - 2)
+        out.append(CurveExtension(relation=h, maximal_ideal=[xx ** 2 - 2, yy - xx]))
+    return out
+
+
+def test_nu_is_the_minimal_polynomial_of_the_action_of_x():
+    """nu, the annihilator of 1 under x, against minimal_polynomial of x's
+    multiplication matrix on S/m, the path nu was once computed by."""
+    exts = [map_ext(f, m) for f, m, _, _ in CORPUS] + _seeded_extensions()
+    degrees = set()
+    for ext in exts:
+        A = ext.residue_field_algebra()
+        expected = linalg.minimal_polynomial(mult_matrix(A, A.to_vector(ext.x_image())))
+        assert ext.nu_dense() == expected, ext
+        assert exact_rule(ext.nu_dense()) and ext.nu_dense()[-1] == 1
+        degrees.add(len(expected) - 1)
+    assert len(exts) == 5 + 24 and degrees >= {1, 2}

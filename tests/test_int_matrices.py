@@ -20,6 +20,7 @@ import pytest
 from oracles import (
     OldSubspace,
     exact_rule,
+    mult_matrix,
     old_divmod_poly,
     old_gcd,
     old_mat_mul,
@@ -36,6 +37,8 @@ from oracles import (
     old_solve,
     old_structure_table,
     old_xgcd,
+    subspace_coords,
+    var_matrices,
 )
 
 from weylcas import linalg, univar
@@ -126,7 +129,11 @@ def test_subspace_matches_the_fraction_loops(kind):
         probes.append(linalg.mat_vec(linalg.transpose(new.basis), combination)
                       if new.basis else [0] * n)
         for v in probes:
-            coords, projected = new.coords(v), new.project(v)
+            pair, (nums, den) = new.coords(v), new.project(v)
+            # integer numerators over a positive denominator, compared by value
+            assert _all_ints([nums, pair[0] if pair else []])
+            assert den > 0 and (pair is None or pair[1] > 0)
+            coords, projected = subspace_coords(new, v), linalg.fraction_vector(nums, den)
             assert coords == old.coords(v)
             assert projected == old.project(v)
             assert exact_rule([coords or [], projected])
@@ -235,12 +242,12 @@ def test_artin_products_match_the_fraction_table(kind):
         table = old_structure_table(A)
         for _ in range(4):
             u, v = _matrix(rng, kind, 2, A.dim)
-            product, matrix = A.mult(u, v), A.mult_matrix(v)
+            product, matrix = A.mult(u, v), mult_matrix(A, v)
             assert product == old_mult(table, u, v)
             assert matrix == old_mult_matrix(table, v)
-            assert exact_rule([product, matrix, A.var_matrices])
+            assert exact_rule([product, matrix, var_matrices(A)])
             if kind != "rational":
-                assert _all_ints([product, matrix, A.var_matrices])
+                assert _all_ints([product, matrix, var_matrices(A)])
 
 
 def test_integer_vector_returns_a_row_the_caller_owns():

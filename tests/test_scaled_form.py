@@ -7,7 +7,10 @@ form stands for, and that a ragged matrix or a wrong shape still raises
 ValueError.  Then the Artinian layer, which runs on the scaled form, is
 checked against the Fraction oracles in `oracles`, on seeded algebras
 supported at points with non-integer coordinates, so that its matrices
-carry a denominator above 1.
+carry a denominator above 1.  Last, the hull layer, which holds each
+action once, scaled: every module it builds unchecked passes the checking
+constructor, and `submodule_closure` and `LocalFactor.restrict` agree with
+Fraction-action oracles.
 """
 
 import random
@@ -16,12 +19,19 @@ from math import gcd
 
 import pytest
 from oracles import (
+    OldSubspace,
     exact_rule,
+    mult_matrix,
     old_action_of_vector,
     old_decompose_local,
     old_mat_mul,
+    old_mat_vec,
     old_mult_matrix,
     old_structure_table,
+    old_submodule_closure,
+    subspace_coords,
+    var_actions,
+    var_matrices,
 )
 
 from weylcas import linalg
@@ -83,10 +93,11 @@ def test_subspace_on_the_scaled_form():
         assert scaled == exact
         for w in _ints(rng, 3, n) + m:
             assert (w in scaled) == (w in exact)
-            assert scaled.project(w) == exact.project(w)
+            projected = linalg.fraction_vector(*scaled.project(w))
+            assert projected == linalg.fraction_vector(*exact.project(w))
             # w = sum_i c_i m_i = sum_i (d c_i) (m_i / d)
-            coords = scaled.coords(w)
-            assert exact.coords(w) == (None if coords is None else [c * d for c in coords])
+            coords = subspace_coords(scaled, w)
+            assert subspace_coords(exact, w) == (None if coords is None else [c * d for c in coords])
 
 
 def test_krylov_and_horner_on_the_scaled_form():
@@ -177,7 +188,7 @@ def _algebras():
     out = []
     for _ in range(10):
         A = rational_point_algebra(rng)
-        assert any(type(x) is Fraction for m in A.var_matrices for row in m for x in row)
+        assert any(type(x) is Fraction for m in var_matrices(A) for row in m for x in row)
         out.append((rng, A))
     return out
 
@@ -209,7 +220,7 @@ def _old_monomial_action(module, e):
     out = linalg.identity(module.dim)
     for i, k in enumerate(e):
         for _ in range(k):
-            out = old_mat_mul(module.var_actions[i], out)
+            out = old_mat_mul(var_actions(module)[i], out)
     return out
 
 
@@ -218,7 +229,7 @@ def test_products_and_actions_match_the_fraction_oracles_at_rational_points():
         table = old_structure_table(A)
         for _ in range(3):
             v = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 6])) for _ in range(A.dim)]
-            matrix = A.mult_matrix(v)
+            matrix = mult_matrix(A, v)
             assert matrix == old_mult_matrix(table, v) and exact_rule(matrix)
             for module in _modules(rng, A):
                 action = module.action_of_vector(v)
@@ -237,4 +248,63 @@ def test_every_hull_certificate_holds_at_rational_points():
             assert all(hull.certificates.values()), hull.certificates
             assert hull.multiplicities == socle_multiplicities(A, module, factors)
             assert hull.module.dim == sum(m * f.dim for m, f in zip(hull.multiplicities, factors))
-            assert exact_rule(hull.module.var_actions)
+            assert exact_rule(var_actions(hull.module))
+
+
+# ---------- one scaled representation through the hull layer ----------
+
+def _integer_point_algebras():
+    """Q[x, y] / (prod (x - r_i)^m_i, y - c x - s) at integer points."""
+    rng = random.Random("scaled-integer-points")
+    x, y = SparsePoly.variable(XY, 0), SparsePoly.variable(XY, 1)
+    out = []
+    for _ in range(20):
+        f = SparsePoly.one(XY)
+        for r in rng.sample(range(-3, 4), rng.randint(1, 3)):
+            f = f * (x - r) ** rng.randint(1, 2)
+        g = (y - rng.randint(-2, 2) * x - rng.randint(-2, 2)) ** rng.randint(1, 2)
+        out.append((rng, ArtinAlgebra.from_presentation(XY, [f, g])))
+    return out
+
+
+def _checked(module):
+    """The module rebuilt through the checking constructor, from its
+    scaled actions made Fraction matrices."""
+    return ArtinModule(module.algebra, [linalg.fraction_matrix(m, d) for m, d in module._actions],
+                       module.dim)
+
+
+def test_every_unchecked_module_passes_the_public_checks():
+    built = 0
+    for rng, A in _algebras() + _integer_point_algebras():
+        factors = decompose_local(A)
+        modules = _modules(rng, A)
+        modules += [essential_hull(A, module, factors).module for module in list(modules)]
+        for module in modules:
+            checked = _checked(module)
+            assert var_actions(checked) == var_actions(module)
+            assert all(type(x) is int for m, _ in module._actions for row in m for x in row)
+            built += 1
+    assert built >= 100
+
+
+def test_submodule_closure_matches_the_fraction_action_oracle():
+    for rng, A in _algebras() + _integer_point_algebras():
+        for module in _modules(rng, A):
+            for _ in range(2):
+                vec = linalg.fraction_vector([rng.randint(-4, 4) for _ in range(module.dim)],
+                                             rng.choice([1, 2, 5]))
+                sub = module.submodule_closure([vec])
+                assert sub == old_submodule_closure(module, [vec]) and exact_rule(sub)
+
+
+def test_restriction_matches_the_fraction_oracle():
+    for _, A in _algebras() + _integer_point_algebras():
+        for factor in decompose_local(A):
+            span = OldSubspace(A.dim, factor.basis_vectors)
+            for (m, d), matrix in zip(A._vars, var_matrices(A)):
+                expected = linalg.transpose([span.coords(old_mat_vec(matrix, v))
+                                             for v in factor.basis_vectors])
+                rows, den = factor.restrict(m, d)
+                assert linalg.fraction_matrix(rows, den) == expected
+                assert all(type(x) is int for row in rows for x in row) and den > 0
