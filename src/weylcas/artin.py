@@ -17,26 +17,40 @@ one irreducible q of degree equal to the residue dimension, the semisimple
 quotient is the field Q[t]/(q) and the factor is certified local.  Over an
 infinite field a generic combination does one or the other; a factor where
 every candidate fails both raises RuntimeError rather than being returned
-as local.
+as local.  A piece inherits what its split proved: when the prime degrees
+deg q_i add up to the residue dimension of eA, each e_i A is local with
+residue dimension deg q_i; otherwise it resumes at the next candidate,
+certified local at once if its residue dimension is the degree of a prime
+that an earlier candidate gave on it (proofs in `decompose_local`).  The
+answer is checked on every run by e_i^2 = e_i, sum e_i = 1 and the factor
+dimensions adding up; orthogonality follows, so k factors cost k products
+(proof in `_assert_idempotent_system`).
 
 The structure constants are one integer tensor over one common
 denominator: the coordinates of b_i * b_j are tensor[i][j] / den.  It is
 built from the multiplication matrices X_k of the variables.  Column j of
 X_k is the normal form of x_k * b_j: a unit vector when that monomial is
-standard, and otherwise (a border monomial) one Groebner reduction, so at
-most nvars * dim reductions are made.  The standard monomials form an
-order ideal, so every product b_i * b_j = x^e of degree two or more
-follows from a product of lower degree, nf(x^e) = X_k nf(x^(e - e_k)) for
-any k with e_k > 0, memoised by exponent.  Products and the trace form
-read the tensor directly, and multiplication matrices combine the basis
-ones, which `linalg.MatrixFamily` holds over the tensor's denominator.
+standard, and otherwise (a border monomial) made by recurrence over the
+border in increasing grevlex order, with no reduction: a head of the
+reduced Groebner basis is minus its tail over its head coefficient, and
+any other border monomial is x_j nf(x^(e - e_j)) for a border monomial
+x^(e - e_j) (Kreuzer and Robbiano, Computational Commutative Algebra 2,
+sec. 6.4; the argument is in `_variable_columns`).  The standard
+monomials form an order ideal, so every product b_i * b_j = x^e of degree
+two or more follows from a product of lower degree, nf(x^e) = X_k
+nf(x^(e - e_k)) for any k with e_k > 0, memoised by exponent.  Products
+and the trace form read the tensor directly, and multiplication matrices
+combine the basis ones, which `linalg.MatrixFamily` holds over the
+tensor's denominator.
 Every matrix, the variables' included, is held once, as integer rows over
 one denominator (see linalg), and so are the restrictions to a factor;
 Fractions appear only in `table`, `mult` and idempotents.
 
 The Jacobson radical is computed from the trace form, which in
 characteristic zero has the radical as its kernel; residue-field
-dimensions follow without any factorization, from Rad(eA) = eA cap Rad(A).
+dimensions follow without any factorization, from Rad(eA) = eA cap Rad(A):
+dim A - dim Rad A for A itself, and for a factor the rank of its basis
+modulo the one echelon form of Rad A that the algebra keeps.
 """
 
 from __future__ import annotations
@@ -48,7 +62,7 @@ from math import gcd, lcm
 
 from . import linalg, univar
 from .groebner import Ideal, standard_monomials
-from .poly import SparsePoly
+from .poly import GREVLEX, SparsePoly
 
 
 def _shift(e: tuple, k: int, step: int) -> tuple:
@@ -86,17 +100,57 @@ class ArtinAlgebra:
     def _variable_columns(self):
         """The columns of the variable multiplication matrices over one
         common denominator: cols[k][j] lists the nonzero (row, numerator)
-        of nf(x_k * b_j).  Only border monomials are reduced."""
-        shifted = [[_shift(b, k, 1) for b in self.basis] for k in range(len(self.vars))]
-        border = {e: linalg.integer_vector(self.to_vector(SparsePoly.monomial(self.vars, e)))
-                  for e in {e for row in shifted for e in row if e not in self._pos}}
+        of nf(x_k * b_j).
+
+        The border monomials x_k * b_j outside the basis get their normal
+        forms by recurrence, in increasing grevlex order, with no
+        reduction.  A head of the reduced basis is minus its tail over its
+        head coefficient: the tail is standard.  Any other border monomial
+        x^e = x_i * b, b standard, is a proper multiple of a head h, so
+        some j has e_j > h_j, and h divides x^(e - e_j).  Then j != i, as b
+        is standard, so x^(e - e_j) = x_i * (b / x_j) is again a border
+        monomial, below x^e, and nf(x^e) = x_j * nf(x^(e - e_j)).  Each
+        x_j * x^s this needs has x^s standard and below x^(e - e_j), so it
+        is standard or a border monomial below x^e, already known."""
+        n, pos = len(self.vars), self._pos
+        shifted = [[_shift(b, k, 1) for b in self.basis] for k in range(n)]
+        heads = {g.leading_term()[0]: g for g in self.ideal.groebner_basis()}
+        border: dict[tuple, tuple[list[int], int]] = {}  # in lowest terms
+        for e in sorted({e for row in shifted for e in row if e not in pos},
+                        key=GREVLEX.key_for(n)):
+            g = heads.get(e)
+            if g is not None:
+                lc = g.terms[e]
+                tail = [0] * self.dim
+                for t, c in g.terms.items():
+                    if t != e:
+                        tail[pos[t]] = Fraction(-c) / lc
+                border[e] = linalg.integer_vector(tail)
+                continue
+            j = next(j for j in range(n) if e[j] and _shift(e, j, -1) in border)
+            nums, d = border[_shift(e, j, -1)]
+            images = [(c, _shift(self.basis[s], j, 1)) for s, c in enumerate(nums) if c]
+            scale = lcm(*[border[t][1] for _, t in images if t not in pos])
+            acc = [0] * self.dim
+            for c, t in images:
+                if t in pos:
+                    acc[pos[t]] += c * scale
+                else:
+                    tn, td = border[t]
+                    f = c * (scale // td)
+                    for r, x in enumerate(tn):
+                        if x:
+                            acc[r] += f * x
+            d *= scale
+            g = gcd(d, *acc)
+            border[e] = ([x // g for x in acc], d // g) if g > 1 else (acc, d)
         den = lcm(*[d for _, d in border.values()])
         cols = []
         for row in shifted:
             cols_k = []
             for e in row:
-                if e in self._pos:
-                    cols_k.append([(self._pos[e], den)])
+                if e in pos:
+                    cols_k.append([(pos[e], den)])
                 else:
                     nums, d = border[e]
                     cols_k.append([(r, x * (den // d)) for r, x in enumerate(nums) if x])
@@ -209,6 +263,12 @@ class ArtinAlgebra:
             self._radical = linalg.nullspace(self.trace_gram())
         return self._radical
 
+    @functools.cached_property
+    def _radical_span(self) -> linalg.Subspace:
+        """Rad(A) as a Subspace of its reduced echelon rows, built once."""
+        rad = self.radical_basis()
+        return linalg.Subspace(self.dim, linalg.echelon_rows(rad)[0] if rad else [])
+
     def __repr__(self):
         return f"ArtinAlgebra(dim={self.dim}, ideal={self.ideal!r})"
 
@@ -239,10 +299,12 @@ class LocalFactor:
 
     @functools.cached_property
     def residue_dim(self) -> int:
-        """dim eA - dim Rad(eA).  Rad(eA) = eA cap Rad(A), so this is
-        dim(eA + Rad(A)) - dim Rad(A), with no product taken."""
-        rad = self.algebra.radical_basis()
-        return linalg.rank(self.basis_vectors + rad) - len(rad)
+        """dim eA - dim Rad(eA).  Rad(eA) = eA cap Rad(A), so this is the
+        rank of the basis vectors modulo Rad(A): each is reduced against
+        the algebra's one echelon form of Rad(A), with no product taken.
+        `decompose_local` sets it wherever a split already proved it."""
+        rad = self.algebra._radical_span
+        return linalg.integer_rank([rad.project(v)[0] for v in self.basis_vectors])
 
     def __repr__(self):
         return f"LocalFactor(dim={self.dim})"
@@ -265,44 +327,69 @@ def _candidate_combinations(nvars: int, seed: int):
 def decompose_local(algebra: ArtinAlgebra, seed: int = 0) -> list[LocalFactor]:
     """Complete orthogonal idempotent decomposition into local factors.
 
-    Exactness of the idempotent identities (e^2 = e, pairwise products zero,
-    sum = 1) is asserted on every run.
+    A split passes on what it proved.  Let the factor eA, of residue
+    dimension r, split along candidate number a, whose minimal polynomial
+    on eA is mu = prod q_i^m_i, into the pieces e_i A.
+    - Sum rule: if sum deg q_i = r, every e_i A is local with residue
+      dimension deg q_i, set at once.  The minimal polynomial of a on e_i A
+      is q_i^m_i, so the image of a generates Q[t]/(q_i) inside e_i A / Rad,
+      and the residue dimension of e_i A is at least deg q_i; residue
+      dimensions add over the pieces, so equality in the sum forces it for
+      each i.
+    - Otherwise each piece resumes at candidate a + 1, carrying the prime
+      degrees that candidates 0..a proved on it: a candidate j < a gave one
+      prime power q_j^m on eA, hence a power of q_j on e_i A, and candidate a
+      gives q_i^m_i.  A piece whose residue dimension is one of these degrees
+      is local: a fresh start at candidate 0 would stop at that candidate,
+      and any other candidate below a + 1 would be tried in vain.
+    A factor's residue dimension is ranked only where the sum rule leaves
+    it open (for A itself it is dim A - dim Rad A).  The order of the
+    candidates, the answers and the RuntimeError of a factor where all of
+    them fail are those of splitting every piece from candidate 0.
+    `_assert_idempotent_system` checks the answer on every run.
     """
     if algebra.dim == 0:
         return []
     variables = linalg.MatrixFamily(algebra._vars)
-    finished: list[LocalFactor] = []
-    work = [LocalFactor(algebra,
+    candidates = list(_candidate_combinations(len(algebra.vars), seed))
+    whole = LocalFactor(algebra,
                         [linalg.unit_vector(algebra.dim, i) for i in range(algebra.dim)],
-                        algebra.one())]
+                        algebra.one())
+    whole.residue_dim = algebra.dim - len(algebra.radical_basis())
+    finished: list[LocalFactor] = []
+    work = [(whole, 0, frozenset())]
     while work:
-        factor = work.pop()
-        split = _try_split(algebra, variables, factor, seed)
+        factor, start, degrees = work.pop()
+        split = _try_split(algebra, variables, candidates, factor, start, degrees)
         if split is None:
             finished.append(factor)
         else:
-            work.extend(LocalFactor(algebra, b, e) for b, e in split)
+            work.extend(split)
 
     finished.sort(key=lambda f: (-f.dim, [str(c) for c in f.idempotent]))
     _assert_idempotent_system(algebra, finished)
     return finished
 
 
-def _try_split(algebra, variables: linalg.MatrixFamily, factor: LocalFactor, seed):
+def _try_split(algebra, variables: linalg.MatrixFamily, candidates, factor: LocalFactor,
+               start: int, degrees: frozenset):
     """Split the factor eA along the CRT idempotents of the first candidate
-    whose minimal polynomial has two coprime prime-power parts; None when
-    the factor is certified local.  Raises RuntimeError when the candidates
-    run out without either."""
+    from number start on whose minimal polynomial has two coprime
+    prime-power parts, into (piece, next candidate, proven prime degrees)
+    work items; None when the factor is certified local, degrees being
+    those the candidates before start proved on it.  Raises RuntimeError
+    when the candidates run out without either."""
     k = factor.dim
     if k == 1:
         return None
     r = factor.residue_dim
-    if r == 1:
-        return None  # residue field Q: already local
+    if r == 1 or r in degrees:
+        return None  # residue field Q, or Q[t]/(q) for a proven prime q of degree r
     e = factor.idempotent
     basis = linalg.transpose(factor.basis_vectors)
-    for coeffs in _candidate_combinations(len(algebra.vars), seed):
-        m, den = variables.combine(coeffs)
+    proven = degrees
+    for index in range(start, len(candidates)):
+        m, den = variables.combine(candidates[index])
         # a = m / den; p(a) kills eA iff p(a) e = 0, so the minimal
         # polynomial of multiplication by a on eA is the annihilator of e
         mu = linalg.annihilator(m, e, den)
@@ -311,6 +398,7 @@ def _try_split(algebra, variables: linalg.MatrixFamily, factor: LocalFactor, see
             if univar.deg(parts[0][0]) == r:
                 # the semisimple quotient is Q[t]/(q) of full degree: a field
                 return None
+            proven |= {univar.deg(parts[0][0])}
             continue
         moduli = [functools.reduce(univar.mul, [q] * mult) for q, mult in parts]
         pieces = []
@@ -320,23 +408,36 @@ def _try_split(algebra, variables: linalg.MatrixFamily, factor: LocalFactor, see
             # the images span e_i A up to one scalar; kept as the echelon basis
             # of their span in primitive integer rows, sparser for later products
             images = linalg.mat_mul(algebra._multiplications.combine(e_i)[0], basis)
-            pieces.append((linalg.echelon_rows(linalg.transpose(images))[0], e_i))
-        if sum(len(b) for b, _ in pieces) != k:
+            rows = linalg.echelon_rows(linalg.transpose(images))[0]
+            pieces.append(LocalFactor(algebra, rows, e_i))
+        if sum(piece.dim for piece in pieces) != k:
             raise RuntimeError("idempotent split lost dimensions")
-        return pieces
+        prime_degrees = [univar.deg(q) for q, _ in parts]
+        if sum(prime_degrees) == r:
+            for piece, d in zip(pieces, prime_degrees):
+                piece.residue_dim = d  # the sum rule
+        return [(piece, index + 1, proven | {d})
+                for piece, d in zip(pieces, prime_degrees)]
     raise RuntimeError(
         f"no split certified for a factor of dimension {k} with residue dimension {r} "
         f"after {len(algebra.vars) + EXTRA_TRIALS} candidates")
 
 
 def _assert_idempotent_system(algebra, factors):
-    """The products on integers: with e = n / d, e^2 = e is n n = d den n."""
-    scaled = [linalg.integer_vector(f.idempotent) for f in factors]
-    for i, (n, d) in enumerate(scaled):
+    """Refuse factors whose idempotents fail e_i^2 = e_i or sum e_i = 1,
+    or whose dimensions do not add up to dim A.  The squares are taken on
+    integers: with e = n / d, e^2 = e is n n = d den n.
+
+    Orthogonality follows, so no product e_i e_j is taken.  From e_i =
+    e_i sum_j e_j = e_i^2 + sum_{j != i} e_i e_j, the sum over j != i of
+    e_i e_j is 0.  Each e_i e_j is idempotent, as A is commutative, so the
+    trace of its multiplication matrix is that matrix's rank, >= 0 over Q.
+    Traces add, and a zero sum of ranks forces every rank, hence every
+    e_i e_j = (e_i e_j) 1, to be 0."""
+    for f in factors:
+        n, d = linalg.integer_vector(f.idempotent)
         if algebra._product(n, n) != [x * d * algebra._den for x in n]:
             raise RuntimeError("idempotent fails e^2 = e")
-        if any(any(algebra._product(n, other)) for other, _ in scaled[i + 1:]):
-            raise RuntimeError("idempotents are not orthogonal")
     if [sum(col) for col in zip(*[f.idempotent for f in factors])] != algebra.one():
         raise RuntimeError("idempotents do not sum to 1")
     if sum(f.dim for f in factors) != algebra.dim:

@@ -81,6 +81,7 @@ cross-multiplication).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -89,9 +90,8 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
 from operator import add, le, sub
 
-from weylcas import linalg
-from weylcas import univar
-from weylcas.artin import LocalFactor, _assert_idempotent_system, decompose_local
+from weylcas import artin, linalg, univar
+from weylcas.artin import LocalFactor, decompose_local
 from weylcas.groebner import Ideal, divide_exact, quotient_by_ideal
 from weylcas.hulls import (
     CurveExtension,
@@ -359,7 +359,7 @@ def old_decompose_local(algebra, seed: int = 0, extra_trials: int = 10) -> list[
             work.extend(LocalFactor(algebra, b, e) for b, e in split)
 
     finished.sort(key=lambda f: (-f.dim, [str(c) for c in f.idempotent]))
-    _assert_idempotent_system(algebra, finished)
+    pairwise_idempotent_check(algebra, finished)
     return finished
 
 
@@ -493,6 +493,101 @@ def _try_split(algebra, factor: LocalFactor, seed, extra_trials):
     return None
 
 
+
+
+# ---------- Artinian decompositions that re-derive every factor ----------
+
+def reduced_variable_columns(algebra):
+    """The columns of the variable multiplication matrices over one common
+    denominator, as `ArtinAlgebra._variable_columns` gives them, with one
+    `Ideal.reduce` per border monomial."""
+    shifted = [[tuple(x + (i == k) for i, x in enumerate(b)) for b in algebra.basis]
+               for k in range(len(algebra.vars))]
+    border = {e: linalg.integer_vector(algebra.to_vector(SparsePoly.monomial(algebra.vars, e)))
+              for e in {e for row in shifted for e in row if e not in algebra._pos}}
+    den = math.lcm(*[d for _, d in border.values()])
+    cols = []
+    for row in shifted:
+        cols_k = []
+        for e in row:
+            if e in algebra._pos:
+                cols_k.append([(algebra._pos[e], den)])
+            else:
+                nums, d = border[e]
+                cols_k.append([(r, x * (den // d)) for r, x in enumerate(nums) if x])
+        cols.append(cols_k)
+    return cols, den
+
+
+def pairwise_idempotent_check(algebra, factors):
+    """e_i^2 = e_i, e_i e_j = 0 for every pair i < j, sum e_i = 1 and the
+    dimensions adding up, on integers; a failure raises RuntimeError."""
+    scaled = [linalg.integer_vector(f.idempotent) for f in factors]
+    for i, (n, d) in enumerate(scaled):
+        if algebra._product(n, n) != [x * d * algebra._den for x in n]:
+            raise RuntimeError("idempotent fails e^2 = e")
+        if any(any(algebra._product(n, other)) for other, _ in scaled[i + 1:]):
+            raise RuntimeError("idempotents are not orthogonal")
+    if [sum(col) for col in zip(*[f.idempotent for f in factors])] != algebra.one():
+        raise RuntimeError("idempotents do not sum to 1")
+    if sum(f.dim for f in factors) != algebra.dim:
+        raise RuntimeError("factor dimensions do not sum to the algebra dimension")
+
+
+def rederived_decompose_local(algebra, seed: int = 0) -> list[LocalFactor]:
+    """`decompose_local` as it was before pieces inherited their split:
+    every piece goes back on the work list, ranks its basis against Rad A
+    afresh, and tries the candidates again from the first.  Each factor
+    keeps the residue dimension so ranked."""
+    if algebra.dim == 0:
+        return []
+    variables = linalg.MatrixFamily(algebra._vars)
+    finished: list[LocalFactor] = []
+    work = [LocalFactor(algebra,
+                        [linalg.unit_vector(algebra.dim, i) for i in range(algebra.dim)],
+                        algebra.one())]
+    while work:
+        factor = work.pop()
+        split = _rederived_try_split(algebra, variables, factor, seed)
+        if split is None:
+            finished.append(factor)
+        else:
+            work.extend(LocalFactor(algebra, b, e) for b, e in split)
+    finished.sort(key=lambda f: (-f.dim, [str(c) for c in f.idempotent]))
+    pairwise_idempotent_check(algebra, finished)
+    return finished
+
+
+def _rederived_try_split(algebra, variables, factor: LocalFactor, seed):
+    k = factor.dim
+    if k == 1:
+        return None
+    rad = algebra.radical_basis()
+    r = factor.residue_dim = linalg.rank(factor.basis_vectors + rad) - len(rad)
+    if r == 1:
+        return None  # residue field Q: already local
+    e = factor.idempotent
+    basis = linalg.transpose(factor.basis_vectors)
+    for coeffs in artin._candidate_combinations(len(algebra.vars), seed):
+        m, den = variables.combine(coeffs)
+        mu = linalg.annihilator(m, e, den)
+        parts = univar.coprime_factorization(mu)
+        if len(parts) == 1:
+            if univar.deg(parts[0][0]) == r:
+                return None
+            continue
+        moduli = [functools.reduce(univar.mul, [q] * mult) for q, mult in parts]
+        pieces = []
+        for c in univar.crt_idempotents(moduli):
+            e_i = linalg.poly_apply(c, m, e, den)
+            images = linalg.mat_mul(algebra._multiplications.combine(e_i)[0], basis)
+            pieces.append((linalg.echelon_rows(linalg.transpose(images))[0], e_i))
+        if sum(len(b) for b, _ in pieces) != k:
+            raise RuntimeError("idempotent split lost dimensions")
+        return pieces
+    raise RuntimeError(
+        f"no split certified for a factor of dimension {k} with residue dimension {r} "
+        f"after {len(algebra.vars) + artin.EXTRA_TRIALS} candidates")
 
 
 # ---------- local cohomology, one multidegree at a time ----------

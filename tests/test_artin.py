@@ -12,11 +12,14 @@ from oracles import (
     old_mult_matrix,
     old_radical_basis,
     old_structure_table,
+    pairwise_idempotent_check,
+    rederived_decompose_local,
+    reduced_variable_columns,
     var_matrices,
 )
-from weylcas import artin, linalg
-from weylcas.artin import ArtinAlgebra, decompose_local
-from weylcas.groebner import Ideal, NotZeroDimensionalError
+from weylcas import artin, linalg, univar
+from weylcas.artin import ArtinAlgebra, LocalFactor, _assert_idempotent_system, decompose_local
+from weylcas.groebner import Ideal, NotZeroDimensionalError, intersect
 from weylcas.poly import SparsePoly
 
 X = ("x",)
@@ -24,8 +27,10 @@ Y = ("y",)
 XY = ("x", "y")
 xv = SparsePoly.variable(X, 0)
 yv = SparsePoly.variable(Y, 0)
+XYZ = ("x", "y", "z")
 x2 = SparsePoly.variable(XY, 0)
 y2 = SparsePoly.variable(XY, 1)
+x3, y3, z3 = (SparsePoly.variable(XYZ, i) for i in range(3))
 
 
 def test_dual_numbers():
@@ -348,17 +353,11 @@ def test_only_border_monomials_are_reduced(monkeypatch):
 
     monkeypatch.setattr(Ideal, "reduce", counting)
     for built in product_corpus():
-        # the ideal keeps its Groebner basis, so only the structure data count
+        # the ideal keeps its Groebner basis, so only the structure data
+        # count: the border normal forms come by recurrence, with none
         reduced.clear()
-        A = ArtinAlgebra(built.ideal)
-        assert len(reduced) <= len(A.vars) * A.dim
-        # each border monomial once
-        assert len({tuple(f.terms) for f in reduced}) == len(reduced)
-        for f in reduced:
-            (e,) = f.terms
-            assert e not in A.basis
-            assert any(e[k] and e[:k] + (e[k] - 1,) + e[k + 1:] in A.basis
-                       for k in range(len(e)))
+        ArtinAlgebra(built.ideal)
+        assert reduced == []
 
 
 # ---------- coordinate vectors of the wrong length ----------
@@ -399,3 +398,145 @@ def test_factor_coordinates_refuse_input_of_the_wrong_length():
     assert proper.restrict(linalg.identity(3)) == (linalg.identity(2), 1)
     # the scaled form: the restriction of (m / den) is the restriction of m over den
     assert proper.restrict(linalg.identity(3), 6) == (linalg.identity(2), 6)
+
+
+# ---------- what a split proved, against re-deriving it per piece ----------
+
+def inheritance_corpus():
+    """Q[x]/prod q_i^m_i and point ideals (known_corpus, more point
+    shapes), random 2-variable ideals, and ideals with irrational points
+    beside a rational one: Q(sqrt p, sqrt q) x Q in 2 variables and
+    Q(p^(1/4), sqrt q) x Q in 3, where the first split leaves a piece whose
+    residue field is larger than every prime degree proved on it, and
+    Q(sqrt 2) x Q(sqrt 2), whose pieces are certified by the degree the
+    first variable proved."""
+    out = [A for A, _ in known_corpus()]
+    rng = random.Random(11)
+    for mx, my in (([2, 1], [1, 1]), ([1, 1], [3]), ([2, 2], [1, 2]), ([1, 1, 1], [2, 1])):
+        out.append(ArtinAlgebra(point_ideal(rng, mx, my)[0]))
+    out += [ArtinAlgebra(random_zero_dim_ideal(rng)) for _ in range(15)]
+    for _ in range(8):
+        p, q = rng.sample((2, 3, 5, 7), 2)
+        c = rng.randint(-2, 2)
+        field = Ideal(XY, [x2 ** 2 - p, (y2 - c * x2) ** 2 - q])
+        point = Ideal(XY, [x2 - rng.randint(-3, 3), y2 - rng.randint(-3, 3)])
+        out.append(ArtinAlgebra(intersect(field, point)))
+    for _ in range(3):
+        p, q = rng.sample((2, 3, 5), 2)
+        field = Ideal(XYZ, [x3 ** 2 - p, y3 ** 2 - q, z3 ** 2 - x3])
+        point = Ideal(XYZ, [x3 - rng.randint(-3, 3), y3, z3 - rng.randint(-3, 3)])
+        out.append(ArtinAlgebra(intersect(field, point)))
+    out.append(ArtinAlgebra.from_presentation(XY, [x2 ** 2 - 2, y2 ** 2 - y2]))
+    return out
+
+
+def test_decompositions_equal_the_rederiving_oracle(monkeypatch):
+    # each call: (dim, residue dimension known before the call, start,
+    # inherited degrees, residue dimension, certified local)
+    calls = []
+    split = artin._try_split
+
+    def spying(algebra, variables, candidates, factor, start, degrees):
+        preset = "residue_dim" in vars(factor)
+        out = split(algebra, variables, candidates, factor, start, degrees)
+        calls.append((factor.dim, preset, start, degrees,
+                      factor.residue_dim if factor.dim > 1 else 1, out is None))
+        return out
+
+    monkeypatch.setattr(artin, "_try_split", spying)
+    corpus = inheritance_corpus()
+    for A in corpus:
+        new, old = decompose_local(A), rederived_decompose_local(A)
+        assert ([(f.dim, f.basis_vectors, f.idempotent, f.residue_dim) for f in new]
+                == [(f.dim, f.basis_vectors, f.idempotent, f.residue_dim) for f in old])
+    assert sum(A.dim for A in corpus) > 250
+    sum_rule = [c for c in calls if c[1] and c[2] > 0]
+    inherited = [c for c in calls if not c[1] and c[0] > 1 and 1 < c[4] in c[3]]
+    resumed = [c for c in calls if c[2] > 0 and c[0] > 1 and c[4] > 1 and c[4] not in c[3]]
+    # a piece the sum rule settled is certified local at once
+    assert sum_rule and all(c[5] for c in sum_rule)
+    assert inherited and all(c[5] for c in inherited)
+    assert resumed
+
+
+def test_residue_dims_equal_the_factor_radical():
+    # decompose_local sets some residue dimensions and ranks others; a fresh
+    # factor on the same span ranks its basis modulo the one echelon form
+    # of Rad A
+    checked = 0
+    for A in inheritance_corpus():
+        for f in decompose_local(A):
+            fresh = LocalFactor(A, f.basis_vectors, f.idempotent)
+            assert f.residue_dim == fresh.residue_dim == f.dim - len(factor_radical(f))
+            checked += 1
+    assert checked > 90
+
+
+def test_variable_columns_equal_one_reduction_per_border_monomial():
+    for A in product_corpus() + inheritance_corpus():
+        cols, den = reduced_variable_columns(A)
+        assert A._variable_columns() == (cols, den)
+        assert [m for m, _ in A._vars] == [
+            [[dict(col).get(r, 0) for col in cols_k] for r in range(A.dim)] for cols_k in cols]
+        assert all(d == den for _, d in A._vars)
+        assert (A._den, A._tensor) == A._structure_tensor(cols, den)
+
+
+def test_a_split_by_the_sum_rule_factors_and_annihilates_once(monkeypatch):
+    # mu of x is the whole modulus, of prime degrees 2 + 3 + 1 = 6 = dim A -
+    # dim Rad A: the three pieces are local with no further candidate
+    counts = {"coprime_factorization": 0, "annihilator": 0}
+    for module, name in ((univar, "coprime_factorization"), (linalg, "annihilator")):
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counting)
+    A = ArtinAlgebra.from_presentation(X, [(xv ** 2 + 1) ** 2 * (xv ** 3 - 2) * (xv - 1)])
+    factors = decompose_local(A)
+    assert counts == {"coprime_factorization": 1, "annihilator": 1}
+    assert [(f.dim, f.residue_dim) for f in factors] == [(4, 2), (3, 3), (1, 1)]
+
+
+# ---------- the idempotent check in k products ----------
+
+def test_the_idempotent_check_refuses_a_broken_system():
+    A = ArtinAlgebra.from_presentation(X, [(xv ** 2 + 1) ** 2 * (xv ** 3 - 2) * (xv - 1)])
+    factors = decompose_local(A)
+    _assert_idempotent_system(A, factors)
+    first, *rest = factors
+    x = A.to_vector(xv)
+    not_idempotent = LocalFactor(A, first.basis_vectors, A.mult(x, first.idempotent))
+    with pytest.raises(RuntimeError, match="e\\^2 = e"):
+        _assert_idempotent_system(A, [not_idempotent] + rest)
+    with pytest.raises(RuntimeError, match="do not sum to 1"):
+        _assert_idempotent_system(A, rest)
+    short = LocalFactor(A, first.basis_vectors[1:], first.idempotent)
+    with pytest.raises(RuntimeError, match="dimensions do not sum"):
+        _assert_idempotent_system(A, [short] + rest)
+
+
+def test_the_pairwise_check_holds_wherever_the_k_product_check_passes():
+    # systems of sums of the factors' idempotents, over two sets of factors
+    # that cover all of them: the k-product check passes exactly when the
+    # sets are disjoint, and the pairwise check must agree with it then
+    rng = random.Random(29)
+    passed = refused = 0
+    for A in inheritance_corpus():
+        factors = decompose_local(A)
+        pairwise_idempotent_check(A, factors)
+        for _ in range(3):
+            picks = [rng.randrange(3) for _ in factors]
+            left = [f for f, p in zip(factors, picks) if p != 1]
+            right = [f for f, p in zip(factors, picks) if p != 0]
+            system = [LocalFactor(A, [v for f in part for v in f.basis_vectors],
+                                  [sum(col) for col in zip(*[f.idempotent for f in part])])
+                      for part in (left, right) if part]
+            try:
+                _assert_idempotent_system(A, system)
+            except RuntimeError:
+                refused += 1
+                assert 2 in picks
+                continue
+            pairwise_idempotent_check(A, system)
+            passed += len(system) > 1
+    assert passed > 10 and refused > 10
